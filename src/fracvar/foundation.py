@@ -302,61 +302,23 @@ def singular_weights(mu: float, grid: Grid, j: int) -> np.ndarray:
     return w
 
 
-def _jacobi_rotate(m: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    apq = m[p, q]
-    theta = (m[q, q] - m[p, p]) / (2.0 * apq)
-    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-    c = 1.0 / math.sqrt(t * t + 1.0)
-    s = t * c
-    for mat in (m, v):
-        col_p = mat[:, p].copy()
-        col_q = mat[:, q].copy()
-        mat[:, p] = c * col_p - s * col_q
-        mat[:, q] = s * col_p + c * col_q
-    row_p = m[p, :].copy()
-    row_q = m[q, :].copy()
-    m[p, :] = c * row_p - s * row_q
-    m[q, :] = s * row_p + c * row_q
-    m[p, q] = 0.0
-    m[q, p] = 0.0
-
-
 def symmetric_eigen(matrix: SymmetricMatrix):
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
+    """Full eigendecomposition of a symmetric matrix by LAPACK ``eigh``.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
-    eigenvectors in the corresponding columns.  Iteration stops once every
-    off-diagonal entry is below ``1e-12`` times the Frobenius norm.
+    eigenvectors in the corresponding columns.  Each column is signed so
+    that its entry of largest magnitude is positive, which makes the
+    eigenvectors deterministic.
     """
     if matrix.dim > 200:
         raise InputError(f"dimension capped at 200, got {matrix.dim}")
-    d = matrix.dim
-    m = matrix.entries.copy()
-    v = np.eye(d)
-    fro = float(np.linalg.norm(m))
-    if fro == 0.0 or d == 1:
-        order = np.argsort(np.diag(m), kind="stable")
-        return np.diag(m)[order].copy(), v[:, order].copy()
-    tol = 1e-12 * fro
-    for _ in range(60):
-        off = np.abs(m - np.diag(np.diag(m))).max()
-        if off < tol:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                if abs(m[p, q]) > 0.1 * tol / (d * d):
-                    _jacobi_rotate(m, v, p, q)
-    else:
-        raise NumericError("Jacobi iteration failed to converge in 60 sweeps")
-    vals = np.diag(m).copy()
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    vecs = v[:, order]
-    # Fix a deterministic sign: the entry of largest magnitude is positive.
-    for col in range(d):
-        lead = np.argmax(np.abs(vecs[:, col]))
-        if vecs[lead, col] < 0.0:
-            vecs[:, col] = -vecs[:, col]
+    try:
+        vals, vecs = np.linalg.eigh(matrix.entries)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigendecomposition failed: {exc}") from None
+    if matrix.dim:
+        lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(matrix.dim)]
+        vecs *= np.where(lead < 0.0, -1.0, 1.0)
     return vals, vecs
 
 

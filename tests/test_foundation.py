@@ -208,6 +208,8 @@ def test_eigen_identity_and_permutation():
     vals, vecs = symmetric_eigen(SymmetricMatrix(np.diag([3.0, 1.0, 2.0])))
     assert np.allclose(vals, [1.0, 2.0, 3.0])
     assert np.allclose(np.abs(vecs), np.eye(3)[:, [1, 2, 0]], atol=1e-12)
+    vals, vecs = symmetric_eigen(SymmetricMatrix(np.zeros((0, 0))))
+    assert vals.shape == (0,) and vecs.shape == (0, 0)
 
 
 def test_eigen_two_by_two():
@@ -243,6 +245,8 @@ def test_eigen_reconstruction_and_orthonormality(dim, seed):
     assert np.linalg.norm(vecs.T @ vecs - np.eye(dim)) <= 1e-10
     for k in range(dim):
         assert np.linalg.norm(a @ vecs[:, k] - vals[k] * vecs[:, k]) <= 1e-10 * max(scale, 1e-3)
+    # sign rule: each column's entry of largest magnitude is positive
+    assert np.all(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(dim)] > 0.0)
 
 
 # --- interior windows -----------------------------------------------------

@@ -32,6 +32,7 @@ from fracvar import (
     verify_ibp,
     verify_semigroup,
 )
+from fracvar.foundation import _pi_coefficients
 
 EXP_KERNEL = DifferenceKernel(lambda s: math.exp(-s))
 LEFT = ParameterSet(0.0, 1.0, 1.0, 0.0)
@@ -140,9 +141,98 @@ def test_nan_kernel_reports_numeric_error():
 def test_bounded_kernel_corner_is_mended_with_warning():
     g = Grid(0.0, 1.0, 64)
     rational = GeneralKernel(lambda x, y: (x * x - y * y) / (x * x + y * y) ** 2, 0.0)
-    with pytest.warns(CornerExtrapolationWarning):
+    with pytest.warns(CornerExtrapolationWarning) as record:
         out = k_apply(ParameterSet(0.0, 1.0, 1.0, -1.0), rational, SampledFunction(g, np.ones(65)))
     assert np.isfinite(out.values).all()
+    # the warning points at the caller of k_apply, not into the library
+    assert record[0].filename == __file__
+
+
+# --- FFT convolution against the direct oracle -----------------------------
+#
+# The two functions below are the difference-kernel branches of the
+# left-sided engines computed with the direct O(n**2) ``np.convolve``; they
+# are the reference the FFT path is checked against.  Each returns the
+# left-sided values and the scale ``h**power * max|x| * sum|y|`` of the
+# convolution of ``x`` against the weights ``y`` that it computes.  The FFT
+# error is absolute, so the bound is 1e-14 times that scale.
+
+
+def _direct_tables(kernel, grid, count):
+    mu = 1.0 - kernel.exponent_at(grid.a)
+    a_coef, b_coef = _pi_coefficients(mu, count)
+    return mu, a_coef, b_coef, kernel.profile(grid.nodes - grid.a)
+
+
+def _direct_k_left(kernel, grid, fv):
+    n, h = grid.n, grid.h
+    mu, a_coef, b_coef, prof = _direct_tables(kernel, grid, n + 1)
+    weights = np.empty(n + 1)
+    weights[0] = b_coef[0]
+    weights[1:] = (a_coef[:n] - b_coef[:n]) + b_coef[1:]
+    wp = weights * prof
+    out = h**mu * (np.convolve(fv, wp)[: n + 1] - b_coef * prof * fv[0])
+    out[0] = 0.0
+    return out, h**mu * np.abs(fv).max() * np.abs(wp).sum()
+
+
+def _direct_b_left(kernel, grid, fv):
+    n, h = grid.n, grid.h
+    df = np.diff(fv)
+    mu, a_coef, b_coef, prof = _direct_tables(kernel, grid, n)
+    cell = prof[1:] * (a_coef - b_coef) + prof[:-1] * b_coef
+    out = np.zeros(n + 1)
+    out[1:] = h ** (mu - 1.0) * np.convolve(df, cell)[:n]
+    return out, h ** (mu - 1.0) * np.abs(df).max() * np.abs(cell).sum()
+
+
+def _direct_two_sided(p, kernel, f, left_rule, right_sign):
+    """Oracle values and error bound; difference kernels reflect onto themselves."""
+    left, scale = left_rule(kernel, f.grid, f.values)
+    right, _ = left_rule(kernel, f.grid, f.values[::-1])
+    out = p.lam * left + right_sign * p.mu * right[::-1]
+    return out, 1e-14 * (abs(p.lam) + abs(p.mu)) * scale
+
+
+difference_kernels = some.one_of(
+    some.builds(
+        PowerLawKernel,
+        some.floats(1e-3, 1.0 - 1e-3),
+        some.sampled_from(["integral", "derivative"]),
+    ),
+    some.just(EXP_KERNEL),
+)
+side_weights = some.one_of(some.just(0.0), some.floats(-3.0, 3.0).filter(lambda w: abs(w) >= 1e-3))
+
+
+@hyp.settings(max_examples=40, deadline=None)
+@hyp.given(
+    kernel=difference_kernels,
+    n=some.integers(32, 4096),
+    lam=side_weights,
+    mu=side_weights,
+    seed=some.integers(0, 2**31),
+)
+def test_fft_convolution_matches_direct_oracle(kernel, n, lam, mu, seed):
+    hyp.assume(lam != 0.0 or mu != 0.0)
+    p = ParameterSet(0.0, 1.0, lam, mu)
+    g = Grid(0.0, 1.0, n)
+    f = SampledFunction(g, np.random.default_rng(seed).uniform(-1, 1, n + 1))
+
+    ref, bound = _direct_two_sided(p, kernel, f, _direct_k_left, 1.0)
+    assert np.abs(k_apply(p, kernel, f).values - ref).max() <= bound
+
+    # a_apply differentiates k_apply: np.gradient and the endpoint
+    # continuation amplify an absolute error by at most 4 / h
+    d = np.gradient(ref, g.h, edge_order=2)
+    if lam != 0.0:
+        d[0] = 2.0 * d[1] - d[2]
+    if mu != 0.0:
+        d[-1] = 2.0 * d[-2] - d[-3]
+    assert np.abs(a_apply(p, kernel, f).values - d).max() <= 4.0 / g.h * bound
+
+    ref, bound = _direct_two_sided(p, kernel, f, _direct_b_left, -1.0)
+    assert np.abs(b_apply(p, kernel, f).values - ref).max() <= bound
 
 
 # --- derivative-type operators --------------------------------------------

@@ -56,11 +56,7 @@ def main(argv=None):
         elapsed = time.perf_counter() - started
         print(f"{name} ({elapsed:.1f}s)")
         for check in record.assertions:
-            verdict = "PASS" if check.passed else "FAIL"
-            print(
-                f"  {check.id}: {verdict} (measured {check.measured:.6g}, "
-                f"tolerance {check.tolerance:.6g})"
-            )
+            print(f"  {check}")
             if not check.passed:
                 failures.append(f"{name}/{check.id}")
     print()

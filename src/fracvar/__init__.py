@@ -38,7 +38,6 @@ from .operators import (
     OperatorBinding,
     ParameterSet,
     PowerLawKernel,
-    VariableOrderKernel,
     a_apply,
     b_apply,
     boundedness_constant,

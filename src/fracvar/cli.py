@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -93,19 +92,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"config error: {line}", file=sys.stderr)
         return 2
     record = run(config)
-    root = (
-        config.output_dir
-        or os.environ.get("FRACVAR_OUTPUT_DIR")
-        or "fracvar_results"
-    )
-    outdir = os.path.join(root, config.experiment)
     for check in record.assertions:
-        verdict = "PASS" if check.passed else "FAIL"
-        print(
-            f"{check.id}: {verdict} (measured {check.measured:.6g}, "
-            f"tolerance {check.tolerance:.6g})"
-        )
-    print(f"artifacts: {outdir}")
+        print(check)
+    print(f"artifacts: {record.output_dir}")
     failing = [check.id for check in record.assertions if not check.passed]
     if failing:
         print("failing assertions: " + ", ".join(failing), file=sys.stderr)

@@ -24,12 +24,12 @@ from .errors import ParseError
 from .foundation import (
     Grid,
     SampledFunction,
+    _trapezoid_weights,
     cumulative_trapezoid,
     gamma,
     interior_slice,
     interior_sup,
     mittag_leffler,
-    singular_weights,
     trapezoid,
 )
 from .operators import (
@@ -171,6 +171,13 @@ class Assertion:
         object.__setattr__(self, "measured", float(self.measured))
         object.__setattr__(self, "passed", bool(self.passed))
 
+    def __str__(self) -> str:
+        verdict = "PASS" if self.passed else "FAIL"
+        return (
+            f"{self.id}: {verdict} (measured {self.measured:.6g}, "
+            f"tolerance {self.tolerance:.6g})"
+        )
+
 
 @dataclass(frozen=True)
 class ResultRecord:
@@ -180,6 +187,8 @@ class ResultRecord:
     series: dict
     assertions: tuple
     wall_time_s: float
+    #: artifact directory the run wrote, None when it wrote no files
+    output_dir: Optional[str] = None
 
     @property
     def passed(self) -> bool:
@@ -526,15 +535,11 @@ def power_weight_extremal(alpha: float, grid: Grid):
     boundary values 0 and 1, because the right-sided derivative of the
     power profile vanishes identically.
     """
-    n = grid.n
     t = grid.nodes
     c = gamma(alpha) * (2.0 * alpha - 1.0)
-    profile = np.zeros(n + 1)
+    profile = np.zeros(grid.n + 1)
     profile[:-1] = (grid.b - t[:-1]) ** (alpha - 1.0)
-    y = np.zeros(n + 1)
-    for j in range(1, n):
-        w = singular_weights(alpha, grid, j)
-        y[j] = (c / gamma(alpha)) * float(w @ profile[: j + 1])
+    y = c * classical(ClassicalOp.RL_INT_LEFT, alpha, SampledFunction(grid, profile)).values
     y[-1] = 1.0
     return SampledFunction(grid, y), c
 
@@ -844,9 +849,7 @@ def _run_sl_solve(cfg: ExperimentConfig):
     grid = Grid(cfg.a, cfg.b, cfg.n)
     problem = _constant_coefficient_problem(al, cfg.a, cfg.b)
     spectrum = solve_spectrum(problem, cfg.m, cfg.r, grid)
-    tw = np.full(cfg.n + 1, grid.h)
-    tw[0] *= 0.5
-    tw[-1] *= 0.5
+    tw = _trapezoid_weights(grid)
     funcs = np.vstack([f.values for f in spectrum.eigenfunctions])
     gram = (funcs * tw) @ funcs.T
     gram_off = float(np.abs(gram - np.diag(np.diag(gram))).max())
@@ -1075,15 +1078,10 @@ def run(config: ExperimentConfig, write_files: bool = True) -> ResultRecord:
     started = time.perf_counter()
     results, tables, series, assertions = _RUNNERS[config.experiment](config)
     wall = time.perf_counter() - started
+    inputs = _echo_inputs(config)
+    results = _jsonable(results)
     series_files = {name: f"{name}.dat" for name in series}
-    record = ResultRecord(
-        experiment=config.experiment,
-        inputs=_echo_inputs(config),
-        results=_jsonable(results),
-        series=series_files,
-        assertions=tuple(assertions),
-        wall_time_s=wall,
-    )
+    outdir = None
     if write_files:
         root = (
             config.output_dir
@@ -1093,11 +1091,11 @@ def run(config: ExperimentConfig, write_files: bool = True) -> ResultRecord:
         outdir = os.path.join(root, config.experiment)
         os.makedirs(outdir, exist_ok=True)
         payload = {
-            "experiment": record.experiment,
-            "inputs": record.inputs,
-            "results": record.results,
-            "series": record.series,
-            "assertions": [asdict(a) for a in record.assertions],
+            "experiment": config.experiment,
+            "inputs": inputs,
+            "results": results,
+            "series": series_files,
+            "assertions": [asdict(a) for a in assertions],
         }
         _write_atomic(
             os.path.join(outdir, "results.json"),
@@ -1113,4 +1111,12 @@ def run(config: ExperimentConfig, write_files: bool = True) -> ResultRecord:
             )
         for name, (x, y) in series.items():
             _write_atomic(os.path.join(outdir, f"{name}.dat"), _dat_text(x, y))
-    return record
+    return ResultRecord(
+        experiment=config.experiment,
+        inputs=inputs,
+        results=results,
+        series=series_files,
+        assertions=tuple(assertions),
+        wall_time_s=wall,
+        output_dir=outdir,
+    )

@@ -58,6 +58,32 @@ class Grid:
         return (self.b - self.a) / self.n
 
 
+def _evaluate(fn: Callable, *args) -> np.ndarray:
+    """Evaluate a scalar callable on array arguments, broadcast together.
+
+    Tries one vectorized call first.  A callable that cannot take arrays
+    (written with ``math`` functions, say) or that returns the wrong shape
+    is evaluated elementwise instead; any exception of the vectorized
+    attempt means the former, and a genuine error raises again from the
+    elementwise pass.
+    """
+    try:
+        out = np.asarray(fn(*args), dtype=float)
+        if out.shape == np.broadcast(*args).shape:
+            return out
+    except Exception:
+        pass
+    return np.frompyfunc(fn, len(args), 1)(*args).astype(float)
+
+
+def _check_interval(grid: Grid, a: float, b: float) -> None:
+    """Raise ``InputError`` unless ``grid`` spans ``[a, b]`` to 1e-12 relative."""
+    if abs(grid.a - a) > 1e-12 * (1.0 + abs(a)) or abs(grid.b - b) > 1e-12 * (1.0 + abs(b)):
+        raise InputError(
+            f"grid interval [{grid.a}, {grid.b}] does not match interval [{a}, {b}]"
+        )
+
+
 @dataclass(frozen=True)
 class SampledFunction:
     """Node samples of a function on a :class:`Grid`.
@@ -82,14 +108,7 @@ class SampledFunction:
 
     @classmethod
     def from_callable(cls, grid: Grid, fn: Callable[[float], float]) -> "SampledFunction":
-        t = grid.nodes
-        try:
-            v = np.asarray(fn(t), dtype=float)
-            if v.shape != t.shape:
-                raise TypeError
-        except Exception:
-            v = np.array([float(fn(float(ti))) for ti in t])
-        return cls(grid, v)
+        return cls(grid, _evaluate(fn, grid.nodes))
 
     def derivative(self) -> "SampledFunction":
         """Second-order finite-difference derivative on the same grid."""
@@ -224,6 +243,14 @@ def trapezoid(f: SampledFunction) -> float:
     return f.grid.h * (0.5 * (v[0] + v[-1]) + float(v[1:-1].sum()))
 
 
+def _trapezoid_weights(grid: Grid) -> np.ndarray:
+    """Composite trapezoid weights at the ``n + 1`` nodes."""
+    tw = np.full(grid.n + 1, grid.h)
+    tw[0] = 0.5 * grid.h
+    tw[-1] = 0.5 * grid.h
+    return tw
+
+
 def cumulative_trapezoid(f: SampledFunction) -> SampledFunction:
     """Running trapezoid integral, zero at the left endpoint."""
     v = f.values
@@ -292,13 +319,19 @@ def singular_weights(mu: float, grid: Grid, j: int) -> np.ndarray:
         raise InputError(f"node index {j} outside 0..{grid.n}")
     if j == 0:
         return np.zeros(0)
-    a, b = _pi_coefficients(mu, j)
-    w = np.empty(j + 1)
-    w[j] = b[0]
-    w[0] = a[j - 1] - b[j - 1]
-    if j >= 2:
-        w[1:j] = (a[j - 2::-1] - b[j - 2::-1]) + b[j - 1:0:-1]
+    w = _row_weights(j, *_pi_coefficients(mu, j))
     w *= grid.h ** mu
+    return w
+
+
+def _row_weights(j: int, a_coef: np.ndarray, b_coef: np.ndarray) -> np.ndarray:
+    """Unscaled weights of ``singular_weights`` for row ``j >= 1``, from
+    tables ``A(1..count)``, ``B(1..count)`` with ``count >= j``."""
+    w = np.empty(j + 1)
+    w[j] = b_coef[0]
+    w[0] = a_coef[j - 1] - b_coef[j - 1]
+    if j >= 2:
+        w[1:j] = (a_coef[j - 2::-1] - b_coef[j - 2::-1]) + b_coef[j - 1:0:-1]
     return w
 
 

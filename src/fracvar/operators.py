@@ -16,9 +16,10 @@ Difference-type kernels make the product-integration weights a Toeplitz
 matrix, so the left-sided integral at all ``n + 1`` nodes is one linear
 convolution, evaluated by zero-padded real FFT in O(n log n) (Hairer,
 Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).  Every other
-kernel is evaluated row by row at O(n**2) cost.  The right-sided integral
-is reduced to a left-sided one by reflecting the interval, so
-difference-type kernels keep their FFT path on both sides.
+kernel goes through one shared row loop at O(n**2) cost: it evaluates
+each cofactor row once and applies the K or B row formula to it.  The
+right-sided integral is reduced to a left-sided one by reflecting the
+interval, so difference-type kernels keep their FFT path on both sides.
 """
 
 from __future__ import annotations
@@ -40,7 +41,10 @@ from .errors import (
 from .foundation import (
     Grid,
     SampledFunction,
+    _check_interval,
+    _evaluate,
     _pi_coefficients,
+    _row_weights,
     gamma,
     interior_sup,
     trapezoid,
@@ -53,7 +57,6 @@ __all__ = [
     "DifferenceKernel",
     "PowerLawKernel",
     "HadamardKernel",
-    "VariableOrderKernel",
     "GeneralKernel",
     "OperatorBinding",
     "ClassicalOp",
@@ -102,31 +105,6 @@ def dual(p: ParameterSet) -> ParameterSet:
     return ParameterSet(p.a, p.b, p.mu, p.lam)
 
 
-def _broadcast_call2(fn: Callable, x, y) -> np.ndarray:
-    """Evaluate a scalar callable of two arguments, arrays allowed.
-
-    Tries one vectorized call first; callables written with ``math``
-    functions fall back to elementwise evaluation.
-    """
-    try:
-        out = np.asarray(fn(x, y), dtype=float)
-        if out.shape != np.broadcast(x, y).shape:
-            raise TypeError
-        return out
-    except (TypeError, ValueError):
-        return np.frompyfunc(fn, 2, 1)(x, y).astype(float)
-
-
-def _broadcast_call1(fn: Callable, x) -> np.ndarray:
-    try:
-        out = np.asarray(fn(x), dtype=float)
-        if out.shape != np.shape(x):
-            raise TypeError
-        return out
-    except (TypeError, ValueError):
-        return np.frompyfunc(fn, 1, 1)(x).astype(float)
-
-
 class Kernel:
     """Base interface: diagonal singularity strength plus bounded cofactor."""
 
@@ -135,14 +113,11 @@ class Kernel:
     is_difference: bool = False
     #: kernels on multiplicative time need a strictly positive interval
     requires_positive_domain: bool = False
-    #: False only when the diagonal singularity strength varies along t
-    has_constant_exponent: bool = True
+    #: strength ``s`` in [0, 1) of the ``(t - tau)**(-s)`` diagonal singularity
+    singularity_exponent: float = 0.0
 
-    def exponent_at(self, t: float) -> float:
-        raise NotImplementedError
-
-    def cofactor(self, x, y, s_row: float) -> np.ndarray:
-        """Bounded part ``k(x, y) * (x - y)**s_row`` for ``y <= x`` elementwise."""
+    def cofactor(self, x, y) -> np.ndarray:
+        """Bounded part ``k(x, y) * (x - y)**s`` for ``y <= x`` elementwise."""
         raise NotImplementedError
 
     def profile(self, u: np.ndarray) -> np.ndarray:
@@ -157,14 +132,11 @@ class DifferenceKernel(Kernel):
     h: Callable[[float], float]
     is_difference = True
 
-    def exponent_at(self, t: float) -> float:
-        return 0.0
-
-    def cofactor(self, x, y, s_row: float) -> np.ndarray:
-        return _broadcast_call1(self.h, np.asarray(x) - np.asarray(y))
+    def cofactor(self, x, y) -> np.ndarray:
+        return _evaluate(self.h, np.asarray(x) - np.asarray(y))
 
     def profile(self, u: np.ndarray) -> np.ndarray:
-        return _broadcast_call1(self.h, u)
+        return _evaluate(self.h, u)
 
 
 @dataclass(frozen=True)
@@ -190,15 +162,12 @@ class PowerLawKernel(Kernel):
     def singularity_exponent(self) -> float:
         return 1.0 - self.order if self.variant == "integral" else self.order
 
-    def exponent_at(self, t: float) -> float:
-        return self.singularity_exponent
-
     def _const(self) -> float:
         if self.variant == "integral":
             return 1.0 / gamma(self.order)
         return 1.0 / gamma(1.0 - self.order)
 
-    def cofactor(self, x, y, s_row: float) -> np.ndarray:
+    def cofactor(self, x, y) -> np.ndarray:
         return np.full(np.broadcast(x, y).shape, self._const())
 
     def profile(self, u: np.ndarray) -> np.ndarray:
@@ -226,10 +195,7 @@ class HadamardKernel(Kernel):
     def singularity_exponent(self) -> float:
         return 1.0 - self.order
 
-    def exponent_at(self, t: float) -> float:
-        return self.singularity_exponent
-
-    def cofactor(self, x, y, s_row: float) -> np.ndarray:
+    def cofactor(self, x, y) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if np.any(y <= 0.0):
@@ -238,47 +204,6 @@ class HadamardKernel(Kernel):
         safe = np.where(d > 0.0, d, 1.0)
         ratio = np.where(d > 0.0, np.log1p(d / y) / safe, 1.0 / y)
         return ratio ** (self.order - 1.0) / (gamma(self.order) * y)
-
-
-@dataclass(frozen=True)
-class VariableOrderKernel(Kernel):
-    """Power-law kernel whose order varies with both time arguments.
-
-    The quadrature exponent at an output node ``t`` is frozen at the
-    diagonal value ``order(t, t)``; the drift of the order away from the
-    diagonal is absorbed into the cofactor.
-    """
-
-    order: Callable[[float, float], float]
-    variant: str
-    has_constant_exponent = False
-
-    def __post_init__(self) -> None:
-        if self.variant not in ("integral", "derivative"):
-            raise ConfigurationError(f"unknown variable-order variant {self.variant!r}")
-
-    def _order_at(self, x, y) -> np.ndarray:
-        av = _broadcast_call2(self.order, x, y)
-        if not np.all(np.isfinite(av)) or np.any(av <= 0.0) or np.any(av >= 1.0):
-            raise DomainError("variable order must stay inside (0, 1)")
-        return av
-
-    def exponent_at(self, t: float) -> float:
-        a0 = float(self._order_at(t, t))
-        return 1.0 - a0 if self.variant == "integral" else a0
-
-    def cofactor(self, x, y, s_row: float) -> np.ndarray:
-        av = self._order_at(x, y)
-        d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-        d, av = np.broadcast_arrays(d, av)
-        if self.variant == "integral":
-            expo = av - (1.0 - s_row)
-            denom = _GAMMA_UFUNC(av).astype(float)
-        else:
-            expo = s_row - av
-            denom = _GAMMA_UFUNC(1.0 - av).astype(float)
-        powed = np.where(d > 0.0, np.where(d > 0.0, d, 1.0) ** expo, 1.0)
-        return powed / denom
 
 
 @dataclass(frozen=True)
@@ -294,18 +219,13 @@ class GeneralKernel(Kernel):
                 f"singularity exponent must lie in [0, 1), got {self.singularity_exponent}"
             )
 
-    def exponent_at(self, t: float) -> float:
-        return self.singularity_exponent
-
-    def cofactor(self, x, y, s_row: float) -> np.ndarray:
-        kv = _broadcast_call2(self.k, x, y)
-        if s_row == 0.0:
+    def cofactor(self, x, y) -> np.ndarray:
+        kv = _evaluate(self.k, x, y)
+        s = self.singularity_exponent
+        if s == 0.0:
             return kv
         d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-        return kv * np.where(d > 0.0, d, 0.0) ** s_row
-
-
-_GAMMA_UFUNC = np.frompyfunc(math.gamma, 1, 1)
+        return kv * np.where(d > 0.0, d, 0.0) ** s
 
 
 class _ReflectedKernel(Kernel):
@@ -320,26 +240,13 @@ class _ReflectedKernel(Kernel):
         self.ab = a + b
         self.is_difference = base.is_difference
         self.requires_positive_domain = base.requires_positive_domain
-        self.has_constant_exponent = base.has_constant_exponent
+        self.singularity_exponent = base.singularity_exponent
 
-    def exponent_at(self, t: float) -> float:
-        return self.base.exponent_at(self.ab - t)
-
-    def cofactor(self, x, y, s_row: float) -> np.ndarray:
-        return self.base.cofactor(self.ab - np.asarray(y), self.ab - np.asarray(x), s_row)
+    def cofactor(self, x, y) -> np.ndarray:
+        return self.base.cofactor(self.ab - np.asarray(y), self.ab - np.asarray(x))
 
     def profile(self, u: np.ndarray) -> np.ndarray:
         return self.base.profile(u)
-
-
-def _row_weights(j: int, a_coef: np.ndarray, b_coef: np.ndarray) -> np.ndarray:
-    """Unscaled product-integration weights for row ``j`` from shared tables."""
-    w = np.empty(j + 1)
-    w[j] = b_coef[0]
-    w[0] = a_coef[j - 1] - b_coef[j - 1]
-    if j >= 2:
-        w[1:j] = (a_coef[j - 2::-1] - b_coef[j - 2::-1]) + b_coef[j - 1:0:-1]
-    return w
 
 
 def _convolve(x: np.ndarray, y: np.ndarray, count: int) -> np.ndarray:
@@ -360,7 +267,7 @@ def _difference_tables(kernel: Kernel, grid: Grid, count: int):
     tables ``A(1..count)`` and ``B(1..count)``, and the kernel profile at
     every lag ``t_j - a``.
     """
-    mu = 1.0 - kernel.exponent_at(grid.a)
+    mu = 1.0 - kernel.singularity_exponent
     a_coef, b_coef = _pi_coefficients(mu, count)
     prof = np.asarray(kernel.profile(grid.nodes - grid.a), dtype=float)
     if not np.all(np.isfinite(prof)):
@@ -376,7 +283,7 @@ def _apply_left(kernel: Kernel, grid: Grid, fv: np.ndarray):
     only when a kernel declared bounded turns out non-finite at an
     interval corner, and are patched afterwards by the caller.
     """
-    n, h, t = grid.n, grid.h, grid.nodes
+    n, h = grid.n, grid.h
 
     if kernel.is_difference:
         mu, a_coef, b_coef, prof = _difference_tables(kernel, grid, n + 1)
@@ -388,32 +295,38 @@ def _apply_left(kernel: Kernel, grid: Grid, fv: np.ndarray):
         out[0] = 0.0
         return out, []
 
+    scale = h ** (1.0 - kernel.singularity_exponent)
+
+    def weighted_sum(j, c, a_coef, b_coef):
+        return scale * float(_row_weights(j, a_coef, b_coef) @ (c * fv[: j + 1]))
+
+    return _row_loop(kernel, grid, weighted_sum)
+
+
+def _row_loop(kernel: Kernel, grid: Grid, row_formula):
+    """Left-sided engine of non-difference kernels, one output node at a time.
+
+    Builds the product-integration tables ``A(1..n+1)``, ``B(1..n+1)`` once,
+    evaluates the cofactor row ``c = cofactor(t_j, t_0..t_j)`` of each node
+    once, mends it or flags the node (``_mend_row``), and stores
+    ``row_formula(j, c, A, B)``, the rule's quadrature sum at node ``j``.
+    Returns (values, flagged nodes) like the engines that call it.
+    """
+    n, t = grid.n, grid.nodes
+    s = kernel.singularity_exponent
+    a_coef, b_coef = _pi_coefficients(1.0 - s, n + 1)
     out = np.zeros(n + 1)
     flagged: list[int] = []
-    a_coef = b_coef = None
-    if kernel.has_constant_exponent:
-        const_s = kernel.exponent_at(t[0])
-        a_coef, b_coef = _pi_coefficients(1.0 - const_s, n + 1)
-
     for j in range(1, n + 1):
-        if kernel.has_constant_exponent:
-            s = const_s
-            w = _row_weights(j, a_coef, b_coef)
-        else:
-            s = kernel.exponent_at(t[j])
-            aj, bj = _pi_coefficients(1.0 - s, j)
-            w = _row_weights(j, aj, bj)
-        mu = 1.0 - s
         with np.errstate(invalid="ignore", divide="ignore"):
-            c = np.asarray(kernel.cofactor(t[j], t[: j + 1], s), dtype=float)
+            c = np.asarray(kernel.cofactor(t[j], t[: j + 1]), dtype=float)
         if not np.all(np.isfinite(c)):
             c = c.copy()
-            status = _mend_row(c, j, n, s)
-            if status == "flag":
+            if _mend_row(c, j, n, s) == "flag":
                 flagged.append(j)
                 out[j] = np.nan
                 continue
-        out[j] = h ** mu * float(w @ (c * fv[: j + 1]))
+        out[j] = row_formula(j, c, a_coef, b_coef)
     return out, flagged
 
 
@@ -474,27 +387,16 @@ def _patch_corners(values: np.ndarray, bad: set, n: int) -> np.ndarray:
     return out
 
 
-def _check_interval(p: ParameterSet, kernel: Kernel, f: SampledFunction) -> Grid:
-    grid = f.grid
-    if abs(grid.a - p.a) > 1e-12 * (1.0 + abs(p.a)) or abs(grid.b - p.b) > 1e-12 * (
-        1.0 + abs(p.b)
-    ):
-        raise InputError(
-            f"sample interval [{grid.a}, {grid.b}] does not match "
-            f"parameter interval [{p.a}, {p.b}]"
-        )
-    if kernel.requires_positive_domain and grid.a <= 0.0:
-        raise DomainError("this kernel needs a strictly positive interval, got a <= 0")
-    return grid
-
-
 def _two_sided(p: ParameterSet, kernel: Kernel, f: SampledFunction, left_rule, right_sign: float):
     """``lam * left + right_sign * mu * right`` with corner patching.
 
     ``left_rule`` is a left-sided engine (``_apply_left`` or
     ``_bapply_left``); the right side runs it on the reflected interval.
     """
-    grid = _check_interval(p, kernel, f)
+    grid = f.grid
+    _check_interval(grid, p.a, p.b)
+    if kernel.requires_positive_domain and grid.a <= 0.0:
+        raise DomainError("this kernel needs a strictly positive interval, got a <= 0")
     n = grid.n
     out = np.zeros(n + 1)
     bad: set = set()
@@ -548,7 +450,7 @@ def _bapply_left(kernel: Kernel, grid: Grid, fv: np.ndarray):
     interpolation error of ``f`` telescopes within each cell instead of
     polluting the quadrature near a startup cusp.
     """
-    n, h, t = grid.n, grid.h, grid.nodes
+    n, h = grid.n, grid.h
     df = np.diff(fv)
 
     if kernel.is_difference:
@@ -559,37 +461,14 @@ def _bapply_left(kernel: Kernel, grid: Grid, fv: np.ndarray):
         out[1:] = h ** (mu - 1.0) * _convolve(df, cell, n)
         return out, []
 
-    out = np.zeros(n + 1)
-    flagged: list[int] = []
-    a_coef = b_coef = None
-    if kernel.has_constant_exponent:
-        const_s = kernel.exponent_at(t[0])
-        a_coef, b_coef = _pi_coefficients(1.0 - const_s, n)
+    mu = 1.0 - kernel.singularity_exponent
+    scale = h ** (mu - 1.0)
 
-    for j in range(1, n + 1):
-        if kernel.has_constant_exponent:
-            s = const_s
-            amb_rev = (a_coef[j - 1::-1] - b_coef[j - 1::-1])
-            b_rev = b_coef[j - 1::-1]
-        else:
-            s = kernel.exponent_at(t[j])
-            aj, bj = _pi_coefficients(1.0 - s, j)
-            amb_rev = (aj - bj)[::-1]
-            b_rev = bj[::-1]
-        mu = 1.0 - s
-        with np.errstate(invalid="ignore", divide="ignore"):
-            c = np.asarray(kernel.cofactor(t[j], t[: j + 1], s), dtype=float)
-        if not np.all(np.isfinite(c)):
-            c = c.copy()
-            status = _mend_row(c, j, n, s)
-            if status == "flag":
-                flagged.append(j)
-                out[j] = np.nan
-                continue
-        out[j] = h ** (mu - 1.0) * float(
-            df[:j] @ (c[:-1] * amb_rev + c[1:] * b_rev)
-        )
-    return out, flagged
+    def cell_sum(j, c, a_coef, b_coef):
+        cell = c[:-1] * (a_coef[j - 1::-1] - b_coef[j - 1::-1]) + c[1:] * b_coef[j - 1::-1]
+        return scale * float(df[:j] @ cell)
+
+    return _row_loop(kernel, grid, cell_sum)
 
 
 def b_apply(p: ParameterSet, kernel: Kernel, f: SampledFunction) -> SampledFunction:
@@ -625,32 +504,22 @@ class ClassicalOp(str, Enum):
     CAPUTO_LEFT = "CaputoLeft"
     CAPUTO_RIGHT = "CaputoRight"
     HADAMARD_LEFT = "HadamardLeft"
-    VAR_ORDER_INT_LEFT = "VarOrderIntLeft"
-    VAR_ORDER_CAPUTO_LEFT = "VarOrderCaputoLeft"
 
 
-_VARIABLE_OPS = {ClassicalOp.VAR_ORDER_INT_LEFT, ClassicalOp.VAR_ORDER_CAPUTO_LEFT}
-
-
-def classical(op, order, f: SampledFunction) -> SampledFunction:
+def classical(op, order: float, f: SampledFunction) -> SampledFunction:
     """Evaluate a named one-sided operator of the classical families.
 
-    ``order`` is a float in ``(0, 1)``, except for the variable-order
-    entries, which take a callable ``order(t, tau)``.
+    ``order`` is a float in ``(0, 1)``.
     """
     try:
         op = ClassicalOp(op)
     except ValueError:
         raise ConfigurationError(f"unknown operator name {op!r}") from None
     grid = f.grid
-    if op in _VARIABLE_OPS:
-        if not callable(order):
-            raise ConfigurationError(f"{op.value} needs a callable order(t, tau)")
-    else:
-        if callable(order):
-            raise ConfigurationError(f"{op.value} takes a constant order, not a callable")
-        if not 0.0 < order < 1.0:
-            raise DomainError(f"order must lie in (0, 1), got {order}")
+    if callable(order):
+        raise ConfigurationError(f"{op.value} takes a constant order, not a callable")
+    if not 0.0 < order < 1.0:
+        raise DomainError(f"order must lie in (0, 1), got {order}")
 
     left = ParameterSet(grid.a, grid.b, 1.0, 0.0)
     right = ParameterSet(grid.a, grid.b, 0.0, 1.0)
@@ -668,11 +537,7 @@ def classical(op, order, f: SampledFunction) -> SampledFunction:
     if op is ClassicalOp.CAPUTO_RIGHT:
         out = b_apply(right, PowerLawKernel(order, "derivative"), f)
         return SampledFunction(grid, -out.values)
-    if op is ClassicalOp.HADAMARD_LEFT:
-        return k_apply(left, HadamardKernel(order), f)
-    if op is ClassicalOp.VAR_ORDER_INT_LEFT:
-        return k_apply(left, VariableOrderKernel(order, "integral"), f)
-    return b_apply(left, VariableOrderKernel(order, "derivative"), f)
+    return k_apply(left, HadamardKernel(order), f)
 
 
 def boundedness_constant(order: float, a: float, b: float) -> float:

@@ -32,6 +32,9 @@ from .foundation import (
     Grid,
     SampledFunction,
     SymmetricMatrix,
+    _check_interval,
+    _evaluate,
+    _trapezoid_weights,
     interior_sup,
     symmetric_eigen,
     trapezoid,
@@ -57,16 +60,6 @@ __all__ = [
 ]
 
 _MIN_NODES_PER_MODE = 32
-
-
-def _sample(fn: Callable[[float], float], t: np.ndarray) -> np.ndarray:
-    try:
-        out = np.asarray(fn(t), dtype=float)
-        if out.shape != t.shape:
-            raise TypeError
-        return out
-    except (TypeError, ValueError):
-        return np.frompyfunc(fn, 1, 1)(t).astype(float)
 
 
 @dataclass(frozen=True)
@@ -101,16 +94,6 @@ class SLProblem:
         return SampledFunction(f.grid, -out.values)
 
 
-def _check_grid(problem: SLProblem, grid: Grid) -> None:
-    if abs(grid.a - problem.a) > 1e-12 * (1 + abs(problem.a)) or abs(
-        grid.b - problem.b
-    ) > 1e-12 * (1 + abs(problem.b)):
-        raise InputError(
-            f"grid interval [{grid.a}, {grid.b}] does not match problem "
-            f"interval [{problem.a}, {problem.b}]"
-        )
-
-
 @dataclass(frozen=True)
 class RitzBasis:
     """Sine-shape trial functions with precomputed derivative images.
@@ -131,14 +114,14 @@ class RitzBasis:
     def build(cls, problem: SLProblem, m: int, grid: Grid) -> "RitzBasis":
         if m < 1:
             raise InputError(f"basis size must be positive, got {m}")
-        _check_grid(problem, grid)
+        _check_interval(grid, problem.a, problem.b)
         if grid.n < _MIN_NODES_PER_MODE * m:
             raise ConfigurationError(
                 f"grid too coarse for m={m} modes: need n >= {_MIN_NODES_PER_MODE * m}, "
                 f"got n={grid.n}"
             )
         t = grid.nodes
-        w_vals = _sample(problem.w, t)
+        w_vals = _evaluate(problem.w, t)
         if not np.all(np.isfinite(w_vals)) or np.any(w_vals <= 0.0):
             raise DomainError("weight w must be finite and strictly positive")
         s = math.pi * (t - grid.a) / (grid.b - grid.a)
@@ -154,19 +137,12 @@ class RitzBasis:
         return cls(problem, grid, m, phi, dphi)
 
 
-def _trapezoid_weights(grid: Grid) -> np.ndarray:
-    tw = np.full(grid.n + 1, grid.h)
-    tw[0] = 0.5 * grid.h
-    tw[-1] = 0.5 * grid.h
-    return tw
-
-
 def _assemble_from_basis(basis: RitzBasis) -> SymmetricMatrix:
     problem = basis.problem
     grid = basis.grid
     t = grid.nodes
-    p_vals = _sample(problem.p, t)
-    q_vals = _sample(problem.q, t)
+    p_vals = _evaluate(problem.p, t)
+    q_vals = _evaluate(problem.q, t)
     if not np.all(np.isfinite(p_vals)) or np.any(p_vals <= 0.0):
         raise DomainError("coefficient p must be finite and strictly positive")
     if not np.all(np.isfinite(q_vals)):
@@ -223,7 +199,7 @@ def _spectrum_from_basis(basis: RitzBasis, r: int) -> Spectrum:
     funcs = tuple(
         SampledFunction(basis.grid, coeffs[j] @ basis.phi) for j in range(r)
     )
-    p_b = float(_sample(basis.problem.p, np.asarray([basis.grid.b]))[0])
+    p_b = float(_evaluate(basis.problem.p, np.asarray([basis.grid.b]))[0])
     trace = np.array([p_b * float((coeffs[j] @ basis.dphi)[-1]) for j in range(r)])
     return Spectrum(lambdas, coeffs, funcs, basis.m, trace)
 
@@ -293,14 +269,14 @@ def converge(
 
 def rayleigh_quotient(problem: SLProblem, y: SampledFunction) -> float:
     """Energy ratio of a trial function vanishing at both endpoints."""
-    _check_grid(problem, y.grid)
+    _check_interval(y.grid, problem.a, problem.b)
     v = y.values
     if abs(v[0]) > 1e-10 or abs(v[-1]) > 1e-10:
         raise InputError("trial function must vanish at both endpoints")
     t = y.grid.nodes
-    p_vals = _sample(problem.p, t)
-    q_vals = _sample(problem.q, t)
-    w_vals = _sample(problem.w, t)
+    p_vals = _evaluate(problem.p, t)
+    q_vals = _evaluate(problem.q, t)
+    w_vals = _evaluate(problem.w, t)
     d = problem.derivative_image(y).values
     num = trapezoid(SampledFunction(y.grid, p_vals * d * d + q_vals * v * v))
     den = trapezoid(SampledFunction(y.grid, w_vals * v * v))
@@ -311,11 +287,11 @@ def rayleigh_quotient(problem: SLProblem, y: SampledFunction) -> float:
 
 def sl_residual(problem: SLProblem, lam: float, y: SampledFunction) -> float:
     """Interior sup of the strong-form residual at a candidate eigenpair."""
-    _check_grid(problem, y.grid)
+    _check_interval(y.grid, problem.a, problem.b)
     t = y.grid.nodes
-    p_vals = _sample(problem.p, t)
-    q_vals = _sample(problem.q, t)
-    w_vals = _sample(problem.w, t)
+    p_vals = _evaluate(problem.p, t)
+    q_vals = _evaluate(problem.q, t)
+    w_vals = _evaluate(problem.w, t)
     inner = SampledFunction(y.grid, p_vals * problem.derivative_image(y).values)
     res = problem.right_derivative_image(inner).values + q_vals * y.values - lam * w_vals * y.values
     return interior_sup(res)
@@ -356,11 +332,7 @@ class _TrialSpace:
 
     def __init__(self, problem: VariationalProblem, basis: RitzBasis) -> None:
         grid = basis.grid
-        p = problem.binding.p
-        if abs(grid.a - p.a) > 1e-12 * (1 + abs(p.a)) or abs(grid.b - p.b) > 1e-12 * (
-            1 + abs(p.b)
-        ):
-            raise InputError("basis grid does not match the problem interval")
+        _check_interval(grid, problem.binding.p.a, problem.binding.p.b)
         self.problem = problem
         self.grid = grid
         self.tw = _trapezoid_weights(grid)

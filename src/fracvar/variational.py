@@ -22,6 +22,8 @@ import numpy as np
 from .errors import ConfigurationError, DegeneracyError, DomainError, InputError
 from .foundation import (
     SampledFunction,
+    _check_interval,
+    _evaluate,
     cumulative_trapezoid,
     interior_slice,
     interior_sup,
@@ -45,17 +47,6 @@ __all__ = [
 
 _SELF_CHECK_POINTS = 100
 _FD_SCALE = 1e-6
-
-
-def _call5(fn: Callable, x1, x2, x3, x4, t) -> np.ndarray:
-    """Evaluate a five-argument scalar callable, arrays allowed."""
-    try:
-        out = np.asarray(fn(x1, x2, x3, x4, t), dtype=float)
-        if out.shape != np.broadcast(x1, x2, x3, x4, t).shape:
-            raise TypeError
-        return out
-    except (TypeError, ValueError):
-        return np.frompyfunc(fn, 5, 1)(x1, x2, x3, x4, t).astype(float)
 
 
 @dataclass(frozen=True)
@@ -119,11 +110,11 @@ class Lagrangian:
             lo = list(args)
             hi[i] = args[i] + e
             lo[i] = args[i] - e
-            out.append((_call5(self.f, *hi, t) - _call5(self.f, *lo, t)) / (2.0 * e))
+            out.append((_evaluate(self.f, *hi, t) - _evaluate(self.f, *lo, t)) / (2.0 * e))
         return out
 
     def value(self, x1, x2, x3, x4, t) -> np.ndarray:
-        return _call5(self.f, x1, x2, x3, x4, t)
+        return _evaluate(self.f, x1, x2, x3, x4, t)
 
     def partials(self, x1, x2, x3, x4, t):
         """All four slot derivatives along sample arrays."""
@@ -131,7 +122,7 @@ class Lagrangian:
         out = []
         for i, d in enumerate((self.d1, self.d2, self.d3, self.d4)):
             if d is not None:
-                out.append(_call5(d, x1, x2, x3, x4, t))
+                out.append(_evaluate(d, x1, x2, x3, x4, t))
             else:
                 if fd is None:
                     fd = self._fd_partials(x1, x2, x3, x4, t)
@@ -156,12 +147,7 @@ class VariationalProblem:
 
     def __post_init__(self) -> None:
         if self.weight is not None:
-            g = self.weight.grid
-            p = self.binding.p
-            if abs(g.a - p.a) > 1e-12 * (1 + abs(p.a)) or abs(g.b - p.b) > 1e-12 * (
-                1 + abs(p.b)
-            ):
-                raise InputError("weight is sampled on a different interval")
+            _check_interval(self.weight.grid, self.binding.p.a, self.binding.p.b)
 
 
 @dataclass(frozen=True)
@@ -336,12 +322,7 @@ def noether_drift(
             "the conservation statement only holds along extremals",
             UserWarning,
         )
-    try:
-        xi_v = np.asarray(generator.xi(grid.nodes, y.values), dtype=float)
-        if xi_v.shape != grid.nodes.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        xi_v = np.frompyfunc(generator.xi, 2, 1)(grid.nodes, y.values).astype(float)
+    xi_v = _evaluate(generator.xi, grid.nodes, y.values)
     if not np.all(np.isfinite(xi_v)):
         raise InputError("generator produced non-finite values along the trajectory")
 

@@ -33,6 +33,7 @@ from fracvar import (
     verify_semigroup,
 )
 from fracvar.foundation import _pi_coefficients
+from fracvar.operators import _mend_row
 
 EXP_KERNEL = DifferenceKernel(lambda s: math.exp(-s))
 LEFT = ParameterSet(0.0, 1.0, 1.0, 0.0)
@@ -159,7 +160,7 @@ def test_bounded_kernel_corner_is_mended_with_warning():
 
 
 def _direct_tables(kernel, grid, count):
-    mu = 1.0 - kernel.exponent_at(grid.a)
+    mu = 1.0 - kernel.singularity_exponent
     a_coef, b_coef = _pi_coefficients(mu, count)
     return mu, a_coef, b_coef, kernel.profile(grid.nodes - grid.a)
 
@@ -233,6 +234,170 @@ def test_fft_convolution_matches_direct_oracle(kernel, n, lam, mu, seed):
 
     ref, bound = _direct_two_sided(p, kernel, f, _direct_b_left, -1.0)
     assert np.abs(b_apply(p, kernel, f).values - ref).max() <= bound
+
+
+# --- shared row loop against the two-loop oracle ----------------------------
+#
+# The two functions below are the non-difference branches of the left-sided
+# engines as two separate loops over output nodes; they are the reference the
+# shared row loop is checked against.  The arithmetic is the same, so the
+# results must agree exactly.  ``cofactor`` is the kernel's bounded part,
+# already reflected for the right side.
+
+
+def _row_k_left(cofactor, s, grid, fv):
+    n, h, t = grid.n, grid.h, grid.nodes
+    mu = 1.0 - s
+    a_coef, b_coef = _pi_coefficients(mu, n + 1)
+    out = np.zeros(n + 1)
+    for j in range(1, n + 1):
+        w = np.empty(j + 1)
+        w[j] = b_coef[0]
+        w[0] = a_coef[j - 1] - b_coef[j - 1]
+        if j >= 2:
+            w[1:j] = (a_coef[j - 2::-1] - b_coef[j - 2::-1]) + b_coef[j - 1:0:-1]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            c = np.asarray(cofactor(t[j], t[: j + 1]), dtype=float)
+        if not np.all(np.isfinite(c)):
+            c = c.copy()
+            assert _mend_row(c, j, n, s) == "ok"
+        out[j] = h**mu * float(w @ (c * fv[: j + 1]))
+    return out
+
+
+def _row_b_left(cofactor, s, grid, fv):
+    n, h, t = grid.n, grid.h, grid.nodes
+    df = np.diff(fv)
+    mu = 1.0 - s
+    a_coef, b_coef = _pi_coefficients(mu, n)
+    out = np.zeros(n + 1)
+    for j in range(1, n + 1):
+        amb_rev = a_coef[j - 1::-1] - b_coef[j - 1::-1]
+        b_rev = b_coef[j - 1::-1]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            c = np.asarray(cofactor(t[j], t[: j + 1]), dtype=float)
+        if not np.all(np.isfinite(c)):
+            c = c.copy()
+            assert _mend_row(c, j, n, s) == "ok"
+        out[j] = h ** (mu - 1.0) * float(df[:j] @ (c[:-1] * amb_rev + c[1:] * b_rev))
+    return out
+
+
+def _row_two_sided(p, kernel, f, left_rule, right_sign):
+    grid, s = f.grid, kernel.singularity_exponent
+    ab = grid.a + grid.b
+    out = np.zeros(grid.n + 1)
+    if p.lam != 0.0:
+        out += p.lam * left_rule(kernel.cofactor, s, grid, f.values)
+    if p.mu != 0.0:
+
+        def reflected(x, y):
+            return kernel.cofactor(ab - np.asarray(y), ab - np.asarray(x))
+
+        right = left_rule(reflected, s, grid, f.values[::-1].copy())
+        out += right_sign * p.mu * right[::-1]
+    return out
+
+
+def _smooth(c1, c2):
+    return lambda x, y: np.cos(c1 * x - c2 * y) + c1 * x * y
+
+
+def _singular(c1, c2, s):
+    return lambda x, y: (1.0 + c1 * x * x + c2 * y) * (x - y) ** (-s)
+
+
+row_cases = some.one_of(
+    some.builds(
+        lambda c1, c2: ((0.0, 1.0), GeneralKernel(_smooth(c1, c2), 0.0)),
+        some.floats(-2.0, 2.0),
+        some.floats(-2.0, 2.0),
+    ),
+    some.builds(
+        lambda c1, c2, s: ((0.0, 1.0), GeneralKernel(_singular(c1, c2, s), s)),
+        some.floats(0.0, 1.0),
+        some.floats(0.0, 1.0),
+        some.floats(0.05, 0.95),
+    ),
+    some.builds(
+        lambda order: ((1.0, math.e), HadamardKernel(order)),
+        some.floats(0.05, 0.95),
+    ),
+)
+
+
+@hyp.settings(max_examples=25, deadline=None)
+@hyp.given(
+    case=row_cases,
+    n=some.integers(32, 512),
+    lam=side_weights,
+    mu=side_weights,
+    seed=some.integers(0, 2**31),
+)
+def test_shared_row_loop_matches_oracle(case, n, lam, mu, seed):
+    (a, b), kernel = case
+    hyp.assume(lam != 0.0 or mu != 0.0)
+    p = ParameterSet(a, b, lam, mu)
+    g = Grid(a, b, n)
+    f = SampledFunction(g, np.random.default_rng(seed).uniform(-1, 1, n + 1))
+    assert np.array_equal(k_apply(p, kernel, f).values, _row_two_sided(p, kernel, f, _row_k_left, 1.0))
+    assert np.array_equal(b_apply(p, kernel, f).values, _row_two_sided(p, kernel, f, _row_b_left, -1.0))
+
+
+def _power_law_pair(order, variant):
+    """``PowerLawKernel(order, variant)`` and the same kernel written out as a
+    ``GeneralKernel``, whose cofactor is singular on the diagonal."""
+    law = PowerLawKernel(order, variant)
+    s = law.singularity_exponent
+    scale = gamma(order) if variant == "integral" else gamma(1.0 - order)
+    return GeneralKernel(lambda t, tau: (t - tau) ** (-s) / scale, s), law
+
+
+cross_path_pairs = some.one_of(
+    some.just((GeneralKernel(lambda t, s: np.exp(-(t - s))), DifferenceKernel(lambda u: np.exp(-u)))),
+    some.builds(_power_law_pair, some.floats(0.05, 0.95), some.sampled_from(["integral", "derivative"])),
+)
+
+
+@hyp.settings(max_examples=20, deadline=None)
+@hyp.given(
+    pair=cross_path_pairs,
+    n=some.integers(32, 1024),
+    lam=side_weights,
+    mu=side_weights,
+    seed=some.integers(0, 2**31),
+)
+def test_row_path_matches_fft_path_on_difference_kernels(pair, n, lam, mu, seed):
+    """A difference kernel written as a general kernel takes the row loop;
+    as itself, the FFT path.  Both agree within the FFT oracle's bound."""
+    general, difference = pair
+    hyp.assume(lam != 0.0 or mu != 0.0)
+    p = ParameterSet(0.0, 1.0, lam, mu)
+    g = Grid(0.0, 1.0, n)
+    f = SampledFunction(g, np.random.default_rng(seed).uniform(-1, 1, n + 1))
+    for apply, left_rule, sign in ((k_apply, _direct_k_left, 1.0), (b_apply, _direct_b_left, -1.0)):
+        _, bound = _direct_two_sided(p, difference, f, left_rule, sign)
+        gap = np.abs(apply(p, general, f).values - apply(p, difference, f).values).max()
+        assert gap <= bound
+
+
+def test_singular_diagonal_is_continued_linearly():
+    """With a cofactor linear in tau (here ``1 + t - tau``) the rule is exact,
+    provided the non-finite diagonal cofactor sample is continued linearly
+    from its neighbours.  The first row off the endpoint has one neighbour
+    only and is left out."""
+    s = 0.4
+    g = Grid(0.0, 1.0, 64)
+    kernel = GeneralKernel(lambda t, tau: (t - tau) ** (-s) * (1.0 + t - tau), s)
+    for p, lag, first in (
+        (ParameterSet(0.0, 1.0, 1.0, 0.0), g.nodes, 1),
+        (ParameterSet(0.0, 1.0, 0.0, 1.0), 1.0 - g.nodes, 63),
+    ):
+        want = lag ** (1.0 - s) / (1.0 - s) + lag ** (2.0 - s) / (2.0 - s)
+        k = k_apply(p, kernel, SampledFunction(g, np.ones(65))).values
+        b = b_apply(p, kernel, SampledFunction(g, g.nodes)).values
+        assert np.abs(np.delete(k - want, first)).max() < 1e-13
+        assert np.abs(np.delete(b - want, first)).max() < 1e-13
 
 
 # --- derivative-type operators --------------------------------------------
@@ -319,25 +484,11 @@ def test_hadamard_needs_positive_interval():
         k_apply(ParameterSet(0.0, 1.0, 1.0, 0.0), HadamardKernel(0.5), SampledFunction(g, np.ones(65)))
 
 
-def test_variable_order_integral_of_unit():
-    g = Grid(0.0, 1.0, 512)
-    out = classical(
-        ClassicalOp.VAR_ORDER_INT_LEFT,
-        lambda t, tau: 0.5 + 0.3 * t,
-        SampledFunction(g, np.ones(513)),
-    )
-    al = 0.5 + 0.3 * g.nodes
-    ref = g.nodes**al / np.asarray([gamma(x + 1.0) for x in al])
-    assert np.abs(out.values - ref)[interior_slice(512)].max() < 5e-3
-
-
 def test_classical_dispatch_errors():
     g = Grid(0.0, 1.0, 64)
     f = SampledFunction(g, np.ones(65))
     with pytest.raises(ConfigurationError):
         classical("not-an-op", 0.5, f)
-    with pytest.raises(ConfigurationError, match="callable order"):
-        classical(ClassicalOp.VAR_ORDER_INT_LEFT, 0.5, f)
     with pytest.raises(ConfigurationError, match="constant order"):
         classical(ClassicalOp.RL_INT_LEFT, lambda t, tau: 0.5, f)
     with pytest.raises(DomainError):

@@ -13,7 +13,7 @@ import sys
 from typing import Optional, Sequence
 
 from .errors import ParseError
-from .experiments import list_experiments, parse_config, run
+from .experiments import _config_from_mapping, _decode_document, list_experiments, run
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,14 +50,7 @@ def _load_document(args) -> dict:
                 text = handle.read()
         except OSError as exc:
             raise ParseError([f"config file: {exc}"])
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(
-                [f"document: {exc.msg} at line {exc.lineno} column {exc.colno}"]
-            )
-        if not isinstance(doc, dict):
-            raise ParseError(["document: top level must be a JSON object"])
+        doc = _decode_document(text)
     if args.experiment is not None:
         doc["experiment"] = args.experiment
     for item in args.overrides:
@@ -86,7 +79,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     try:
         doc = _load_document(args)
-        config = parse_config(json.dumps(doc))
+        config = _config_from_mapping(doc)
     except ParseError as exc:
         for line in exc.errors:
             print(f"config error: {line}", file=sys.stderr)

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import tempfile
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional
+from dataclasses import asdict, dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -153,9 +154,6 @@ class ExperimentConfig:
     output_dir: Optional[str]
     seed: int
 
-    def tol(self, key: str, default: float) -> float:
-        return float(self.tolerances.get(key, default))
-
 
 @dataclass(frozen=True)
 class Assertion:
@@ -187,8 +185,8 @@ class ResultRecord:
     series: dict
     assertions: tuple
     wall_time_s: float
-    #: artifact directory the run wrote, None when it wrote no files
-    output_dir: Optional[str] = None
+    #: artifact directory the run wrote
+    output_dir: str
 
     @property
     def passed(self) -> bool:
@@ -333,15 +331,20 @@ def _config_from_mapping(doc: dict) -> ExperimentConfig:
     )
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Validate a JSON config document; collect all field errors at once."""
+def _decode_document(text: str) -> dict:
+    """The JSON object of a config document; ParseError otherwise."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError([f"document: {exc.msg} at line {exc.lineno} column {exc.colno}"])
     if not isinstance(doc, dict):
         raise ParseError(["document: top level must be a JSON object"])
-    return _config_from_mapping(doc)
+    return doc
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    """Validate a JSON config document; collect all field errors at once."""
+    return _config_from_mapping(_decode_document(text))
 
 
 def list_experiments() -> str:
@@ -454,8 +457,9 @@ def translated_quadratic_problem(grid: Grid):
     return problem, exact
 
 
-def quasilinear_problem(grid: Grid, alpha: float = 0.6) -> VariationalProblem:
-    """Dirichlet-energy functional with smooth linear slot couplings."""
+def quasilinear_problem(grid: Grid) -> VariationalProblem:
+    """Dirichlet-energy functional with smooth linear slot couplings,
+    bound to the order-0.6 Caputo derivative."""
 
     def f1(t):
         return -np.sin(np.pi * t) * (1.0 + t)
@@ -470,7 +474,7 @@ def quasilinear_problem(grid: Grid, alpha: float = 0.6) -> VariationalProblem:
     )
     binding = OperatorBinding(
         ParameterSet(grid.a, grid.b, 1.0, 0.0),
-        PowerLawKernel(alpha, "derivative"),
+        PowerLawKernel(0.6, "derivative"),
     )
     return VariationalProblem(lag, binding, ya=0.0, yb=0.0)
 
@@ -490,18 +494,16 @@ def tracking_problem(grid: Grid):
     return problem, exact
 
 
-def damped_oscillator_problem(
-    grid: Grid,
-    damping: float = 0.3,
-    weight_rate: float = 0.1,
-    omega: float = 2.0,
-):
+def damped_oscillator_problem(grid: Grid, weight_rate: float = 0.1):
     """Weighted oscillator whose extremal is the damped cosine.
 
     The action weight ``exp(weight_rate * (b - t))`` combines with the
-    Lagrangian's own ``exp(damping * t)`` factor into a net damping of
-    ``damping - weight_rate``, giving the closed-form trajectory.
+    Lagrangian's own ``exp(damping * t)`` factor, ``damping = 0.3``, into
+    a net damping of ``damping - weight_rate``; with the frequency
+    ``omega = 2`` this gives the closed-form trajectory.
     """
+    damping = 0.3
+    omega = 2.0
     t = grid.nodes
     half = 0.5 * (damping - weight_rate)
     omega_d = math.sqrt(omega * omega - half * half)
@@ -546,6 +548,14 @@ def power_weight_extremal(alpha: float, grid: Grid):
 
 # ---------------------------------------------------------------------------
 # runners
+
+
+def _check(cfg: ExperimentConfig, assertion_id: str, default: float, measured: float,
+           passes=operator.lt) -> Assertion:
+    """Assertion ``passes(measured, tolerance)``; the tolerance is the
+    config override under the assertion's own id, else ``default``."""
+    tol = float(cfg.tolerances.get(assertion_id, default))
+    return Assertion(assertion_id, tol, measured, passes(measured, tol))
 
 
 def _fixture_functions(grid: Grid):
@@ -607,9 +617,9 @@ def _run_ops_identities(cfg: ExperimentConfig):
                 law_rows.append((law, fname, al, err))
                 worst_law = max(worst_law, err)
     assertions = [
-        Assertion("power-sup", cfg.tol("power-sup", 5e-3), worst_sup, worst_sup < cfg.tol("power-sup", 5e-3)),
-        Assertion("power-order", cfg.tol("power-order", 1.0), worst_order, worst_order >= cfg.tol("power-order", 1.0)),
-        Assertion("laws-sup", cfg.tol("laws-sup", 5e-3), worst_law, worst_law < cfg.tol("laws-sup", 5e-3)),
+        _check(cfg, "power-sup", 5e-3, worst_sup),
+        _check(cfg, "power-order", 1.0, worst_order, operator.ge),
+        _check(cfg, "laws-sup", 5e-3, worst_law),
     ]
     results = {
         "worst_power_sup": worst_sup,
@@ -641,8 +651,7 @@ def _run_ibp_suite(cfg: ExperimentConfig):
         report = verify_ibp(p, kernel, f, g)
         rows.append((i, lam, mu, report.lhs, report.rhs, report.residual))
         worst = max(worst, report.residual)
-    tol = cfg.tol("ibp-residual", 1e-6)
-    assertions = [Assertion("ibp-residual", tol, worst, worst < tol)]
+    assertions = [_check(cfg, "ibp-residual", 1e-6, worst)]
     results = {"worst_residual": worst, "pairs": 20}
     tables = {"pairs": (("pair", "lam", "mu", "lhs", "rhs", "residual"), rows)}
     return results, tables, {}, assertions
@@ -661,12 +670,10 @@ def _run_counterexample(cfg: ExperimentConfig):
     lhs = trapezoid(transform)
     rhs = trapezoid(transform_dual)
     target = math.pi / 4.0
-    tol_val = cfg.tol("side-value", 2e-3)
-    tol_res = cfg.tol("identity-gap", 1.5)
     assertions = [
-        Assertion("left-value", tol_val, abs(lhs - target), abs(lhs - target) < tol_val),
-        Assertion("dual-value", tol_val, abs(rhs + target), abs(rhs + target) < tol_val),
-        Assertion("identity-gap", tol_res, report.residual, report.residual > tol_res),
+        _check(cfg, "left-value", 2e-3, abs(lhs - target)),
+        _check(cfg, "dual-value", 2e-3, abs(rhs + target)),
+        _check(cfg, "identity-gap", 1.5, report.residual, operator.gt),
     ]
     results = {
         "lhs": lhs,
@@ -702,11 +709,9 @@ def _run_el_check(cfg: ExperimentConfig):
     )
     problem = VariationalProblem(lag, binding, ya=0.0, yb=float(y.values[-1]))
     el_sup = interior_sup(el_residual(problem, y).values)
-    tol_defect = cfg.tol("defect-sup", 1e-2)
-    tol_el = cfg.tol("el-sup", 1e-2)
     assertions = [
-        Assertion("defect-sup", tol_defect, defect_sup, defect_sup < tol_defect),
-        Assertion("el-sup", tol_el, el_sup, el_sup < tol_el),
+        _check(cfg, "defect-sup", 1e-2, defect_sup),
+        _check(cfg, "el-sup", 1e-2, el_sup),
     ]
     results = {"defect_sup": defect_sup, "el_sup": el_sup, "alpha": al}
     series = {
@@ -738,11 +743,9 @@ def _run_isoperimetric(cfg: ExperimentConfig):
     y = SampledFunction(grid, (xi - 1.0) * (1.0 - al * grid.nodes))
     report = isoperimetric_residual(problem, constraint, (xi - 1.0) / 3.0, y)
     gap = abs(report.multiplier - 2.0 * xi)
-    tol_mult = cfg.tol("multiplier", 1e-2)
-    tol_res = cfg.tol("augmented-el", 1e-6)
     assertions = [
-        Assertion("multiplier", tol_mult, gap, gap < tol_mult),
-        Assertion("augmented-el", tol_res, report.residual, report.residual < tol_res),
+        _check(cfg, "multiplier", 1e-2, gap),
+        _check(cfg, "augmented-el", 1e-6, report.residual),
     ]
     results = {
         "multiplier": report.multiplier,
@@ -786,13 +789,9 @@ def _run_noether(cfg: ExperimentConfig):
     )
     classical_report = noether_drift(classical_problem, line, unit)
 
-    tol_f = cfg.tol("fractional-drift", 1e-3)
-    tol_c = cfg.tol("classical-drift", 1e-12)
     assertions = [
-        Assertion("fractional-drift", tol_f, report.drift, report.drift < tol_f),
-        Assertion(
-            "classical-drift", tol_c, classical_report.drift, classical_report.drift < tol_c
-        ),
+        _check(cfg, "fractional-drift", 1e-3, report.drift),
+        _check(cfg, "classical-drift", 1e-12, classical_report.drift),
     ]
     results = {
         "fractional_drift": report.drift,
@@ -815,11 +814,9 @@ def _run_falva(cfg: ExperimentConfig):
     el_sup = interior_sup(el_residual(problem, y).values)
     delta = dissipative_parameter(problem.weight)
     delta_gap = float(np.abs(delta.values + weight_rate).max())
-    tol_el = cfg.tol("weighted-el", 1e-3)
-    tol_delta = cfg.tol("dissipation", 1e-6)
     assertions = [
-        Assertion("weighted-el", tol_el, el_sup, el_sup < tol_el),
-        Assertion("dissipation", tol_delta, delta_gap, delta_gap < tol_delta),
+        _check(cfg, "weighted-el", 1e-3, el_sup),
+        _check(cfg, "dissipation", 1e-6, delta_gap),
     ]
     results = {
         "weighted_el_sup": el_sup,
@@ -869,8 +866,8 @@ def _run_sl_solve(cfg: ExperimentConfig):
         for j in range(cfg.r)
     ]
     assertions = [
-        Assertion("rayleigh-consistency", cfg.tol("rayleigh-consistency", 1e-8), rq_gap, rq_gap < cfg.tol("rayleigh-consistency", 1e-8)),
-        Assertion("gram-offdiag", cfg.tol("gram-offdiag", 2e-3), gram_off, gram_off < cfg.tol("gram-offdiag", 2e-3)),
+        _check(cfg, "rayleigh-consistency", 1e-8, rq_gap),
+        _check(cfg, "gram-offdiag", 2e-3, gram_off),
     ]
     results = {
         "alpha": al,
@@ -886,17 +883,16 @@ def _run_sl_solve(cfg: ExperimentConfig):
         gap = max(
             abs(spectrum.lambdas[j] - target[j]) / target[j] for j in range(cfg.r)
         )
-        tol = cfg.tol("classical-eigenvalues", 1e-2)
-        assertions.append(Assertion("classical-eigenvalues", tol, gap, gap < tol))
+        assertions.append(_check(cfg, "classical-eigenvalues", 1e-2, gap))
         results["classical_targets"] = target
     else:
         classical_problem = _constant_coefficient_problem(1.0, cfg.a, cfg.b)
         lam1 = float(solve_spectrum(classical_problem, cfg.m, 1, grid).lambdas[0])
         k = boundedness_constant(1.0 - al, cfg.a, cfg.b)
-        bound = k * k * lam1 + cfg.tol("eigenvalue-bound-slack", 2e-2)
-        assertions.append(
-            Assertion("eigenvalue-bound", bound, float(spectrum.lambdas[0]), float(spectrum.lambdas[0]) <= bound)
-        )
+        # the override under this id is the slack added to the bound
+        bound = k * k * lam1 + float(cfg.tolerances.get("eigenvalue-bound", 2e-2))
+        lam0 = float(spectrum.lambdas[0])
+        assertions.append(Assertion("eigenvalue-bound", bound, lam0, lam0 <= bound))
         results["classical_lambda1"] = lam1
         results["bound_constant_sq"] = k * k
     tables = {"spectrum": (("mode", "lambda", "rayleigh", "right_trace"), rows)}
@@ -917,11 +913,9 @@ def _run_sl_converge(cfg: ExperimentConfig):
         for i, m in enumerate(report.m_schedule)
     ]
     min_gap = float(np.diff(report.table[-1]).min())
-    tol_mono = cfg.tol("monotone", 1e-8)
-    tol_gap = cfg.tol("strict-ordering", 1e-12)
     assertions = [
-        Assertion("monotone", tol_mono, report.max_upward_step, report.max_upward_step <= tol_mono),
-        Assertion("strict-ordering", tol_gap, min_gap, min_gap >= tol_gap),
+        _check(cfg, "monotone", 1e-8, report.max_upward_step, operator.le),
+        _check(cfg, "strict-ordering", 1e-12, min_gap, operator.ge),
     ]
     results = {
         "alpha": al,
@@ -950,8 +944,8 @@ def _run_direct_min(cfg: ExperimentConfig):
     dev = float(np.abs(res.y.values - exact.values).max())
     rows.append(("translated-quadratic", res.iterations, res.gradient_norm, el_sup, res.value))
     series["minimizer-translated-quadratic"] = (grid.nodes, res.y.values)
-    assertions.append(Assertion("quadratic-grad", cfg.tol("grad", 1e-8), res.gradient_norm, res.gradient_norm < cfg.tol("grad", 1e-8)))
-    assertions.append(Assertion("quadratic-el", cfg.tol("el", 1e-2), el_sup, el_sup < cfg.tol("el", 1e-2)))
+    assertions.append(_check(cfg, "quadratic-grad", 1e-8, res.gradient_norm))
+    assertions.append(_check(cfg, "quadratic-el", 1e-2, el_sup))
     quad_dev = dev
 
     problem = quasilinear_problem(grid)
@@ -959,8 +953,8 @@ def _run_direct_min(cfg: ExperimentConfig):
     el_sup = interior_sup(el_residual(problem, res.y).values)
     rows.append(("quasilinear", res.iterations, res.gradient_norm, el_sup, res.value))
     series["minimizer-quasilinear"] = (grid.nodes, res.y.values)
-    assertions.append(Assertion("quasilinear-grad", cfg.tol("grad", 1e-8), res.gradient_norm, res.gradient_norm < cfg.tol("grad", 1e-8)))
-    assertions.append(Assertion("quasilinear-el", cfg.tol("el", 1e-2), el_sup, el_sup < cfg.tol("el", 1e-2)))
+    assertions.append(_check(cfg, "quasilinear-grad", 1e-8, res.gradient_norm))
+    assertions.append(_check(cfg, "quasilinear-el", 1e-2, el_sup))
 
     problem, exact = tracking_problem(grid)
     displaced = MinimizeOptions(beta0=np.full(small.m, 0.4))
@@ -968,9 +962,9 @@ def _run_direct_min(cfg: ExperimentConfig):
     dev = float(np.abs(res.y.values - exact.values).max())
     rows.append(("integral-tracking", res.iterations, res.gradient_norm, dev, res.value))
     series["minimizer-integral-tracking"] = (grid.nodes, res.y.values)
-    assertions.append(Assertion("tracking-grad", cfg.tol("grad", 1e-8), res.gradient_norm, res.gradient_norm < cfg.tol("grad", 1e-8)))
-    assertions.append(Assertion("tracking-recovery", cfg.tol("recovery", 5e-3), dev, dev < cfg.tol("recovery", 5e-3)))
-    assertions.append(Assertion("tracking-value", cfg.tol("value", 1e-6), res.value, res.value < cfg.tol("value", 1e-6)))
+    assertions.append(_check(cfg, "tracking-grad", 1e-8, res.gradient_norm))
+    assertions.append(_check(cfg, "tracking-recovery", 5e-3, dev))
+    assertions.append(_check(cfg, "tracking-value", 1e-6, res.value))
 
     results = {
         "quadratic_recovery": quad_dev,
@@ -1067,13 +1061,15 @@ def _jsonable(value):
     return value
 
 
-def run(config: ExperimentConfig, write_files: bool = True) -> ResultRecord:
-    """Execute one experiment; optionally write its artifact directory.
+def run(config: ExperimentConfig) -> ResultRecord:
+    """Execute one experiment and write its artifact directory.
 
     The artifact root is ``config.output_dir``, else the
     ``FRACVAR_OUTPUT_DIR`` environment variable, else
-    ``./fracvar_results``; each experiment writes into a subdirectory
-    named after itself.
+    ``./fracvar_results``; each experiment writes ``results.json``,
+    ``timing.txt`` and its ``.csv`` tables and ``.dat`` series into a
+    subdirectory named after itself, which the returned record names in
+    ``output_dir``.
     """
     started = time.perf_counter()
     results, tables, series, assertions = _RUNNERS[config.experiment](config)
@@ -1081,36 +1077,28 @@ def run(config: ExperimentConfig, write_files: bool = True) -> ResultRecord:
     inputs = _echo_inputs(config)
     results = _jsonable(results)
     series_files = {name: f"{name}.dat" for name in series}
-    outdir = None
-    if write_files:
-        root = (
-            config.output_dir
-            or os.environ.get("FRACVAR_OUTPUT_DIR")
-            or "fracvar_results"
-        )
-        outdir = os.path.join(root, config.experiment)
-        os.makedirs(outdir, exist_ok=True)
-        payload = {
-            "experiment": config.experiment,
-            "inputs": inputs,
-            "results": results,
-            "series": series_files,
-            "assertions": [asdict(a) for a in assertions],
-        }
+    root = config.output_dir or os.environ.get("FRACVAR_OUTPUT_DIR") or "fracvar_results"
+    outdir = os.path.join(root, config.experiment)
+    os.makedirs(outdir, exist_ok=True)
+    payload = {
+        "experiment": config.experiment,
+        "inputs": inputs,
+        "results": results,
+        "series": series_files,
+        "assertions": [asdict(a) for a in assertions],
+    }
+    _write_atomic(
+        os.path.join(outdir, "results.json"),
+        json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n",
+    )
+    _write_atomic(os.path.join(outdir, "timing.txt"), f"wall_time_s {wall:.3f}\n")
+    for name, (headers, rows) in tables.items():
         _write_atomic(
-            os.path.join(outdir, "results.json"),
-            json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n",
+            os.path.join(outdir, f"{name}.csv"),
+            _csv_text(headers, rows, config.seed),
         )
-        _write_atomic(
-            os.path.join(outdir, "timing.txt"), f"wall_time_s {wall:.3f}\n"
-        )
-        for name, (headers, rows) in tables.items():
-            _write_atomic(
-                os.path.join(outdir, f"{name}.csv"),
-                _csv_text(headers, rows, config.seed),
-            )
-        for name, (x, y) in series.items():
-            _write_atomic(os.path.join(outdir, f"{name}.dat"), _dat_text(x, y))
+    for name, (x, y) in series.items():
+        _write_atomic(os.path.join(outdir, f"{name}.dat"), _dat_text(x, y))
     return ResultRecord(
         experiment=config.experiment,
         inputs=inputs,

@@ -355,15 +355,15 @@ def symmetric_eigen(matrix: SymmetricMatrix):
     return vals, vecs
 
 
-def interior_slice(n: int, fraction: float = 0.8) -> slice:
-    """Index slice for the central ``fraction`` of ``n + 1`` nodes."""
-    margin = (1.0 - fraction) / 2.0
+def interior_slice(n: int) -> slice:
+    """Index slice for the central 80% of ``n + 1`` nodes."""
+    margin = (1.0 - 0.8) / 2.0
     lo = int(math.ceil(n * margin))
     hi = int(math.floor(n * (1.0 - margin)))
     return slice(lo, hi + 1)
 
 
-def interior_sup(values: np.ndarray, fraction: float = 0.8) -> float:
-    """Sup norm over the central ``fraction`` of the nodes."""
+def interior_sup(values: np.ndarray) -> float:
+    """Sup norm over the central 80% of the nodes."""
     v = np.asarray(values)
-    return float(np.abs(v[interior_slice(v.shape[0] - 1, fraction)]).max())
+    return float(np.abs(v[interior_slice(v.shape[0] - 1)]).max())

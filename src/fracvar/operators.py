@@ -322,7 +322,7 @@ def _row_loop(kernel: Kernel, grid: Grid, row_formula):
             c = np.asarray(kernel.cofactor(t[j], t[: j + 1]), dtype=float)
         if not np.all(np.isfinite(c)):
             c = c.copy()
-            if _mend_row(c, j, n, s) == "flag":
+            if _mend_row(c, j, t, s, kernel.cofactor) == "flag":
                 flagged.append(j)
                 out[j] = np.nan
                 continue
@@ -330,22 +330,28 @@ def _row_loop(kernel: Kernel, grid: Grid, row_formula):
     return out, flagged
 
 
-def _mend_row(c: np.ndarray, j: int, n: int, s: float) -> str:
-    """Repair non-finite cofactor samples in one quadrature row, in place.
+def _mend_row(c: np.ndarray, j: int, t: np.ndarray, s: float, cofactor) -> str:
+    """Repair non-finite samples of the cofactor row
+    ``c = cofactor(t_j, t_0..t_j)`` in place.
 
     A singular kernel (``s > 0``) has a smooth cofactor, so a non-finite
-    diagonal sample is continued linearly from its neighbours.  A kernel
-    declared bounded that still blows up at an interval corner marks the
-    row for output extrapolation.  Anything else is a hard error.
+    diagonal sample is continued linearly from its two neighbours; the
+    first row, which has one, continues through the cofactor at its cell
+    midpoint instead.  A kernel declared bounded that still blows up at an
+    interval corner marks the row for output extrapolation.  Anything else
+    is a hard error.
     """
     for i in np.flatnonzero(~np.isfinite(c)):
         i = int(i)
         if i == j and s > 0.0:
-            filled = 2.0 * c[j - 1] - c[j - 2] if j >= 2 else c[0]
+            if j >= 2:
+                filled = 2.0 * c[j - 1] - c[j - 2]
+            else:
+                filled = 2.0 * float(cofactor(t[1], 0.5 * (t[0] + t[1]))) - c[0]
             if not np.isfinite(filled):
                 raise NumericError(f"kernel cofactor non-finite near node {j}")
             c[j] = filled
-        elif (i == j == n and s == 0.0) or (i == 0 and j <= _CORNER_FIT):
+        elif (i == j == len(t) - 1 and s == 0.0) or (i == 0 and j <= _CORNER_FIT):
             return "flag"
         else:
             raise NumericError(

@@ -16,7 +16,6 @@ symmetric eigenproblem.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -39,8 +38,8 @@ from .foundation import (
     symmetric_eigen,
     trapezoid,
 )
-from .operators import ParameterSet, PowerLawKernel, b_apply
-from .variational import VariationalProblem
+from .operators import ClassicalOp, classical
+from .variational import VariationalProblem, _trajectory
 
 __all__ = [
     "SLProblem",
@@ -60,6 +59,15 @@ __all__ = [
 ]
 
 _MIN_NODES_PER_MODE = 32
+
+# The direct minimizer's fixed recipe, described in ``direct_minimize``.
+_GRAD_TOL = 1e-8
+_MAX_ITER = 10000
+_INITIAL_STEP = 1.0
+_DIVERGENCE_PATIENCE = 50
+_MEMORY = 10
+
+_PROBE_DIRECTIONS = 8
 
 
 @dataclass(frozen=True)
@@ -83,15 +91,25 @@ class SLProblem:
         """Left derivative of order ``alpha`` (classical one at ``alpha = 1``)."""
         if self.alpha == 1.0:
             return f.derivative()
-        p = ParameterSet(self.a, self.b, 1.0, 0.0)
-        return b_apply(p, PowerLawKernel(self.alpha, "derivative"), f)
+        return classical(ClassicalOp.CAPUTO_LEFT, self.alpha, f)
 
     def right_derivative_image(self, f: SampledFunction) -> SampledFunction:
         if self.alpha == 1.0:
             return SampledFunction(f.grid, -f.derivative().values)
-        p = ParameterSet(self.a, self.b, 0.0, 1.0)
-        out = b_apply(p, PowerLawKernel(self.alpha, "derivative"), f)
-        return SampledFunction(f.grid, -out.values)
+        return classical(ClassicalOp.CAPUTO_RIGHT, self.alpha, f)
+
+
+def _sample_coefficients(problem: SLProblem, grid: Grid):
+    """Samples ``(p, q, w)`` on the grid nodes, checked: ``p`` and ``w``
+    finite and strictly positive, ``q`` finite."""
+    p, q, w = (_evaluate(fn, grid.nodes) for fn in (problem.p, problem.q, problem.w))
+    if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
+        raise DomainError("weight w must be finite and strictly positive")
+    if not np.all(np.isfinite(p)) or np.any(p <= 0.0):
+        raise DomainError("coefficient p must be finite and strictly positive")
+    if not np.all(np.isfinite(q)):
+        raise DomainError("coefficient q must be finite")
+    return p, q, w
 
 
 @dataclass(frozen=True)
@@ -102,6 +120,7 @@ class RitzBasis:
     mapping the interval onto ``(0, pi)``; endpoint values are exactly
     zero.  ``dphi`` holds the order-``alpha`` derivative image of each
     row, the single expensive part of assembly, computed once here.
+    ``_coefficients`` holds the checked samples ``(p, q, w)`` on the grid.
     """
 
     problem: SLProblem
@@ -109,6 +128,7 @@ class RitzBasis:
     m: int
     phi: np.ndarray = field(repr=False, compare=False)
     dphi: np.ndarray = field(repr=False, compare=False)
+    _coefficients: tuple = field(repr=False, compare=False)
 
     @classmethod
     def build(cls, problem: SLProblem, m: int, grid: Grid) -> "RitzBasis":
@@ -120,34 +140,22 @@ class RitzBasis:
                 f"grid too coarse for m={m} modes: need n >= {_MIN_NODES_PER_MODE * m}, "
                 f"got n={grid.n}"
             )
-        t = grid.nodes
-        w_vals = _evaluate(problem.w, t)
-        if not np.all(np.isfinite(w_vals)) or np.any(w_vals <= 0.0):
-            raise DomainError("weight w must be finite and strictly positive")
-        s = math.pi * (t - grid.a) / (grid.b - grid.a)
-        scale = 1.0 / np.sqrt(w_vals)
-        phi = np.empty((m, grid.n + 1))
-        for k in range(m):
-            phi[k] = np.sin((k + 1) * s) * scale
-            phi[k, 0] = 0.0
-            phi[k, -1] = 0.0
+        coefficients = _sample_coefficients(problem, grid)
+        s = math.pi * (grid.nodes - grid.a) / (grid.b - grid.a)
+        phi = np.outer(np.arange(1, m + 1), s)
+        np.sin(phi, out=phi)
+        phi *= 1.0 / np.sqrt(coefficients[2])
+        phi[:, 0] = 0.0
+        phi[:, -1] = 0.0
         dphi = np.empty_like(phi)
-        for k in range(m):
-            dphi[k] = problem.derivative_image(SampledFunction(grid, phi[k])).values
-        return cls(problem, grid, m, phi, dphi)
+        for k, row in enumerate(phi):
+            dphi[k] = problem.derivative_image(SampledFunction(grid, row)).values
+        return cls(problem, grid, m, phi, dphi, coefficients)
 
 
 def _assemble_from_basis(basis: RitzBasis) -> SymmetricMatrix:
-    problem = basis.problem
-    grid = basis.grid
-    t = grid.nodes
-    p_vals = _evaluate(problem.p, t)
-    q_vals = _evaluate(problem.q, t)
-    if not np.all(np.isfinite(p_vals)) or np.any(p_vals <= 0.0):
-        raise DomainError("coefficient p must be finite and strictly positive")
-    if not np.all(np.isfinite(q_vals)):
-        raise DomainError("coefficient q must be finite")
-    tw = _trapezoid_weights(grid)
+    p_vals, q_vals, _ = basis._coefficients
+    tw = _trapezoid_weights(basis.grid)
     stiff = (basis.dphi * (p_vals * tw)) @ basis.dphi.T
     mass_q = (basis.phi * (q_vals * tw)) @ basis.phi.T
     a = stiff + mass_q
@@ -165,6 +173,10 @@ def assemble(problem: SLProblem, m: int, grid: Grid):
     """
     basis = RitzBasis.build(problem, m, grid)
     return _assemble_from_basis(basis), 0.5 * (grid.b - grid.a)
+
+
+def _default_grid(problem: SLProblem, m: int) -> Grid:
+    return Grid(problem.a, problem.b, max(1024, _MIN_NODES_PER_MODE * m))
 
 
 @dataclass(frozen=True)
@@ -188,22 +200,6 @@ class Spectrum:
             raise InputError("eigenvalues must be ascending")
 
 
-def _spectrum_from_basis(basis: RitzBasis, r: int) -> Spectrum:
-    if not 1 <= r <= basis.m:
-        raise InputError(f"requested {r} eigenpairs from an m={basis.m} basis")
-    matrix = _assemble_from_basis(basis)
-    c = 0.5 * (basis.grid.b - basis.grid.a)
-    vals, vecs = symmetric_eigen(matrix)
-    lambdas = vals[:r] / c
-    coeffs = (vecs[:, :r] / math.sqrt(c)).T
-    funcs = tuple(
-        SampledFunction(basis.grid, coeffs[j] @ basis.phi) for j in range(r)
-    )
-    p_b = float(_evaluate(basis.problem.p, np.asarray([basis.grid.b]))[0])
-    trace = np.array([p_b * float((coeffs[j] @ basis.dphi)[-1]) for j in range(r)])
-    return Spectrum(lambdas, coeffs, funcs, basis.m, trace)
-
-
 def solve_spectrum(problem: SLProblem, m: int, r: int, grid: Optional[Grid] = None) -> Spectrum:
     """First ``r`` eigenpairs from an ``m``-mode Ritz space.
 
@@ -212,9 +208,19 @@ def solve_spectrum(problem: SLProblem, m: int, r: int, grid: Optional[Grid] = No
     chosen automatically.
     """
     if grid is None:
-        grid = Grid(problem.a, problem.b, max(1024, _MIN_NODES_PER_MODE * m))
+        grid = _default_grid(problem, m)
     basis = RitzBasis.build(problem, m, grid)
-    return _spectrum_from_basis(basis, r)
+    if not 1 <= r <= basis.m:
+        raise InputError(f"requested {r} eigenpairs from an m={basis.m} basis")
+    matrix = _assemble_from_basis(basis)
+    c = 0.5 * (grid.b - grid.a)
+    vals, vecs = symmetric_eigen(matrix)
+    lambdas = vals[:r] / c
+    coeffs = (vecs[:, :r] / math.sqrt(c)).T
+    funcs = tuple(SampledFunction(grid, coeffs[j] @ basis.phi) for j in range(r))
+    p_b = float(basis._coefficients[0][-1])
+    trace = np.array([p_b * float((coeffs[j] @ basis.dphi)[-1]) for j in range(r)])
+    return Spectrum(lambdas, coeffs, funcs, basis.m, trace)
 
 
 @dataclass(frozen=True)
@@ -251,7 +257,7 @@ def converge(
         raise InputError(f"r={r} exceeds the smallest basis size {schedule[0]}")
     m_max = schedule[-1]
     if grid is None:
-        grid = Grid(problem.a, problem.b, max(1024, _MIN_NODES_PER_MODE * m_max))
+        grid = _default_grid(problem, m_max)
     basis = RitzBasis.build(problem, m_max, grid)
     full = _assemble_from_basis(basis).entries
     c = 0.5 * (grid.b - grid.a)
@@ -273,10 +279,7 @@ def rayleigh_quotient(problem: SLProblem, y: SampledFunction) -> float:
     v = y.values
     if abs(v[0]) > 1e-10 or abs(v[-1]) > 1e-10:
         raise InputError("trial function must vanish at both endpoints")
-    t = y.grid.nodes
-    p_vals = _evaluate(problem.p, t)
-    q_vals = _evaluate(problem.q, t)
-    w_vals = _evaluate(problem.w, t)
+    p_vals, q_vals, w_vals = _sample_coefficients(problem, y.grid)
     d = problem.derivative_image(y).values
     num = trapezoid(SampledFunction(y.grid, p_vals * d * d + q_vals * v * v))
     den = trapezoid(SampledFunction(y.grid, w_vals * v * v))
@@ -288,10 +291,7 @@ def rayleigh_quotient(problem: SLProblem, y: SampledFunction) -> float:
 def sl_residual(problem: SLProblem, lam: float, y: SampledFunction) -> float:
     """Interior sup of the strong-form residual at a candidate eigenpair."""
     _check_interval(y.grid, problem.a, problem.b)
-    t = y.grid.nodes
-    p_vals = _evaluate(problem.p, t)
-    q_vals = _evaluate(problem.q, t)
-    w_vals = _evaluate(problem.w, t)
+    p_vals, q_vals, w_vals = _sample_coefficients(problem, y.grid)
     inner = SampledFunction(y.grid, p_vals * problem.derivative_image(y).values)
     res = problem.right_derivative_image(inner).values + q_vals * y.values - lam * w_vals * y.values
     return interior_sup(res)
@@ -299,11 +299,8 @@ def sl_residual(problem: SLProblem, lam: float, y: SampledFunction) -> float:
 
 @dataclass(frozen=True)
 class MinimizeOptions:
-    grad_tol: float = 1e-8
-    max_iter: int = 10000
-    initial_step: float = 1.0
-    divergence_patience: int = 50
-    memory: int = 10
+    """Start of the descent: basis coefficients ``beta0``, zero when None."""
+
     beta0: Optional[np.ndarray] = None
 
 
@@ -339,47 +336,24 @@ class _TrialSpace:
         if problem.weight is not None:
             self.tw = self.tw * problem.weight.values
         bg = SampledFunction(grid, _affine_background(problem, grid))
-        self.base = (
-            bg.values,
-            problem.binding.k(bg).values,
-            bg.derivative().values,
-            problem.binding.b(bg).values,
-        )
-        self.phi = basis.phi
-        self.kphi = np.vstack(
-            [problem.binding.k(SampledFunction(grid, row)).values for row in basis.phi]
-        )
-        self.dphi = np.vstack(
-            [np.gradient(row, grid.h, edge_order=2) for row in basis.phi]
-        )
-        self.bphi = np.vstack(
-            [problem.binding.b(SampledFunction(grid, row)).values for row in basis.phi]
-        )
+        self.base = _trajectory(problem, bg)
+        self.images = tuple(np.empty_like(basis.phi) for _ in self.base)
+        for k, row in enumerate(basis.phi):
+            for image, values in zip(self.images, _trajectory(problem, SampledFunction(grid, row))):
+                image[k] = values
 
     def slots(self, beta: np.ndarray):
-        return (
-            self.base[0] + beta @ self.phi,
-            self.base[1] + beta @ self.kphi,
-            self.base[2] + beta @ self.dphi,
-            self.base[3] + beta @ self.bphi,
-        )
+        (b1, b2, b3, b4), (i1, i2, i3, i4) = self.base, self.images
+        return (b1 + beta @ i1, b2 + beta @ i2, b3 + beta @ i3, b4 + beta @ i4)
 
     def value(self, beta: np.ndarray) -> float:
-        x1, x2, x3, x4 = self.slots(beta)
-        vals = self.problem.lagrangian.value(x1, x2, x3, x4, self.grid.nodes)
+        vals = self.problem.lagrangian.value(*self.slots(beta), self.grid.nodes)
         return float(vals @ self.tw)
 
     def gradient(self, beta: np.ndarray) -> np.ndarray:
-        x1, x2, x3, x4 = self.slots(beta)
-        p1, p2, p3, p4 = self.problem.lagrangian.partials(
-            x1, x2, x3, x4, self.grid.nodes
-        )
-        return (
-            self.phi @ (p1 * self.tw)
-            + self.kphi @ (p2 * self.tw)
-            + self.dphi @ (p3 * self.tw)
-            + self.bphi @ (p4 * self.tw)
-        )
+        p1, p2, p3, p4 = self.problem.lagrangian.partials(*self.slots(beta), self.grid.nodes)
+        (i1, i2, i3, i4), tw = self.images, self.tw
+        return i1 @ (p1 * tw) + i2 @ (p2 * tw) + i3 @ (p3 * tw) + i4 @ (p4 * tw)
 
 
 def direct_minimize(
@@ -392,9 +366,12 @@ def direct_minimize(
     The trial trajectory is the boundary-matching affine background plus
     a basis combination, so boundary values hold for every iterate.
     Descent uses spectral (Barzilai-Borwein) step seeding guarded by a
-    nonmonotone Armijo test against the worst of the last few accepted
+    nonmonotone Armijo test against the worst of the last 10 accepted
     values; a strictly monotone guard defeats the spectral step and can
-    limit-cycle just above tight tolerances.
+    limit-cycle just above tight tolerances.  The first step has length
+    1.  Descent stops when the largest gradient entry is below 1e-8, when
+    the line search stalls, or after 10000 iterations; 50 consecutive
+    rising values raise ``CoercivityError``.
     """
     opts = options or MinimizeOptions()
     space = _TrialSpace(problem, basis)
@@ -407,15 +384,15 @@ def direct_minimize(
     fval = space.value(beta)
     grad = space.gradient(beta)
     f0 = fval
-    step = opts.initial_step
+    step = _INITIAL_STEP
     prev_beta = None
     prev_grad = None
     recent = [fval]
     rising = 0
     iterations = 0
-    for iterations in range(1, opts.max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         gnorm = float(np.abs(grad).max())
-        if gnorm < opts.grad_tol:
+        if gnorm < _GRAD_TOL:
             iterations -= 1
             break
         direction = -grad
@@ -443,10 +420,10 @@ def direct_minimize(
         rising = rising + 1 if fcand > fval else 0
         fval = fcand
         recent.append(fval)
-        if len(recent) > opts.memory:
+        if len(recent) > _MEMORY:
             recent.pop(0)
         grad = space.gradient(beta)
-        if rising >= opts.divergence_patience or fval < -1e14 * (1.0 + abs(f0)):
+        if rising >= _DIVERGENCE_PATIENCE or fval < -1e14 * (1.0 + abs(f0)):
             raise CoercivityError(
                 "descent is diverging; the functional is unbounded below "
                 "on this trial space"
@@ -466,24 +443,19 @@ class ProbeReport:
     all_increasing: bool
 
 
-def coercivity_probe(
-    problem: VariationalProblem,
-    basis: RitzBasis,
-    directions: int = 8,
-) -> ProbeReport:
-    """Sample the functional along rays to flag unbounded-below spaces.
+def coercivity_probe(problem: VariationalProblem, basis: RitzBasis) -> ProbeReport:
+    """Sample the functional along eight seeded random rays to flag
+    unbounded-below spaces.
 
     Not a proof in either direction, but a cheap screen: a coercive
     functional must eventually grow along every ray, so any decreasing
     tail is a strong warning before running ``direct_minimize``.
     """
-    if directions < 1:
-        raise InputError("need at least one probe direction")
     space = _TrialSpace(problem, basis)
     rng = np.random.default_rng(0)
     scales = (1.0, 10.0, 100.0)
-    values = np.empty((directions, len(scales)))
-    for d in range(directions):
+    values = np.empty((_PROBE_DIRECTIONS, len(scales)))
+    for d in range(_PROBE_DIRECTIONS):
         ray = rng.standard_normal(basis.m)
         ray /= float(np.linalg.norm(ray))
         for col, s in enumerate(scales):

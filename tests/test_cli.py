@@ -204,6 +204,26 @@ def test_cli_set_overrides_and_failure_exit(tmp_path, capsys):
     assert "FAIL" in captured.out
 
 
+def test_cli_tolerance_override_by_assertion_id(tmp_path, capsys):
+    """An override under an assertion's own id is that assertion's tolerance."""
+    code = main(
+        [
+            "run",
+            "--experiment",
+            "counterexample",
+            "--set",
+            "n=1024",
+            "--set",
+            f"output_dir={tmp_path}",
+            "--set",
+            'tolerances={"left-value": 1e-30}',
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "failing assertions: left-value\n" in captured.err
+
+
 def test_cli_parse_failures_exit_two(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")

@@ -120,6 +120,20 @@ def test_assembly_rejects_nonpositive_stiffness():
         assemble(SLProblem(0.75, lambda t: -1.0, ZERO, ONE), 4, grid)
 
 
+@pytest.mark.parametrize(
+    "measure",
+    [
+        rayleigh_quotient,
+        lambda problem, y: sl_residual(problem, 1.0, y),
+    ],
+    ids=["rayleigh_quotient", "sl_residual"],
+)
+def test_quotient_and_residual_reject_nonpositive_stiffness(measure):
+    g = Grid(0.0, math.pi, 256)
+    with pytest.raises(DomainError, match="positive"):
+        measure(SLProblem(0.75, lambda t: -1.0, ZERO, ONE), SampledFunction(g, np.sin(g.nodes)))
+
+
 # --- spectra ---------------------------------------------------------------------
 
 

@@ -243,7 +243,6 @@ def _config_from_mapping(doc: dict) -> ExperimentConfig:
         or not interval[0] < interval[1]
     ):
         errors.append("interval: must be [a, b] with a < b")
-        interval = defaults["interval"]
 
     n = doc.get("n", defaults["n"])
     if (
@@ -263,6 +262,15 @@ def _config_from_mapping(doc: dict) -> ExperimentConfig:
         errors.append("alpha: must be a number or a list of numbers")
         raw_alpha = defaults["alpha"]
     alpha = _validate_alpha(raw_alpha, experiment, errors)
+    # the default's length says how many orders the runner reads
+    reads = len(defaults["alpha"])
+    if reads > 1 and not raw_alpha:
+        errors.append(f"alpha: {experiment} needs at least one order")
+    elif reads <= 1 and len(raw_alpha) != reads:
+        errors.append(
+            f"alpha: {experiment} takes "
+            + ("no order" if reads == 0 else "exactly one order")
+        )
 
     m = doc.get("m", 16)
     if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= 200:
@@ -282,7 +290,6 @@ def _config_from_mapping(doc: dict) -> ExperimentConfig:
     r = doc.get("r", 3)
     if not isinstance(r, int) or isinstance(r, bool) or r < 1:
         errors.append("r: must be a positive integer")
-        r = 3
     elif experiment == "sl-solve" and r > m:
         errors.append("r: must not exceed m")
     elif experiment == "sl-converge" and r > min(m_schedule):
@@ -291,7 +298,6 @@ def _config_from_mapping(doc: dict) -> ExperimentConfig:
     tolerances = doc.get("tolerances", {})
     if not isinstance(tolerances, dict):
         errors.append("tolerances: must be an object of positive numbers")
-        tolerances = {}
     else:
         for key in sorted(tolerances):
             if not _is_number(tolerances[key]) or not tolerances[key] > 0:
@@ -300,12 +306,10 @@ def _config_from_mapping(doc: dict) -> ExperimentConfig:
     output_dir = doc.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         errors.append("output_dir: must be a string")
-        output_dir = None
 
     seed = doc.get("seed", 20240817)
     if not isinstance(seed, int) or isinstance(seed, bool):
         errors.append("seed: must be an integer")
-        seed = 20240817
 
     if experiment == "sl-solve" and n < 32 * m:
         errors.append(f"n: must be at least 32*m = {32 * m} for m basis modes")
@@ -597,17 +601,10 @@ def _run_ops_identities(cfg: ExperimentConfig):
         for fname, fv in _fixture_functions(grid):
             f = SampledFunction(grid, fv)
             semi = verify_semigroup(half, half, f)
-            staged = classical(
-                ClassicalOp.RL_DER_LEFT,
-                al,
-                classical(ClassicalOp.RL_INT_LEFT, al, f),
-            )
+            smoothed = classical(ClassicalOp.RL_INT_LEFT, al, f)
+            staged = classical(ClassicalOp.RL_DER_LEFT, al, smoothed)
             rl_inv = float(np.abs(staged.values[sl] - fv[sl]).max())
-            staged = classical(
-                ClassicalOp.CAPUTO_LEFT,
-                al,
-                classical(ClassicalOp.RL_INT_LEFT, al, f),
-            )
+            staged = classical(ClassicalOp.CAPUTO_LEFT, al, smoothed)
             cap_inv = float(np.abs(staged.values[sl] - fv[sl]).max())
             for law, err in (
                 ("semigroup", semi),
@@ -666,20 +663,21 @@ def _run_counterexample(cfg: ExperimentConfig):
         warnings.simplefilter("ignore", CornerExtrapolationWarning)
         transform = k_apply(p, kernel, ones)
         transform_dual = k_apply(dual(p), kernel, ones)
-        report = verify_ibp(p, kernel, ones, ones)
+    # with f = g = 1 these are the two sides of the swap identity
     lhs = trapezoid(transform)
     rhs = trapezoid(transform_dual)
+    residual = abs(lhs - rhs)
     target = math.pi / 4.0
     assertions = [
         _check(cfg, "left-value", 2e-3, abs(lhs - target)),
         _check(cfg, "dual-value", 2e-3, abs(rhs + target)),
-        _check(cfg, "identity-gap", 1.5, report.residual, operator.gt),
+        _check(cfg, "identity-gap", 1.5, residual, operator.gt),
     ]
     results = {
         "lhs": lhs,
         "rhs": rhs,
         "target": target,
-        "identity_residual": report.residual,
+        "identity_residual": residual,
     }
     tables = {
         "values": (
@@ -850,19 +848,14 @@ def _run_sl_solve(cfg: ExperimentConfig):
     funcs = np.vstack([f.values for f in spectrum.eigenfunctions])
     gram = (funcs * tw) @ funcs.T
     gram_off = float(np.abs(gram - np.diag(np.diag(gram))).max())
+    quotients = [rayleigh_quotient(problem, f) for f in spectrum.eigenfunctions]
     rq_gap = max(
-        abs(rayleigh_quotient(problem, spectrum.eigenfunctions[j]) - spectrum.lambdas[j])
-        / (1.0 + abs(spectrum.lambdas[j]))
+        abs(quotients[j] - spectrum.lambdas[j]) / (1.0 + abs(spectrum.lambdas[j]))
         for j in range(cfg.r)
     )
     residual_1 = sl_residual(problem, float(spectrum.lambdas[0]), spectrum.eigenfunctions[0])
     rows = [
-        (
-            j + 1,
-            float(spectrum.lambdas[j]),
-            float(rayleigh_quotient(problem, spectrum.eigenfunctions[j])),
-            float(spectrum.right_trace[j]),
-        )
+        (j + 1, float(spectrum.lambdas[j]), float(quotients[j]), float(spectrum.right_trace[j]))
         for j in range(cfg.r)
     ]
     assertions = [
@@ -1032,21 +1025,6 @@ def _dat_text(x, y) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _echo_inputs(cfg: ExperimentConfig) -> dict:
-    return {
-        "experiment": cfg.experiment,
-        "interval": [cfg.a, cfg.b],
-        "n": cfg.n,
-        "alpha": list(cfg.alpha),
-        "m": cfg.m,
-        "m_schedule": list(cfg.m_schedule),
-        "r": cfg.r,
-        "tolerances": dict(cfg.tolerances),
-        "output_dir": cfg.output_dir,
-        "seed": cfg.seed,
-    }
-
-
 def _jsonable(value):
     if isinstance(value, (np.bool_, bool)):
         return bool(value)
@@ -1069,27 +1047,35 @@ def run(config: ExperimentConfig) -> ResultRecord:
     ``./fracvar_results``; each experiment writes ``results.json``,
     ``timing.txt`` and its ``.csv`` tables and ``.dat`` series into a
     subdirectory named after itself, which the returned record names in
-    ``output_dir``.
+    ``output_dir``.  A ``tolerances`` key that names no assertion of the
+    run raises ``ParseError`` before any file is written.
     """
     started = time.perf_counter()
     results, tables, series, assertions = _RUNNERS[config.experiment](config)
     wall = time.perf_counter() - started
-    inputs = _echo_inputs(config)
-    results = _jsonable(results)
+    ids = [a.id for a in assertions]
+    unknown = [key for key in sorted(config.tolerances) if key not in ids]
+    if unknown:
+        raise ParseError(
+            [f"tolerances.{key}: names no assertion of {config.experiment}; "
+             f"its assertions are {', '.join(ids)}" for key in unknown]
+        )
+    inputs = asdict(config)
+    inputs["interval"] = [inputs.pop("a"), inputs.pop("b")]
     series_files = {name: f"{name}.dat" for name in series}
-    root = config.output_dir or os.environ.get("FRACVAR_OUTPUT_DIR") or "fracvar_results"
-    outdir = os.path.join(root, config.experiment)
-    os.makedirs(outdir, exist_ok=True)
-    payload = {
+    payload = _jsonable({
         "experiment": config.experiment,
         "inputs": inputs,
         "results": results,
         "series": series_files,
         "assertions": [asdict(a) for a in assertions],
-    }
+    })
+    root = config.output_dir or os.environ.get("FRACVAR_OUTPUT_DIR") or "fracvar_results"
+    outdir = os.path.join(root, config.experiment)
+    os.makedirs(outdir, exist_ok=True)
     _write_atomic(
         os.path.join(outdir, "results.json"),
-        json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n",
+        json.dumps(payload, sort_keys=True, indent=2) + "\n",
     )
     _write_atomic(os.path.join(outdir, "timing.txt"), f"wall_time_s {wall:.3f}\n")
     for name, (headers, rows) in tables.items():
@@ -1101,8 +1087,8 @@ def run(config: ExperimentConfig) -> ResultRecord:
         _write_atomic(os.path.join(outdir, f"{name}.dat"), _dat_text(x, y))
     return ResultRecord(
         experiment=config.experiment,
-        inputs=inputs,
-        results=results,
+        inputs=payload["inputs"],
+        results=payload["results"],
         series=series_files,
         assertions=tuple(assertions),
         wall_time_s=wall,

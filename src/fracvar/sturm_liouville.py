@@ -324,7 +324,9 @@ class _TrialSpace:
 
     All four trajectory slots are affine in the coefficients, so one
     precomputation per basis row turns each objective or gradient
-    evaluation into dense linear algebra.
+    evaluation into dense linear algebra.  ``value`` and ``gradient``
+    take the slots of one coefficient vector, so an iterate's slots are
+    formed once for both.
     """
 
     def __init__(self, problem: VariationalProblem, basis: RitzBasis) -> None:
@@ -346,12 +348,12 @@ class _TrialSpace:
         (b1, b2, b3, b4), (i1, i2, i3, i4) = self.base, self.images
         return (b1 + beta @ i1, b2 + beta @ i2, b3 + beta @ i3, b4 + beta @ i4)
 
-    def value(self, beta: np.ndarray) -> float:
-        vals = self.problem.lagrangian.value(*self.slots(beta), self.grid.nodes)
+    def value(self, slots) -> float:
+        vals = self.problem.lagrangian.value(*slots, self.grid.nodes)
         return float(vals @ self.tw)
 
-    def gradient(self, beta: np.ndarray) -> np.ndarray:
-        p1, p2, p3, p4 = self.problem.lagrangian.partials(*self.slots(beta), self.grid.nodes)
+    def gradient(self, slots) -> np.ndarray:
+        p1, p2, p3, p4 = self.problem.lagrangian.partials(*slots, self.grid.nodes)
         (i1, i2, i3, i4), tw = self.images, self.tw
         return i1 @ (p1 * tw) + i2 @ (p2 * tw) + i3 @ (p3 * tw) + i4 @ (p4 * tw)
 
@@ -381,8 +383,9 @@ def direct_minimize(
         beta = np.asarray(opts.beta0, dtype=float).copy()
         if beta.shape != (basis.m,):
             raise InputError(f"beta0 must have shape ({basis.m},)")
-    fval = space.value(beta)
-    grad = space.gradient(beta)
+    slots = space.slots(beta)
+    fval = space.value(slots)
+    grad = space.gradient(slots)
     f0 = fval
     step = _INITIAL_STEP
     prev_beta = None
@@ -408,7 +411,8 @@ def direct_minimize(
         accepted = False
         for _ in range(60):
             cand = beta + trial * direction
-            fcand = space.value(cand)
+            cand_slots = space.slots(cand)
+            fcand = space.value(cand_slots)
             if math.isfinite(fcand) and fcand <= reference + 1e-4 * trial * slope:
                 accepted = True
                 break
@@ -416,20 +420,20 @@ def direct_minimize(
         if not accepted:
             break  # stalled at round-off; caller sees the gradient norm
         prev_beta, prev_grad = beta, grad
-        beta = cand
+        beta, slots = cand, cand_slots
         rising = rising + 1 if fcand > fval else 0
         fval = fcand
         recent.append(fval)
         if len(recent) > _MEMORY:
             recent.pop(0)
-        grad = space.gradient(beta)
+        grad = space.gradient(slots)
         if rising >= _DIVERGENCE_PATIENCE or fval < -1e14 * (1.0 + abs(f0)):
             raise CoercivityError(
                 "descent is diverging; the functional is unbounded below "
                 "on this trial space"
             )
     gnorm = float(np.abs(grad).max())
-    y = SampledFunction(space.grid, space.slots(beta)[0])
+    y = SampledFunction(space.grid, slots[0])
     return MinimizeResult(y, fval, gnorm, iterations, beta)
 
 
@@ -459,6 +463,6 @@ def coercivity_probe(problem: VariationalProblem, basis: RitzBasis) -> ProbeRepo
         ray = rng.standard_normal(basis.m)
         ray /= float(np.linalg.norm(ray))
         for col, s in enumerate(scales):
-            values[d, col] = space.value(s * ray)
+            values[d, col] = space.value(space.slots(s * ray))
     increasing = (values[:, -1] > values[:, -2]) & (values[:, -2] > values[:, 0])
     return ProbeReport(scales, values, increasing, bool(increasing.all()))

@@ -233,10 +233,7 @@ def natural_bc_residual(problem: VariationalProblem, y: SampledFunction) -> floa
             "the natural condition applies to a free left boundary, "
             "but this problem prescribes y(a)"
         )
-    if problem.yb is not None and abs(float(y.values[-1]) - problem.yb) > 1e-10 * (
-        1.0 + abs(problem.yb)
-    ):
-        raise InputError(f"boundary value at t=b is {y.values[-1]}, expected {problem.yb}")
+    _check_boundary(problem, y)
     grid = y.grid
     _, p2, p3, p4 = _weighted_partials(problem, y)
     expr = p3 + k_apply(dual(problem.binding.p), problem.binding.kernel,

@@ -1,4 +1,6 @@
 import json
+import os
+import runpy
 
 import pytest
 
@@ -75,6 +77,10 @@ def test_alpha_range_depends_on_experiment():
         ('{"experiment": "sl-converge", "m_schedule": [64, 128], "n": 1024}', "32*max"),
         ('[1, 2]', "top level"),
         ('{"experiment": "noether", "alpha": "big"}', "alpha"),
+        ('{"experiment": "ops-identities", "alpha": []}', "alpha: ops-identities needs at least one order"),
+        ('{"experiment": "el-check", "alpha": [0.4, 0.9]}', "alpha: el-check takes exactly one order"),
+        ('{"experiment": "noether", "alpha": []}', "alpha: noether takes exactly one order"),
+        ('{"experiment": "counterexample", "alpha": 0.5}', "alpha: counterexample takes no order"),
     ],
 )
 def test_field_errors(doc, needle):
@@ -224,6 +230,21 @@ def test_cli_tolerance_override_by_assertion_id(tmp_path, capsys):
     assert "failing assertions: left-value\n" in captured.err
 
 
+@pytest.mark.parametrize(
+    "experiment,override,needle",
+    [
+        ("direct-min", 'tolerances={"grad": 1e-30}', "tolerances.grad: names no assertion of direct-min"),
+        ("el-check", "alpha=[0.4, 0.9]", "alpha: el-check takes exactly one order"),
+    ],
+)
+def test_cli_rejects_settings_the_run_does_not_read(tmp_path, capsys, experiment, override, needle):
+    """A tolerance or an order the run does not read exits 2 and writes no file."""
+    argv = ["run", "--experiment", experiment, "--set", f"output_dir={tmp_path}", "--set", override]
+    assert main(argv) == 2
+    assert f"config error: {needle}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_parse_failures_exit_two(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")
@@ -244,3 +265,13 @@ def test_cli_missing_file_exits_two(tmp_path, capsys):
 
 def test_cli_unknown_subcommand_exits_two(capsys):
     assert main(["explode"]) == 2
+
+
+def test_run_all_experiments_script_passes(tmp_path, capsys):
+    """The catalogue script runs all ten experiments at their defaults."""
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "run_all_experiments.py")
+    code = runpy.run_path(script)["main"](["--output-root", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "all assertions passed across 10 experiments" in out
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(ALL_IDS)

@@ -201,6 +201,13 @@ def test_natural_condition_requires_free_boundary():
         natural_bc_residual(prob, SampledFunction(g, np.zeros(65)))
 
 
+def test_natural_condition_checks_right_boundary_value():
+    g = Grid(0.0, 1.0, 64)
+    prob = VariationalProblem(Lagrangian(lambda x1, x2, x3, x4, t: x3 * x3), exp_binding(), yb=1.0)
+    with pytest.raises(InputError, match="boundary value at t=b is 0.0, expected 1.0"):
+        natural_bc_residual(prob, SampledFunction(g, np.zeros(65)))
+
+
 # --- constrained stationarity ----------------------------------------------
 
 

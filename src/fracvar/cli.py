@@ -78,11 +78,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stdout.write(list_experiments())
         return 0
     try:
-        record = run(_config_from_mapping(_load_document(args)))
+        config = _config_from_mapping(_load_document(args))
     except ParseError as exc:
         for line in exc.errors:
             print(f"config error: {line}", file=sys.stderr)
         return 2
+    record = run(config)
     for check in record.assertions:
         print(check)
     print(f"artifacts: {record.output_dir}")

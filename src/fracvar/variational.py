@@ -54,11 +54,11 @@ class Lagrangian:
     """Five-slot integrand with optional analytic partial derivatives.
 
     Missing partials fall back to central finite differences with step
-    ``1e-6 * (1 + |x_i|)``.  When analytic partials are supplied they are
-    cross-checked against the finite-difference values at a fixed set of
-    random points; a disagreement beyond ``1e-4`` relative is rejected,
-    which catches the classic mistake of editing ``f`` but not its
-    derivatives.
+    ``1e-6 * (1 + |x_i|)``, taken in those slots only.  When analytic
+    partials are supplied they are cross-checked against the
+    finite-difference values at a fixed set of random points; a
+    disagreement beyond ``1e-4`` relative is rejected, which catches the
+    classic mistake of editing ``f`` but not its derivatives.
     """
 
     f: Callable
@@ -70,26 +70,23 @@ class Lagrangian:
     def __post_init__(self) -> None:
         if not callable(self.f):
             raise InputError("Lagrangian needs a callable integrand")
-        provided = [d for d in (self.d1, self.d2, self.d3, self.d4) if d is not None]
-        if provided:
+        if any(d is not None for d in self._analytic):
             self._self_check()
 
     def _self_check(self) -> None:
         rng = np.random.default_rng(1234)
+        analytic = [(i, d) for i, d in enumerate(self._analytic) if d is not None]
         checked = 0
         for _ in range(_SELF_CHECK_POINTS):
             x = rng.uniform(-2.0, 2.0, size=4)
             t = rng.uniform(0.0, 1.0)
             try:
-                fd = self._fd_partials(*x, t)
-                for slot, d in enumerate((self.d1, self.d2, self.d3, self.d4), start=1):
-                    if d is None:
-                        continue
+                for i, d in analytic:
                     got = float(d(*x, t))
-                    want = fd[slot - 1]
+                    want = self._fd_partial(i, *x, t)
                     if abs(got - want) > 1e-4 * (1.0 + abs(got) + abs(want)):
                         raise InputError(
-                            f"analytic partial d{slot} disagrees with finite "
+                            f"analytic partial d{i + 1} disagrees with finite "
                             f"differences at x={tuple(x)}, t={t}: "
                             f"{got} vs {want}"
                         )
@@ -101,33 +98,33 @@ class Lagrangian:
         if checked == 0:
             raise InputError("could not validate analytic partials at any probe point")
 
-    def _fd_partials(self, x1, x2, x3, x4, t):
+    @property
+    def _analytic(self):
+        return (self.d1, self.d2, self.d3, self.d4)
+
+    def _fd_partial(self, i, x1, x2, x3, x4, t):
         args = [x1, x2, x3, x4]
-        out = []
-        for i in range(4):
-            e = _FD_SCALE * (1.0 + np.abs(args[i]))
-            hi = list(args)
-            lo = list(args)
-            hi[i] = args[i] + e
-            lo[i] = args[i] - e
-            out.append((_evaluate(self.f, *hi, t) - _evaluate(self.f, *lo, t)) / (2.0 * e))
-        return out
+        e = _FD_SCALE * (1.0 + np.abs(args[i]))
+        hi = list(args)
+        lo = list(args)
+        hi[i] = args[i] + e
+        lo[i] = args[i] - e
+        return (_evaluate(self.f, *hi, t) - _evaluate(self.f, *lo, t)) / (2.0 * e)
 
     def value(self, x1, x2, x3, x4, t) -> np.ndarray:
         return _evaluate(self.f, x1, x2, x3, x4, t)
 
+    def partial(self, i, x1, x2, x3, x4, t) -> np.ndarray:
+        """Derivative in slot ``i + 1`` along sample arrays: the analytic
+        partial when supplied, else the central difference."""
+        d = self._analytic[i]
+        if d is not None:
+            return _evaluate(d, x1, x2, x3, x4, t)
+        return np.asarray(self._fd_partial(i, x1, x2, x3, x4, t), dtype=float)
+
     def partials(self, x1, x2, x3, x4, t):
         """All four slot derivatives along sample arrays."""
-        fd = None
-        out = []
-        for i, d in enumerate((self.d1, self.d2, self.d3, self.d4)):
-            if d is not None:
-                out.append(_evaluate(d, x1, x2, x3, x4, t))
-            else:
-                if fd is None:
-                    fd = self._fd_partials(x1, x2, x3, x4, t)
-                out.append(np.asarray(fd[i], dtype=float))
-        return out
+        return [self.partial(i, x1, x2, x3, x4, t) for i in range(4)]
 
 
 @dataclass(frozen=True)

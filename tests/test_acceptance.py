@@ -335,6 +335,7 @@ def test_criterion_10_direct_method_optimality(acceptance_report):
     problem, _ = translated_quadratic_problem(grid)
     result = direct_minimize(problem, basis)
     measured["quadratic"] = (
+        result.stop,
         result.gradient_norm,
         interior_sup(el_residual(problem, result.y).values),
     )
@@ -342,6 +343,7 @@ def test_criterion_10_direct_method_optimality(acceptance_report):
     problem = quasilinear_problem(grid)
     result = direct_minimize(problem, basis)
     measured["quasilinear"] = (
+        result.stop,
         result.gradient_norm,
         interior_sup(el_residual(problem, result.y).values),
     )
@@ -349,18 +351,21 @@ def test_criterion_10_direct_method_optimality(acceptance_report):
     problem, _ = tracking_problem(grid)
     result = direct_minimize(problem, small, MinimizeOptions(beta0=np.full(8, 0.4)))
     measured["tracking"] = (
+        result.stop,
         result.gradient_norm,
         interior_sup(el_residual(problem, result.y).values),
     )
 
-    worst_grad = max(v[0] for v in measured.values())
-    worst_el = max(v[1] for v in measured.values())
+    converged = all(v[0] == "converged" for v in measured.values())
+    worst_grad = max(v[1] for v in measured.values())
+    worst_el = max(v[2] for v in measured.values())
     elapsed = time.perf_counter() - started
-    ok = worst_grad < 1e-8 and worst_el < 1e-2 and elapsed < 120.0
+    ok = converged and worst_grad < 1e-8 and worst_el < 1e-2 and elapsed < 120.0
     acceptance_report(
         f"criterion 10 direct-method optimality: {_verdict(ok)} "
         f"(worst gradient {worst_grad:.3g}, worst stationarity {worst_el:.3g}, {elapsed:.1f}s)"
     )
+    assert converged
     assert worst_grad < 1e-8
     assert worst_el < 1e-2
     assert elapsed < 120.0

@@ -6,6 +6,7 @@ import pytest
 
 from fracvar import ParseError, list_experiments, parse_config, run
 from fracvar.cli import main
+from fracvar.experiments import _RUNNERS, _assertion_ids
 
 ALL_IDS = (
     "ops-identities",
@@ -71,6 +72,12 @@ def test_alpha_range_depends_on_experiment():
         ('{"experiment": "sl-converge", "m_schedule": [4, 8], "r": 6}', "smallest m_schedule"),
         ('{"experiment": "noether", "tolerances": {"x": -1.0}}', "tolerances.x"),
         ('{"experiment": "noether", "tolerances": 3}', "tolerances"),
+        ('{"experiment": "noether", "tolerances": {"fractional-drift": -1.0}}',
+         "tolerances.fractional-drift: must be a positive number"),
+        ('{"experiment": "sl-solve", "alpha": 1.0, "tolerances": {"eigenvalue-bound": 1.0}}',
+         "tolerances.eigenvalue-bound: names no assertion of sl-solve"),
+        ('{"experiment": "sl-solve", "tolerances": {"classical-eigenvalues": 1.0}}',
+         "tolerances.classical-eigenvalues: names no assertion of sl-solve"),
         ('{"experiment": "noether", "output_dir": 4}', "output_dir"),
         ('{"experiment": "noether", "seed": 1.5}', "seed"),
         ('{"experiment": "sl-solve", "m": 100, "n": 1024}', "32*m"),
@@ -275,3 +282,29 @@ def test_run_all_experiments_script_passes(tmp_path, capsys):
     assert code == 0
     assert "all assertions passed across 10 experiments" in out
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(ALL_IDS)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"experiment": exp_id} for exp_id in ALL_IDS] + [{"experiment": "sl-solve", "alpha": 1.0}],
+    ids=list(ALL_IDS) + ["sl-solve-classical"],
+)
+def test_assertion_table_matches_the_run(doc):
+    """The ids ``tolerances`` is checked against at parse time are the ids
+    the runner emits."""
+    cfg = parse_config(json.dumps(doc))
+    assertions = _RUNNERS[cfg.experiment](cfg)[3]
+    assert tuple(a.id for a in assertions) == _assertion_ids(cfg.experiment, cfg.alpha)
+
+
+def test_direct_min_descent_takes_few_iterations(tmp_path):
+    """At its defaults each direct-min problem converges within 20
+    preconditioned steps (unpreconditioned descent took 270, 172 and 59)."""
+    run(parse_config(json.dumps({"experiment": "direct-min", "output_dir": str(tmp_path)})))
+    lines = (tmp_path / "direct-min" / "minimizations.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert [row["problem"] for row in rows] == ["translated-quadratic", "quasilinear", "integral-tracking"]
+    for row in rows:
+        assert row["stop"] == "converged"
+        assert int(row["iterations"]) <= 20

@@ -9,6 +9,7 @@ from fracvar import (
     ConfigurationError,
     DifferenceKernel,
     DomainError,
+    FracvarError,
     Grid,
     InputError,
     Lagrangian,
@@ -29,6 +30,8 @@ from fracvar import (
     solve_spectrum,
     trapezoid,
 )
+from fracvar import sturm_liouville
+from fracvar.experiments import translated_quadratic_problem
 
 ONE = lambda t: 1.0
 ZERO = lambda t: 0.0
@@ -268,6 +271,7 @@ def test_minimize_dirichlet_energy():
     binding = OperatorBinding(ParameterSet(0.0, 1.0, 1.0, 0.0), DifferenceKernel(lambda s: math.exp(-s)))
     prob = VariationalProblem(lag, binding, ya=0.0, yb=1.0)
     result = direct_minimize(prob, basis)
+    assert result.stop == "converged"
     assert result.gradient_norm < 1e-8
     assert result.value == pytest.approx(1.0, abs=1e-6)
     assert np.abs(result.y.values - grid.nodes).max() < 5e-3
@@ -311,3 +315,99 @@ def test_coercivity_probe_sign():
     report = coercivity_probe(down, basis)
     assert not report.all_increasing
     assert not report.increasing.any()
+
+
+def exp_binding():
+    return OperatorBinding(ParameterSet(0.0, 1.0, 1.0, 0.0), DifferenceKernel(lambda s: np.exp(-s)))
+
+
+def test_minimize_stop_max_iter(monkeypatch):
+    monkeypatch.setattr(sturm_liouville, "_MAX_ITER", 1)
+    _, basis = unit_interval_basis(8)
+    lag = Lagrangian(lambda x1, x2, x3, x4, t: (x2 + t) ** 2, d2=lambda x1, x2, x3, x4, t: 2.0 * (x2 + t))
+    problem = VariationalProblem(lag, exp_binding(), ya=-1.0, yb=-2.0)
+    result = direct_minimize(problem, basis, MinimizeOptions(beta0=np.full(8, 0.4)))
+    assert result.stop == "max_iter"
+    assert result.iterations == 1
+    assert result.gradient_norm >= 1e-8
+
+
+def test_minimize_stop_stalled():
+    """The integrand is NaN wherever ``0 < |x1| < 1.5``, so every trial
+    step off the start ``y = 0`` is non-finite at the nodes next to the
+    endpoints, and the line search stalls without moving.  The analytic
+    partials are checked at the probe points with ``|x1| >= 1.5``."""
+    _, basis = unit_interval_basis(8)
+    lag = Lagrangian(
+        lambda x1, x2, x3, x4, t: x3 * x3 + x1
+        + np.where((x1 == 0.0) | (np.abs(x1) >= 1.5), 0.0, np.nan),
+        d1=lambda x1, x2, x3, x4, t: np.ones_like(x1),
+        d3=lambda x1, x2, x3, x4, t: 2.0 * x3,
+    )
+    problem = VariationalProblem(lag, exp_binding(), ya=0.0, yb=0.0)
+    result = direct_minimize(problem, basis)
+    assert result.stop == "stalled"
+    assert result.iterations == 0
+    assert np.array_equal(result.beta, np.zeros(8))
+    assert math.isfinite(result.value) and result.gradient_norm > 1e-8
+
+
+def test_preconditioned_descent_matches_ritz_normal_equations():
+    """On the translated quadratic the minimizer solves ``H beta = -g(0)``
+    with ``H = sum_s I_s diag(tw) I_s^T``; descent stops with the largest
+    gradient entry below 1e-8, so ``|beta - beta*| <= sqrt(m) 1e-8 / lambda_min``."""
+    m = 16
+    grid = Grid(0.0, 1.0, 1024)
+    basis = RitzBasis.build(SLProblem(1.0, ONE, ZERO, ONE, 0.0, 1.0), m, grid)
+    problem, _ = translated_quadratic_problem(grid)
+    binding = problem.binding
+
+    def slots(values):
+        y = SampledFunction(grid, values)
+        return values, binding.k(y).values, y.derivative().values, binding.b(y).values
+
+    tw = np.full(grid.n + 1, grid.h)
+    tw[0] = tw[-1] = 0.5 * grid.h
+    images = [np.vstack(rows) for rows in zip(*(slots(row) for row in basis.phi))]
+    hessian = sum((image * tw) @ image.T for image in images)
+    partials = problem.lagrangian.partials(*slots(grid.nodes.copy()), grid.nodes)
+    g0 = sum(image @ (p * tw) for image, p in zip(images, partials))
+    exact = np.linalg.solve(hessian, -g0)
+    lam_min = float(np.linalg.eigvalsh(hessian)[0])
+
+    result = direct_minimize(problem, basis)
+    assert result.stop == "converged"
+    assert np.abs(result.beta - exact).max() <= math.sqrt(m) * 1e-8 / lam_min
+
+
+def test_preconditioner_floor_without_curvature_at_start():
+    """``0.25 x3^4`` has no curvature at ``beta = 0`` (the forward difference
+    reads ``1e-6``), so the first preconditioned step is far too long;
+    descent converges or raises a typed error, never stepping to NaN."""
+    _, basis = unit_interval_basis(8)
+    lag = Lagrangian(
+        lambda x1, x2, x3, x4, t: 0.25 * x3**4 + t * t * (1.0 - t) ** 2 * x3,
+        d3=lambda x1, x2, x3, x4, t: x3**3 + t * t * (1.0 - t) ** 2,
+    )
+    problem = VariationalProblem(lag, exp_binding(), ya=0.0, yb=0.0)
+    try:
+        result = direct_minimize(problem, basis)
+    except FracvarError:
+        return
+    assert result.stop == "converged"
+    assert np.isfinite(result.beta).all() and math.isfinite(result.value)
+
+
+def test_preconditioner_diagonal_floor_and_identity():
+    _, basis = unit_interval_basis(8)
+    flat = Lagrangian(lambda x1, x2, x3, x4, t: x1 + 0.0 * t, d1=lambda x1, x2, x3, x4, t: np.ones_like(x1))
+    space = sturm_liouville._TrialSpace(VariationalProblem(flat, exp_binding(), ya=0.0, yb=0.0), basis)
+    assert np.array_equal(space.diagonal(space.slots(np.zeros(8))), np.ones(8))
+
+    # curvature only at t = 1/2, where the even modes vanish: their
+    # entries are raised to the floor, 1e-8 of the largest
+    point = Lagrangian(lambda x1, x2, x3, x4, t: np.where(t == 0.5, 0.5 * x1 * x1, 0.0))
+    space = sturm_liouville._TrialSpace(VariationalProblem(point, exp_binding(), ya=0.0, yb=0.0), basis)
+    d = space.diagonal(space.slots(np.zeros(8)))
+    assert np.allclose(d[0::2], d[0], rtol=1e-12)
+    assert np.array_equal(d[1::2], np.full(4, 1e-8 * d.max()))

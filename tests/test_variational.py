@@ -72,6 +72,32 @@ def test_lagrangian_accepts_consistent_partials():
     )
 
 
+def test_finite_differences_only_in_slots_without_partials():
+    """Two analytic partials leave two central differences, two calls of
+    ``f`` each, with the step ``1e-6 (1 + |x|)``."""
+    calls = []
+
+    def f(x1, x2, x3, x4, t):
+        calls.append(1)
+        return x1 * x1 + x2 * x3 + np.sin(x4) * t
+
+    lag = Lagrangian(
+        f,
+        d1=lambda x1, x2, x3, x4, t: 2.0 * x1,
+        d3=lambda x1, x2, x3, x4, t: x2,
+    )
+    x = [np.linspace(-1.0, 1.0, 9) + k for k in range(4)]
+    t = np.linspace(0.0, 1.0, 9)
+    calls.clear()
+    p1, p2, p3, p4 = lag.partials(*x, t)
+    assert len(calls) == 4
+    assert np.array_equal(p1, 2.0 * x[0]) and np.array_equal(p3, x[1])
+    e = 1e-6 * (1.0 + np.abs(x[1]))
+    want = (f(x[0], x[1] + e, *x[2:], t) - f(x[0], x[1] - e, *x[2:], t)) / (2.0 * e)
+    assert np.array_equal(p2, want)
+    assert np.allclose(p2, x[2], rtol=1e-8) and np.allclose(p4, np.cos(x[3]) * t, rtol=1e-6, atol=1e-9)
+
+
 # --- functional evaluation ---------------------------------------------------
 
 

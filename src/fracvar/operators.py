@@ -16,10 +16,15 @@ Difference-type kernels make the product-integration weights a Toeplitz
 matrix, so the left-sided integral at all ``n + 1`` nodes is one linear
 convolution, evaluated by zero-padded real FFT in O(n log n) (Hairer,
 Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).  Every other
-kernel goes through one shared row loop at O(n**2) cost: it evaluates
-each cofactor row once and applies the K or B row formula to it.  The
-right-sided integral is reduced to a left-sided one by reflecting the
-interval, so difference-type kernels keep their FFT path on both sides.
+kernel goes through one hierarchical engine shared by the K and B rules:
+the lower triangle is split dyadically, diagonal tiles of 256 rows are
+evaluated densely, and each far block, where the cofactor is smooth, is
+reduced by adaptive cross approximation (Bebendorf, Numer. Math. 86,
+2000) to a few sampled rows and columns whose lag weights are applied by
+FFT.  That costs O(n * 256) cofactor evaluations and O(n log**2 n)
+arithmetic instead of the (n + 1)(n + 2) / 2 evaluations of a full
+triangle.  The right-sided integral is reduced to a left-sided one by
+reflecting the interval, so both engines serve both sides.
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ from .foundation import (
     _check_interval,
     _evaluate,
     _pi_coefficients,
-    _row_weights,
     gamma,
     interior_sup,
     trapezoid,
@@ -75,6 +79,15 @@ __all__ = [
 # by extrapolation from clean neighbours; see _patch_corners.
 _CORNER_PAD = 2
 _CORNER_FIT = 6
+
+# Rows per diagonal tile of the non-difference engine, and the relative
+# tolerance of its cross approximation of far blocks; see _left_engine.
+_LEAF = 256
+_ACA_TOL = 1e-13
+# A far block that needs more cross-approximation terms than this is not
+# smooth (a kink or a cut-off crosses it) and goes to the dense code; each
+# term costs O(rank) more than the last.  Smooth kernels tried needed <= 18.
+_ACA_MAX_RANK = 32
 
 
 class CornerExtrapolationWarning(UserWarning):
@@ -109,7 +122,8 @@ class Kernel:
     """Base interface: diagonal singularity strength plus bounded cofactor."""
 
     #: difference-type kernels depend on t - tau only and take the FFT
-    #: convolution path, O(n log n) instead of the O(n**2) row loop
+    #: convolution path, O(n log n); all others take the hierarchical
+    #: engine, O(n * 256) cofactor evaluations
     is_difference: bool = False
     #: kernels on multiplicative time need a strictly positive interval
     requires_positive_domain: bool = False
@@ -117,7 +131,15 @@ class Kernel:
     singularity_exponent: float = 0.0
 
     def cofactor(self, x, y) -> np.ndarray:
-        """Bounded part ``k(x, y) * (x - y)**s`` for ``y <= x`` elementwise."""
+        """Bounded part ``k(x, y) * (x - y)**s`` for ``y <= x`` elementwise.
+
+        Far from the diagonal the engine samples a few rows and columns of
+        each block instead of every entry, so a non-finite value there may
+        go unseen: the cofactor must be finite everywhere except on the
+        diagonal (continued linearly when ``s > 0``) and at the interval
+        corners (extrapolated; see ``_mend_row``).  The first column is
+        always evaluated in full.
+        """
         raise NotImplementedError
 
     def profile(self, u: np.ndarray) -> np.ndarray:
@@ -295,39 +317,195 @@ def _apply_left(kernel: Kernel, grid: Grid, fv: np.ndarray):
         out[0] = 0.0
         return out, []
 
-    scale = h ** (1.0 - kernel.singularity_exponent)
-
-    def weighted_sum(j, c, a_coef, b_coef):
-        return scale * float(_row_weights(j, a_coef, b_coef) @ (c * fv[: j + 1]))
-
-    return _row_loop(kernel, grid, weighted_sum)
+    # the first node's weight has no B(j + 1) part
+    tail = fv.copy()
+    tail[0] = 0.0
+    return _left_engine(kernel, grid, fv, tail, h ** (1.0 - kernel.singularity_exponent))
 
 
-def _row_loop(kernel: Kernel, grid: Grid, row_formula):
-    """Left-sided engine of non-difference kernels, one output node at a time.
+def _left_engine(kernel: Kernel, grid: Grid, x1: np.ndarray, x2: np.ndarray, scale: float):
+    """Left-sided engine of non-difference kernels, shared by the K and B rules.
 
-    Builds the product-integration tables ``A(1..n+1)``, ``B(1..n+1)`` once,
-    evaluates the cofactor row ``c = cofactor(t_j, t_0..t_j)`` of each node
-    once, mends it or flags the node (``_mend_row``), and stores
-    ``row_formula(j, c, A, B)``, the rule's quadrature sum at node ``j``.
-    Returns (values, flagged nodes) like the engines that call it.
+    Computes, for every node ``j``,
+
+        out_j = scale * sum_{i <= j} c(t_j, t_i) (T1[j-i] x1_i + T2[j-i] x2_i)
+
+    with the cofactor ``c`` and the lag tables ``T1[0] = 0``,
+    ``T1[k] = A(k) - B(k)`` and ``T2[k] = B(k + 1)`` of ``_pi_coefficients``.
+    The lower triangle is split dyadically (Hackbusch, Computing 62, 1999).
+    Diagonal tiles of at most ``_LEAF`` rows are evaluated densely.  Each
+    far block ``[mid, hi) x [lo, mid)`` has a smooth cofactor, which
+    ``_cross_approximation`` reduces to a few rows and columns ``u @ v``;
+    the lag weights are then applied exactly, as one batched FFT middle
+    product of ``T1``, ``T2`` against ``v * x1``, ``v * x2``.  A transform
+    size of at least ``hi - lo`` keeps the wrapped terms out of the kept
+    outputs.  Returns (values, flagged nodes) like the engines that call it.
     """
     n, t = grid.n, grid.nodes
     s = kernel.singularity_exponent
     a_coef, b_coef = _pi_coefficients(1.0 - s, n + 1)
+    lags = (np.concatenate(([0.0], a_coef[:n] - b_coef[:n])), b_coef)
     out = np.zeros(n + 1)
     flagged: list[int] = []
-    for j in range(1, n + 1):
+
+    def tile(lo: int, hi: int) -> None:
+        """Add the exact sum over columns ``[lo, j]`` to ``out_j`` for rows
+        ``j`` in ``[lo, hi)``.
+
+        Row ``j`` is one contiguous segment of a flat sample that starts two
+        columns left of ``lo``, so that a non-finite diagonal sample of a
+        singular kernel is continued linearly, ``2 c[j-1] - c[j-2]``, for
+        every row at once.  A row still non-finite after that (the first
+        row off the endpoint, and corner rows) is evaluated in full and
+        mended or flagged by ``_mend_row``, exactly as a row on its own.
+        """
+        rows = np.arange(max(lo, 1), hi)
+        first = max(lo - 2, 0)
+        counts = rows - first + 1
+        starts = np.cumsum(counts) - counts
+        rj = np.repeat(rows, counts)
+        ci = np.arange(rj.size) - np.repeat(starts - first, counts)
         with np.errstate(invalid="ignore", divide="ignore"):
-            c = np.asarray(kernel.cofactor(t[j], t[: j + 1]), dtype=float)
-        if not np.all(np.isfinite(c)):
-            c = c.copy()
-            if _mend_row(c, j, t, s, kernel.cofactor) == "flag":
+            c = np.array(kernel.cofactor(t[rj], t[ci]), dtype=float)
+            if s > 0.0:
+                ends = starts + counts - 1
+                gap = ends[(rows >= 2) & ~np.isfinite(c[ends])]
+                c[gap] = 2.0 * c[gap - 1] - c[gap - 2]
+        for k in np.flatnonzero(np.logical_or.reduceat(~np.isfinite(c), starts)):
+            j = int(rows[k])
+            with np.errstate(invalid="ignore", divide="ignore"):
+                row = np.array(kernel.cofactor(t[j], t[: j + 1]), dtype=float)
+            if not np.all(np.isfinite(row)) and _mend_row(row, j, t, s, kernel.cofactor) == "flag":
                 flagged.append(j)
-                out[j] = np.nan
-                continue
-        out[j] = row_formula(j, c, a_coef, b_coef)
+                row = np.zeros_like(row)
+            c[starts[k] : starts[k] + counts[k]] = row[first:]
+        lag = rj - ci
+        weight = np.where(ci >= lo, lags[0][lag] * x1[ci] + lags[1][lag] * x2[ci], 0.0)
+        out[rows] += np.add.reduceat(c * weight, starts)
+
+    def far_dense(lo: int, mid: int, hi: int) -> None:
+        """Add the exact far block ``[mid, hi) x [lo, mid)`` to ``out``, in
+        passes of about one diagonal tile's entries."""
+        width = mid - lo
+        step = max(1, _LEAF * _LEAF // (2 * width))
+        # row j weighs column lo + i by T[j - lo - i]: a window of the
+        # reversed table, starting at n - (j - lo)
+        toeplitz = [np.lib.stride_tricks.sliding_window_view(lag[::-1], width) for lag in lags]
+        for j0 in range(mid, hi, step):
+            j1 = min(j0 + step, hi)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                c = np.array(kernel.cofactor(t[j0:j1, None], t[None, lo:mid]), dtype=float)
+            if not np.all(np.isfinite(c)):
+                j, i = np.argwhere(~np.isfinite(c))[0]
+                raise NumericError(
+                    f"kernel evaluation non-finite at node {j0 + j} (sample index {lo + i})"
+                )
+            for x, view in zip((x1, x2), toeplitz):
+                band = view[n - (j1 - 1 - lo) : n - (j0 - lo) + 1][::-1]
+                out[j0:j1] += np.einsum("ji,ji,i->j", c, band, x[lo:mid])
+
+    spectra: dict = {}
+    size = _LEAF
+    while size < n + 1:
+        size *= 2
+    pending = [(0, size)]
+    while pending:
+        lo, size = pending.pop()
+        hi = min(lo + size, n + 1)
+        if size <= _LEAF:
+            if hi > max(lo, 1):
+                tile(lo, hi)
+            continue
+        mid = lo + size // 2
+        pending.append((lo, size // 2))
+        if mid >= hi:
+            continue
+        pending.append((mid, size // 2))
+        factors = _cross_approximation(kernel.cofactor, t, lo, mid, hi)
+        if factors is None:
+            far_dense(lo, mid, hi)
+            continue
+        u, v = factors
+        if size not in spectra:
+            spectra[size] = [np.fft.rfft(lag[:size], size) for lag in lags]
+        mixed = sum(
+            np.fft.rfft(v * x[lo:mid], size, axis=1) * spec
+            for x, spec in zip((x1, x2), spectra[size])
+        )
+        z = np.fft.irfft(mixed, size, axis=1)[:, mid - lo : hi - lo]
+        out[mid:hi] += np.einsum("rk,kr->r", u, z)
+    out *= scale
+    out[flagged] = np.nan
     return out, flagged
+
+
+def _cross_approximation(cofactor, t, lo: int, mid: int, hi: int):
+    """Low-rank factors ``u @ v`` of the cofactor on the far block
+    ``t[mid:hi] x t[lo:mid]``, or ``None`` when the block should be
+    evaluated densely.
+
+    Partial-pivot adaptive cross approximation to ``_ACA_TOL`` relative to
+    the Frobenius norm of the approximant: each step samples one residual
+    row, pivots on its largest entry, samples that column, and moves on to
+    the unused row where the new column is largest.  A residual row that
+    is exactly zero restarts from the next unused one of nine evenly
+    spaced rows.  A block that needs more than ``_ACA_MAX_RANK`` terms, or
+    whose spaced rows are all zero before any term is found, is not smooth
+    enough for this to pay.  Partial pivoting can miss part of a block, so
+    the block's first column and last row are then sampled in full and
+    checked against the factors; a mismatch also returns ``None``.  A
+    non-finite sample is a hard error.
+    """
+    rows, cols = np.arange(mid, hi), np.arange(lo, mid)
+    nr, nc = rows.size, cols.size
+
+    def sample(j, i):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            vals = np.array(cofactor(t[j], t[i]), dtype=float).reshape(-1)
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            node, index = (int(a.flat[bad[0]]) for a in np.broadcast_arrays(j, i))
+            raise NumericError(f"kernel evaluation non-finite at node {node} (sample index {index})")
+        return vals
+
+    cap = min(nr, nc, _ACA_MAX_RANK)
+    u, v = np.empty((nr, cap)), np.empty((cap, nc))
+    spread = iter(np.linspace(0, nr - 1, 9).astype(int))
+    used = np.zeros(nr, dtype=bool)
+    norm2 = 0.0
+    i, k = 0, 0
+    while True:
+        used[i] = True
+        row = sample(mid + i, cols) - u[i, :k] @ v[:k]
+        p = int(np.argmax(np.abs(row)))
+        if row[p] == 0.0:
+            i = next((int(j) for j in spread if not used[j]), None)
+            if i is None and k == 0:
+                return None
+            if i is None:
+                break
+            continue
+        if k == cap:
+            return None
+        v[k] = row / row[p]
+        u[:, k] = sample(rows, lo + p) - u[:, :k] @ v[:k, p]
+        step2 = (u[:, k] @ u[:, k]) * (v[k] @ v[k])
+        norm2 += 2.0 * (u[:, :k].T @ u[:, k]) @ (v[:k] @ v[k]) + step2
+        k += 1
+        if math.sqrt(step2) <= _ACA_TOL * math.sqrt(norm2) or used.all():
+            break
+        i = int(np.argmax(np.where(used, -1.0, np.abs(u[:, k - 1]))))
+    # copies, so the unused capacity is freed before the caller's FFTs
+    u, v = u[:, :k].copy(), v[:k].copy()
+    first = sample(rows, lo)
+    last = sample(hi - 1, cols)
+    # a converged approximation leaves entries below the tolerance times
+    # the approximant's norm; a missed feature leaves them near its size
+    limit = 10.0 * _ACA_TOL * math.sqrt(norm2)
+    if (np.abs(first - u @ v[:, 0]).max() > limit
+            or np.abs(last - u[-1] @ v).max() > limit):
+        return None
+    return u, v
 
 
 def _mend_row(c: np.ndarray, j: int, t: np.ndarray, s: float, cofactor) -> str:
@@ -467,14 +645,9 @@ def _bapply_left(kernel: Kernel, grid: Grid, fv: np.ndarray):
         out[1:] = h ** (mu - 1.0) * _convolve(df, cell, n)
         return out, []
 
+    # cell i carries A - B at its left node and B at its right node
     mu = 1.0 - kernel.singularity_exponent
-    scale = h ** (mu - 1.0)
-
-    def cell_sum(j, c, a_coef, b_coef):
-        cell = c[:-1] * (a_coef[j - 1::-1] - b_coef[j - 1::-1]) + c[1:] * b_coef[j - 1::-1]
-        return scale * float(df[:j] @ cell)
-
-    return _row_loop(kernel, grid, cell_sum)
+    return _left_engine(kernel, grid, np.append(df, 0.0), np.insert(df, 0, 0.0), h ** (mu - 1.0))
 
 
 def b_apply(p: ParameterSet, kernel: Kernel, f: SampledFunction) -> SampledFunction:

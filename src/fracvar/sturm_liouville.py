@@ -26,6 +26,7 @@ from .errors import (
     ConfigurationError,
     DomainError,
     InputError,
+    NumericError,
 )
 from .foundation import (
     Grid,
@@ -410,7 +411,8 @@ def direct_minimize(
     step find no acceptable value (round-off, or a functional that is
     non-finite off the iterate), ``"max_iter"`` after 10000 accepted
     steps.  ``iterations`` counts accepted steps.  50 consecutive rising
-    values raise ``CoercivityError``.
+    values raise ``CoercivityError``, and a non-finite value or gradient
+    at the start raises ``NumericError``.
     """
     opts = options or MinimizeOptions()
     space = _TrialSpace(problem, basis)
@@ -423,6 +425,8 @@ def direct_minimize(
     slots = space.slots(beta)
     fval = space.value(slots)
     grad = space.gradient(slots)
+    if not (math.isfinite(fval) and np.all(np.isfinite(grad))):
+        raise NumericError("the functional or its gradient is non-finite at the start point")
     diag = space.diagonal(slots)
     f0 = fval
     step = _INITIAL_STEP

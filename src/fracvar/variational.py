@@ -83,7 +83,9 @@ class Lagrangian:
             try:
                 for i, d in analytic:
                     got = float(d(*x, t))
-                    want = self._fd_partial(i, *x, t)
+                    want = float(self._fd_partial(i, *x, t))
+                    if not (math.isfinite(got) and math.isfinite(want)):
+                        raise ArithmeticError("partial not finite at this probe point")
                     if abs(got - want) > 1e-4 * (1.0 + abs(got) + abs(want)):
                         raise InputError(
                             f"analytic partial d{i + 1} disagrees with finite "

@@ -32,7 +32,16 @@ from fracvar import (
     verify_semigroup,
 )
 from fracvar.foundation import _pi_coefficients
-from fracvar.operators import _mend_row
+from fracvar.experiments import counterexample_kernel
+from fracvar.operators import (
+    _CORNER_FIT,
+    Kernel,
+    _ReflectedKernel,
+    _apply_left,
+    _bapply_left,
+    _cross_approximation,
+    _mend_row,
+)
 
 EXP_KERNEL = DifferenceKernel(lambda s: math.exp(-s))
 LEFT = ParameterSet(0.0, 1.0, 1.0, 0.0)
@@ -235,67 +244,127 @@ def test_fft_convolution_matches_direct_oracle(kernel, n, lam, mu, seed):
     assert np.abs(b_apply(p, kernel, f).values - ref).max() <= bound
 
 
-# --- shared row loop against the two-loop oracle ----------------------------
+# --- hierarchical engine against the row-by-row oracle ---------------------
 #
-# The two functions below are the non-difference branches of the left-sided
-# engines as two separate loops over output nodes; they are the reference the
-# shared row loop is checked against.  The arithmetic is the same, so the
-# results must agree exactly.  ``cofactor`` is the kernel's bounded part,
-# already reflected for the right side.
+# The functions below are the non-difference branches of the left-sided
+# engines as two separate loops over output nodes, one full cofactor row at
+# a time; they are the reference the hierarchical engine is checked
+# against.  The engine sums in another order and approximates far blocks to
+# 1e-13, so each node must agree to 1e-12 of its row's absolute sum
+#
+#     R_j = |scale| * sum_i |c_ji| (|T1[j-i] x1_i| + |T2[j-i] x2_i|),
+#
+# which the oracle returns with its values.  ``cofactor`` is the kernel's
+# bounded part, already reflected for the right side.
+
+
+def _oracle_row(cofactor, t, s, j):
+    """Mended cofactor row ``c(t_j, t_0..t_j)``, or None for a flagged node."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        c = np.array(cofactor(t[j], t[: j + 1]), dtype=float)
+    if not np.all(np.isfinite(c)) and _mend_row(c, j, t, s, cofactor) == "flag":
+        return None
+    return c
+
+
+def _abs_row_sum(c, lags, x1, x2, j):
+    """``R_j / |scale|`` for the lag tables ``lags = (T1, T2)``."""
+    lag = j - np.arange(j + 1)
+    return float(np.abs(c) @ (np.abs(lags[0][lag] * x1[: j + 1]) + np.abs(lags[1][lag] * x2[: j + 1])))
 
 
 def _row_k_left(cofactor, s, grid, fv):
+    """Values (NaN where flagged), row absolute sums and flagged nodes of the K rule."""
     n, h, t = grid.n, grid.h, grid.nodes
     mu = 1.0 - s
     a_coef, b_coef = _pi_coefficients(mu, n + 1)
-    out = np.zeros(n + 1)
+    lags = (np.concatenate(([0.0], a_coef[:n] - b_coef[:n])), b_coef)
+    tail = fv.copy()
+    tail[0] = 0.0
+    out, size, flagged = np.zeros(n + 1), np.zeros(n + 1), []
     for j in range(1, n + 1):
         w = np.empty(j + 1)
         w[j] = b_coef[0]
         w[0] = a_coef[j - 1] - b_coef[j - 1]
         if j >= 2:
             w[1:j] = (a_coef[j - 2::-1] - b_coef[j - 2::-1]) + b_coef[j - 1:0:-1]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            c = np.asarray(cofactor(t[j], t[: j + 1]), dtype=float)
-        if not np.all(np.isfinite(c)):
-            c = c.copy()
-            assert _mend_row(c, j, t, s, cofactor) == "ok"
+        c = _oracle_row(cofactor, t, s, j)
+        if c is None:
+            out[j] = np.nan
+            flagged.append(j)
+            continue
         out[j] = h**mu * float(w @ (c * fv[: j + 1]))
-    return out
+        size[j] = h**mu * _abs_row_sum(c, lags, fv, tail, j)
+    return out, size, flagged
 
 
 def _row_b_left(cofactor, s, grid, fv):
+    """Values (NaN where flagged), row absolute sums and flagged nodes of the B rule."""
     n, h, t = grid.n, grid.h, grid.nodes
     df = np.diff(fv)
     mu = 1.0 - s
-    a_coef, b_coef = _pi_coefficients(mu, n)
-    out = np.zeros(n + 1)
+    a_coef, b_coef = _pi_coefficients(mu, n + 1)
+    lags = (np.concatenate(([0.0], a_coef[:n] - b_coef[:n])), b_coef)
+    left, right = np.append(df, 0.0), np.insert(df, 0, 0.0)
+    out, size, flagged = np.zeros(n + 1), np.zeros(n + 1), []
     for j in range(1, n + 1):
         amb_rev = a_coef[j - 1::-1] - b_coef[j - 1::-1]
         b_rev = b_coef[j - 1::-1]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            c = np.asarray(cofactor(t[j], t[: j + 1]), dtype=float)
-        if not np.all(np.isfinite(c)):
-            c = c.copy()
-            assert _mend_row(c, j, t, s, cofactor) == "ok"
+        c = _oracle_row(cofactor, t, s, j)
+        if c is None:
+            out[j] = np.nan
+            flagged.append(j)
+            continue
         out[j] = h ** (mu - 1.0) * float(df[:j] @ (c[:-1] * amb_rev + c[1:] * b_rev))
-    return out
+        size[j] = h ** (mu - 1.0) * _abs_row_sum(c, lags, left, right, j)
+    return out, size, flagged
 
 
 def _row_two_sided(p, kernel, f, left_rule, right_sign):
-    grid, s = f.grid, kernel.singularity_exponent
+    """Oracle values, per-node bound ``1e-12 * R_j`` and flagged nodes."""
+    grid, s, n = f.grid, kernel.singularity_exponent, f.grid.n
     ab = grid.a + grid.b
-    out = np.zeros(grid.n + 1)
+    out, size, flagged = np.zeros(n + 1), np.zeros(n + 1), set()
     if p.lam != 0.0:
-        out += p.lam * left_rule(kernel.cofactor, s, grid, f.values)
+        vals, sums, flags = left_rule(kernel.cofactor, s, grid, f.values)
+        out += p.lam * vals
+        size += abs(p.lam) * sums
+        flagged.update(flags)
     if p.mu != 0.0:
 
         def reflected(x, y):
             return kernel.cofactor(ab - np.asarray(y), ab - np.asarray(x))
 
-        right = left_rule(reflected, s, grid, f.values[::-1].copy())
-        out += right_sign * p.mu * right[::-1]
-    return out
+        vals, sums, flags = left_rule(reflected, s, grid, f.values[::-1].copy())
+        out += right_sign * p.mu * vals[::-1]
+        size += abs(p.mu) * sums[::-1]
+        flagged.update(n - j for j in flags)
+    return out, 1e-12 * size, flagged
+
+
+def _engine_two_sided(p, kernel, f, left_rule, right_sign):
+    """``_two_sided`` without the corner patch: values and flagged nodes."""
+    grid, n = f.grid, f.grid.n
+    out, flagged = np.zeros(n + 1), set()
+    if p.lam != 0.0:
+        vals, flags = left_rule(kernel, grid, f.values)
+        out += p.lam * vals
+        flagged.update(flags)
+    if p.mu != 0.0:
+        vals, flags = left_rule(_ReflectedKernel(kernel, grid.a, grid.b), grid, f.values[::-1].copy())
+        out += right_sign * p.mu * vals[::-1]
+        flagged.update(n - j for j in flags)
+    return out, flagged
+
+
+def _assert_engine_matches_oracle(p, kernel, f):
+    for engine, oracle, sign in ((_apply_left, _row_k_left, 1.0), (_bapply_left, _row_b_left, -1.0)):
+        want, bound, want_flags = _row_two_sided(p, kernel, f, oracle, sign)
+        got, got_flags = _engine_two_sided(p, kernel, f, engine, sign)
+        assert got_flags == want_flags
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        kept = ~np.isnan(want)
+        assert np.all(np.abs(got - want)[kept] <= bound[kept])
 
 
 def _smooth(c1, c2):
@@ -304,6 +373,18 @@ def _smooth(c1, c2):
 
 def _singular(c1, c2, s):
     return lambda x, y: (1.0 + c1 * x * x + c2 * y) * (x - y) ** (-s)
+
+
+def _step(x0):
+    """Zero on every row below ``x0``, so a far block whose first rows lie
+    there restarts its cross approximation, or falls back to dense."""
+    return lambda x, y: np.where(x >= x0, np.cos(x - 2.0 * y) + 1.0, 0.0)
+
+
+def _band(x0, x1):
+    """Nonzero only on rows ``x0 < x <= x1``, which evenly spaced restarts
+    can all miss: a far block there goes to the dense code."""
+    return lambda x, y: np.where((x > x0) & (x <= x1), np.cos(x - 2.0 * y) + 1.0, 0.0)
 
 
 row_cases = some.one_of(
@@ -322,25 +403,132 @@ row_cases = some.one_of(
         lambda order: ((1.0, math.e), HadamardKernel(order)),
         some.floats(0.05, 0.95),
     ),
+    some.just(((0.0, 1.0), counterexample_kernel())),
+    some.builds(
+        lambda x0: ((0.0, 1.0), GeneralKernel(_step(x0), 0.0)),
+        some.floats(0.55, 0.95),
+    ),
+    some.builds(
+        lambda x0, width: ((0.0, 1.0), GeneralKernel(_band(x0, x0 + width), 0.0)),
+        some.floats(0.5, 0.9),
+        some.floats(0.005, 0.05),
+    ),
 )
 
 
+@hyp.example(case=((0.0, 1.0), GeneralKernel(_step(0.6), 0.0)), n=1023, lam=1.0, mu=-0.5, seed=1)
+@hyp.example(case=((0.0, 1.0), GeneralKernel(_band(0.5, 0.51), 0.0)), n=1023, lam=1.0, mu=0.0, seed=2)
+@hyp.example(case=((0.0, 1.0), counterexample_kernel()), n=4096, lam=0.0, mu=1.0, seed=3)
 @hyp.settings(max_examples=25, deadline=None)
 @hyp.given(
     case=row_cases,
-    n=some.integers(32, 512),
+    n=some.integers(32, 4096),
     lam=side_weights,
     mu=side_weights,
     seed=some.integers(0, 2**31),
 )
 def test_shared_row_loop_matches_oracle(case, n, lam, mu, seed):
+    """The hierarchical engine (1 to 4 levels of far blocks for n up to
+    4096) agrees with the row-by-row oracle node by node, flags included."""
     (a, b), kernel = case
     hyp.assume(lam != 0.0 or mu != 0.0)
     p = ParameterSet(a, b, lam, mu)
     g = Grid(a, b, n)
     f = SampledFunction(g, np.random.default_rng(seed).uniform(-1, 1, n + 1))
-    assert np.array_equal(k_apply(p, kernel, f).values, _row_two_sided(p, kernel, f, _row_k_left, 1.0))
-    assert np.array_equal(b_apply(p, kernel, f).values, _row_two_sided(p, kernel, f, _row_b_left, -1.0))
+    _assert_engine_matches_oracle(p, kernel, f)
+
+
+def test_cross_approximation_restarts_past_zero_rows_and_falls_back():
+    """On the far block ``[512, 1024) x [0, 512)`` at n = 1023 the step
+    kernel's first rows are zero, so the approximation restarts from other
+    rows and then reproduces the block.  A kernel that is nonzero only on
+    block rows 1 to 10 is zero on every row the restarts try, and the
+    block is left to the dense code."""
+    t = Grid(0.0, 1.0, 1023).nodes
+    for x0 in (0.6, 0.9):
+        cofactor = GeneralKernel(_step(x0), 0.0).cofactor
+        block = cofactor(t[512:, None], t[None, :512])
+        assert not block[0].any() and block[-1].all()
+        u, v = _cross_approximation(cofactor, t, 0, 512, 1024)
+        assert np.abs(u @ v - block).max() <= 1e-12 * np.abs(block).max()
+    band = GeneralKernel(_band(t[512], t[522]), 0.0)
+    assert _cross_approximation(band.cofactor, t, 0, 512, 1024) is None
+
+
+class _CountingKernel(Kernel):
+    """A kernel that counts the cofactor entries it evaluates."""
+
+    def __init__(self, base):
+        self.base, self.entries = base, 0
+        self.singularity_exponent = base.singularity_exponent
+
+    def cofactor(self, x, y):
+        self.entries += np.broadcast(x, y).size
+        return self.base.cofactor(x, y)
+
+
+def test_non_difference_engine_samples_near_linearly():
+    """Four times the nodes cost at most six times the cofactor entries:
+    evaluating the whole triangle would cost sixteen."""
+    counts = []
+    for n in (2048, 8192):
+        kernel = _CountingKernel(GeneralKernel(_smooth(1.3, -0.7), 0.0))
+        g = Grid(0.0, 1.0, n)
+        k_apply(LEFT, kernel, SampledFunction(g, np.ones(n + 1)))
+        counts.append(kernel.entries)
+    assert counts[1] <= 6 * counts[0]
+
+
+@pytest.mark.parametrize("first_bad", [_CORNER_FIT + 1, 1200])
+def test_non_finite_first_column_past_the_corner_raises(first_bad):
+    """Column 0 non-finite from row ``first_bad`` on: inside the first
+    diagonal tile, or only in far blocks, it is a hard error either way."""
+    g = Grid(0.0, 1.0, 2048)
+    edge = g.nodes[first_bad] - 0.5 * g.h
+    kernel = GeneralKernel(lambda x, y: np.where((y == 0.0) & (x > edge), np.nan, 1.0 + x * y), 0.0)
+    with pytest.raises(NumericError, match="sample index 0"):
+        k_apply(LEFT, kernel, SampledFunction(g, np.ones(2049)))
+
+
+def test_nan_kernel_raises_at_large_n():
+    g = Grid(0.0, 1.0, 2048)
+    with pytest.raises(NumericError):
+        k_apply(LEFT, GeneralKernel(lambda t, tau: math.nan, 0.0), SampledFunction(g, np.ones(2049)))
+
+
+def _observed_orders(errors):
+    return [math.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
+
+
+def test_hadamard_integral_converges_at_first_order():
+    """``HadamardLeft`` of order 0.5 maps ``log(t)**1.5`` onto
+    ``Gamma(2.5) / Gamma(3) log(t)**2``; the sup error over all nodes
+    falls at least first order (1.94 to 1.97 observed)."""
+    alpha, beta = 0.5, 2.5
+    errors = []
+    for n in (256, 512, 1024, 2048, 4096):
+        g = Grid(1.0, math.e, n)
+        out = classical(ClassicalOp.HADAMARD_LEFT, alpha, SampledFunction(g, np.log(g.nodes) ** (beta - 1.0)))
+        want = gamma(beta) / gamma(beta + alpha) * np.log(g.nodes) ** (beta + alpha - 1.0)
+        errors.append(np.abs(out.values - want).max())
+    assert min(_observed_orders(errors)) >= 1.0
+
+
+def test_general_kernel_b_apply_converges_at_first_order():
+    """The kernel ``(1 + t**2 / 2) (t - tau)**-0.4 / Gamma(0.6)`` under
+    ``b_apply`` maps a cubic onto ``(1 + t**2 / 2)`` times its Caputo
+    derivative of order 0.4; the sup error over all nodes falls at least
+    first order (1.58 to 1.59 observed)."""
+    s, phi, coef = 0.4, 0.5, (0.3, -1.0, 0.5, 0.8)
+    kernel = GeneralKernel(lambda t, tau: (1.0 + phi * t * t) * (t - tau) ** (-s) / gamma(1.0 - s), s)
+    errors = []
+    for n in (256, 512, 1024, 2048, 4096):
+        g = Grid(0.0, 1.0, n)
+        t = g.nodes
+        out = b_apply(LEFT, kernel, SampledFunction(g, np.polynomial.polynomial.polyval(t, coef)))
+        caputo = sum(coef[k] * gamma(k + 1.0) / gamma(k + 1.0 - s) * t ** (k - s) for k in range(1, 4))
+        errors.append(np.abs(out.values - (1.0 + phi * t * t) * caputo).max())
+    assert min(_observed_orders(errors)) >= 1.0
 
 
 def _power_law_pair(order, variant):

@@ -14,6 +14,7 @@ from fracvar import (
     InputError,
     Lagrangian,
     MinimizeOptions,
+    NumericError,
     OperatorBinding,
     ParameterSet,
     RitzBasis,
@@ -350,6 +351,21 @@ def test_minimize_stop_stalled():
     assert result.iterations == 0
     assert np.array_equal(result.beta, np.zeros(8))
     assert math.isfinite(result.value) and result.gradient_norm > 1e-8
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_minimize_rejects_non_finite_start():
+    """``sqrt(x1 - 1)`` is NaN at the start ``y = 0``, so descent has no
+    value to improve on and raises instead of reporting a stall."""
+    _, basis = unit_interval_basis(8)
+    lag = Lagrangian(
+        lambda x1, x2, x3, x4, t: x3 * x3 + np.sqrt(x1 - 1.0),
+        d1=lambda x1, x2, x3, x4, t: 0.5 / np.sqrt(x1 - 1.0),
+        d3=lambda x1, x2, x3, x4, t: 2.0 * x3,
+    )
+    problem = VariationalProblem(lag, exp_binding(), ya=0.0, yb=0.0)
+    with pytest.raises(NumericError, match="start point"):
+        direct_minimize(problem, basis)
 
 
 def test_preconditioned_descent_matches_ritz_normal_equations():

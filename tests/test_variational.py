@@ -64,6 +64,16 @@ def test_lagrangian_rejects_wrong_analytic_partial():
         )
 
 
+def test_lagrangian_rejects_partial_checked_only_against_nan():
+    """A NaN finite difference checks nothing, so no probe point counts and
+    the wrong ``d3`` is rejected instead of accepted."""
+    with pytest.raises(InputError, match="could not validate"):
+        Lagrangian(
+            lambda x1, x2, x3, x4, t: x3 * x3 + np.nan * x1,
+            d3=lambda x1, x2, x3, x4, t: 7.0 * x3,
+        )
+
+
 def test_lagrangian_accepts_consistent_partials():
     Lagrangian(
         lambda x1, x2, x3, x4, t: x1 * x1 + math.sin(x3),

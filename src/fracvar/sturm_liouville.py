@@ -39,8 +39,9 @@ from .foundation import (
     symmetric_eigen,
     trapezoid,
 )
-from .operators import ClassicalOp, classical
-from .variational import VariationalProblem, _trajectory
+from .operators import ClassicalOp, ParameterSet, PowerLawKernel, classical
+from .operators import _apply_left, _bapply_left, _two_sided
+from .variational import VariationalProblem
 
 __all__ = [
     "SLProblem",
@@ -122,7 +123,8 @@ class RitzBasis:
     Row ``k`` of ``phi`` is ``sin((k+1) s(t)) / sqrt(w(t))`` with ``s``
     mapping the interval onto ``(0, pi)``; endpoint values are exactly
     zero.  ``dphi`` holds the order-``alpha`` derivative image of each
-    row, the single expensive part of assembly, computed once here.
+    row, the single expensive part of assembly, computed here by one
+    stacked application that builds the tables once for all rows.
     ``_coefficients`` holds the checked samples ``(p, q, w)`` on the grid.
     """
 
@@ -150,9 +152,11 @@ class RitzBasis:
         phi *= 1.0 / np.sqrt(coefficients[2])
         phi[:, 0] = 0.0
         phi[:, -1] = 0.0
-        dphi = np.empty_like(phi)
-        for k, row in enumerate(phi):
-            dphi[k] = problem.derivative_image(SampledFunction(grid, row)).values
+        if problem.alpha == 1.0:
+            dphi = np.gradient(phi, grid.h, axis=1, edge_order=2)
+        else:
+            caputo = PowerLawKernel(problem.alpha, "derivative")
+            dphi = _two_sided(ParameterSet(grid.a, grid.b, 1.0, 0.0), caputo, grid, phi, _bapply_left, -1.0)
         return cls(problem, grid, m, phi, dphi, coefficients)
 
 
@@ -328,7 +332,7 @@ class _TrialSpace:
     """Operator images of the background and of every basis direction.
 
     All four trajectory slots are affine in the coefficients, so one
-    precomputation per basis row turns each objective or gradient
+    stacked application per slot turns each objective or gradient
     evaluation into dense linear algebra.  ``value`` and ``gradient``
     take the slots of one coefficient vector, so an iterate's slots are
     formed once for both.
@@ -343,11 +347,16 @@ class _TrialSpace:
         if problem.weight is not None:
             self.tw = self.tw * problem.weight.values
         bg = SampledFunction(grid, _affine_background(problem, grid))
-        self.base = _trajectory(problem, bg)
-        self.images = tuple(np.empty_like(basis.phi) for _ in self.base)
-        for k, row in enumerate(basis.phi):
-            for image, values in zip(self.images, _trajectory(problem, SampledFunction(grid, row))):
-                image[k] = values
+        # _trajectory of every basis row and, in the last row, the background
+        op, rows = problem.binding, np.vstack((basis.phi, bg.values))
+        stacks = (
+            rows,
+            _two_sided(op.p, op.kernel, grid, rows, _apply_left, 1.0),
+            np.gradient(rows, grid.h, axis=1, edge_order=2),
+            _two_sided(op.p, op.kernel, grid, rows, _bapply_left, -1.0),
+        )
+        self.base = tuple(stack[-1] for stack in stacks)
+        self.images = tuple(stack[:-1] for stack in stacks)
 
     def slots(self, beta: np.ndarray):
         (b1, b2, b3, b4), (i1, i2, i3, i4) = self.base, self.images

@@ -41,6 +41,7 @@ from fracvar.operators import (
     _bapply_left,
     _cross_approximation,
     _mend_row,
+    _two_sided,
 )
 
 EXP_KERNEL = DifferenceKernel(lambda s: math.exp(-s))
@@ -347,12 +348,13 @@ def _engine_two_sided(p, kernel, f, left_rule, right_sign):
     grid, n = f.grid, f.grid.n
     out, flagged = np.zeros(n + 1), set()
     if p.lam != 0.0:
-        vals, flags = left_rule(kernel, grid, f.values)
-        out += p.lam * vals
+        vals, flags = left_rule(kernel, grid)(f.values[None])
+        out += p.lam * vals[0]
         flagged.update(flags)
     if p.mu != 0.0:
-        vals, flags = left_rule(_ReflectedKernel(kernel, grid.a, grid.b), grid, f.values[::-1].copy())
-        out += right_sign * p.mu * vals[::-1]
+        reflected = _ReflectedKernel(kernel, grid.a, grid.b)
+        vals, flags = left_rule(reflected, grid)(f.values[None, ::-1])
+        out += right_sign * p.mu * vals[0, ::-1]
         flagged.update(n - j for j in flags)
     return out, flagged
 
@@ -531,6 +533,62 @@ def test_general_kernel_b_apply_converges_at_first_order():
     assert min(_observed_orders(errors)) >= 1.0
 
 
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+def test_right_power_law_converges_at_first_order(alpha):
+    """On ``[1/2, 2]`` the right-sided integral of order ``alpha`` maps
+    ``(b - t)**2`` onto ``Gamma(3) / Gamma(3 + alpha) (b - t)**(2 + alpha)``,
+    and ``b_apply`` of the derivative kernel maps it onto minus its right
+    Caputo derivative, ``-Gamma(3) / Gamma(3 - alpha) (b - t)**(2 - alpha)``.
+    The sup errors over all nodes fall at least first order (K 1.97 to 2.0
+    observed, B about ``2 - alpha``)."""
+    right = ParameterSet(0.5, 2.0, 0.0, 1.0)
+    k_errors, b_errors = [], []
+    for n in (256, 512, 1024, 2048, 4096):
+        g = Grid(0.5, 2.0, n)
+        lag = 2.0 - g.nodes
+        f = SampledFunction(g, lag**2)
+        k = k_apply(right, PowerLawKernel(alpha, "integral"), f).values
+        k_errors.append(np.abs(k - gamma(3.0) / gamma(3.0 + alpha) * lag ** (2.0 + alpha)).max())
+        b = b_apply(right, PowerLawKernel(alpha, "derivative"), f).values
+        b_errors.append(np.abs(b + gamma(3.0) / gamma(3.0 - alpha) * lag ** (2.0 - alpha)).max())
+    assert min(_observed_orders(k_errors)) >= 1.0
+    assert min(_observed_orders(b_errors)) >= 1.0
+
+
+def _exp_images(poly, rate, t):
+    """Left and right integrals of ``exp(-rate |t - s|) poly(s)`` on ``[0, 1]``.
+
+    The left one solves ``I' = poly - rate I`` with ``I(0) = 0``: the
+    polynomial ``P = sum_j (-1)**j poly^(j) / rate**(j + 1)`` solves the
+    equation, and ``P(0) exp(-rate t)`` fixes the start value.  The right
+    one solves ``I' = rate I - poly`` with ``I(1) = 0``, by the same series
+    without the alternating sign.
+    """
+    terms = range(poly.degree() + 1)
+    left = sum((-1) ** j * poly.deriv(j) / rate ** (j + 1) for j in terms)
+    right = sum(poly.deriv(j) / rate ** (j + 1) for j in terms)
+    return left(t) - left(0.0) * np.exp(-rate * t), right(t) - right(1.0) * np.exp(-rate * (1.0 - t))
+
+
+def test_two_sided_exponential_kernel_converges_at_first_order():
+    """With ``exp(-1.7 u)`` and weights ``(0.7, -1.2)``, K of a cubic is
+    ``0.7 I_left - 1.2 I_right``, and B of it is K of its derivative.  The
+    sup errors over all nodes fall at least first order (2.0 observed)."""
+    rate, lam, mu = 1.7, 0.7, -1.2
+    p = ParameterSet(0.0, 1.0, lam, mu)
+    kernel = DifferenceKernel(lambda u: np.exp(-rate * u))
+    cubic = np.polynomial.Polynomial((0.3, -1.0, 0.5, 0.8))
+    k_errors, b_errors = [], []
+    for n in (256, 512, 1024, 2048, 4096):
+        g = Grid(0.0, 1.0, n)
+        f = SampledFunction(g, cubic(g.nodes))
+        for apply, poly, errors in ((k_apply, cubic, k_errors), (b_apply, cubic.deriv(), b_errors)):
+            left, right = _exp_images(poly, rate, g.nodes)
+            errors.append(np.abs(apply(p, kernel, f).values - (lam * left + mu * right)).max())
+    assert min(_observed_orders(k_errors)) >= 1.0
+    assert min(_observed_orders(b_errors)) >= 1.0
+
+
 def _power_law_pair(order, variant):
     """``PowerLawKernel(order, variant)`` and the same kernel written out as a
     ``GeneralKernel``, whose cofactor is singular on the diagonal."""
@@ -555,8 +613,9 @@ cross_path_pairs = some.one_of(
     seed=some.integers(0, 2**31),
 )
 def test_row_path_matches_fft_path_on_difference_kernels(pair, n, lam, mu, seed):
-    """A difference kernel written as a general kernel takes the row loop;
-    as itself, the FFT path.  Both agree within the FFT oracle's bound."""
+    """A difference kernel written as a general kernel takes the
+    hierarchical engine; as itself, the FFT path.  Both agree within the
+    FFT oracle's bound."""
     general, difference = pair
     hyp.assume(lam != 0.0 or mu != 0.0)
     p = ParameterSet(0.0, 1.0, lam, mu)
@@ -585,6 +644,82 @@ def test_singular_diagonal_is_continued_linearly():
         b = b_apply(p, kernel, SampledFunction(g, g.nodes)).values
         assert np.abs(k - want).max() < 1e-13
         assert np.abs(b - want).max() < 1e-13
+
+
+# --- stacked rows against one call per row --------------------------------
+#
+# ``_two_sided`` takes a stack of rows; ``k_apply`` and ``b_apply`` are its
+# one-row case.  The stack builds the tables and the weight spectrum once
+# and transforms rows in groups, which must not change a single bit.  Row
+# counts 3, 5 and 13 leave the last group ragged.
+
+STACKED_RULES = ((k_apply, _apply_left, 1.0), (b_apply, _bapply_left, -1.0))
+
+
+def _assert_stack_matches_rows(p, kernel, rows):
+    g = Grid(p.a, p.b, rows.shape[1] - 1)
+    for apply, left_rule, sign in STACKED_RULES:
+        stacked = _two_sided(p, kernel, g, rows, left_rule, sign)
+        per_row = np.array([apply(p, kernel, SampledFunction(g, row)).values for row in rows])
+        assert np.array_equal(stacked, per_row)
+
+
+@hyp.example(kernel=PowerLawKernel(0.3, "derivative"), n=1000, count=13, sides=(0.8, 1.9), seed=4)
+@hyp.settings(max_examples=30, deadline=None)
+@hyp.given(
+    kernel=difference_kernels,
+    n=some.integers(32, 4096),
+    count=some.sampled_from([1, 3, 5, 13]),
+    sides=some.sampled_from([(1.3, 0.0), (0.0, -0.7), (0.8, 1.9)]),
+    seed=some.integers(0, 2**31),
+)
+def test_stacked_rows_match_per_row_calls_bit_for_bit(kernel, n, count, sides, seed):
+    rows = np.random.default_rng(seed).uniform(-1, 1, (count, n + 1))
+    _assert_stack_matches_rows(ParameterSet(0.0, 1.0, *sides), kernel, rows)
+
+
+@pytest.mark.parametrize("sides", [(1.3, 0.0), (0.0, -0.7), (0.8, 1.9)])
+def test_stacked_rows_match_per_row_calls_on_a_general_kernel(sides):
+    """Non-difference kernels pass each row of the stack through the
+    hierarchical engine, in the same wrapper."""
+    rows = np.random.default_rng(5).uniform(-1, 1, (5, 301))
+    _assert_stack_matches_rows(ParameterSet(0.0, 1.0, *sides), GeneralKernel(_smooth(1.3, -0.7), 0.0), rows)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [PowerLawKernel(0.4, "integral"), PowerLawKernel(0.6, "derivative"), EXP_KERNEL,
+     GeneralKernel(lambda t, tau: np.cos(t - 2.0 * tau), 0.0)],
+    ids=["integral", "derivative", "exp", "general"],
+)
+def test_stacked_zero_rows_and_constant_rows_give_exact_zeros(kernel):
+    p = ParameterSet(0.0, 1.0, 0.8, 1.9)
+    g = Grid(0.0, 1.0, 32)
+    zeros, constants = np.zeros((5, 33)), np.linspace(-2.0, 3.0, 5)[:, None] * np.ones(33)
+    for _, left_rule, sign in STACKED_RULES:
+        assert np.all(_two_sided(p, kernel, g, zeros, left_rule, sign) == 0.0)
+    assert np.all(_two_sided(p, kernel, g, constants, _bapply_left, -1.0) == 0.0)
+
+
+def test_stacked_call_keeps_the_typed_errors():
+    """A non-finite kernel profile is a ``NumericError`` before any row is
+    touched; a non-finite output row is the ``InputError`` that the same
+    row raises on its own."""
+    g = Grid(0.0, 1.0, 32)
+    rows = np.zeros((5, 33))
+    pole = DifferenceKernel(lambda u: 1.0 / u)
+    for _, left_rule, sign in STACKED_RULES:
+        with pytest.raises(NumericError, match="profile"), np.errstate(divide="ignore"):
+            _two_sided(LEFT, pole, g, rows, left_rule, sign)
+
+    rows[3] = 1e308
+    kernel = PowerLawKernel(0.5, "integral")
+    with np.errstate(all="ignore"):
+        with pytest.raises(InputError, match="non-finite sample") as alone:
+            k_apply(LEFT, kernel, SampledFunction(g, rows[3]))
+        with pytest.raises(InputError) as stacked:
+            _two_sided(LEFT, kernel, g, rows, _apply_left, 1.0)
+    assert str(stacked.value) == str(alone.value)
 
 
 # --- derivative-type operators --------------------------------------------

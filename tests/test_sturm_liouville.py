@@ -31,8 +31,9 @@ from fracvar import (
     solve_spectrum,
     trapezoid,
 )
-from fracvar import sturm_liouville
+from fracvar import operators, sturm_liouville
 from fracvar.experiments import translated_quadratic_problem
+from fracvar.variational import _trajectory
 
 ONE = lambda t: 1.0
 ZERO = lambda t: 0.0
@@ -427,3 +428,63 @@ def test_preconditioner_diagonal_floor_and_identity():
     d = space.diagonal(space.slots(np.zeros(8)))
     assert np.allclose(d[0::2], d[0], rtol=1e-12)
     assert np.array_equal(d[1::2], np.full(4, 1e-8 * d.max()))
+
+
+# --- stacked images against one call per row -----------------------------------------
+#
+# RitzBasis.build and _TrialSpace apply each operator once to the whole
+# stack of basis rows; the per-row calls they replace are the oracle, bit
+# for bit.  The work-count gates fail if a later change goes back to
+# building the quadrature tables once per row.
+
+
+@pytest.mark.parametrize("alpha", [0.6, 1.0])
+def test_basis_images_match_per_row_derivative_images(alpha):
+    problem = SLProblem(alpha, ONE, ZERO, lambda t: 1.0 + 0.3 * t)
+    grid = Grid(0.0, math.pi, 333)
+    basis = RitzBasis.build(problem, 7, grid)
+    per_row = [problem.derivative_image(SampledFunction(grid, row)).values for row in basis.phi]
+    assert np.array_equal(basis.dphi, np.array(per_row))
+
+
+def two_sided_exp_problem(ya=0.3, yb=-1.1):
+    lag = Lagrangian(lambda x1, x2, x3, x4, t: x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4)
+    binding = OperatorBinding(ParameterSet(0.0, 1.0, 0.8, -1.3), DifferenceKernel(lambda s: np.exp(-s)))
+    return VariationalProblem(lag, binding, ya=ya, yb=yb)
+
+
+def test_trial_space_images_match_per_row_trajectories():
+    _, basis = unit_interval_basis(6, 301)
+    problem = two_sided_exp_problem()
+    space = sturm_liouville._TrialSpace(problem, basis)
+    bg = SampledFunction(basis.grid, sturm_liouville._affine_background(problem, basis.grid))
+    for got, want in zip(space.base, _trajectory(problem, bg)):
+        assert np.array_equal(got, want)
+    per_row = [_trajectory(problem, SampledFunction(basis.grid, row)) for row in basis.phi]
+    for got, want in zip(space.images, zip(*per_row)):
+        assert np.array_equal(got, np.array(want))
+
+
+def count_table_builds(monkeypatch):
+    calls = []
+    real = operators._pi_coefficients
+
+    def counting(mu, count):
+        calls.append(count)
+        return real(mu, count)
+
+    monkeypatch.setattr(operators, "_pi_coefficients", counting)
+    return calls
+
+
+def test_basis_build_makes_one_table_for_all_rows(monkeypatch):
+    calls = count_table_builds(monkeypatch)
+    RitzBasis.build(constant_problem(0.7), 32, Grid(0.0, math.pi, 1024))
+    assert len(calls) == 1
+
+
+def test_trial_space_makes_one_table_per_side_and_operator(monkeypatch):
+    _, basis = unit_interval_basis(8)
+    calls = count_table_builds(monkeypatch)
+    sturm_liouville._TrialSpace(two_sided_exp_problem(), basis)
+    assert len(calls) <= 4

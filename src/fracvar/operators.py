@@ -88,8 +88,9 @@ _ACA_TOL = 1e-13
 # smooth (a kink or a cut-off crosses it) and goes to the dense code; each
 # term costs O(rank) more than the last.  Smooth kernels tried needed <= 18.
 _ACA_MAX_RANK = 32
-# Rows per FFT call of the difference-kernel rules: at n = 4096 a group of
-# 4 takes about 0.7 of the time of single rows, with temporaries under 1 MB.
+# Rows per FFT call of the difference rules and per tile or far-block pass of
+# the engine.  At n = 4096 a group's temporaries exceed one row's by < 1 MB and
+# 2-4 MB, and a difference group takes about 0.7 of the time of single rows.
 _ROW_GROUP = 4
 
 
@@ -288,60 +289,73 @@ def _convolve(y: np.ndarray, length: int, count: int):
 def _difference_tables(kernel: Kernel, grid: Grid, count: int):
     """Shared setup of the difference-kernel paths.
 
-    Returns the quadrature exponent ``mu = 1 - s``, the product-integration
-    tables ``A(1..count)`` and ``B(1..count)``, and the kernel profile at
-    every lag ``t_j - a``.
+    Returns the product-integration tables ``A(1..count)`` and
+    ``B(1..count)`` of the quadrature exponent ``1 - s``, and the kernel
+    profile at every lag ``t_j - a``.
     """
-    mu = 1.0 - kernel.singularity_exponent
-    a_coef, b_coef = _pi_coefficients(mu, count)
+    a_coef, b_coef = _pi_coefficients(1.0 - kernel.singularity_exponent, count)
     prof = np.asarray(kernel.profile(grid.nodes - grid.a), dtype=float)
     if not np.all(np.isfinite(prof)):
         bad = int(np.flatnonzero(~np.isfinite(prof))[0])
         raise NumericError(f"kernel profile non-finite at lag index {bad}")
-    return mu, a_coef, b_coef, prof
+    return a_coef, b_coef, prof
 
 
 def _apply_left(kernel: Kernel, grid: Grid):
-    """Left-sided integral rule, with its tables built once: a function from
-    a stack of rows to (values at every node, flagged nodes).
+    """Left-sided integral rule, with its tables built once: a function
+    ``rule(rows, out, weight)`` that adds ``weight`` times each row's values
+    into ``out`` and returns the set of flagged nodes.
 
     Flagged nodes hold no trustworthy value (NaN placeholder); they arise
     only when a kernel declared bounded turns out non-finite at an
-    interval corner, and are patched afterwards by the caller.  The
-    hierarchical engine of non-difference kernels takes one row per call.
+    interval corner, depend on the kernel and grid alone, and are patched
+    afterwards by the caller.  Difference kernels transform ``_ROW_GROUP``
+    rows at a time; other kernels run the engine once for the whole stack.
     """
     n, h = grid.n, grid.h
+    mu = 1.0 - kernel.singularity_exponent
 
     if kernel.is_difference:
-        mu, a_coef, b_coef, prof = _difference_tables(kernel, grid, n + 1)
+        a_coef, b_coef, prof = _difference_tables(kernel, grid, n + 1)
         weights = np.empty(n + 1)
         weights[0] = b_coef[0]
         weights[1:] = (a_coef[:n] - b_coef[:n]) + b_coef[1:]
         convolve = _convolve(weights * prof, n + 1, n + 1)
         start = b_coef * prof
 
-        def rule(fv):
+        def values(fv):
             out = h ** mu * (convolve(fv) - start * fv[:, :1])
             out[:, 0] = 0.0
-            return out, []
+            return out
 
-        return rule
+        return _grouped(values)
 
-    def rule(fv):
+    def rule(rows, out, weight):
         # the first node's weight has no B(j + 1) part
-        tail = np.concatenate(([0.0], fv[0, 1:]))
-        values, flagged = _left_engine(kernel, grid, fv[0], tail, h ** (1.0 - kernel.singularity_exponent))
-        return values[None], flagged
+        tail = np.pad(rows[:, 1:], ((0, 0), (1, 0)))
+        return _left_engine(kernel, grid, rows, tail, h ** mu, out, weight)
 
     return rule
 
 
-def _left_engine(kernel: Kernel, grid: Grid, x1: np.ndarray, x2: np.ndarray, scale: float):
+def _grouped(values):
+    """Rule of ``_apply_left``'s form from ``values`` of ``_ROW_GROUP`` rows."""
+
+    def rule(rows, out, weight):
+        for lo in range(0, len(rows), _ROW_GROUP):
+            out[lo : lo + _ROW_GROUP] += weight * values(rows[lo : lo + _ROW_GROUP])
+        return set()
+
+    return rule
+
+
+def _left_engine(kernel: Kernel, grid: Grid, x1: np.ndarray, x2: np.ndarray, scale: float, into, weight: float):
     """Left-sided engine of non-difference kernels, shared by the K and B rules.
 
-    Computes, for every node ``j``,
+    Adds ``weight * out_rj`` to ``into``, for every row ``r`` of ``x1`` and
+    ``x2`` (shape ``(rows, n + 1)``) and every node ``j``, where
 
-        out_j = scale * sum_{i <= j} c(t_j, t_i) (T1[j-i] x1_i + T2[j-i] x2_i)
+        out_rj = scale * sum_{i <= j} c(t_j, t_i) (T1[j-i] x1_ri + T2[j-i] x2_ri)
 
     with the cofactor ``c`` and the lag tables ``T1[0] = 0``,
     ``T1[k] = A(k) - B(k)`` and ``T2[k] = B(k + 1)`` of ``_pi_coefficients``.
@@ -352,17 +366,20 @@ def _left_engine(kernel: Kernel, grid: Grid, x1: np.ndarray, x2: np.ndarray, sca
     the lag weights are then applied exactly, as one batched FFT middle
     product of ``T1``, ``T2`` against ``v * x1``, ``v * x2``.  A transform
     size of at least ``hi - lo`` keeps the wrapped terms out of the kept
-    outputs.  Returns (values, flagged nodes) like the engines that call it.
+    outputs.  Tile cofactors, far-block factors or samples and lag spectra
+    do not depend on the rows: each is built once per call and applied
+    ``_ROW_GROUP`` rows at a time.  Returns the flagged nodes (NaN in ``into``).
     """
     n, t = grid.n, grid.nodes
     s = kernel.singularity_exponent
     a_coef, b_coef = _pi_coefficients(1.0 - s, n + 1)
     lags = (np.concatenate(([0.0], a_coef[:n] - b_coef[:n])), b_coef)
-    out = np.zeros(n + 1)
-    flagged: list[int] = []
+    out = np.zeros(x1.shape)
+    groups = [slice(r, r + _ROW_GROUP) for r in range(0, len(x1), _ROW_GROUP)]
+    flagged: set[int] = set()
 
     def tile(lo: int, hi: int) -> None:
-        """Add the exact sum over columns ``[lo, j]`` to ``out_j`` for rows
+        """Add the exact sum over columns ``[lo, j]`` to ``out_rj`` for rows
         ``j`` in ``[lo, hi)``.
 
         Row ``j`` is one contiguous segment of a flat sample that starts two
@@ -389,12 +406,22 @@ def _left_engine(kernel: Kernel, grid: Grid, x1: np.ndarray, x2: np.ndarray, sca
             with np.errstate(invalid="ignore", divide="ignore"):
                 row = np.array(kernel.cofactor(t[j], t[: j + 1]), dtype=float)
             if not np.all(np.isfinite(row)) and _mend_row(row, j, t, s, kernel.cofactor) == "flag":
-                flagged.append(j)
+                flagged.add(j)
                 row = np.zeros_like(row)
             c[starts[k] : starts[k] + counts[k]] = row[first:]
+        # The columns left of lo only continue the diagonal; the far block
+        # sums them.  A tile that keeps rj and lag alive while the rows run
+        # crosses the allocator's trim threshold and faults every temporary
+        # in afresh.
         lag = rj - ci
-        weight = np.where(ci >= lo, lags[0][lag] * x1[ci] + lags[1][lag] * x2[ci], 0.0)
-        out[rows] += np.add.reduceat(c * weight, starts)
+        t1, t2, left = lags[0][lag], lags[1][lag], starts[:, None] + np.arange(lo - first)
+        t1[left] = t2[left] = 0.0
+        del rj, lag
+        for g in groups:
+            # np.take keeps a one-row gather as fast as 1-D indexing
+            weight = np.take(x1[g], ci, axis=1) * t1 + np.take(x2[g], ci, axis=1) * t2
+            weight *= c
+            out[g, rows[0] : hi] += np.add.reduceat(weight, starts, axis=1)
 
     def far_dense(lo: int, mid: int, hi: int) -> None:
         """Add the exact far block ``[mid, hi) x [lo, mid)`` to ``out``, in
@@ -413,9 +440,10 @@ def _left_engine(kernel: Kernel, grid: Grid, x1: np.ndarray, x2: np.ndarray, sca
                 raise NumericError(
                     f"kernel evaluation non-finite at node {j0 + j} (sample index {lo + i})"
                 )
-            for x, view in zip((x1, x2), toeplitz):
-                band = view[n - (j1 - 1 - lo) : n - (j0 - lo) + 1][::-1]
-                out[j0:j1] += np.einsum("ji,ji,i->j", c, band, x[lo:mid])
+            bands = [view[n - (j1 - 1 - lo) : n - (j0 - lo) + 1][::-1] for view in toeplitz]
+            for g in groups:
+                for x, band in zip((x1, x2), bands):
+                    out[g, j0:j1] += np.einsum("ji,ji,ri->rj", c, band, x[g, lo:mid])
 
     spectra: dict = {}
     size = _LEAF
@@ -441,15 +469,16 @@ def _left_engine(kernel: Kernel, grid: Grid, x1: np.ndarray, x2: np.ndarray, sca
         u, v = factors
         if size not in spectra:
             spectra[size] = [np.fft.rfft(lag[:size], size) for lag in lags]
-        mixed = sum(
-            np.fft.rfft(v * x[lo:mid], size, axis=1) * spec
-            for x, spec in zip((x1, x2), spectra[size])
-        )
-        z = np.fft.irfft(mixed, size, axis=1)[:, mid - lo : hi - lo]
-        out[mid:hi] += np.einsum("rk,kr->r", u, z)
+        for g in groups:
+            mixed = sum(np.fft.rfft(v * x[g, None, lo:mid], size) * spec
+                        for x, spec in zip((x1, x2), spectra[size]))
+            z = np.fft.irfft(mixed, size)[..., mid - lo : hi - lo]
+            out[g, mid:hi] += np.einsum("rk,gkr->gr", u, z)
     out *= scale
-    out[flagged] = np.nan
-    return out, flagged
+    out[:, sorted(flagged)] = np.nan
+    out *= weight
+    into += out
+    return flagged
 
 
 def _cross_approximation(cofactor, t, lo: int, mid: int, hi: int):
@@ -551,14 +580,13 @@ def _mend_row(c: np.ndarray, j: int, t: np.ndarray, s: float, cofactor) -> str:
     return "ok"
 
 
-def _patch_corners(values: np.ndarray, bad: set, n: int) -> np.ndarray:
-    """Replace corner-adjacent garbage nodes by quadratic extrapolation."""
+def _patch_corners(values: np.ndarray, bad: set, n: int) -> None:
+    """Extrapolate the corner-adjacent garbage nodes of every row, with one warning."""
     for node in bad:
         if min(node, n - node) > _CORNER_FIT:
             raise NumericError(
                 f"kernel non-finite away from the interval corners (node {node})"
             )
-    out = values.copy()
     left = [i for i in bad if i <= n // 2]
     right = [i for i in bad if i > n // 2]
     patched = 0
@@ -573,15 +601,14 @@ def _patch_corners(values: np.ndarray, bad: set, n: int) -> np.ndarray:
             lo = min(cluster) - _CORNER_PAD
             fit = np.arange(lo - _CORNER_FIT, lo)
             fix = np.arange(lo, n + 1)
-        coeffs = np.polyfit(fit.astype(float), out[fit], 2)
-        out[fix] = np.polyval(coeffs, fix.astype(float))
+        coeffs = np.polyfit(fit.astype(float), values[:, fit].T, 2)
+        values[:, fix] = np.polyval(coeffs, fix[:, None].astype(float)).T
         patched += len(fix)
     warnings.warn(
-        f"extrapolated {patched} corner-adjacent output nodes",
+        f"extrapolated {patched} corner-adjacent output nodes in each row",
         CornerExtrapolationWarning,
         stacklevel=4,
     )
-    return out
 
 
 def _two_sided(p: ParameterSet, kernel: Kernel, grid: Grid, rows: np.ndarray, left_rule, right_sign: float):
@@ -589,32 +616,20 @@ def _two_sided(p: ParameterSet, kernel: Kernel, grid: Grid, rows: np.ndarray, le
     shape ``(rows, n + 1)``, with corner patching.
 
     ``left_rule`` (``_apply_left`` or ``_bapply_left``) is prepared for one
-    side at a time, the right side on the reflected interval and reversed
-    rows.  Rows go through it ``_ROW_GROUP`` at a time (non-difference
-    kernels one at a time), straight into the output.
+    side at a time, the right side on the reflected interval, and is handed
+    the whole stack and the output, both reversed for the right side.
     """
     _check_interval(grid, p.a, p.b)
     if kernel.requires_positive_domain and grid.a <= 0.0:
         raise DomainError("this kernel needs a strictly positive interval, got a <= 0")
-    n, group = grid.n, _ROW_GROUP if kernel.is_difference else 1
-    out = np.zeros(rows.shape)
-    bad: dict = {}
-
-    def add(side: Kernel, weight: float, reflect: bool) -> None:
-        rule = left_rule(side, grid)
-        order = slice(None, None, -1 if reflect else 1)
-        for lo in range(0, len(rows), group):
-            values, flags = rule(rows[lo : lo + group, order])
-            out[lo : lo + group, order] += weight * values
-            if flags:
-                bad.setdefault(lo, set()).update(n - j if reflect else j for j in flags)
-
+    n, out, bad = grid.n, np.zeros(rows.shape), set()
     if p.lam != 0.0:
-        add(kernel, p.lam, False)
+        bad |= left_rule(kernel, grid)(rows, out, p.lam)
     if p.mu != 0.0:
-        add(_ReflectedKernel(kernel, grid.a, grid.b), right_sign * p.mu, True)
-    for r, nodes in bad.items():
-        out[r] = _patch_corners(out[r], nodes, n)
+        right = left_rule(_ReflectedKernel(kernel, grid.a, grid.b), grid)
+        bad |= {n - j for j in right(rows[:, ::-1], out[:, ::-1], right_sign * p.mu)}
+    if bad:
+        _patch_corners(out, bad, n)
     if not np.all(np.isfinite(out)):
         _, bad_node = np.argwhere(~np.isfinite(out))[0]
         raise InputError(f"non-finite sample at node {bad_node}")
@@ -659,24 +674,19 @@ def _bapply_left(kernel: Kernel, grid: Grid):
     polluting the quadrature near a startup cusp.
     """
     n, h = grid.n, grid.h
+    mu = 1.0 - kernel.singularity_exponent
 
     if kernel.is_difference:
-        mu, a_coef, b_coef, prof = _difference_tables(kernel, grid, n)
+        a_coef, b_coef, prof = _difference_tables(kernel, grid, n)
         cell = prof[1:] * (a_coef - b_coef) + prof[:-1] * b_coef
         convolve = _convolve(cell, n, n)
+        return _grouped(lambda fv: np.pad(h ** (mu - 1.0) * convolve(np.diff(fv, axis=1)), ((0, 0), (1, 0))))
 
-        def rule(fv):
-            return np.pad(h ** (mu - 1.0) * convolve(np.diff(fv, axis=1)), ((0, 0), (1, 0))), []
-
-        return rule
-
-    def rule(fv):
+    def rule(rows, out, weight):
         # cell i carries A - B at its left node and B at its right node
-        df = np.diff(fv[0])
-        mu = 1.0 - kernel.singularity_exponent
-        x1, x2 = np.append(df, 0.0), np.insert(df, 0, 0.0)
-        values, flagged = _left_engine(kernel, grid, x1, x2, h ** (mu - 1.0))
-        return values[None], flagged
+        df = np.diff(rows, axis=1)
+        x1, x2 = np.pad(df, ((0, 0), (0, 1))), np.pad(df, ((0, 0), (1, 0)))
+        return _left_engine(kernel, grid, x1, x2, h ** (mu - 1.0), out, weight)
 
     return rule
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -149,13 +150,20 @@ def test_nan_kernel_reports_numeric_error():
 
 
 def test_bounded_kernel_corner_is_mended_with_warning():
-    g = Grid(0.0, 1.0, 64)
+    p, g = ParameterSet(0.0, 1.0, 1.0, -1.0), Grid(0.0, 1.0, 64)
     rational = GeneralKernel(lambda x, y: (x * x - y * y) / (x * x + y * y) ** 2, 0.0)
     with pytest.warns(CornerExtrapolationWarning) as record:
-        out = k_apply(ParameterSet(0.0, 1.0, 1.0, -1.0), rational, SampledFunction(g, np.ones(65)))
+        out = k_apply(p, rational, SampledFunction(g, np.ones(65)))
     assert np.isfinite(out.values).all()
     # the warning points at the caller of k_apply, not into the library
     assert record[0].filename == __file__
+    # a stack patches every row and warns once per call
+    rows = np.random.default_rng(7).uniform(-1, 1, (5, 65))
+    for _, left_rule, sign in STACKED_RULES:
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            _two_sided(p, rational, g, rows, left_rule, sign)
+        assert [w.category for w in record] == [CornerExtrapolationWarning]
 
 
 # --- FFT convolution against the direct oracle -----------------------------
@@ -346,17 +354,14 @@ def _row_two_sided(p, kernel, f, left_rule, right_sign):
 def _engine_two_sided(p, kernel, f, left_rule, right_sign):
     """``_two_sided`` without the corner patch: values and flagged nodes."""
     grid, n = f.grid, f.grid.n
-    out, flagged = np.zeros(n + 1), set()
+    out, flagged = np.zeros((1, n + 1)), set()
     if p.lam != 0.0:
-        vals, flags = left_rule(kernel, grid)(f.values[None])
-        out += p.lam * vals[0]
-        flagged.update(flags)
+        flagged.update(left_rule(kernel, grid)(f.values[None], out, p.lam))
     if p.mu != 0.0:
         reflected = _ReflectedKernel(kernel, grid.a, grid.b)
-        vals, flags = left_rule(reflected, grid)(f.values[None, ::-1])
-        out += right_sign * p.mu * vals[0, ::-1]
+        flags = left_rule(reflected, grid)(f.values[None, ::-1], out[:, ::-1], right_sign * p.mu)
         flagged.update(n - j for j in flags)
-    return out, flagged
+    return out[0], flagged
 
 
 def _assert_engine_matches_oracle(p, kernel, f):
@@ -534,25 +539,29 @@ def test_general_kernel_b_apply_converges_at_first_order():
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
-def test_right_power_law_converges_at_first_order(alpha):
-    """On ``[1/2, 2]`` the right-sided integral of order ``alpha`` maps
-    ``(b - t)**2`` onto ``Gamma(3) / Gamma(3 + alpha) (b - t)**(2 + alpha)``,
-    and ``b_apply`` of the derivative kernel maps it onto minus its right
-    Caputo derivative, ``-Gamma(3) / Gamma(3 - alpha) (b - t)**(2 - alpha)``.
-    The sup errors over all nodes fall at least first order (K 1.97 to 2.0
-    observed, B about ``2 - alpha``)."""
-    right = ParameterSet(0.5, 2.0, 0.0, 1.0)
-    k_errors, b_errors = [], []
-    for n in (256, 512, 1024, 2048, 4096):
-        g = Grid(0.5, 2.0, n)
-        lag = 2.0 - g.nodes
-        f = SampledFunction(g, lag**2)
-        k = k_apply(right, PowerLawKernel(alpha, "integral"), f).values
-        k_errors.append(np.abs(k - gamma(3.0) / gamma(3.0 + alpha) * lag ** (2.0 + alpha)).max())
-        b = b_apply(right, PowerLawKernel(alpha, "derivative"), f).values
-        b_errors.append(np.abs(b + gamma(3.0) / gamma(3.0 - alpha) * lag ** (2.0 - alpha)).max())
-    assert min(_observed_orders(k_errors)) >= 1.0
-    assert min(_observed_orders(b_errors)) >= 1.0
+def test_power_law_converges_at_first_order(alpha):
+    """On ``[1/2, 2]`` with the lag ``u = t - a`` (left side) or ``b - t``
+    (right side), the integral of order ``alpha`` maps ``u**2`` onto
+    ``Gamma(3) / Gamma(3 + alpha) u**(2 + alpha)``.  Both ``a_apply`` and
+    ``b_apply`` of the derivative kernel map it onto ``+-Gamma(3) /
+    Gamma(3 - alpha) u**(2 - alpha)``: the Riemann-Liouville and Caputo
+    derivatives agree because ``u**2`` vanishes to second order, and the
+    right-sided ones carry a minus sign.  The sup errors over all nodes
+    fall at least first order on both sides (K 1.97 to 2.0 observed, A and
+    B about ``2 - alpha``)."""
+    for p, sign in ((ParameterSet(0.5, 2.0, 1.0, 0.0), 1.0), (ParameterSet(0.5, 2.0, 0.0, 1.0), -1.0)):
+        errors = {k_apply: [], a_apply: [], b_apply: []}
+        for n in (256, 512, 1024, 2048, 4096):
+            g = Grid(0.5, 2.0, n)
+            lag = g.nodes - 0.5 if sign > 0.0 else 2.0 - g.nodes
+            f = SampledFunction(g, lag**2)
+            k = k_apply(p, PowerLawKernel(alpha, "integral"), f).values
+            errors[k_apply].append(np.abs(k - gamma(3.0) / gamma(3.0 + alpha) * lag ** (2.0 + alpha)).max())
+            want = sign * gamma(3.0) / gamma(3.0 - alpha) * lag ** (2.0 - alpha)
+            for apply in (a_apply, b_apply):
+                errors[apply].append(np.abs(apply(p, PowerLawKernel(alpha, "derivative"), f).values - want).max())
+        for errs in errors.values():
+            assert min(_observed_orders(errs)) >= 1.0
 
 
 def _exp_images(poly, rate, t):
@@ -573,20 +582,29 @@ def _exp_images(poly, rate, t):
 def test_two_sided_exponential_kernel_converges_at_first_order():
     """With ``exp(-1.7 u)`` and weights ``(0.7, -1.2)``, K of a cubic is
     ``0.7 I_left - 1.2 I_right``, and B of it is K of its derivative.  The
-    sup errors over all nodes fall at least first order (2.0 observed)."""
+    bounded non-difference kernel ``w(t) exp(-1.7 (t - s))``, with
+    ``w(t) = 1 + t**2 / 2``, weighs by the later time: ``w(t) I_left`` on
+    the left, ``I_right`` of ``w`` times the polynomial on the right.  The
+    sup errors over all nodes fall at least first order (2.0 observed on
+    both kernels)."""
     rate, lam, mu = 1.7, 0.7, -1.2
     p = ParameterSet(0.0, 1.0, lam, mu)
-    kernel = DifferenceKernel(lambda u: np.exp(-rate * u))
-    cubic = np.polynomial.Polynomial((0.3, -1.0, 0.5, 0.8))
-    k_errors, b_errors = [], []
-    for n in (256, 512, 1024, 2048, 4096):
-        g = Grid(0.0, 1.0, n)
-        f = SampledFunction(g, cubic(g.nodes))
-        for apply, poly, errors in ((k_apply, cubic, k_errors), (b_apply, cubic.deriv(), b_errors)):
-            left, right = _exp_images(poly, rate, g.nodes)
-            errors.append(np.abs(apply(p, kernel, f).values - (lam * left + mu * right)).max())
-    assert min(_observed_orders(k_errors)) >= 1.0
-    assert min(_observed_orders(b_errors)) >= 1.0
+    cubic, one = np.polynomial.Polynomial((0.3, -1.0, 0.5, 0.8)), np.polynomial.Polynomial(1.0)
+    w = np.polynomial.Polynomial((1.0, 0.0, 0.5))
+    for kernel, weight in (
+        (DifferenceKernel(lambda u: np.exp(-rate * u)), one),
+        (GeneralKernel(lambda t, s: (1.0 + 0.5 * t * t) * np.exp(-rate * (t - s))), w),
+    ):
+        k_errors, b_errors = [], []
+        for n in (256, 512, 1024, 2048, 4096):
+            g = Grid(0.0, 1.0, n)
+            f = SampledFunction(g, cubic(g.nodes))
+            for apply, poly, errors in ((k_apply, cubic, k_errors), (b_apply, cubic.deriv(), b_errors)):
+                left = weight(g.nodes) * _exp_images(poly, rate, g.nodes)[0]
+                right = _exp_images(weight * poly, rate, g.nodes)[1]
+                errors.append(np.abs(apply(p, kernel, f).values - (lam * left + mu * right)).max())
+        assert min(_observed_orders(k_errors)) >= 1.0
+        assert min(_observed_orders(b_errors)) >= 1.0
 
 
 def _power_law_pair(order, variant):
@@ -649,9 +667,11 @@ def test_singular_diagonal_is_continued_linearly():
 # --- stacked rows against one call per row --------------------------------
 #
 # ``_two_sided`` takes a stack of rows; ``k_apply`` and ``b_apply`` are its
-# one-row case.  The stack builds the tables and the weight spectrum once
-# and transforms rows in groups, which must not change a single bit.  Row
-# counts 3, 5 and 13 leave the last group ragged.
+# one-row case.  Each side's rule is prepared once and handed the whole
+# stack: difference kernels build the tables and the weight spectrum once,
+# other kernels the engine's tile cofactors, far-block factors or samples
+# and lag spectra.  Both apply them to rows in groups, which must not
+# change a single bit.  Row counts 3, 5 and 13 leave the last group ragged.
 
 STACKED_RULES = ((k_apply, _apply_left, 1.0), (b_apply, _bapply_left, -1.0))
 
@@ -678,12 +698,50 @@ def test_stacked_rows_match_per_row_calls_bit_for_bit(kernel, n, count, sides, s
     _assert_stack_matches_rows(ParameterSet(0.0, 1.0, *sides), kernel, rows)
 
 
-@pytest.mark.parametrize("sides", [(1.3, 0.0), (0.0, -0.7), (0.8, 1.9)])
-def test_stacked_rows_match_per_row_calls_on_a_general_kernel(sides):
-    """Non-difference kernels pass each row of the stack through the
-    hierarchical engine, in the same wrapper."""
-    rows = np.random.default_rng(5).uniform(-1, 1, (5, 301))
-    _assert_stack_matches_rows(ParameterSet(0.0, 1.0, *sides), GeneralKernel(_smooth(1.3, -0.7), 0.0), rows)
+GENERAL_STACK_KERNELS = (
+    GeneralKernel(_smooth(1.3, -0.7), 0.0),
+    counterexample_kernel(),
+    GeneralKernel(_singular(0.5, 0.3, 0.4), 0.4),
+    GeneralKernel(lambda x, y: np.where(x - y < 0.1, np.cos(x - y), 0.0), 0.0),
+)
+
+
+@pytest.mark.filterwarnings("ignore::fracvar.CornerExtrapolationWarning")
+@pytest.mark.parametrize(
+    "sides, n, count",
+    [((1.3, 0.0), 4096, 1), ((0.0, -0.7), 2048, 5), ((0.8, 1.9), 300, 13)],
+    ids=["sides0", "sides1", "sides2"],
+)
+def test_stacked_rows_match_per_row_calls_on_a_general_kernel(sides, n, count):
+    """One engine run serves the whole stack: a smooth kernel, a kernel
+    whose last node is flagged on the right side and patched in every
+    row, a singular kernel with a mended first row, and a cut-off kernel
+    whose far blocks go to the dense code at n = 2048 and 4096 and to
+    cross approximation at n = 300."""
+    rows = np.random.default_rng(5).uniform(-1, 1, (count, n + 1))
+    for kernel in GENERAL_STACK_KERNELS:
+        _assert_stack_matches_rows(ParameterSet(0.0, 1.0, *sides), kernel, rows)
+
+
+def test_stacked_general_kernel_samples_as_many_entries_as_one_row():
+    """Nothing the engine samples depends on the rows: 33 rows ask the
+    kernel for exactly the entries of one row (578,568 for K here), where
+    one engine run per row would ask for 33 times as many."""
+    asked = [0]
+
+    def exp_lag(t, s):
+        asked[0] += np.broadcast(t, s).size
+        return np.exp(-(t - s))
+
+    kernel, p, g = GeneralKernel(exp_lag), ParameterSet(0.0, 1.0, 0.8, -1.3), Grid(0.0, 1.0, 2048)
+    rows = np.random.default_rng(6).uniform(-1, 1, (33, 2049))
+    for _, left_rule, sign in STACKED_RULES:
+        counts = []
+        for stack in (rows[:1], rows):
+            asked[0] = 0
+            _two_sided(p, kernel, g, stack, left_rule, sign)
+            counts.append(asked[0])
+        assert counts[1] == counts[0]
 
 
 @pytest.mark.parametrize(

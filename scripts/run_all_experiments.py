@@ -1,6 +1,8 @@
 """Run every experiment in the catalogue with its default parameters.
 
-Each experiment writes its artifact directory under --output-root and
+Each experiment writes its artifact directory under --output-root (by
+default the root that ``fracvar.experiments.run`` resolves: the
+``FRACVAR_OUTPUT_DIR`` environment variable, else ./fracvar_results) and
 prints one line per assertion. Exit status is 0 when every assertion
 passes, 1 when any fails, 2 for a config error.
 """
@@ -24,7 +26,6 @@ def main(argv=None):
     )
     parser.add_argument(
         "--output-root",
-        default="fracvar_results",
         help="directory that receives one artifact subdirectory per experiment",
     )
     parser.add_argument(
@@ -42,7 +43,9 @@ def main(argv=None):
     ids = args.only or experiment_ids()
     failures = []
     for name in ids:
-        doc = {"experiment": name, "output_dir": args.output_root}
+        doc = {"experiment": name}
+        if args.output_root is not None:
+            doc["output_dir"] = args.output_root
         if args.seed is not None:
             doc["seed"] = args.seed
         try:

@@ -23,8 +23,11 @@ reduced by adaptive cross approximation (Bebendorf, Numer. Math. 86,
 2000) to a few sampled rows and columns whose lag weights are applied by
 FFT.  That costs O(n * 256) cofactor evaluations and O(n log**2 n)
 arithmetic instead of the (n + 1)(n + 2) / 2 evaluations of a full
-triangle.  The right-sided integral is reduced to a left-sided one by
-reflecting the interval, so both engines serve both sides.
+triangle.  The right-sided integral is the left-sided one of the
+reversed samples at the reflected nodes ``a + b - t``, where the engine
+samples the cofactor with its arguments swapped; a difference kernel
+reflects onto itself, so its path ignores the side and samples its
+cofactor once, at ``(t_j, a)``: the cofactor at every lag ``t_j - a``.
 """
 
 from __future__ import annotations
@@ -126,8 +129,9 @@ class Kernel:
     """Base interface: diagonal singularity strength plus bounded cofactor."""
 
     #: difference-type kernels depend on t - tau only and take the FFT
-    #: convolution path, O(n log n); all others take the hierarchical
-    #: engine, O(n * 256) cofactor evaluations
+    #: convolution path, O(n log n), which samples the cofactor at
+    #: ``(t_j, a)`` only; all others take the hierarchical engine,
+    #: O(n * 256) cofactor evaluations
     is_difference: bool = False
     #: kernels on multiplicative time need a strictly positive interval
     requires_positive_domain: bool = False
@@ -137,6 +141,11 @@ class Kernel:
     def cofactor(self, x, y) -> np.ndarray:
         """Bounded part ``k(x, y) * (x - y)**s`` for ``y <= x`` elementwise.
 
+        It is the only way a kernel is sampled.  The right-sided integral
+        asks for ``cofactor(tau, t)`` with ``tau >= t`` at the reflected
+        nodes, and a difference-type kernel is asked once per call, for
+        ``cofactor(t_j, a)`` at every node ``t_j``.
+
         Far from the diagonal the engine samples a few rows and columns of
         each block instead of every entry, so a non-finite value there may
         go unseen: the cofactor must be finite everywhere except on the
@@ -145,10 +154,6 @@ class Kernel:
         always evaluated in full.
         """
         raise NotImplementedError
-
-    def profile(self, u: np.ndarray) -> np.ndarray:
-        """Cofactor as a function of the lag ``u = x - y`` (difference type only)."""
-        raise ConfigurationError(f"{type(self).__name__} is not difference-type")
 
 
 @dataclass(frozen=True)
@@ -160,9 +165,6 @@ class DifferenceKernel(Kernel):
 
     def cofactor(self, x, y) -> np.ndarray:
         return _evaluate(self.h, np.asarray(x) - np.asarray(y))
-
-    def profile(self, u: np.ndarray) -> np.ndarray:
-        return _evaluate(self.h, u)
 
 
 @dataclass(frozen=True)
@@ -195,9 +197,6 @@ class PowerLawKernel(Kernel):
 
     def cofactor(self, x, y) -> np.ndarray:
         return np.full(np.broadcast(x, y).shape, self._const())
-
-    def profile(self, u: np.ndarray) -> np.ndarray:
-        return np.full(np.shape(u), self._const())
 
 
 @dataclass(frozen=True)
@@ -254,27 +253,6 @@ class GeneralKernel(Kernel):
         return kv * np.where(d > 0.0, d, 0.0) ** s
 
 
-class _ReflectedKernel(Kernel):
-    """View of a kernel under the interval reflection ``t -> a + b - t``.
-
-    Turns the right-sided integral into a left-sided one on the reversed
-    samples; difference-type kernels reflect onto themselves.
-    """
-
-    def __init__(self, base: Kernel, a: float, b: float) -> None:
-        self.base = base
-        self.ab = a + b
-        self.is_difference = base.is_difference
-        self.requires_positive_domain = base.requires_positive_domain
-        self.singularity_exponent = base.singularity_exponent
-
-    def cofactor(self, x, y) -> np.ndarray:
-        return self.base.cofactor(self.ab - np.asarray(y), self.ab - np.asarray(x))
-
-    def profile(self, u: np.ndarray) -> np.ndarray:
-        return self.base.profile(u)
-
-
 def _convolve(y: np.ndarray, length: int, count: int):
     """Function from a stack of rows of ``length`` entries to the first
     ``count`` entries of each row's linear convolution with ``y``, whose
@@ -291,20 +269,22 @@ def _difference_tables(kernel: Kernel, grid: Grid, count: int):
 
     Returns the product-integration tables ``A(1..count)`` and
     ``B(1..count)`` of the quadrature exponent ``1 - s``, and the kernel
-    profile at every lag ``t_j - a``.
+    profile ``c(t_j, a)``, the cofactor at every lag ``t_j - a``.
     """
     a_coef, b_coef = _pi_coefficients(1.0 - kernel.singularity_exponent, count)
-    prof = np.asarray(kernel.profile(grid.nodes - grid.a), dtype=float)
+    prof = np.asarray(kernel.cofactor(grid.nodes, grid.a), dtype=float)
     if not np.all(np.isfinite(prof)):
         bad = int(np.flatnonzero(~np.isfinite(prof))[0])
         raise NumericError(f"kernel profile non-finite at lag index {bad}")
     return a_coef, b_coef, prof
 
 
-def _apply_left(kernel: Kernel, grid: Grid):
+def _apply_left(kernel: Kernel, grid: Grid, right: bool):
     """Left-sided integral rule, with its tables built once: a function
     ``rule(rows, out, weight)`` that adds ``weight`` times each row's values
-    into ``out`` and returns the set of flagged nodes.
+    into ``out`` and returns the set of flagged nodes.  With ``right`` set
+    it is the rule on the reflected interval, which ``_two_sided`` hands
+    the reversed rows; difference kernels reflect onto themselves.
 
     Flagged nodes hold no trustworthy value (NaN placeholder); they arise
     only when a kernel declared bounded turns out non-finite at an
@@ -333,7 +313,7 @@ def _apply_left(kernel: Kernel, grid: Grid):
     def rule(rows, out, weight):
         # the first node's weight has no B(j + 1) part
         tail = np.pad(rows[:, 1:], ((0, 0), (1, 0)))
-        return _left_engine(kernel, grid, rows, tail, h ** mu, out, weight)
+        return _left_engine(kernel, grid, right, rows, tail, h ** mu, out, weight)
 
     return rule
 
@@ -349,7 +329,8 @@ def _grouped(values):
     return rule
 
 
-def _left_engine(kernel: Kernel, grid: Grid, x1: np.ndarray, x2: np.ndarray, scale: float, into, weight: float):
+def _left_engine(kernel: Kernel, grid: Grid, right: bool, x1: np.ndarray, x2: np.ndarray,
+                 scale: float, into, weight: float):
     """Left-sided engine of non-difference kernels, shared by the K and B rules.
 
     Adds ``weight * out_rj`` to ``into``, for every row ``r`` of ``x1`` and
@@ -359,6 +340,10 @@ def _left_engine(kernel: Kernel, grid: Grid, x1: np.ndarray, x2: np.ndarray, sca
 
     with the cofactor ``c`` and the lag tables ``T1[0] = 0``,
     ``T1[k] = A(k) - B(k)`` and ``T2[k] = B(k + 1)`` of ``_pi_coefficients``.
+    On the left ``t`` are the grid nodes and ``c`` is ``kernel.cofactor``.
+    With ``right`` set, ``t`` are the reflected nodes ``a + b - t`` and
+    ``c(x, y)`` is ``kernel.cofactor(y, x)``, which turns the right-sided
+    integral of the reversed rows into this left-sided one.
     The lower triangle is split dyadically (Hackbusch, Computing 62, 1999).
     Diagonal tiles of at most ``_LEAF`` rows are evaluated densely.  Each
     far block ``[mid, hi) x [lo, mid)`` has a smooth cofactor, which
@@ -370,8 +355,26 @@ def _left_engine(kernel: Kernel, grid: Grid, x1: np.ndarray, x2: np.ndarray, sca
     do not depend on the rows: each is built once per call and applied
     ``_ROW_GROUP`` rows at a time.  Returns the flagged nodes (NaN in ``into``).
     """
-    n, t = grid.n, grid.nodes
-    s = kernel.singularity_exponent
+    n, s = grid.n, kernel.singularity_exponent
+    if right:
+        t = (grid.a + grid.b) - grid.nodes
+
+        def cofactor(x, y):
+            return kernel.cofactor(y, x)
+    else:
+        t, cofactor = grid.nodes, kernel.cofactor
+
+    def sample(j, i, check: bool = True) -> np.ndarray:
+        """``c(t[j], t[i])`` as floats; unless ``check`` is off, a
+        non-finite entry raises ``NumericError``."""
+        with np.errstate(invalid="ignore", divide="ignore"):
+            c = np.array(cofactor(t[j], t[i]), dtype=float)
+        if check and not np.all(np.isfinite(c)):
+            bad = int(np.flatnonzero(~np.isfinite(c))[0])
+            node, index = (int(a.flat[bad]) for a in np.broadcast_arrays(j, i))
+            raise NumericError(f"kernel evaluation non-finite at node {node} (sample index {index})")
+        return c
+
     a_coef, b_coef = _pi_coefficients(1.0 - s, n + 1)
     lags = (np.concatenate(([0.0], a_coef[:n] - b_coef[:n])), b_coef)
     out = np.zeros(x1.shape)
@@ -395,17 +398,16 @@ def _left_engine(kernel: Kernel, grid: Grid, x1: np.ndarray, x2: np.ndarray, sca
         starts = np.cumsum(counts) - counts
         rj = np.repeat(rows, counts)
         ci = np.arange(rj.size) - np.repeat(starts - first, counts)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            c = np.array(kernel.cofactor(t[rj], t[ci]), dtype=float)
-            if s > 0.0:
-                ends = starts + counts - 1
-                gap = ends[(rows >= 2) & ~np.isfinite(c[ends])]
+        c = sample(rj, ci, check=False)
+        if s > 0.0:
+            ends = starts + counts - 1
+            gap = ends[(rows >= 2) & ~np.isfinite(c[ends])]
+            with np.errstate(invalid="ignore"):
                 c[gap] = 2.0 * c[gap - 1] - c[gap - 2]
         for k in np.flatnonzero(np.logical_or.reduceat(~np.isfinite(c), starts)):
             j = int(rows[k])
-            with np.errstate(invalid="ignore", divide="ignore"):
-                row = np.array(kernel.cofactor(t[j], t[: j + 1]), dtype=float)
-            if not np.all(np.isfinite(row)) and _mend_row(row, j, t, s, kernel.cofactor) == "flag":
+            row = sample(j, np.arange(j + 1), check=False)
+            if not np.all(np.isfinite(row)) and _mend_row(row, j, t, s, cofactor) == "flag":
                 flagged.add(j)
                 row = np.zeros_like(row)
             c[starts[k] : starts[k] + counts[k]] = row[first:]
@@ -433,13 +435,7 @@ def _left_engine(kernel: Kernel, grid: Grid, x1: np.ndarray, x2: np.ndarray, sca
         toeplitz = [np.lib.stride_tricks.sliding_window_view(lag[::-1], width) for lag in lags]
         for j0 in range(mid, hi, step):
             j1 = min(j0 + step, hi)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                c = np.array(kernel.cofactor(t[j0:j1, None], t[None, lo:mid]), dtype=float)
-            if not np.all(np.isfinite(c)):
-                j, i = np.argwhere(~np.isfinite(c))[0]
-                raise NumericError(
-                    f"kernel evaluation non-finite at node {j0 + j} (sample index {lo + i})"
-                )
+            c = sample(np.arange(j0, j1)[:, None], np.arange(lo, mid))
             bands = [view[n - (j1 - 1 - lo) : n - (j0 - lo) + 1][::-1] for view in toeplitz]
             for g in groups:
                 for x, band in zip((x1, x2), bands):
@@ -462,7 +458,7 @@ def _left_engine(kernel: Kernel, grid: Grid, x1: np.ndarray, x2: np.ndarray, sca
         if mid >= hi:
             continue
         pending.append((mid, size // 2))
-        factors = _cross_approximation(kernel.cofactor, t, lo, mid, hi)
+        factors = _cross_approximation(sample, lo, mid, hi)
         if factors is None:
             far_dense(lo, mid, hi)
             continue
@@ -481,10 +477,11 @@ def _left_engine(kernel: Kernel, grid: Grid, x1: np.ndarray, x2: np.ndarray, sca
     return flagged
 
 
-def _cross_approximation(cofactor, t, lo: int, mid: int, hi: int):
-    """Low-rank factors ``u @ v`` of the cofactor on the far block
-    ``t[mid:hi] x t[lo:mid]``, or ``None`` when the block should be
-    evaluated densely.
+def _cross_approximation(sample, lo: int, mid: int, hi: int):
+    """Low-rank factors ``u @ v`` of the cofactor on the far block of nodes
+    ``[mid, hi) x [lo, mid)``, or ``None`` when the block should be
+    evaluated densely.  ``sample(j, i)`` returns the cofactor at node
+    indices ``j`` and ``i`` and raises on a non-finite value.
 
     Partial-pivot adaptive cross approximation to ``_ACA_TOL`` relative to
     the Frobenius norm of the approximant: each step samples one residual
@@ -495,21 +492,10 @@ def _cross_approximation(cofactor, t, lo: int, mid: int, hi: int):
     whose spaced rows are all zero before any term is found, is not smooth
     enough for this to pay.  Partial pivoting can miss part of a block, so
     the block's first column and last row are then sampled in full and
-    checked against the factors; a mismatch also returns ``None``.  A
-    non-finite sample is a hard error.
+    checked against the factors; a mismatch also returns ``None``.
     """
     rows, cols = np.arange(mid, hi), np.arange(lo, mid)
     nr, nc = rows.size, cols.size
-
-    def sample(j, i):
-        with np.errstate(invalid="ignore", divide="ignore"):
-            vals = np.array(cofactor(t[j], t[i]), dtype=float).reshape(-1)
-        bad = np.flatnonzero(~np.isfinite(vals))
-        if bad.size:
-            node, index = (int(a.flat[bad[0]]) for a in np.broadcast_arrays(j, i))
-            raise NumericError(f"kernel evaluation non-finite at node {node} (sample index {index})")
-        return vals
-
     cap = min(nr, nc, _ACA_MAX_RANK)
     u, v = np.empty((nr, cap)), np.empty((cap, nc))
     spread = iter(np.linspace(0, nr - 1, 9).astype(int))
@@ -624,9 +610,9 @@ def _two_sided(p: ParameterSet, kernel: Kernel, grid: Grid, rows: np.ndarray, le
         raise DomainError("this kernel needs a strictly positive interval, got a <= 0")
     n, out, bad = grid.n, np.zeros(rows.shape), set()
     if p.lam != 0.0:
-        bad |= left_rule(kernel, grid)(rows, out, p.lam)
+        bad |= left_rule(kernel, grid, False)(rows, out, p.lam)
     if p.mu != 0.0:
-        right = left_rule(_ReflectedKernel(kernel, grid.a, grid.b), grid)
+        right = left_rule(kernel, grid, True)
         bad |= {n - j for j in right(rows[:, ::-1], out[:, ::-1], right_sign * p.mu)}
     if bad:
         _patch_corners(out, bad, n)
@@ -664,7 +650,7 @@ def a_apply(p: ParameterSet, kernel: Kernel, f: SampledFunction) -> SampledFunct
     return SampledFunction(grid, d)
 
 
-def _bapply_left(kernel: Kernel, grid: Grid):
+def _bapply_left(kernel: Kernel, grid: Grid, right: bool):
     """Rule for the left integral of the kernel against the cell derivative
     of each row, in the form of ``_apply_left``.
 
@@ -686,7 +672,7 @@ def _bapply_left(kernel: Kernel, grid: Grid):
         # cell i carries A - B at its left node and B at its right node
         df = np.diff(rows, axis=1)
         x1, x2 = np.pad(df, ((0, 0), (0, 1))), np.pad(df, ((0, 0), (1, 0)))
-        return _left_engine(kernel, grid, x1, x2, h ** (mu - 1.0), out, weight)
+        return _left_engine(kernel, grid, right, x1, x2, h ** (mu - 1.0), out, weight)
 
     return rule
 

@@ -40,8 +40,8 @@ from .foundation import (
     trapezoid,
 )
 from .operators import ClassicalOp, ParameterSet, PowerLawKernel, classical
-from .operators import _apply_left, _bapply_left, _two_sided
-from .variational import VariationalProblem
+from .operators import _bapply_left, _two_sided
+from .variational import VariationalProblem, _slots
 
 __all__ = [
     "SLProblem",
@@ -214,11 +214,11 @@ def solve_spectrum(problem: SLProblem, m: int, r: int, grid: Optional[Grid] = No
     Without an explicit grid, a grid fine enough for ``m`` modes is
     chosen automatically.
     """
+    if not 1 <= r <= m:
+        raise InputError(f"requested {r} eigenpairs from an m={m} basis")
     if grid is None:
         grid = _default_grid(problem, m)
     basis = RitzBasis.build(problem, m, grid)
-    if not 1 <= r <= basis.m:
-        raise InputError(f"requested {r} eigenpairs from an m={basis.m} basis")
     matrix = _assemble_from_basis(basis)
     c = 0.5 * (grid.b - grid.a)
     vals, vecs = symmetric_eigen(matrix)
@@ -347,14 +347,8 @@ class _TrialSpace:
         if problem.weight is not None:
             self.tw = self.tw * problem.weight.values
         bg = SampledFunction(grid, _affine_background(problem, grid))
-        # _trajectory of every basis row and, in the last row, the background
-        op, rows = problem.binding, np.vstack((basis.phi, bg.values))
-        stacks = (
-            rows,
-            _two_sided(op.p, op.kernel, grid, rows, _apply_left, 1.0),
-            np.gradient(rows, grid.h, axis=1, edge_order=2),
-            _two_sided(op.p, op.kernel, grid, rows, _bapply_left, -1.0),
-        )
+        # the slots of every basis row and, in the last row, the background
+        stacks = _slots(problem.binding, grid, np.vstack((basis.phi, bg.values)))
         self.base = tuple(stack[-1] for stack in stacks)
         self.images = tuple(stack[:-1] for stack in stacks)
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DegeneracyError, DomainError, InputError
 from .foundation import (
+    Grid,
     SampledFunction,
     _check_interval,
     _evaluate,
@@ -30,6 +31,7 @@ from .foundation import (
     trapezoid,
 )
 from .operators import OperatorBinding, a_apply, b_apply, dual, k_apply
+from .operators import _apply_left, _bapply_left, _two_sided
 
 __all__ = [
     "Lagrangian",
@@ -168,13 +170,20 @@ def _check_boundary(problem: VariationalProblem, y: SampledFunction) -> None:
             )
 
 
+def _slots(binding: OperatorBinding, grid: Grid, rows: np.ndarray):
+    """The four trajectory slots ``(y, K y, y', B y)`` of each row of
+    ``rows``, shape ``(rows, n + 1)``, one stacked application per operator."""
+    p, kernel = binding.p, binding.kernel
+    return (
+        rows,
+        _two_sided(p, kernel, grid, rows, _apply_left, 1.0),
+        np.gradient(rows, grid.h, axis=1, edge_order=2),
+        _two_sided(p, kernel, grid, rows, _bapply_left, -1.0),
+    )
+
+
 def _trajectory(problem: VariationalProblem, y: SampledFunction):
-    b = problem.binding
-    x1 = y.values
-    x2 = b.k(y).values
-    x3 = y.derivative().values
-    x4 = b.b(y).values
-    return x1, x2, x3, x4
+    return tuple(slot[0] for slot in _slots(problem.binding, y.grid, y.values[None]))
 
 
 def evaluate_functional(problem: VariationalProblem, y: SampledFunction) -> float:

@@ -284,6 +284,18 @@ def test_run_all_experiments_script_passes(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(ALL_IDS)
 
 
+def test_run_all_experiments_script_defaults_to_the_environment_root(tmp_path, monkeypatch, capsys):
+    """Without --output-root the script leaves the artifact root to
+    ``run``, which reads ``FRACVAR_OUTPUT_DIR``."""
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "run_all_experiments.py")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("FRACVAR_OUTPUT_DIR", str(tmp_path / "from-env"))
+    assert runpy.run_path(script)["main"](["--only", "noether"]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["from-env"]
+    assert (tmp_path / "from-env" / "noether" / "results.json").is_file()
+
+
 @pytest.mark.parametrize(
     "doc",
     [{"experiment": exp_id} for exp_id in ALL_IDS] + [{"experiment": "sl-solve", "alpha": 1.0}],

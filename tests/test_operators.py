@@ -36,8 +36,8 @@ from fracvar.foundation import _pi_coefficients
 from fracvar.experiments import counterexample_kernel
 from fracvar.operators import (
     _CORNER_FIT,
+    _CORNER_PAD,
     Kernel,
-    _ReflectedKernel,
     _apply_left,
     _bapply_left,
     _cross_approximation,
@@ -179,7 +179,7 @@ def test_bounded_kernel_corner_is_mended_with_warning():
 def _direct_tables(kernel, grid, count):
     mu = 1.0 - kernel.singularity_exponent
     a_coef, b_coef = _pi_coefficients(mu, count)
-    return mu, a_coef, b_coef, kernel.profile(grid.nodes - grid.a)
+    return mu, a_coef, b_coef, kernel.cofactor(grid.nodes, grid.a)
 
 
 def _direct_k_left(kernel, grid, fv):
@@ -356,10 +356,9 @@ def _engine_two_sided(p, kernel, f, left_rule, right_sign):
     grid, n = f.grid, f.grid.n
     out, flagged = np.zeros((1, n + 1)), set()
     if p.lam != 0.0:
-        flagged.update(left_rule(kernel, grid)(f.values[None], out, p.lam))
+        flagged.update(left_rule(kernel, grid, False)(f.values[None], out, p.lam))
     if p.mu != 0.0:
-        reflected = _ReflectedKernel(kernel, grid.a, grid.b)
-        flags = left_rule(reflected, grid)(f.values[None, ::-1], out[:, ::-1], right_sign * p.mu)
+        flags = left_rule(kernel, grid, True)(f.values[None, ::-1], out[:, ::-1], right_sign * p.mu)
         flagged.update(n - j for j in flags)
     return out[0], flagged
 
@@ -445,6 +444,39 @@ def test_shared_row_loop_matches_oracle(case, n, lam, mu, seed):
     _assert_engine_matches_oracle(p, kernel, f)
 
 
+MIRROR_KERNELS = (
+    GeneralKernel(_smooth(1.3, -0.7), 0.0),
+    counterexample_kernel(),
+    GeneralKernel(lambda x, y: np.where(x - y < 0.1, np.cos(x - y), 0.0), 0.0),
+)
+
+
+@pytest.mark.parametrize("n", [300, 2048, 4096])
+def test_right_side_is_the_left_side_of_the_mirrored_kernel(n):
+    """The right-sided K and B of ``k`` are the reversed left-sided K and B
+    of the mirrored kernel ``k(a + b - y, a + b - x)`` on the reversed
+    samples (B with the sign of the reversed derivative), bit for bit on
+    every node the corner patch leaves alone.  The counterexample kernel
+    is flagged at the corner ``(0, 0)`` and patched on both sides."""
+    g = Grid(0.0, 1.0, n)
+    ab = g.a + g.b
+    f = SampledFunction(g, np.random.default_rng(n).uniform(-1, 1, n + 1))
+    f_reversed = SampledFunction(g, f.values[::-1].copy())
+    reach = _CORNER_FIT + _CORNER_PAD
+    for kernel in MIRROR_KERNELS:
+        mirrored = GeneralKernel(lambda x, y, k=kernel: k.cofactor(ab - y, ab - x), 0.0)
+        for apply, sign in ((k_apply, 1.0), (b_apply, -1.0)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", CornerExtrapolationWarning)
+                right = apply(ParameterSet(g.a, g.b, 0.0, 1.0), kernel, f).values
+                patched_right = len(caught)
+                left = sign * apply(LEFT, mirrored, f_reversed).values[::-1]
+                patched_left = len(caught) - patched_right
+            assert patched_right == patched_left
+            kept = slice(reach + 1, n - reach) if patched_right else slice(None)
+            assert np.array_equal(right[kept], left[kept])
+
+
 def test_cross_approximation_restarts_past_zero_rows_and_falls_back():
     """On the far block ``[512, 1024) x [0, 512)`` at n = 1023 the step
     kernel's first rows are zero, so the approximation restarts from other
@@ -456,10 +488,10 @@ def test_cross_approximation_restarts_past_zero_rows_and_falls_back():
         cofactor = GeneralKernel(_step(x0), 0.0).cofactor
         block = cofactor(t[512:, None], t[None, :512])
         assert not block[0].any() and block[-1].all()
-        u, v = _cross_approximation(cofactor, t, 0, 512, 1024)
+        u, v = _cross_approximation(lambda j, i: cofactor(t[j], t[i]), 0, 512, 1024)
         assert np.abs(u @ v - block).max() <= 1e-12 * np.abs(block).max()
     band = GeneralKernel(_band(t[512], t[522]), 0.0)
-    assert _cross_approximation(band.cofactor, t, 0, 512, 1024) is None
+    assert _cross_approximation(lambda j, i: band.cofactor(t[j], t[i]), 0, 512, 1024) is None
 
 
 class _CountingKernel(Kernel):

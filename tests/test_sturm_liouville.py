@@ -179,6 +179,36 @@ def test_solve_spectrum_rank_validation():
         solve_spectrum(constant_problem(0.75), 4, 0)
 
 
+def test_solve_spectrum_checks_rank_before_building_the_basis(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("RitzBasis.build ran before the rank check")
+
+    monkeypatch.setattr(RitzBasis, "build", no_build)
+    for r in (0, 5):
+        with pytest.raises(InputError, match="eigenpairs"):
+            solve_spectrum(constant_problem(0.75), 4, r, Grid(0.0, math.pi, 16384))
+
+
+@pytest.mark.parametrize("alpha, order", [(0.5 + 1e-9, None), (1.0 - 1e-9, 0.9)], ids=["lower", "upper"])
+def test_one_mode_spectrum_at_the_edge_orders(alpha, order):
+    """m = 1 at the ends of the admissible orders: the eigenvalue is
+    finite and equals the Rayleigh quotient of its eigenfunction.  Just
+    below alpha = 1 it approaches the classical one on the same grid at
+    first order (2.9e-2, 1.5e-2, 3.9e-3, 9.7e-4 at n = 32, 64, 256, 1024)."""
+    ns = (32, 64, 256, 1024)
+    errors = []
+    for n in ns:
+        grid = Grid(0.0, math.pi, n)
+        spectrum = solve_spectrum(constant_problem(alpha), 1, 1, grid)
+        lam = spectrum.lambdas[0]
+        assert math.isfinite(lam)
+        assert abs(rayleigh_quotient(constant_problem(alpha), spectrum.eigenfunctions[0]) - lam) <= 1e-12
+        errors.append(abs(lam - solve_spectrum(constant_problem(1.0), 1, 1, grid).lambdas[0]))
+    if order is not None:
+        observed = np.log(np.array(errors[:-1]) / errors[1:]) / np.log(np.array(ns[1:]) / ns[:-1])
+        assert observed.min() >= order
+
+
 # --- Rayleigh quotient -------------------------------------------------------------
 
 

@@ -19,15 +19,16 @@ Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).  Every other
 kernel goes through one hierarchical engine shared by the K and B rules:
 the lower triangle is split dyadically, diagonal tiles of 256 rows are
 evaluated densely, and each far block, where the cofactor is smooth, is
-reduced by adaptive cross approximation (Bebendorf, Numer. Math. 86,
-2000) to a few sampled rows and columns whose lag weights are applied by
-FFT.  That costs O(n * 256) cofactor evaluations and O(n log**2 n)
-arithmetic instead of the (n + 1)(n + 2) / 2 evaluations of a full
-triangle.  The right-sided integral is the left-sided one of the
-reversed samples at the reflected nodes ``a + b - t``, where the engine
-samples the cofactor with its arguments swapped; a difference kernel
-reflects onto itself, so its path ignores the side and samples its
-cofactor once, at ``(t_j, a)``: the cofactor at every lag ``t_j - a``.
+interpolated from Chebyshev points, the far field of the black-box FMM
+(Fong & Darve, J. Comput. Phys. 228, 2009) in barycentric form (Berrut &
+Trefethen, SIAM Rev. 46, 2004), and its lag weights are applied by FFT.
+That costs O(n * 256) cofactor evaluations and O(n log**2 n) arithmetic
+instead of the (n + 1)(n + 2) / 2 evaluations of a full triangle.  The
+right-sided integral is the left-sided one of the reversed samples at
+the reflected nodes ``a + b - t``, where the engine samples the cofactor
+with its arguments swapped; a difference kernel reflects onto itself, so
+its path ignores the side and samples its cofactor once, at ``(t_j, a)``:
+the cofactor at every lag ``t_j - a``.
 """
 
 from __future__ import annotations
@@ -83,14 +84,15 @@ __all__ = [
 _CORNER_PAD = 2
 _CORNER_FIT = 6
 
-# Rows per diagonal tile of the non-difference engine, and the relative
-# tolerance of its cross approximation of far blocks; see _left_engine.
+# Rows per diagonal tile of the non-difference engine; see _left_engine.
 _LEAF = 256
-_ACA_TOL = 1e-13
-# A far block that needs more cross-approximation terms than this is not
-# smooth (a kink or a cut-off crosses it) and goes to the dense code; each
-# term costs O(rank) more than the last.  Smooth kernels tried needed <= 18.
-_ACA_MAX_RANK = 32
+# First-kind Chebyshev points per side of a far block, their barycentric weights
+# and the core's SVD tolerance; 32 points resolve cos(40xy) on [0, 1], 24 do not.
+_CHEB = 32
+_FAR_TOL = 1e-13
+_CHEB_ANGLES = [(k + 0.5) * math.pi / _CHEB for k in range(_CHEB)]
+_CHEB_POINTS = np.array([math.cos(angle) for angle in _CHEB_ANGLES])
+_CHEB_WEIGHTS = np.array([(-1) ** k * math.sin(angle) for k, angle in enumerate(_CHEB_ANGLES)])
 # Rows per FFT call of the difference rules and per tile or far-block pass of
 # the engine.  At n = 4096 a group's temporaries exceed one row's by < 1 MB and
 # 2-4 MB, and a difference group takes about 0.7 of the time of single rows.
@@ -146,12 +148,13 @@ class Kernel:
         nodes, and a difference-type kernel is asked once per call, for
         ``cofactor(t_j, a)`` at every node ``t_j``.
 
-        Far from the diagonal the engine samples a few rows and columns of
-        each block instead of every entry, so a non-finite value there may
-        go unseen: the cofactor must be finite everywhere except on the
-        diagonal (continued linearly when ``s > 0``) and at the interval
-        corners (extrapolated; see ``_mend_row``).  The first column is
-        always evaluated in full.
+        Far from the diagonal the engine samples each block at Chebyshev
+        points between the nodes and at the nodes of its first column and
+        last row only, so a non-finite value at other nodes may go unseen:
+        the cofactor must be finite there except on the diagonal (continued
+        linearly when ``s > 0``) and at the interval corners (extrapolated;
+        see ``_mend_row``).  A non-finite value between nodes sends its
+        block to the dense code, which samples nodes.
         """
         raise NotImplementedError
 
@@ -225,10 +228,13 @@ class HadamardKernel(Kernel):
         y = np.asarray(y, dtype=float)
         if np.any(y <= 0.0):
             raise DomainError("logarithmic kernel needs strictly positive times")
-        d = x - y
-        safe = np.where(d > 0.0, d, 1.0)
-        ratio = np.where(d > 0.0, np.log1p(d / y) / safe, 1.0 / y)
-        return ratio ** (self.order - 1.0) / (gamma(self.order) * y)
+        # in place: a diagonal tile's full-size temporaries fault in afresh
+        d = np.subtract(x, y, out=np.empty(np.broadcast(x, y).shape))
+        off, ratio = d > 0.0, np.divide(d, y, out=np.empty_like(d))
+        np.divide(np.log1p(ratio, out=ratio), d, out=ratio, where=off)
+        np.divide(1.0, y, out=ratio, where=~off)
+        np.power(ratio, self.order - 1.0, out=ratio)
+        return np.divide(ratio, np.multiply(gamma(self.order), y, out=d), out=ratio)
 
 
 @dataclass(frozen=True)
@@ -347,29 +353,32 @@ def _left_engine(kernel: Kernel, grid: Grid, right: bool, x1: np.ndarray, x2: np
     The lower triangle is split dyadically (Hackbusch, Computing 62, 1999).
     Diagonal tiles of at most ``_LEAF`` rows are evaluated densely.  Each
     far block ``[mid, hi) x [lo, mid)`` has a smooth cofactor, which
-    ``_cross_approximation`` reduces to a few rows and columns ``u @ v``;
-    the lag weights are then applied exactly, as one batched FFT middle
-    product of ``T1``, ``T2`` against ``v * x1``, ``v * x2``.  A transform
-    size of at least ``hi - lo`` keeps the wrapped terms out of the kept
-    outputs.  Tile cofactors, far-block factors or samples and lag spectra
-    do not depend on the rows: each is built once per call and applied
-    ``_ROW_GROUP`` rows at a time.  Returns the flagged nodes (NaN in ``into``).
+    ``_far_factors`` reduces to a few rows and columns ``u.T @ v``; the lag
+    weights are then applied exactly, as one batched FFT middle product of
+    ``T1``, ``T2`` against ``v * x1``, ``v * x2``, of a size of at least
+    ``hi - lo``.  All that does not depend on the rows is built once per
+    call; the rows are summed ``_ROW_GROUP`` at a time.  Returns the
+    flagged nodes (NaN in ``into``).
     """
     n, s = grid.n, kernel.singularity_exponent
-    if right:
-        t = (grid.a + grid.b) - grid.nodes
+    ab = grid.a + grid.b
+    t = ab - grid.nodes if right else grid.nodes
+    cofactor = (lambda x, y: kernel.cofactor(y, x)) if right else kernel.cofactor
 
-        def cofactor(x, y):
-            return kernel.cofactor(y, x)
-    else:
-        t, cofactor = grid.nodes, kernel.cofactor
-
-    def sample(j, i, check: bool = True) -> np.ndarray:
-        """``c(t[j], t[i])`` as floats; unless ``check`` is off, a
-        non-finite entry raises ``NumericError``."""
+    def evaluate(x, y) -> np.ndarray:
+        """``c(x, y)`` as floats, non-finite values included."""
         with np.errstate(invalid="ignore", divide="ignore"):
-            c = np.array(cofactor(t[j], t[i]), dtype=float)
-        if check and not np.all(np.isfinite(c)):
+            return np.array(cofactor(x, y), dtype=float)
+
+    def between(j, i) -> np.ndarray:
+        """``evaluate`` at fractional node indices, reflected like ``t``."""
+        x, y = grid.a + grid.h * j, grid.a + grid.h * i
+        return evaluate(ab - x, ab - y) if right else evaluate(x, y)
+
+    def sample(j, i) -> np.ndarray:
+        """``c(t[j], t[i])``; a non-finite entry raises ``NumericError``."""
+        c = evaluate(t[j], t[i])
+        if not np.all(np.isfinite(c)):
             bad = int(np.flatnonzero(~np.isfinite(c))[0])
             node, index = (int(a.flat[bad]) for a in np.broadcast_arrays(j, i))
             raise NumericError(f"kernel evaluation non-finite at node {node} (sample index {index})")
@@ -380,6 +389,9 @@ def _left_engine(kernel: Kernel, grid: Grid, right: bool, x1: np.ndarray, x2: np
     out = np.zeros(x1.shape)
     groups = [slice(r, r + _ROW_GROUP) for r in range(0, len(x1), _ROW_GROUP)]
     flagged: set[int] = set()
+    patterns: dict = {}
+    chebyshev: dict = {}
+    spectra: dict = {}
 
     def tile(lo: int, hi: int) -> None:
         """Add the exact sum over columns ``[lo, j]`` to ``out_rj`` for rows
@@ -391,39 +403,41 @@ def _left_engine(kernel: Kernel, grid: Grid, right: bool, x1: np.ndarray, x2: np
         every row at once.  A row still non-finite after that (the first
         row off the endpoint, and corner rows) is evaluated in full and
         mended or flagged by ``_mend_row``, exactly as a row on its own.
+        Index patterns and lag tables are built once per tile shape.
         """
-        rows = np.arange(max(lo, 1), hi)
         first = max(lo - 2, 0)
-        counts = rows - first + 1
-        starts = np.cumsum(counts) - counts
-        rj = np.repeat(rows, counts)
-        ci = np.arange(rj.size) - np.repeat(starts - first, counts)
-        c = sample(rj, ci, check=False)
+        shape = (lo - first, hi - first)
+        if shape not in patterns:
+            rows = np.arange(max(lo, 1), hi) - first
+            counts = rows + 1
+            starts = np.cumsum(counts) - counts
+            rj = np.repeat(rows, counts)
+            ci = np.arange(rj.size) - np.repeat(starts, counts)
+            # the columns left of lo only continue the diagonal; the far
+            # block sums them
+            t1, t2, left = lags[0][rj - ci], lags[1][rj - ci], starts[:, None] + np.arange(lo - first)
+            t1[left] = t2[left] = 0.0
+            patterns[shape] = rows, counts, starts, rj, ci, t1, t2
+        rows, counts, starts, rj, ci, t1, t2 = patterns[shape]
+        nodes = t[first:]
+        c = evaluate(nodes[rj], nodes[ci])
         if s > 0.0:
             ends = starts + counts - 1
-            gap = ends[(rows >= 2) & ~np.isfinite(c[ends])]
+            gap = ends[(rows + first >= 2) & ~np.isfinite(c[ends])]
             with np.errstate(invalid="ignore"):
                 c[gap] = 2.0 * c[gap - 1] - c[gap - 2]
         for k in np.flatnonzero(np.logical_or.reduceat(~np.isfinite(c), starts)):
-            j = int(rows[k])
-            row = sample(j, np.arange(j + 1), check=False)
+            j = first + int(rows[k])
+            row = evaluate(t[j], t[: j + 1])
             if not np.all(np.isfinite(row)) and _mend_row(row, j, t, s, cofactor) == "flag":
                 flagged.add(j)
                 row = np.zeros_like(row)
             c[starts[k] : starts[k] + counts[k]] = row[first:]
-        # The columns left of lo only continue the diagonal; the far block
-        # sums them.  A tile that keeps rj and lag alive while the rows run
-        # crosses the allocator's trim threshold and faults every temporary
-        # in afresh.
-        lag = rj - ci
-        t1, t2, left = lags[0][lag], lags[1][lag], starts[:, None] + np.arange(lo - first)
-        t1[left] = t2[left] = 0.0
-        del rj, lag
         for g in groups:
             # np.take keeps a one-row gather as fast as 1-D indexing
-            weight = np.take(x1[g], ci, axis=1) * t1 + np.take(x2[g], ci, axis=1) * t2
+            weight = np.take(x1[g, first:], ci, axis=1) * t1 + np.take(x2[g, first:], ci, axis=1) * t2
             weight *= c
-            out[g, rows[0] : hi] += np.add.reduceat(weight, starts, axis=1)
+            out[g, first + rows[0] : hi] += np.add.reduceat(weight, starts, axis=1)
 
     def far_dense(lo: int, mid: int, hi: int) -> None:
         """Add the exact far block ``[mid, hi) x [lo, mid)`` to ``out``, in
@@ -441,7 +455,6 @@ def _left_engine(kernel: Kernel, grid: Grid, right: bool, x1: np.ndarray, x2: np
                 for x, band in zip((x1, x2), bands):
                     out[g, j0:j1] += np.einsum("ji,ji,ri->rj", c, band, x[g, lo:mid])
 
-    spectra: dict = {}
     size = _LEAF
     while size < n + 1:
         size *= 2
@@ -458,7 +471,7 @@ def _left_engine(kernel: Kernel, grid: Grid, right: bool, x1: np.ndarray, x2: np
         if mid >= hi:
             continue
         pending.append((mid, size // 2))
-        factors = _cross_approximation(sample, lo, mid, hi)
+        factors = _far_factors(sample, between, lo, mid, hi, chebyshev)
         if factors is None:
             far_dense(lo, mid, hi)
             continue
@@ -469,7 +482,7 @@ def _left_engine(kernel: Kernel, grid: Grid, right: bool, x1: np.ndarray, x2: np
             mixed = sum(np.fft.rfft(v * x[g, None, lo:mid], size) * spec
                         for x, spec in zip((x1, x2), spectra[size]))
             z = np.fft.irfft(mixed, size)[..., mid - lo : hi - lo]
-            out[g, mid:hi] += np.einsum("rk,gkr->gr", u, z)
+            out[g, mid:hi] += np.einsum("kr,gkr->gr", u, z)
     out *= scale
     out[:, sorted(flagged)] = np.nan
     out *= weight
@@ -477,61 +490,47 @@ def _left_engine(kernel: Kernel, grid: Grid, right: bool, x1: np.ndarray, x2: np
     return flagged
 
 
-def _cross_approximation(sample, lo: int, mid: int, hi: int):
-    """Low-rank factors ``u @ v`` of the cofactor on the far block of nodes
-    ``[mid, hi) x [lo, mid)``, or ``None`` when the block should be
+def _far_factors(sample, between, lo: int, mid: int, hi: int, chebyshev: dict):
+    """Low-rank factors ``u.T @ v`` of the cofactor on the far block of
+    nodes ``[mid, hi) x [lo, mid)``, or ``None`` when the block should be
     evaluated densely.  ``sample(j, i)`` returns the cofactor at node
-    indices ``j`` and ``i`` and raises on a non-finite value.
+    indices and raises on a non-finite value; ``between(x, y)`` returns it
+    at fractional node indices, non-finite values included.
 
-    Partial-pivot adaptive cross approximation to ``_ACA_TOL`` relative to
-    the Frobenius norm of the approximant: each step samples one residual
-    row, pivots on its largest entry, samples that column, and moves on to
-    the unused row where the new column is largest.  A residual row that
-    is exactly zero restarts from the next unused one of nine evenly
-    spaced rows.  A block that needs more than ``_ACA_MAX_RANK`` terms, or
-    whose spaced rows are all zero before any term is found, is not smooth
-    enough for this to pay.  Partial pivoting can miss part of a block, so
-    the block's first column and last row are then sampled in full and
-    checked against the factors; a mismatch also returns ``None``.
+    The core, sampled once on the tensor grid of the block's row and
+    column Chebyshev points, is recompressed by SVD to ``_FAR_TOL`` of its
+    largest singular value, and barycentric Lagrange matrices, kept in
+    ``chebyshev`` by length, carry it to the nodes (Fong & Darve, J.
+    Comput. Phys. 228, 2009; Berrut & Trefethen, SIAM Rev. 46, 2004).
+    A block goes dense if it has fewer rows than points, if its core is
+    non-finite or all zero (which cannot prove the block zero), or if its
+    first column or last row, sampled in full, misses the factors: a jump
+    or kink that interpolation cannot follow shows there.
     """
-    rows, cols = np.arange(mid, hi), np.arange(lo, mid)
-    nr, nc = rows.size, cols.size
-    cap = min(nr, nc, _ACA_MAX_RANK)
-    u, v = np.empty((nr, cap)), np.empty((cap, nc))
-    spread = iter(np.linspace(0, nr - 1, 9).astype(int))
-    used = np.zeros(nr, dtype=bool)
-    norm2 = 0.0
-    i, k = 0, 0
-    while True:
-        used[i] = True
-        row = sample(mid + i, cols) - u[i, :k] @ v[:k]
-        p = int(np.argmax(np.abs(row)))
-        if row[p] == 0.0:
-            i = next((int(j) for j in spread if not used[j]), None)
-            if i is None and k == 0:
-                return None
-            if i is None:
-                break
-            continue
-        if k == cap:
-            return None
-        v[k] = row / row[p]
-        u[:, k] = sample(rows, lo + p) - u[:, :k] @ v[:k, p]
-        step2 = (u[:, k] @ u[:, k]) * (v[k] @ v[k])
-        norm2 += 2.0 * (u[:, :k].T @ u[:, k]) @ (v[:k] @ v[k]) + step2
-        k += 1
-        if math.sqrt(step2) <= _ACA_TOL * math.sqrt(norm2) or used.all():
-            break
-        i = int(np.argmax(np.where(used, -1.0, np.abs(u[:, k - 1]))))
-    # copies, so the unused capacity is freed before the caller's FFTs
-    u, v = u[:, :k].copy(), v[:k].copy()
-    first = sample(rows, lo)
-    last = sample(hi - 1, cols)
-    # a converged approximation leaves entries below the tolerance times
-    # the approximant's norm; a missed feature leaves them near its size
-    limit = 10.0 * _ACA_TOL * math.sqrt(norm2)
-    if (np.abs(first - u @ v[:, 0]).max() > limit
-            or np.abs(last - u[-1] @ v).max() > limit):
+    if hi - mid < _CHEB:
+        return None
+    for length in (hi - mid, mid - lo):
+        if length not in chebyshev:
+            # no point falls on a node for lengths 2 to 2,000,000; one that
+            # did would make its node NaN and fail the check below
+            points = 0.5 * (length - 1) * (1.0 + _CHEB_POINTS)
+            q = _CHEB_WEIGHTS[:, None] / (np.arange(length) - points[:, None])
+            chebyshev[length] = points, q / q.sum(axis=0)
+    (rows, to_rows), (cols, to_cols) = chebyshev[hi - mid], chebyshev[mid - lo]
+    core = between(mid + rows[:, None], lo + cols)
+    if not np.all(np.isfinite(core)) or not core.any():
+        return None
+    left, sv, right = np.linalg.svd(core)
+    k = int(np.count_nonzero(sv > _FAR_TOL * sv[0]))
+    # einsum, not BLAS: with more than one BLAS thread a small gemm can stall
+    u = np.einsum("pk,pr->kr", left[:, :k] * sv[:k], to_rows)
+    v = np.einsum("kp,pc->kc", right[:k], to_cols)
+    first = sample(np.arange(mid, hi), lo)
+    last = sample(hi - 1, np.arange(lo, mid))
+    # a resolved block leaves entries below the tolerance times the core's
+    # norm; a missed feature leaves them near its size, and a NaN fails too
+    limit = 10.0 * _FAR_TOL * sv[0]
+    if not (np.abs(first - v[:, 0] @ u).max() <= limit and np.abs(last - u[:, -1] @ v).max() <= limit):
         return None
     return u, v
 

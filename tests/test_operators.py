@@ -35,12 +35,13 @@ from fracvar import (
 from fracvar.foundation import _pi_coefficients
 from fracvar.experiments import counterexample_kernel
 from fracvar.operators import (
+    _CHEB,
     _CORNER_FIT,
     _CORNER_PAD,
     Kernel,
     _apply_left,
     _bapply_left,
-    _cross_approximation,
+    _far_factors,
     _mend_row,
     _two_sided,
 )
@@ -382,14 +383,14 @@ def _singular(c1, c2, s):
 
 
 def _step(x0):
-    """Zero on every row below ``x0``, so a far block whose first rows lie
-    there restarts its cross approximation, or falls back to dense."""
+    """Zero on every row below ``x0``: a far block that the jump crosses
+    cannot be interpolated and goes to the dense code."""
     return lambda x, y: np.where(x >= x0, np.cos(x - 2.0 * y) + 1.0, 0.0)
 
 
 def _band(x0, x1):
-    """Nonzero only on rows ``x0 < x <= x1``, which evenly spaced restarts
-    can all miss: a far block there goes to the dense code."""
+    """Nonzero only on rows ``x0 < x <= x1``, which a far block's Chebyshev
+    points can all miss: a far block there goes to the dense code."""
     return lambda x, y: np.where((x > x0) & (x <= x1), np.cos(x - 2.0 * y) + 1.0, 0.0)
 
 
@@ -477,31 +478,43 @@ def test_right_side_is_the_left_side_of_the_mirrored_kernel(n):
             assert np.array_equal(right[kept], left[kept])
 
 
-def test_cross_approximation_restarts_past_zero_rows_and_falls_back():
-    """On the far block ``[512, 1024) x [0, 512)`` at n = 1023 the step
-    kernel's first rows are zero, so the approximation restarts from other
-    rows and then reproduces the block.  A kernel that is nonzero only on
-    block rows 1 to 10 is zero on every row the restarts try, and the
-    block is left to the dense code."""
-    t = Grid(0.0, 1.0, 1023).nodes
-    for x0 in (0.6, 0.9):
-        cofactor = GeneralKernel(_step(x0), 0.0).cofactor
-        block = cofactor(t[512:, None], t[None, :512])
-        assert not block[0].any() and block[-1].all()
-        u, v = _cross_approximation(lambda j, i: cofactor(t[j], t[i]), 0, 512, 1024)
-        assert np.abs(u @ v - block).max() <= 1e-12 * np.abs(block).max()
-    band = GeneralKernel(_band(t[512], t[522]), 0.0)
-    assert _cross_approximation(lambda j, i: band.cofactor(t[j], t[i]), 0, 512, 1024) is None
+def _far_block(kernel, n, lo, mid, hi):
+    """``_far_factors`` of ``kernel`` on the left side of a grid of [0, 1]."""
+    t = Grid(0.0, 1.0, n).nodes
+    return _far_factors(lambda j, i: kernel.cofactor(t[j], t[i]),
+                        lambda x, y: kernel.cofactor(x / n, y / n), lo, mid, hi, {})
+
+
+@pytest.mark.parametrize("n", [4096, 8192])
+def test_far_factors_reproduce_smooth_blocks_and_send_jumps_dense(n):
+    """Chebyshev far blocks of ``cos(40xy)`` and the counterexample kernel
+    reproduce every entry to 1e-12 of the block's largest: the blocks
+    nearest the corner where the counterexample is singular, and those
+    where ``cos(40xy)`` oscillates fastest.  A block crossed by a jump, a
+    block whose nonzero rows the Chebyshev points miss, and a block with
+    fewer rows than points go to the dense code."""
+    t = Grid(0.0, 1.0, n).nodes
+    blocks = [(0, n // 16, n // 8), (n // 8, 3 * n // 16, n // 4), (3 * n // 4, 7 * n // 8, n)]
+    for kernel in (GeneralKernel(lambda x, y: np.cos(40.0 * x * y), 0.0), counterexample_kernel()):
+        for lo, mid, hi in blocks:
+            u, v = _far_block(kernel, n, lo, mid, hi)
+            block = kernel.cofactor(t[mid:hi, None], t[None, lo:mid])
+            assert np.abs(u.T @ v - block).max() <= 1e-12 * np.abs(block).max()
+    lo, mid, hi = 0, n // 2, n
+    for kernel in (_step(0.6), _band(t[mid + 10], t[mid + 20])):
+        assert _far_block(GeneralKernel(kernel, 0.0), n, lo, mid, hi) is None
+    assert _far_block(GeneralKernel(_smooth(1.3, -0.7), 0.0), n, 0, n // 2, n // 2 + _CHEB - 1) is None
 
 
 class _CountingKernel(Kernel):
-    """A kernel that counts the cofactor entries it evaluates."""
+    """A kernel that counts the cofactor calls and entries it evaluates."""
 
     def __init__(self, base):
-        self.base, self.entries = base, 0
+        self.base, self.calls, self.entries = base, 0, 0
         self.singularity_exponent = base.singularity_exponent
 
     def cofactor(self, x, y):
+        self.calls += 1
         self.entries += np.broadcast(x, y).size
         return self.base.cofactor(x, y)
 
@@ -516,6 +529,42 @@ def test_non_difference_engine_samples_near_linearly():
         k_apply(LEFT, kernel, SampledFunction(g, np.ones(n + 1)))
         counts.append(kernel.entries)
     assert counts[1] <= 6 * counts[0]
+
+
+def test_far_blocks_cost_three_kernel_calls_each():
+    """A compressed far block asks the kernel three times: its Chebyshev
+    core, its first column and its last row.  On each side of the
+    counterexample at n = 8192 that is 31 blocks, plus one call for the
+    dense block of the last node alone and one per diagonal tile (32 full
+    tiles and the last node's); the right side asks for one more full row,
+    at the corner it flags."""
+    kernel = _CountingKernel(counterexample_kernel())
+    g = Grid(0.0, 1.0, 8192)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CornerExtrapolationWarning)
+        k_apply(ParameterSet(0.0, 1.0, 1.0, -1.0), kernel, SampledFunction(g, np.ones(8193)))
+    assert kernel.calls <= 2 * (3 * 31 + 1 + 33) + 1
+
+
+def test_kernel_finite_only_on_the_nodes_sends_every_far_block_dense():
+    """A cofactor that is NaN between the nodes makes every Chebyshev core
+    non-finite.  That is no error: each far block goes to the dense code,
+    which samples the nodes alone, so every node pair of both triangles is
+    asked for, and the result agrees with the row oracle."""
+    g = Grid(0.0, 1.0, 1023)
+    nodes = np.union1d(g.nodes, (g.a + g.b) - g.nodes)
+    smooth, on_nodes = _smooth(1.3, -0.7), [0]
+
+    def cofactor(x, y):
+        on = np.isin(x, nodes) & np.isin(y, nodes)
+        on_nodes[0] += np.count_nonzero(on)
+        return np.where(on, smooth(x, y), np.nan)
+
+    kernel, p = GeneralKernel(cofactor, 0.0), ParameterSet(0.0, 1.0, 1.0, -0.5)
+    f = SampledFunction(g, np.random.default_rng(7).uniform(-1, 1, 1024))
+    k_apply(p, kernel, f)
+    assert on_nodes[0] >= 2 * 1023 * 1024 // 2
+    _assert_engine_matches_oracle(p, kernel, f)
 
 
 @pytest.mark.parametrize("first_bad", [_CORNER_FIT + 1, 1200])
@@ -748,8 +797,7 @@ def test_stacked_rows_match_per_row_calls_on_a_general_kernel(sides, n, count):
     """One engine run serves the whole stack: a smooth kernel, a kernel
     whose last node is flagged on the right side and patched in every
     row, a singular kernel with a mended first row, and a cut-off kernel
-    whose far blocks go to the dense code at n = 2048 and 4096 and to
-    cross approximation at n = 300."""
+    whose far blocks all go to the dense code."""
     rows = np.random.default_rng(5).uniform(-1, 1, (count, n + 1))
     for kernel in GENERAL_STACK_KERNELS:
         _assert_stack_matches_rows(ParameterSet(0.0, 1.0, *sides), kernel, rows)

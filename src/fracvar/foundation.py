@@ -147,75 +147,108 @@ def erfc(x: float) -> float:
     return math.erfc(x)
 
 
-def mittag_leffler(alpha: float, z: float) -> float:
-    """One-parameter Mittag-Leffler function ``E_alpha(z)``.
+def mittag_leffler(alpha: float, z: float | np.ndarray) -> float | np.ndarray:
+    """One-parameter Mittag-Leffler function ``E_alpha(z)``, elementwise.
 
     Evaluates the power series with compensated float64 summation, with
     term magnitudes formed through ``lgamma`` so the pass doubles as a
-    log-domain scan of the term profile.  When round-off against the
-    accumulated absolute mass (heavy cancellation at negative ``z``) or
-    outright term overflow would break the absolute accuracy target, the
-    series is re-summed with ``mpmath`` at a precision sized from the
-    largest term seen.
+    log-domain scan of the term profile.  An element whose round-off
+    against its accumulated absolute mass (heavy cancellation at negative
+    ``z``) or whose outright term overflow would break the absolute
+    accuracy target is re-summed with ``mpmath``, at a precision sized
+    from the largest term it saw.
+
+    ``z`` may be a scalar or an array of any shape.  All elements share
+    one pass: ``lgamma(alpha k + 1)`` is formed once per ``k``, and each
+    element leaves the pass when its own stopping rule fires.  A scalar
+    (or 0-d) ``z`` returns a Python ``float``, an array returns an array
+    of the same shape.  Against a loop over the scalars with ``math.exp``,
+    the float64 results differ by at most 4.4e-16 times ``max(1, |E|)``
+    (``np.exp`` against ``math.exp``); the escalated ones are identical.
+
+    The series settles on less than the stated domain.  It raises
+    ``AccuracyError`` for ``alpha <= 0.3`` at every ``|z| >= 10`` tried,
+    and at ``alpha = 0.5`` for ``z = -40, -45, -50`` and ``z = 50`` (more
+    than ``_SERIES_CAP`` terms) and for ``z = 27, 30`` (``E`` is about
+    ``2 exp(z**2)``, beyond the double range).  At ``alpha = 0.5`` the
+    mpmath pass takes about 8 s at ``z = -30`` and 17-19 s at ``z = -35``.
 
     Parameters
     ----------
     alpha:
         Series parameter, in ``(0, 1]``.
     z:
-        Real argument with ``|z| <= 50``.
+        Real argument(s) with ``|z| <= 50``.
+
+    Raises
+    ------
+    DomainError
+        If ``alpha`` or any element of ``z`` (NaN included) is out of range.
+    AccuracyError
+        If any element's series does not settle within ``_SERIES_CAP``
+        terms or its value leaves the double range.
     """
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
-    if not abs(z) <= 50.0:
-        raise DomainError(f"|z| must not exceed 50, got {z}")
-    if z == 0.0:
-        return 1.0
+    zs = np.asarray(z, dtype=float)
+    flat = zs.ravel()
+    bad = np.flatnonzero(~(np.abs(flat) <= 50.0))
+    if bad.size:
+        raise DomainError(f"|z| must not exceed 50, got {flat[bad[0]]}")
 
-    log_az = math.log(abs(z))
     ln10 = math.log(10.0)
-    s = 1.0
-    comp = 0.0
-    abs_sum = 1.0
-    peak_log = 0.0
-    prev_lt = 0.0
-    overflow = False
-    scanned_all = False
+    out = np.ones(flat.size)  # E_alpha(0) = 1
+    idx = np.flatnonzero(flat)
+    log_az = np.log(np.abs(flat[idx]))
+    sign = np.sign(flat[idx])
+    s, abs_sum = np.ones((2, idx.size))
+    comp, peak_log, prev_lt = np.zeros((3, idx.size))
+    overflow = np.zeros(idx.size, dtype=bool)
+    escalate = []
     # The term profile k*log|z| - lgamma(alpha*k + 1) is concave in k, so
     # once it decreases the peak is behind us.
     for k in range(1, _SERIES_CAP):
+        if not idx.size:
+            break
         lt = k * log_az - math.lgamma(alpha * k + 1.0)
-        peak_log = max(peak_log, lt)
-        if not overflow:
-            if lt > 700.0:
-                overflow = True
-            else:
-                mag = math.exp(lt)
-                term = mag if z > 0 or k % 2 == 0 else -mag
-                y = term - comp
-                t = s + y
-                comp = (t - s) - y
-                s = t
-                abs_sum += mag
-                if lt < prev_lt and mag < 1e-16 * (1.0 + abs(s)):
-                    scanned_all = True
-                    break
-        if overflow:
-            digits = 30 + max(0, int(peak_log / ln10))
-            if lt < prev_lt and lt < -(digits - 8) * ln10:
-                scanned_all = True
-                break
+        np.maximum(peak_log, lt, out=peak_log)
+        overflow |= lt > 700.0
+        digits = 30.0 + np.floor(peak_log / ln10)
+        done = overflow & (lt < -(digits - 8.0) * ln10)
+        if not overflow.all():
+            # An overflowed element adds nothing more; it is re-summed in mpmath.
+            mag = np.exp(np.where(overflow, -np.inf, lt))
+            term = mag * sign if k % 2 else mag
+            y = term - comp
+            t = s + y
+            comp = (t - s) - y
+            s = t
+            abs_sum += mag
+            done |= ~overflow & (mag < 1e-16 * (1.0 + np.abs(s)))
+        done &= lt < prev_lt
         prev_lt = lt
-    if not scanned_all:
+        if done.any():
+            up = overflow | (abs_sum > 1e3)
+            keep = done & ~up
+            out[idx[keep]] = s[keep]
+            escalate += zip(idx[done & up].tolist(), digits[done & up].tolist())
+            live = ~done
+            idx, log_az, sign, s, comp, abs_sum, peak_log, prev_lt, overflow = (
+                a[live] for a in (idx, log_az, sign, s, comp, abs_sum, peak_log, prev_lt, overflow)
+            )
+    if idx.size:
         raise AccuracyError(
             f"Mittag-Leffler series did not converge within {_SERIES_CAP} terms "
-            f"for alpha={alpha}, z={z}"
+            f"for alpha={alpha}, z={flat[idx[0]]}"
         )
-    if not overflow and abs_sum <= 1e3:
-        return s
+    for i, digits in escalate:
+        out[i] = _mittag_leffler_mp(alpha, float(flat[i]), int(digits))
+    return float(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
-    # Escalated pass: float64 round-off would exceed the error budget.
-    digits = 30 + max(0, int(peak_log / ln10))
+
+def _mittag_leffler_mp(alpha: float, z: float, digits: int) -> float:
+    """Re-sum the series of ``E_alpha(z)`` in ``mpmath`` at ``digits`` digits,
+    where float64 round-off would exceed the error budget."""
     with mpmath.workdps(digits):
         zm = mpmath.mpf(z)
         total = mpmath.mpf(1)

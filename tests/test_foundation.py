@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracvar import (
+    AccuracyError,
     DomainError,
     Grid,
     InputError,
@@ -95,6 +96,110 @@ def test_mittag_leffler_domain(alpha, z):
 @given(z=st.floats(-20.0, 5.0))
 def test_mittag_leffler_order_one_is_exp(z):
     assert abs(mittag_leffler(1.0, z) - math.exp(z)) < 1e-10
+
+
+def _scalar_mittag_leffler(alpha, z):
+    """The scalar loop the array form replaced, kept as its oracle: the same
+    compensated series one element at a time with ``math.exp``, and the same
+    mpmath re-summation where float64 falls short.  Returns the value and
+    whether it was re-summed."""
+    if z == 0.0:
+        return 1.0, False
+    log_az = math.log(abs(z))
+    ln10 = math.log(10.0)
+    s, comp, abs_sum, peak_log, prev_lt = 1.0, 0.0, 1.0, 0.0, 0.0
+    overflow = False
+    for k in range(1, 10000):
+        lt = k * log_az - math.lgamma(alpha * k + 1.0)
+        peak_log = max(peak_log, lt)
+        if not overflow:
+            if lt > 700.0:
+                overflow = True
+            else:
+                mag = math.exp(lt)
+                term = mag if z > 0 or k % 2 == 0 else -mag
+                y = term - comp
+                t = s + y
+                comp = (t - s) - y
+                s = t
+                abs_sum += mag
+                if lt < prev_lt and mag < 1e-16 * (1.0 + abs(s)):
+                    break
+        if overflow:
+            digits = 30 + max(0, int(peak_log / ln10))
+            if lt < prev_lt and lt < -(digits - 8) * ln10:
+                break
+        prev_lt = lt
+    else:
+        raise AccuracyError("no convergence")
+    if not overflow and abs_sum <= 1e3:
+        return s, False
+    digits = 30 + max(0, int(peak_log / ln10))
+    with mp.workdps(digits):
+        zm = mp.mpf(z)
+        total = term = mp.mpf(1)
+        tol = mp.mpf(10) ** (-(digits - 8))
+        for k in range(1, 10000):
+            term = term * zm * mp.gamma(alpha * (k - 1) + 1) / mp.gamma(alpha * k + 1)
+            total += term
+            if abs(term) < tol * (1 + abs(total)):
+                return float(total), True
+    raise AccuracyError("no convergence")
+
+
+def _mp_series(alpha, z):
+    """``E_alpha(z)`` summed term by term at 100 digits: more than 50 are left
+    after the cancellation of terms up to 1e43 at ``alpha = 0.5, z = -10``."""
+    with mp.workdps(100):
+        total, k = mp.mpf(0), 0
+        while True:
+            term = mp.mpf(z) ** k * mp.rgamma(alpha * k + 1)
+            total += term
+            if k > 4 * abs(z) ** (1 / alpha) and abs(term) < mp.mpf(10) ** -60:
+                return float(total)
+            k += 1
+
+
+def test_mittag_leffler_array_mixes_escalated_and_float64_elements():
+    z = np.array([[-10.0, -0.3, 0.0], [10.0, 1e-3, -10.0]])
+    got = mittag_leffler(0.5, z)
+    assert got.shape == z.shape
+    escalated = 0
+    for value, zi in zip(got.ravel(), z.ravel()):
+        want, up = _scalar_mittag_leffler(0.5, float(zi))
+        escalated += up
+        if up:
+            assert value == want
+        else:
+            assert abs(value - want) <= 4.4e-16 * max(1.0, abs(want))
+        exact = _mp_series(0.5, float(zi))
+        assert abs(value - exact) <= 4.4e-16 * max(1.0, abs(exact))
+    assert escalated == 3
+
+
+@pytest.mark.parametrize("alpha,z", [(0.5, -10.0), (0.5, 10.0), (0.7, -20.0)])
+def test_mittag_leffler_escalated_elements_match_the_scalar_loop(alpha, z):
+    want, up = _scalar_mittag_leffler(alpha, z)
+    assert up
+    assert mittag_leffler(alpha, np.array([z, -0.3]))[0] == want
+    assert mittag_leffler(alpha, z) == want
+
+
+def test_mittag_leffler_scalar_input_returns_float():
+    for z in (np.float64(-0.5), np.array(-0.5), -0.5, 0):
+        assert type(mittag_leffler(0.5, z)) is float
+    assert mittag_leffler(0.5, np.array(0.0)) == 1.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, 50.5, -60.0])
+def test_mittag_leffler_array_with_one_bad_element_raises(bad):
+    with pytest.raises(DomainError):
+        mittag_leffler(0.5, np.array([-1.0, bad, 0.5]))
+
+
+def test_mittag_leffler_array_raises_instead_of_returning_nan():
+    with pytest.raises(AccuracyError):
+        mittag_leffler(0.2, np.array([-0.5, -10.0]))
 
 
 def test_erfc_values():

@@ -324,6 +324,13 @@ def _pi_coefficients(mu: float, count: int):
     return a, b
 
 
+def _lag_tables(mu: float, count: int):
+    """Lag tables ``T1[k] = A(k) - B(k)`` (``T1[0] = 0``) and ``T2[k] = B(k + 1)``,
+    ``k < count``: row ``j`` weighs node ``i > 0`` by ``T1[j - i] + T2[j - i]``."""
+    a, b = _pi_coefficients(mu, count)
+    return np.concatenate(([0.0], a[:-1] - b[:-1])), b
+
+
 def singular_weights(mu: float, grid: Grid, j: int) -> np.ndarray:
     """Quadrature weights for the integral of ``(t_j - tau)**(mu-1) f(tau)`` over ``[a, t_j]``.
 
@@ -352,20 +359,10 @@ def singular_weights(mu: float, grid: Grid, j: int) -> np.ndarray:
         raise InputError(f"node index {j} outside 0..{grid.n}")
     if j == 0:
         return np.zeros(0)
-    w = _row_weights(j, *_pi_coefficients(mu, j))
-    w *= grid.h ** mu
-    return w
-
-
-def _row_weights(j: int, a_coef: np.ndarray, b_coef: np.ndarray) -> np.ndarray:
-    """Unscaled weights of ``singular_weights`` for row ``j >= 1``, from
-    tables ``A(1..count)``, ``B(1..count)`` with ``count >= j``."""
-    w = np.empty(j + 1)
-    w[j] = b_coef[0]
-    w[0] = a_coef[j - 1] - b_coef[j - 1]
-    if j >= 2:
-        w[1:j] = (a_coef[j - 2::-1] - b_coef[j - 2::-1]) + b_coef[j - 1:0:-1]
-    return w
+    t1, t2 = _lag_tables(mu, j + 1)
+    w = t1[::-1] + t2[::-1]
+    w[0] = t1[j]  # node 0 has no B(j + 1) part
+    return w * grid.h ** mu
 
 
 def symmetric_eigen(matrix: SymmetricMatrix):

@@ -23,12 +23,14 @@ interpolated from Chebyshev points, the far field of the black-box FMM
 (Fong & Darve, J. Comput. Phys. 228, 2009) in barycentric form (Berrut &
 Trefethen, SIAM Rev. 46, 2004), and its lag weights are applied by FFT.
 That costs O(n * 256) cofactor evaluations and O(n log**2 n) arithmetic
-instead of the (n + 1)(n + 2) / 2 evaluations of a full triangle.  The
-right-sided integral is the left-sided one of the reversed samples at
-the reflected nodes ``a + b - t``, where the engine samples the cofactor
-with its arguments swapped; a difference kernel reflects onto itself, so
-its path ignores the side and samples its cofactor once, at ``(t_j, a)``:
-the cofactor at every lag ``t_j - a``.
+instead of the (n + 1)(n + 2) / 2 evaluations of a full triangle.  Each
+call builds its operator's rule once, for both sides.  The right-sided
+integral is the left-sided one of the reversed samples at the reflected
+nodes ``a + b - t``, where the engine samples the cofactor with its
+arguments swapped, and B's rule negates it: the reversed samples'
+derivative is the reversed derivative negated.  A difference kernel
+reflects onto itself, so its tables, profile and weight spectrum serve
+both sides, and its cofactor is sampled once per call, at ``(t_j, a)``.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .foundation import (
     SampledFunction,
     _check_interval,
     _evaluate,
-    _pi_coefficients,
+    _lag_tables,
     gamma,
     interior_sup,
     trapezoid,
@@ -270,72 +272,61 @@ def _convolve(y: np.ndarray, length: int, count: int):
     return lambda x: np.fft.irfft(np.fft.rfft(x, size, axis=1) * spectrum, size, axis=1)[:, :count]
 
 
-def _difference_tables(kernel: Kernel, grid: Grid, count: int):
-    """Shared setup of the difference-kernel paths.
-
-    Returns the product-integration tables ``A(1..count)`` and
-    ``B(1..count)`` of the quadrature exponent ``1 - s``, and the kernel
-    profile ``c(t_j, a)``, the cofactor at every lag ``t_j - a``.
-    """
-    a_coef, b_coef = _pi_coefficients(1.0 - kernel.singularity_exponent, count)
+def _profile(kernel: Kernel, grid: Grid) -> np.ndarray:
+    """Cofactor ``c(t_j, a)`` of a difference kernel at every lag ``t_j - a``."""
     prof = np.asarray(kernel.cofactor(grid.nodes, grid.a), dtype=float)
     if not np.all(np.isfinite(prof)):
         bad = int(np.flatnonzero(~np.isfinite(prof))[0])
         raise NumericError(f"kernel profile non-finite at lag index {bad}")
-    return a_coef, b_coef, prof
+    return prof
 
 
-def _apply_left(kernel: Kernel, grid: Grid, right: bool):
-    """Left-sided integral rule, with its tables built once: a function
-    ``rule(rows, out, weight)`` that adds ``weight`` times each row's values
-    into ``out`` and returns the set of flagged nodes.  With ``right`` set
-    it is the rule on the reflected interval, which ``_two_sided`` hands
-    the reversed rows; difference kernels reflect onto themselves.
+def _apply_left(kernel: Kernel, grid: Grid):
+    """Left-sided integral rule, built once per ``_two_sided`` call: a
+    function ``rule(rows, out, weight, right)`` that adds ``weight`` times
+    each row's values into ``out`` and returns the set of flagged nodes.
+    With ``right`` set it is the rule on the reflected interval, which
+    ``_two_sided`` hands the reversed rows and output; a difference kernel
+    ignores it, as its tables, profile and spectrum serve both sides.
 
     Flagged nodes hold no trustworthy value (NaN placeholder); they arise
     only when a kernel declared bounded turns out non-finite at an
     interval corner, depend on the kernel and grid alone, and are patched
     afterwards by the caller.  Difference kernels transform ``_ROW_GROUP``
-    rows at a time; other kernels run the engine once for the whole stack.
+    rows at a time; other kernels run the engine once per side.
     """
     n, h = grid.n, grid.h
     mu = 1.0 - kernel.singularity_exponent
+    t1, t2 = lags = _lag_tables(mu, n + 1)
 
     if kernel.is_difference:
-        a_coef, b_coef, prof = _difference_tables(kernel, grid, n + 1)
-        weights = np.empty(n + 1)
-        weights[0] = b_coef[0]
-        weights[1:] = (a_coef[:n] - b_coef[:n]) + b_coef[1:]
-        convolve = _convolve(weights * prof, n + 1, n + 1)
-        start = b_coef * prof
+        prof = _profile(kernel, grid)
+        convolve = _convolve((t1 + t2) * prof, n + 1, n + 1)
+        start = t2 * prof
 
         def values(fv):
             out = h ** mu * (convolve(fv) - start * fv[:, :1])
             out[:, 0] = 0.0
             return out
 
-        return _grouped(values)
-
-    def rule(rows, out, weight):
+    def rule(rows, out, weight, right):
+        if kernel.is_difference:
+            return _grouped(values, rows, out, weight)
         # the first node's weight has no B(j + 1) part
         tail = np.pad(rows[:, 1:], ((0, 0), (1, 0)))
-        return _left_engine(kernel, grid, right, rows, tail, h ** mu, out, weight)
+        return _left_engine(kernel, grid, right, lags, rows, tail, h ** mu, out, weight)
 
     return rule
 
 
-def _grouped(values):
-    """Rule of ``_apply_left``'s form from ``values`` of ``_ROW_GROUP`` rows."""
-
-    def rule(rows, out, weight):
-        for lo in range(0, len(rows), _ROW_GROUP):
-            out[lo : lo + _ROW_GROUP] += weight * values(rows[lo : lo + _ROW_GROUP])
-        return set()
-
-    return rule
+def _grouped(values, rows: np.ndarray, out: np.ndarray, weight: float) -> set:
+    """Add ``weight`` times ``values`` of each ``_ROW_GROUP`` rows into ``out``; flag no node."""
+    for lo in range(0, len(rows), _ROW_GROUP):
+        out[lo : lo + _ROW_GROUP] += weight * values(rows[lo : lo + _ROW_GROUP])
+    return set()
 
 
-def _left_engine(kernel: Kernel, grid: Grid, right: bool, x1: np.ndarray, x2: np.ndarray,
+def _left_engine(kernel: Kernel, grid: Grid, right: bool, lags, x1: np.ndarray, x2: np.ndarray,
                  scale: float, into, weight: float):
     """Left-sided engine of non-difference kernels, shared by the K and B rules.
 
@@ -344,8 +335,7 @@ def _left_engine(kernel: Kernel, grid: Grid, right: bool, x1: np.ndarray, x2: np
 
         out_rj = scale * sum_{i <= j} c(t_j, t_i) (T1[j-i] x1_ri + T2[j-i] x2_ri)
 
-    with the cofactor ``c`` and the lag tables ``T1[0] = 0``,
-    ``T1[k] = A(k) - B(k)`` and ``T2[k] = B(k + 1)`` of ``_pi_coefficients``.
+    with the cofactor ``c`` and the lag tables ``lags = (T1, T2)`` of ``_lag_tables``.
     On the left ``t`` are the grid nodes and ``c`` is ``kernel.cofactor``.
     With ``right`` set, ``t`` are the reflected nodes ``a + b - t`` and
     ``c(x, y)`` is ``kernel.cofactor(y, x)``, which turns the right-sided
@@ -384,8 +374,6 @@ def _left_engine(kernel: Kernel, grid: Grid, right: bool, x1: np.ndarray, x2: np
             raise NumericError(f"kernel evaluation non-finite at node {node} (sample index {index})")
         return c
 
-    a_coef, b_coef = _pi_coefficients(1.0 - s, n + 1)
-    lags = (np.concatenate(([0.0], a_coef[:n] - b_coef[:n])), b_coef)
     out = np.zeros(x1.shape)
     groups = [slice(r, r + _ROW_GROUP) for r in range(0, len(x1), _ROW_GROUP)]
     flagged: set[int] = set()
@@ -596,23 +584,26 @@ def _patch_corners(values: np.ndarray, bad: set, n: int) -> None:
     )
 
 
-def _two_sided(p: ParameterSet, kernel: Kernel, grid: Grid, rows: np.ndarray, left_rule, right_sign: float):
-    """``lam * left + right_sign * mu * right`` of each row of ``rows``,
-    shape ``(rows, n + 1)``, with corner patching.
+def _two_sided(p: ParameterSet, kernel: Kernel, grid: Grid, rows: np.ndarray, left_rule):
+    """``lam * left + mu * right`` of each row of ``rows``, shape
+    ``(rows, n + 1)``, with corner patching.
 
-    ``left_rule`` (``_apply_left`` or ``_bapply_left``) is prepared for one
-    side at a time, the right side on the reflected interval, and is handed
-    the whole stack and the output, both reversed for the right side.
+    ``left_rule`` (``_apply_left`` or ``_bapply_left``) builds the rule
+    once, for both sides, and it is handed the whole stack and the output,
+    both reversed for the right side.  With both side weights zero nothing
+    is built and the result is zeros.
     """
     _check_interval(grid, p.a, p.b)
     if kernel.requires_positive_domain and grid.a <= 0.0:
         raise DomainError("this kernel needs a strictly positive interval, got a <= 0")
     n, out, bad = grid.n, np.zeros(rows.shape), set()
+    if p.lam == 0.0 and p.mu == 0.0:
+        return out
+    rule = left_rule(kernel, grid)
     if p.lam != 0.0:
-        bad |= left_rule(kernel, grid, False)(rows, out, p.lam)
+        bad |= rule(rows, out, p.lam, False)
     if p.mu != 0.0:
-        right = left_rule(kernel, grid, True)
-        bad |= {n - j for j in right(rows[:, ::-1], out[:, ::-1], right_sign * p.mu)}
+        bad |= {n - j for j in rule(rows[:, ::-1], out[:, ::-1], p.mu, True)}
     if bad:
         _patch_corners(out, bad, n)
     if not np.all(np.isfinite(out)):
@@ -629,7 +620,7 @@ def k_apply(p: ParameterSet, kernel: Kernel, f: SampledFunction) -> SampledFunct
     the right integral reuses the same machinery on the reflected
     interval.
     """
-    return SampledFunction(f.grid, _two_sided(p, kernel, f.grid, f.values[None], _apply_left, 1.0)[0])
+    return SampledFunction(f.grid, _two_sided(p, kernel, f.grid, f.values[None], _apply_left)[0])
 
 
 def a_apply(p: ParameterSet, kernel: Kernel, f: SampledFunction) -> SampledFunction:
@@ -649,36 +640,43 @@ def a_apply(p: ParameterSet, kernel: Kernel, f: SampledFunction) -> SampledFunct
     return SampledFunction(grid, d)
 
 
-def _bapply_left(kernel: Kernel, grid: Grid, right: bool):
+def _bapply_left(kernel: Kernel, grid: Grid):
     """Rule for the left integral of the kernel against the cell derivative
     of each row, in the form of ``_apply_left``.
 
     The derivative inside the composition is the exact (cellwise
     constant) derivative of the piecewise-linear interpolant, so the
     interpolation error of ``f`` telescopes within each cell instead of
-    polluting the quadrature near a startup cusp.
+    polluting the quadrature near a startup cusp.  On the right side it
+    negates ``weight``: the reversed rows' derivative is the reversed
+    derivative with its sign changed.
     """
     n, h = grid.n, grid.h
     mu = 1.0 - kernel.singularity_exponent
+    t1, t2 = lags = _lag_tables(mu, n + 1)
 
     if kernel.is_difference:
-        a_coef, b_coef, prof = _difference_tables(kernel, grid, n)
-        cell = prof[1:] * (a_coef - b_coef) + prof[:-1] * b_coef
-        convolve = _convolve(cell, n, n)
-        return _grouped(lambda fv: np.pad(h ** (mu - 1.0) * convolve(np.diff(fv, axis=1)), ((0, 0), (1, 0))))
+        prof = _profile(kernel, grid)
+        convolve = _convolve(prof[1:] * t1[1:] + prof[:-1] * t2[:-1], n, n)
 
-    def rule(rows, out, weight):
+        def values(fv):
+            return np.pad(h ** (mu - 1.0) * convolve(np.diff(fv, axis=1)), ((0, 0), (1, 0)))
+
+    def rule(rows, out, weight, right):
+        weight = -weight if right else weight
+        if kernel.is_difference:
+            return _grouped(values, rows, out, weight)
         # cell i carries A - B at its left node and B at its right node
         df = np.diff(rows, axis=1)
         x1, x2 = np.pad(df, ((0, 0), (0, 1))), np.pad(df, ((0, 0), (1, 0)))
-        return _left_engine(kernel, grid, right, x1, x2, h ** (mu - 1.0), out, weight)
+        return _left_engine(kernel, grid, right, lags, x1, x2, h ** (mu - 1.0), out, weight)
 
     return rule
 
 
 def b_apply(p: ParameterSet, kernel: Kernel, f: SampledFunction) -> SampledFunction:
     """Derivative-inside operator: kernel integral of the derivative of ``f``."""
-    return SampledFunction(f.grid, _two_sided(p, kernel, f.grid, f.values[None], _bapply_left, -1.0)[0])
+    return SampledFunction(f.grid, _two_sided(p, kernel, f.grid, f.values[None], _bapply_left)[0])
 
 
 @dataclass(frozen=True)

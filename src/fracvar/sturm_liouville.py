@@ -156,7 +156,7 @@ class RitzBasis:
             dphi = np.gradient(phi, grid.h, axis=1, edge_order=2)
         else:
             caputo = PowerLawKernel(problem.alpha, "derivative")
-            dphi = _two_sided(ParameterSet(grid.a, grid.b, 1.0, 0.0), caputo, grid, phi, _bapply_left, -1.0)
+            dphi = _two_sided(ParameterSet(grid.a, grid.b, 1.0, 0.0), caputo, grid, phi, _bapply_left)
         return cls(problem, grid, m, phi, dphi, coefficients)
 
 

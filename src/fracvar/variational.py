@@ -176,9 +176,9 @@ def _slots(binding: OperatorBinding, grid: Grid, rows: np.ndarray):
     p, kernel = binding.p, binding.kernel
     return (
         rows,
-        _two_sided(p, kernel, grid, rows, _apply_left, 1.0),
+        _two_sided(p, kernel, grid, rows, _apply_left),
         np.gradient(rows, grid.h, axis=1, edge_order=2),
-        _two_sided(p, kernel, grid, rows, _bapply_left, -1.0),
+        _two_sided(p, kernel, grid, rows, _bapply_left),
     )
 
 
@@ -186,25 +186,35 @@ def _trajectory(problem: VariationalProblem, y: SampledFunction):
     return tuple(slot[0] for slot in _slots(problem.binding, y.grid, y.values[None]))
 
 
-def evaluate_functional(problem: VariationalProblem, y: SampledFunction) -> float:
-    """Value of the functional along ``y`` (boundary data must match)."""
-    _check_boundary(problem, y)
-    grid = y.grid
-    x1, x2, x3, x4 = _trajectory(problem, y)
-    vals = problem.lagrangian.value(x1, x2, x3, x4, grid.nodes)
+def _functional(problem: VariationalProblem, grid: Grid, slots) -> float:
+    vals = problem.lagrangian.value(*slots, grid.nodes)
     if problem.weight is not None:
         vals = vals * problem.weight.values
     return trapezoid(SampledFunction(grid, vals))
 
 
-def _weighted_partials(problem: VariationalProblem, y: SampledFunction):
-    grid = y.grid
-    x1, x2, x3, x4 = _trajectory(problem, y)
-    p1, p2, p3, p4 = problem.lagrangian.partials(x1, x2, x3, x4, grid.nodes)
+def evaluate_functional(problem: VariationalProblem, y: SampledFunction) -> float:
+    """Value of the functional along ``y`` (boundary data must match)."""
+    _check_boundary(problem, y)
+    return _functional(problem, y.grid, _trajectory(problem, y))
+
+
+def _weighted_partials(problem: VariationalProblem, grid: Grid, slots):
+    p1, p2, p3, p4 = problem.lagrangian.partials(*slots, grid.nodes)
     if problem.weight is not None:
         w = problem.weight.values
         p1, p2, p3, p4 = p1 * w, p2 * w, p3 * w, p4 * w
     return p1, p2, p3, p4
+
+
+def _stationarity(problem: VariationalProblem, grid: Grid, slots) -> np.ndarray:
+    """Values of ``el_residual`` along the trajectory ``slots``."""
+    p1, p2, p3, p4 = _weighted_partials(problem, grid, slots)
+    pstar, kern = dual(problem.binding.p), problem.binding.kernel
+    term_dt = np.gradient(p3, grid.h, edge_order=2)
+    term_a = a_apply(pstar, kern, SampledFunction(grid, p4)).values
+    term_k = k_apply(pstar, kern, SampledFunction(grid, p2)).values
+    return term_dt + term_a - p1 - term_k
 
 
 def el_residual(problem: VariationalProblem, y: SampledFunction) -> SampledFunction:
@@ -217,14 +227,7 @@ def el_residual(problem: VariationalProblem, y: SampledFunction) -> SampledFunct
     integral image of the second-slot partial.  With a weight attached,
     every partial is premultiplied by the weight first.
     """
-    grid = y.grid
-    p1, p2, p3, p4 = _weighted_partials(problem, y)
-    pstar = dual(problem.binding.p)
-    kern = problem.binding.kernel
-    term_dt = np.gradient(p3, grid.h, edge_order=2)
-    term_a = a_apply(pstar, kern, SampledFunction(grid, p4)).values
-    term_k = k_apply(pstar, kern, SampledFunction(grid, p2)).values
-    return SampledFunction(grid, term_dt + term_a - p1 - term_k)
+    return SampledFunction(y.grid, _stationarity(problem, y.grid, _trajectory(problem, y)))
 
 
 def natural_bc_residual(problem: VariationalProblem, y: SampledFunction) -> float:
@@ -243,7 +246,7 @@ def natural_bc_residual(problem: VariationalProblem, y: SampledFunction) -> floa
         )
     _check_boundary(problem, y)
     grid = y.grid
-    _, p2, p3, p4 = _weighted_partials(problem, y)
+    _, p2, p3, p4 = _weighted_partials(problem, grid, _trajectory(problem, y))
     expr = p3 + k_apply(dual(problem.binding.p), problem.binding.kernel,
                         SampledFunction(grid, p4)).values
     return abs(2.0 * expr[1] - expr[2])
@@ -271,15 +274,18 @@ def isoperimetric_residual(
     con_problem = VariationalProblem(
         constraint, problem.binding, problem.ya, problem.yb, problem.weight
     )
-    j_val = evaluate_functional(con_problem, y)
+    # both problems share the binding, so one trajectory serves all three
+    _check_boundary(con_problem, y)
+    grid, slots = y.grid, _trajectory(problem, y)
+    j_val = _functional(con_problem, grid, slots)
     if abs(j_val - xi_value) > 1e-6 * (1.0 + abs(xi_value)):
         raise InputError(
             f"candidate violates the constraint: functional value {j_val} "
             f"vs prescribed level {xi_value}"
         )
-    res_f = el_residual(problem, y).values
-    res_g = el_residual(con_problem, y).values
-    win = interior_slice(y.grid.n)
+    res_f = _stationarity(problem, grid, slots)
+    res_g = _stationarity(con_problem, grid, slots)
+    win = interior_slice(grid.n)
     rf = res_f[win]
     rg = res_g[win]
     denom = float(rg @ rg)
@@ -319,8 +325,8 @@ def noether_drift(
     """
     if problem.weight is not None:
         raise ConfigurationError("conserved-quantity checks support unweighted functionals only")
-    grid = y.grid
-    check = interior_sup(el_residual(problem, y).values)
+    grid, slots = y.grid, _trajectory(problem, y)
+    check = interior_sup(_stationarity(problem, grid, slots))
     if check > 1e-2:
         warnings.warn(
             f"trajectory fails the stationarity check (residual {check:.2e}); "
@@ -331,10 +337,8 @@ def noether_drift(
     if not np.all(np.isfinite(xi_v)):
         raise InputError("generator produced non-finite values along the trajectory")
 
-    x1, x2, x3, x4 = _trajectory(problem, y)
-    p1, p2, p3, p4 = problem.lagrangian.partials(x1, x2, x3, x4, grid.nodes)
-    pstar = dual(problem.binding.p)
-    kern = problem.binding.kernel
+    p1, p2, p3, p4 = problem.lagrangian.partials(*slots, grid.nodes)
+    pstar, kern = dual(problem.binding.p), problem.binding.kernel
     p4sf = SampledFunction(grid, p4)
 
     scale = 1.0 + float(np.abs(p4).max())

@@ -22,6 +22,7 @@ from fracvar import (
     symmetric_eigen,
     trapezoid,
 )
+from fracvar.foundation import _pi_coefficients
 
 st_mu = st.floats(0.05, 0.95)
 st_dim = st.integers(2, 12)
@@ -272,6 +273,28 @@ def test_singular_weights_domain():
         singular_weights(1.5, g, 4)
     with pytest.raises(InputError):
         singular_weights(0.5, g, 9)
+
+
+def _row_weights(j, a_coef, b_coef):
+    """Unscaled row-``j`` weights straight from ``A`` and ``B``: node 0
+    ``A(j) - B(j)``, inner node ``i`` ``A(j - i) - B(j - i) + B(j - i + 1)``,
+    node ``j`` ``B(1)``."""
+    w = np.empty(j + 1)
+    w[j] = b_coef[0]
+    w[0] = a_coef[j - 1] - b_coef[j - 1]
+    if j >= 2:
+        w[1:j] = (a_coef[j - 2::-1] - b_coef[j - 2::-1]) + b_coef[j - 1:0:-1]
+    return w
+
+
+@pytest.mark.parametrize("mu", [0.3, 0.5, 1.0 - 1e-6])
+@pytest.mark.parametrize("j", [1, 2, 3, 17, 1024])
+def test_singular_weights_match_the_row_formula_bit_for_bit(mu, j):
+    """The weights read the operators' lag tables; the direct row formula
+    from ``A`` and ``B`` is the oracle."""
+    g = Grid(0.0, 1.0, 1024)
+    want = _row_weights(j, *_pi_coefficients(mu, j)) * g.h ** mu
+    assert np.array_equal(singular_weights(mu, g, j), want)
 
 
 def test_singular_weights_near_one_recover_trapezoid():

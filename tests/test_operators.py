@@ -160,10 +160,10 @@ def test_bounded_kernel_corner_is_mended_with_warning():
     assert record[0].filename == __file__
     # a stack patches every row and warns once per call
     rows = np.random.default_rng(7).uniform(-1, 1, (5, 65))
-    for _, left_rule, sign in STACKED_RULES:
+    for _, left_rule in STACKED_RULES:
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
-            _two_sided(p, rational, g, rows, left_rule, sign)
+            _two_sided(p, rational, g, rows, left_rule)
         assert [w.category for w in record] == [CornerExtrapolationWarning]
 
 
@@ -352,14 +352,15 @@ def _row_two_sided(p, kernel, f, left_rule, right_sign):
     return out, 1e-12 * size, flagged
 
 
-def _engine_two_sided(p, kernel, f, left_rule, right_sign):
+def _engine_two_sided(p, kernel, f, left_rule):
     """``_two_sided`` without the corner patch: values and flagged nodes."""
     grid, n = f.grid, f.grid.n
     out, flagged = np.zeros((1, n + 1)), set()
+    rule = left_rule(kernel, grid)
     if p.lam != 0.0:
-        flagged.update(left_rule(kernel, grid, False)(f.values[None], out, p.lam))
+        flagged.update(rule(f.values[None], out, p.lam, False))
     if p.mu != 0.0:
-        flags = left_rule(kernel, grid, True)(f.values[None, ::-1], out[:, ::-1], right_sign * p.mu)
+        flags = rule(f.values[None, ::-1], out[:, ::-1], p.mu, True)
         flagged.update(n - j for j in flags)
     return out[0], flagged
 
@@ -367,7 +368,7 @@ def _engine_two_sided(p, kernel, f, left_rule, right_sign):
 def _assert_engine_matches_oracle(p, kernel, f):
     for engine, oracle, sign in ((_apply_left, _row_k_left, 1.0), (_bapply_left, _row_b_left, -1.0)):
         want, bound, want_flags = _row_two_sided(p, kernel, f, oracle, sign)
-        got, got_flags = _engine_two_sided(p, kernel, f, engine, sign)
+        got, got_flags = _engine_two_sided(p, kernel, f, engine)
         assert got_flags == want_flags
         assert np.array_equal(np.isnan(got), np.isnan(want))
         kept = ~np.isnan(want)
@@ -748,19 +749,20 @@ def test_singular_diagonal_is_continued_linearly():
 # --- stacked rows against one call per row --------------------------------
 #
 # ``_two_sided`` takes a stack of rows; ``k_apply`` and ``b_apply`` are its
-# one-row case.  Each side's rule is prepared once and handed the whole
-# stack: difference kernels build the tables and the weight spectrum once,
-# other kernels the engine's tile cofactors, far-block factors or samples
-# and lag spectra.  Both apply them to rows in groups, which must not
-# change a single bit.  Row counts 3, 5 and 13 leave the last group ragged.
+# one-row case.  Each call's rule is built once, serves both sides and is
+# handed the whole stack: difference kernels build the tables and the
+# weight spectrum once, and each engine run its tile cofactors, far-block
+# factors or samples and lag spectra.  Both apply them to rows in groups,
+# which must not change a single bit.  Row counts 3, 5 and 13 leave the
+# last group ragged.
 
-STACKED_RULES = ((k_apply, _apply_left, 1.0), (b_apply, _bapply_left, -1.0))
+STACKED_RULES = ((k_apply, _apply_left), (b_apply, _bapply_left))
 
 
 def _assert_stack_matches_rows(p, kernel, rows):
     g = Grid(p.a, p.b, rows.shape[1] - 1)
-    for apply, left_rule, sign in STACKED_RULES:
-        stacked = _two_sided(p, kernel, g, rows, left_rule, sign)
+    for apply, left_rule in STACKED_RULES:
+        stacked = _two_sided(p, kernel, g, rows, left_rule)
         per_row = np.array([apply(p, kernel, SampledFunction(g, row)).values for row in rows])
         assert np.array_equal(stacked, per_row)
 
@@ -815,11 +817,11 @@ def test_stacked_general_kernel_samples_as_many_entries_as_one_row():
 
     kernel, p, g = GeneralKernel(exp_lag), ParameterSet(0.0, 1.0, 0.8, -1.3), Grid(0.0, 1.0, 2048)
     rows = np.random.default_rng(6).uniform(-1, 1, (33, 2049))
-    for _, left_rule, sign in STACKED_RULES:
+    for _, left_rule in STACKED_RULES:
         counts = []
         for stack in (rows[:1], rows):
             asked[0] = 0
-            _two_sided(p, kernel, g, stack, left_rule, sign)
+            _two_sided(p, kernel, g, stack, left_rule)
             counts.append(asked[0])
         assert counts[1] == counts[0]
 
@@ -834,9 +836,27 @@ def test_stacked_zero_rows_and_constant_rows_give_exact_zeros(kernel):
     p = ParameterSet(0.0, 1.0, 0.8, 1.9)
     g = Grid(0.0, 1.0, 32)
     zeros, constants = np.zeros((5, 33)), np.linspace(-2.0, 3.0, 5)[:, None] * np.ones(33)
-    for _, left_rule, sign in STACKED_RULES:
-        assert np.all(_two_sided(p, kernel, g, zeros, left_rule, sign) == 0.0)
-    assert np.all(_two_sided(p, kernel, g, constants, _bapply_left, -1.0) == 0.0)
+    for _, left_rule in STACKED_RULES:
+        assert np.all(_two_sided(p, kernel, g, zeros, left_rule) == 0.0)
+    assert np.all(_two_sided(p, kernel, g, constants, _bapply_left) == 0.0)
+
+
+def test_two_sided_difference_call_samples_its_profile_once():
+    """Both sides of a difference-kernel call share one rule: its tables,
+    profile and weight spectrum are built once, so ``h`` is called once
+    per ``k_apply`` or ``b_apply``, not once per side."""
+    calls = [0]
+
+    def h(u):
+        calls[0] += 1
+        return np.exp(-u)
+
+    kernel, p, g = DifferenceKernel(h), ParameterSet(0.0, 1.0, 0.8, -1.3), Grid(0.0, 1.0, 256)
+    f = SampledFunction(g, np.cos(3.0 * g.nodes))
+    for apply in (k_apply, b_apply):
+        calls[0] = 0
+        apply(p, kernel, f)
+        assert calls[0] == 1
 
 
 def test_stacked_call_keeps_the_typed_errors():
@@ -846,9 +866,9 @@ def test_stacked_call_keeps_the_typed_errors():
     g = Grid(0.0, 1.0, 32)
     rows = np.zeros((5, 33))
     pole = DifferenceKernel(lambda u: 1.0 / u)
-    for _, left_rule, sign in STACKED_RULES:
+    for _, left_rule in STACKED_RULES:
         with pytest.raises(NumericError, match="profile"), np.errstate(divide="ignore"):
-            _two_sided(LEFT, pole, g, rows, left_rule, sign)
+            _two_sided(LEFT, pole, g, rows, left_rule)
 
     rows[3] = 1e308
     kernel = PowerLawKernel(0.5, "integral")
@@ -856,7 +876,7 @@ def test_stacked_call_keeps_the_typed_errors():
         with pytest.raises(InputError, match="non-finite sample") as alone:
             k_apply(LEFT, kernel, SampledFunction(g, rows[3]))
         with pytest.raises(InputError) as stacked:
-            _two_sided(LEFT, kernel, g, rows, _apply_left, 1.0)
+            _two_sided(LEFT, kernel, g, rows, _apply_left)
     assert str(stacked.value) == str(alone.value)
 
 

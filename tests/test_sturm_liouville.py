@@ -209,6 +209,26 @@ def test_one_mode_spectrum_at_the_edge_orders(alpha, order):
         assert observed.min() >= order
 
 
+@pytest.mark.parametrize("alpha", [0.5 + 1e-9, 1.0 - 1e-9], ids=["lower", "upper"])
+def test_four_mode_spectrum_at_the_edge_orders(alpha):
+    """m = r = 4 at the ends of the admissible orders: the eigenvalues are
+    finite, ascending and equal to their eigenfunctions' Rayleigh
+    quotients.  Just below alpha = 1 the largest gap to the classical
+    spectrum on the same grid falls under refinement (0.087, 0.053, 0.015
+    at n = 128, 256, 1024)."""
+    problem, gaps = constant_problem(alpha), []
+    for n in (128, 256, 1024):
+        grid = Grid(0.0, math.pi, n)
+        spectrum = solve_spectrum(problem, 4, 4, grid)
+        lams = spectrum.lambdas
+        assert np.all(np.isfinite(lams)) and np.all(np.diff(lams) > 0.0)
+        for lam, fn in zip(lams, spectrum.eigenfunctions):
+            assert abs(rayleigh_quotient(problem, fn) - lam) <= 1e-12 * (1.0 + lam)
+        gaps.append(np.abs(lams - solve_spectrum(constant_problem(1.0), 4, 4, grid).lambdas).max())
+    if alpha > 0.9:
+        assert gaps[0] > gaps[1] > gaps[2]
+
+
 # --- Rayleigh quotient -------------------------------------------------------------
 
 
@@ -514,13 +534,13 @@ def test_trial_space_images_match_per_row_trajectories():
 
 def count_table_builds(monkeypatch):
     calls = []
-    real = operators._pi_coefficients
+    real = operators._lag_tables
 
     def counting(mu, count):
         calls.append(count)
         return real(mu, count)
 
-    monkeypatch.setattr(operators, "_pi_coefficients", counting)
+    monkeypatch.setattr(operators, "_lag_tables", counting)
     return calls
 
 

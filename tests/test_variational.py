@@ -317,6 +317,32 @@ def test_noether_rejects_weighted_problems():
         noether_drift(prob, SampledFunction(g, g.nodes), NoetherGenerator(lambda t, y: 1.0))
 
 
+def test_constrained_and_conserved_checks_form_the_trajectory_once():
+    """Each check forms the slots of ``y`` once and shares them.  A left
+    difference kernel samples its profile once per operator call: the
+    slots take 2 calls, each stationarity residual 2 and the conserved
+    quantity's pairings 4: 8 for ``noether_drift`` and 6 for
+    ``isoperimetric_residual``."""
+    calls = [0]
+
+    def h(s):
+        calls[0] += 1
+        return np.exp(-s)
+
+    g = Grid(0.0, 1.0, 256)
+    lag = quadratic_tracking()
+    binding = OperatorBinding(ParameterSet(0.0, 1.0, 1.0, 0.0), DifferenceKernel(h))
+    prob, y = VariationalProblem(lag, binding, ya=-1.0, yb=-2.0), SampledFunction(g, -1.0 - g.nodes)
+    level = evaluate_functional(prob, y)
+    counts = []
+    for check in (lambda: noether_drift(prob, y, NoetherGenerator(lambda t, x: 1.0)),
+                  lambda: isoperimetric_residual(prob, lag, level, y)):
+        calls[0] = 0
+        check()
+        counts.append(calls[0])
+    assert counts == [8, 6]
+
+
 # --- weighted (action-dissipative) problems -----------------------------------
 
 

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-import mpmath
 import numpy as np
 
 from .errors import AccuracyError, DomainError, InputError, NumericError
@@ -249,6 +248,7 @@ def mittag_leffler(alpha: float, z: float | np.ndarray) -> float | np.ndarray:
 def _mittag_leffler_mp(alpha: float, z: float, digits: int) -> float:
     """Re-sum the series of ``E_alpha(z)`` in ``mpmath`` at ``digits`` digits,
     where float64 round-off would exceed the error budget."""
+    import mpmath  # here, not at module level: only this pass needs it
     with mpmath.workdps(digits):
         zm = mpmath.mpf(z)
         total = mpmath.mpf(1)

@@ -257,8 +257,10 @@ class GeneralKernel(Kernel):
         s = self.singularity_exponent
         if s == 0.0:
             return kv
-        d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-        return kv * np.where(d > 0.0, d, 0.0) ** s
+        # in place, as in HadamardKernel; a 0-d ``d`` keeps scalar calls working
+        d = np.subtract(x, y, out=np.empty(np.broadcast(x, y).shape))
+        np.maximum(d, 0.0, out=d)
+        return np.multiply(kv, np.power(d, s, out=d), out=d)
 
 
 def _convolve(y: np.ndarray, length: int, count: int):
@@ -623,21 +625,21 @@ def k_apply(p: ParameterSet, kernel: Kernel, f: SampledFunction) -> SampledFunct
     return SampledFunction(f.grid, _two_sided(p, kernel, f.grid, f.values[None], _apply_left)[0])
 
 
-def a_apply(p: ParameterSet, kernel: Kernel, f: SampledFunction) -> SampledFunction:
-    """Derivative-outside operator: grid derivative of ``k_apply``.
-
-    Output values at an active endpoint (left when ``lam != 0``, right
-    when ``mu != 0``) are continued linearly from the two nearest interior
-    nodes, since the true derivative may be unbounded there.
-    """
-    inner = k_apply(p, kernel, f)
-    grid = f.grid
-    d = np.gradient(inner.values, grid.h, edge_order=2)
+def _outside(p: ParameterSet, images: np.ndarray, h: float) -> np.ndarray:
+    """A's rule on K images, shape ``(rows, n + 1)``: the grid derivative,
+    continued linearly from the two nearest nodes at each active endpoint
+    (left when ``lam != 0``, right when ``mu != 0``), where it may be unbounded."""
+    d = np.gradient(images, h, axis=1, edge_order=2)
     if p.lam != 0.0:
-        d[0] = 2.0 * d[1] - d[2]
+        d[:, 0] = 2.0 * d[:, 1] - d[:, 2]
     if p.mu != 0.0:
-        d[-1] = 2.0 * d[-2] - d[-3]
-    return SampledFunction(grid, d)
+        d[:, -1] = 2.0 * d[:, -2] - d[:, -3]
+    return d
+
+
+def a_apply(p: ParameterSet, kernel: Kernel, f: SampledFunction) -> SampledFunction:
+    """Derivative-outside operator: A's rule (``_outside``) on ``k_apply``."""
+    return SampledFunction(f.grid, _outside(p, k_apply(p, kernel, f).values[None], f.grid.h)[0])
 
 
 def _bapply_left(kernel: Kernel, grid: Grid):

@@ -39,7 +39,7 @@ from .foundation import (
     symmetric_eigen,
     trapezoid,
 )
-from .operators import ClassicalOp, ParameterSet, PowerLawKernel, classical
+from .operators import ParameterSet, PowerLawKernel
 from .operators import _bapply_left, _two_sided
 from .variational import VariationalProblem, _slots
 
@@ -93,14 +93,21 @@ class SLProblem:
 
     def derivative_image(self, f: SampledFunction) -> SampledFunction:
         """Left derivative of order ``alpha`` (classical one at ``alpha = 1``)."""
-        if self.alpha == 1.0:
-            return f.derivative()
-        return classical(ClassicalOp.CAPUTO_LEFT, self.alpha, f)
+        return SampledFunction(f.grid, self._derivative(f.grid, f.values[None], False)[0])
 
     def right_derivative_image(self, f: SampledFunction) -> SampledFunction:
+        return SampledFunction(f.grid, self._derivative(f.grid, f.values[None], True)[0])
+
+    def _derivative(self, grid: Grid, rows: np.ndarray, right: bool) -> np.ndarray:
+        """Left (right) derivative image of each row of ``rows``, shape
+        ``(rows, n + 1)``: the grid derivative at ``alpha = 1``, else B of
+        the Caputo kernel in one stacked application; negated on the right."""
         if self.alpha == 1.0:
-            return SampledFunction(f.grid, -f.derivative().values)
-        return classical(ClassicalOp.CAPUTO_RIGHT, self.alpha, f)
+            d = np.gradient(rows, grid.h, axis=1, edge_order=2)
+        else:
+            side = ParameterSet(grid.a, grid.b, float(not right), float(right))
+            d = _two_sided(side, PowerLawKernel(self.alpha, "derivative"), grid, rows, _bapply_left)
+        return -d if right else d
 
 
 def _sample_coefficients(problem: SLProblem, grid: Grid):
@@ -152,12 +159,7 @@ class RitzBasis:
         phi *= 1.0 / np.sqrt(coefficients[2])
         phi[:, 0] = 0.0
         phi[:, -1] = 0.0
-        if problem.alpha == 1.0:
-            dphi = np.gradient(phi, grid.h, axis=1, edge_order=2)
-        else:
-            caputo = PowerLawKernel(problem.alpha, "derivative")
-            dphi = _two_sided(ParameterSet(grid.a, grid.b, 1.0, 0.0), caputo, grid, phi, _bapply_left)
-        return cls(problem, grid, m, phi, dphi, coefficients)
+        return cls(problem, grid, m, phi, problem._derivative(grid, phi, False), coefficients)
 
 
 def _assemble_from_basis(basis: RitzBasis) -> SymmetricMatrix:

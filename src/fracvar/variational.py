@@ -7,7 +7,9 @@ itself, ``x2`` the integral operator image, ``x3`` the classical
 derivative, and ``x4`` the derivative-inside image.  The stationarity
 residual, the natural boundary condition, the isoperimetric multiplier
 recovery, and the conserved-quantity drift all reduce to combinations of
-the dual operators acting on partial derivatives of ``F``.
+the dual operators acting on partial derivatives of ``F``.  Each check
+forms the partials' dual images in one stacked application
+(``_stationarity``) and every other image as a trajectory's slot.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from .foundation import (
     interior_sup,
     trapezoid,
 )
-from .operators import OperatorBinding, a_apply, b_apply, dual, k_apply
-from .operators import _apply_left, _bapply_left, _two_sided
+from .operators import OperatorBinding, b_apply, dual, k_apply
+from .operators import _apply_left, _bapply_left, _outside, _two_sided
 
 __all__ = [
     "Lagrangian",
@@ -183,7 +185,10 @@ def _slots(binding: OperatorBinding, grid: Grid, rows: np.ndarray):
 
 
 def _trajectory(problem: VariationalProblem, y: SampledFunction):
-    return tuple(slot[0] for slot in _slots(problem.binding, y.grid, y.values[None]))
+    """``_slots`` of the one row ``y``, through the public ``k_apply`` and
+    ``b_apply``, so that a trace of those names sees the checks' operator work."""
+    p, kern = problem.binding.p, problem.binding.kernel
+    return y.values, k_apply(p, kern, y).values, y.derivative().values, b_apply(p, kern, y).values
 
 
 def _functional(problem: VariationalProblem, grid: Grid, slots) -> float:
@@ -207,14 +212,16 @@ def _weighted_partials(problem: VariationalProblem, grid: Grid, slots):
     return p1, p2, p3, p4
 
 
-def _stationarity(problem: VariationalProblem, grid: Grid, slots) -> np.ndarray:
-    """Values of ``el_residual`` along the trajectory ``slots``."""
-    p1, p2, p3, p4 = _weighted_partials(problem, grid, slots)
-    pstar, kern = dual(problem.binding.p), problem.binding.kernel
+def _stationarity(problem: VariationalProblem, grid: Grid, slots):
+    """``el_residual`` values along ``slots``, the weighted partials
+    ``(p1, p2, p3, p4)`` and their dual images ``(A*[p4], K*[p4], K*[p2])``:
+    one stacked dual K of the rows ``(p4, p2)``, and A's rule on the first."""
+    p1, p2, p3, p4 = partials = _weighted_partials(problem, grid, slots)
+    pstar = dual(problem.binding.p)
+    k_p4, k_p2 = _two_sided(pstar, problem.binding.kernel, grid, np.vstack((p4, p2)), _apply_left)
+    a_p4 = _outside(pstar, k_p4[None], grid.h)[0]
     term_dt = np.gradient(p3, grid.h, edge_order=2)
-    term_a = a_apply(pstar, kern, SampledFunction(grid, p4)).values
-    term_k = k_apply(pstar, kern, SampledFunction(grid, p2)).values
-    return term_dt + term_a - p1 - term_k
+    return term_dt + a_p4 - p1 - k_p2, partials, (a_p4, k_p4, k_p2)
 
 
 def el_residual(problem: VariationalProblem, y: SampledFunction) -> SampledFunction:
@@ -227,7 +234,7 @@ def el_residual(problem: VariationalProblem, y: SampledFunction) -> SampledFunct
     integral image of the second-slot partial.  With a weight attached,
     every partial is premultiplied by the weight first.
     """
-    return SampledFunction(y.grid, _stationarity(problem, y.grid, _trajectory(problem, y)))
+    return SampledFunction(y.grid, _stationarity(problem, y.grid, _trajectory(problem, y))[0])
 
 
 def natural_bc_residual(problem: VariationalProblem, y: SampledFunction) -> float:
@@ -245,10 +252,8 @@ def natural_bc_residual(problem: VariationalProblem, y: SampledFunction) -> floa
             "but this problem prescribes y(a)"
         )
     _check_boundary(problem, y)
-    grid = y.grid
-    _, p2, p3, p4 = _weighted_partials(problem, grid, _trajectory(problem, y))
-    expr = p3 + k_apply(dual(problem.binding.p), problem.binding.kernel,
-                        SampledFunction(grid, p4)).values
+    _, (_, _, p3, _), (_, k_p4, _) = _stationarity(problem, y.grid, _trajectory(problem, y))
+    expr = p3 + k_p4
     return abs(2.0 * expr[1] - expr[2])
 
 
@@ -283,11 +288,9 @@ def isoperimetric_residual(
             f"candidate violates the constraint: functional value {j_val} "
             f"vs prescribed level {xi_value}"
         )
-    res_f = _stationarity(problem, grid, slots)
-    res_g = _stationarity(con_problem, grid, slots)
     win = interior_slice(grid.n)
-    rf = res_f[win]
-    rg = res_g[win]
+    rf = _stationarity(problem, grid, slots)[0][win]
+    rg = _stationarity(con_problem, grid, slots)[0][win]
     denom = float(rg @ rg)
     if math.sqrt(denom / rg.size) <= 1e-10:
         raise DegeneracyError(
@@ -326,7 +329,9 @@ def noether_drift(
     if problem.weight is not None:
         raise ConfigurationError("conserved-quantity checks support unweighted functionals only")
     grid, slots = y.grid, _trajectory(problem, y)
-    check = interior_sup(_stationarity(problem, grid, slots))
+    # unweighted, so the partials are the Lagrangian's own
+    residual, (p1, p2, p3, p4), (a_p4, k_p4, k_p2) = _stationarity(problem, grid, slots)
+    check = interior_sup(residual)
     if check > 1e-2:
         warnings.warn(
             f"trajectory fails the stationarity check (residual {check:.2e}); "
@@ -337,26 +342,17 @@ def noether_drift(
     if not np.all(np.isfinite(xi_v)):
         raise InputError("generator produced non-finite values along the trajectory")
 
-    p1, p2, p3, p4 = problem.lagrangian.partials(*slots, grid.nodes)
-    pstar, kern = dual(problem.binding.p), problem.binding.kernel
-    p4sf = SampledFunction(grid, p4)
-
     scale = 1.0 + float(np.abs(p4).max())
     reduced = (
         max(float(np.abs(p).max()) for p in (p1, p2, p3)) <= 1e-12 * scale
         and float(xi_v.max() - xi_v.min()) <= 1e-13 * (1.0 + float(np.abs(xi_v).mean()))
     )
     if reduced:
-        c_vals = k_apply(pstar, kern, p4sf).values
+        c_vals = k_p4
     else:
-        xi_sf = SampledFunction(grid, xi_v)
-        p2sf = SampledFunction(grid, p2)
-        pair_d = xi_v * a_apply(pstar, kern, p4sf).values + p4 * b_apply(
-            problem.binding.p, kern, xi_sf
-        ).values
-        pair_i = -xi_v * k_apply(pstar, kern, p2sf).values + p2 * k_apply(
-            problem.binding.p, kern, xi_sf
-        ).values
+        _, k_xi, _, b_xi = _trajectory(problem, SampledFunction(grid, xi_v))
+        pair_d = xi_v * a_p4 + p4 * b_xi
+        pair_i = -xi_v * k_p2 + p2 * k_xi
         accumulated = cumulative_trapezoid(SampledFunction(grid, pair_d + pair_i))
         c_vals = xi_v * p3 + accumulated.values
     win = interior_slice(grid.n)

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 import hypothesis as hyp
 import hypothesis.strategies as some
 
@@ -257,86 +258,88 @@ def test_fft_convolution_matches_direct_oracle(kernel, n, lam, mu, seed):
 # --- hierarchical engine against the row-by-row oracle ---------------------
 #
 # The functions below are the non-difference branches of the left-sided
-# engines as two separate loops over output nodes, one full cofactor row at
-# a time; they are the reference the hierarchical engine is checked
-# against.  The engine sums in another order and approximates far blocks to
-# 1e-13, so each node must agree to 1e-12 of its row's absolute sum
+# engines as one direct O(n**2) sum over output nodes, a block of full
+# cofactor rows at a time, without the engine's ``_lag_tables``, FFT or
+# far-block approximation; they are the reference the hierarchical engine
+# is checked against.  Both rules are sums
 #
-#     R_j = |scale| * sum_i |c_ji| (|T1[j-i] x1_i| + |T2[j-i] x2_i|),
+#     h**e * sum_i c_ji (T1[j-i] x1_i + T2[j-i] x2_i)
+#
+# over one cofactor row: K with ``x1 = f``, ``x2 = f`` without node 0 and
+# ``e = mu``; B with the cell derivatives ``df``, ``x1 = (df, 0)``,
+# ``x2 = (0, df)`` and ``e = mu - 1``, where ``mu = 1 - s``.  So one pass
+# over the cofactor triangle serves both.  The engine sums in another order
+# and approximates far blocks to 1e-13, so each node must agree to 1e-12 of
+# its row's absolute sum
+#
+#     R_j = h**e * sum_i |c_ji| (|T1[j-i] x1_i| + |T2[j-i] x2_i|),
 #
 # which the oracle returns with its values.  ``cofactor`` is the kernel's
 # bounded part, already reflected for the right side.
 
+_ORACLE_BLOCK = 64
 
-def _oracle_row(cofactor, t, s, j):
-    """Mended cofactor row ``c(t_j, t_0..t_j)``, or None for a flagged node."""
+
+def _oracle_rows(cofactor, t, s, lo, hi):
+    """Cofactor rows ``c(t_j, t_0..t_j)`` of the nodes ``lo <= j < hi`` as
+    one ``(hi - lo, hi)`` array, zero above the diagonal and on flagged
+    rows, and the flagged nodes.  The columns ``i < lo`` are sampled in one
+    call; the square of columns ``lo <= i < hi`` is sampled at
+    ``(t_j, min(t_i, t_j))`` and cut to its lower triangle.  A row with a
+    non-finite sample is mended on its own."""
+    x = t[lo:hi, None]
     with np.errstate(invalid="ignore", divide="ignore"):
-        c = np.array(cofactor(t[j], t[: j + 1]), dtype=float)
-    if not np.all(np.isfinite(c)) and _mend_row(c, j, t, s, cofactor) == "flag":
-        return None
-    return c
+        square = np.tril(cofactor(x, np.minimum(t[lo:hi], x)))
+        c = np.concatenate((cofactor(x, t[:lo]), square), axis=1)
+    flagged = []
+    for k in np.flatnonzero(~np.isfinite(c).all(axis=1)):
+        j = lo + int(k)
+        if _mend_row(c[k, : j + 1], j, t, s, cofactor) == "flag":
+            c[k] = 0.0
+            flagged.append(j)
+    return c, flagged
 
 
-def _abs_row_sum(c, lags, x1, x2, j):
-    """``R_j / |scale|`` for the lag tables ``lags = (T1, T2)``."""
-    lag = j - np.arange(j + 1)
-    return float(np.abs(c) @ (np.abs(lags[0][lag] * x1[: j + 1]) + np.abs(lags[1][lag] * x2[: j + 1])))
+def _lag_windows(table):
+    """Function of ``(lo, hi)`` to the view ``table[j - i]`` for
+    ``lo <= j < hi`` and ``0 <= i < hi``, zero where ``i > j``."""
+    padded, count = np.concatenate((table[::-1], np.zeros(_ORACLE_BLOCK))), len(table)
+    return lambda lo, hi: sliding_window_view(padded, hi)[count - hi : count - lo][::-1]
 
 
-def _row_k_left(cofactor, s, grid, fv):
-    """Values (NaN where flagged), row absolute sums and flagged nodes of the K rule."""
+def _row_left(cofactor, s, grid, fv):
+    """Values (NaN where flagged) and row absolute sums ``R_j`` of the left
+    K and B rules, as columns 0 and 1, and the flagged nodes."""
     n, h, t = grid.n, grid.h, grid.nodes
     mu = 1.0 - s
     a_coef, b_coef = _pi_coefficients(mu, n + 1)
-    lags = (np.concatenate(([0.0], a_coef[:n] - b_coef[:n])), b_coef)
-    tail = fv.copy()
-    tail[0] = 0.0
-    out, size, flagged = np.zeros(n + 1), np.zeros(n + 1), []
-    for j in range(1, n + 1):
-        w = np.empty(j + 1)
-        w[j] = b_coef[0]
-        w[0] = a_coef[j - 1] - b_coef[j - 1]
-        if j >= 2:
-            w[1:j] = (a_coef[j - 2::-1] - b_coef[j - 2::-1]) + b_coef[j - 1:0:-1]
-        c = _oracle_row(cofactor, t, s, j)
-        if c is None:
-            out[j] = np.nan
-            flagged.append(j)
-            continue
-        out[j] = h**mu * float(w @ (c * fv[: j + 1]))
-        size[j] = h**mu * _abs_row_sum(c, lags, fv, tail, j)
-    return out, size, flagged
-
-
-def _row_b_left(cofactor, s, grid, fv):
-    """Values (NaN where flagged), row absolute sums and flagged nodes of the B rule."""
-    n, h, t = grid.n, grid.h, grid.nodes
+    t1 = _lag_windows(np.concatenate(([0.0], a_coef[:n] - b_coef[:n])))
+    t2 = _lag_windows(b_coef)
     df = np.diff(fv)
-    mu = 1.0 - s
-    a_coef, b_coef = _pi_coefficients(mu, n + 1)
-    lags = (np.concatenate(([0.0], a_coef[:n] - b_coef[:n])), b_coef)
-    left, right = np.append(df, 0.0), np.insert(df, 0, 0.0)
-    out, size, flagged = np.zeros(n + 1), np.zeros(n + 1), []
-    for j in range(1, n + 1):
-        amb_rev = a_coef[j - 1::-1] - b_coef[j - 1::-1]
-        b_rev = b_coef[j - 1::-1]
-        c = _oracle_row(cofactor, t, s, j)
-        if c is None:
-            out[j] = np.nan
-            flagged.append(j)
-            continue
-        out[j] = h ** (mu - 1.0) * float(df[:j] @ (c[:-1] * amb_rev + c[1:] * b_rev))
-        size[j] = h ** (mu - 1.0) * _abs_row_sum(c, lags, left, right, j)
-    return out, size, flagged
+    x1 = np.stack((fv, np.append(df, 0.0)), axis=1)
+    x2 = np.stack((np.insert(fv[1:], 0, 0.0), np.insert(df, 0, 0.0)), axis=1)
+    out, size, flagged = np.zeros((n + 1, 2)), np.zeros((n + 1, 2)), []
+    for lo in range(1, n + 1, _ORACLE_BLOCK):
+        hi = min(lo + _ORACLE_BLOCK, n + 1)
+        c, flags = _oracle_rows(cofactor, t, s, lo, hi)
+        c1, c2 = c * t1(lo, hi), c * t2(lo, hi)
+        out[lo:hi] = c1 @ x1[:hi] + c2 @ x2[:hi]
+        size[lo:hi] = np.abs(c1) @ np.abs(x1[:hi]) + np.abs(c2) @ np.abs(x2[:hi])
+        out[flags] = np.nan
+        flagged += flags
+    scale = np.array([h**mu, h ** (mu - 1.0)])
+    return scale * out, scale * size, flagged
 
 
-def _row_two_sided(p, kernel, f, left_rule, right_sign):
-    """Oracle values, per-node bound ``1e-12 * R_j`` and flagged nodes."""
+def _row_two_sided(p, kernel, f):
+    """Oracle values, per-node bounds ``1e-12 * R_j`` of K and B (columns 0
+    and 1) and flagged nodes.  B's right side carries the sign of the
+    reversed derivative."""
     grid, s, n = f.grid, kernel.singularity_exponent, f.grid.n
     ab = grid.a + grid.b
-    out, size, flagged = np.zeros(n + 1), np.zeros(n + 1), set()
+    out, size, flagged = np.zeros((n + 1, 2)), np.zeros((n + 1, 2)), set()
     if p.lam != 0.0:
-        vals, sums, flags = left_rule(kernel.cofactor, s, grid, f.values)
+        vals, sums, flags = _row_left(kernel.cofactor, s, grid, f.values)
         out += p.lam * vals
         size += abs(p.lam) * sums
         flagged.update(flags)
@@ -345,8 +348,8 @@ def _row_two_sided(p, kernel, f, left_rule, right_sign):
         def reflected(x, y):
             return kernel.cofactor(ab - np.asarray(y), ab - np.asarray(x))
 
-        vals, sums, flags = left_rule(reflected, s, grid, f.values[::-1].copy())
-        out += right_sign * p.mu * vals[::-1]
+        vals, sums, flags = _row_left(reflected, s, grid, f.values[::-1].copy())
+        out += np.array([1.0, -1.0]) * p.mu * vals[::-1]
         size += abs(p.mu) * sums[::-1]
         flagged.update(n - j for j in flags)
     return out, 1e-12 * size, flagged
@@ -366,8 +369,8 @@ def _engine_two_sided(p, kernel, f, left_rule):
 
 
 def _assert_engine_matches_oracle(p, kernel, f):
-    for engine, oracle, sign in ((_apply_left, _row_k_left, 1.0), (_bapply_left, _row_b_left, -1.0)):
-        want, bound, want_flags = _row_two_sided(p, kernel, f, oracle, sign)
+    oracle, bounds, want_flags = _row_two_sided(p, kernel, f)
+    for engine, want, bound in zip((_apply_left, _bapply_left), oracle.T, bounds.T):
         got, got_flags = _engine_two_sided(p, kernel, f, engine)
         assert got_flags == want_flags
         assert np.array_equal(np.isnan(got), np.isnan(want))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracvar import (
+    ClassicalOp,
     CoercivityError,
     ConfigurationError,
     DifferenceKernel,
@@ -24,6 +25,7 @@ from fracvar import (
     SLProblem,
     VariationalProblem,
     assemble,
+    classical,
     coercivity_probe,
     converge,
     direct_minimize,
@@ -512,6 +514,23 @@ def test_basis_images_match_per_row_derivative_images(alpha):
     basis = RitzBasis.build(problem, 7, grid)
     per_row = [problem.derivative_image(SampledFunction(grid, row)).values for row in basis.phi]
     assert np.array_equal(basis.dphi, np.array(per_row))
+
+
+@pytest.mark.parametrize("alpha", [0.75, 1.0])
+def test_derivative_images_are_the_classical_operators(alpha):
+    """The images are the Caputo operators of ``classical``, or at
+    ``alpha = 1`` the grid derivative and its negation, bit for bit.  The
+    basis rows' stacked images take the same path (the test above)."""
+    problem = SLProblem(alpha, ONE, ZERO, lambda t: 1.0 + 0.3 * t)
+    grid = Grid(0.0, math.pi, 333)
+    f = SampledFunction(grid, np.sin(grid.nodes) + 0.2 * grid.nodes)
+    if alpha == 1.0:
+        left, right = f.derivative().values, -f.derivative().values
+    else:
+        left = classical(ClassicalOp.CAPUTO_LEFT, alpha, f).values
+        right = classical(ClassicalOp.CAPUTO_RIGHT, alpha, f).values
+    assert np.array_equal(problem.derivative_image(f).values, left)
+    assert np.array_equal(problem.right_derivative_image(f).values, right)
 
 
 def two_sided_exp_problem(ya=0.3, yb=-1.1):

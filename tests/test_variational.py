@@ -1,6 +1,7 @@
 """Optimality-condition residuals: stationarity, boundary, constrained, conserved."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from fracvar import (
     DegeneracyError,
     DifferenceKernel,
     DomainError,
+    GeneralKernel,
     Grid,
     InputError,
     Lagrangian,
@@ -19,12 +21,17 @@ from fracvar import (
     PowerLawKernel,
     SampledFunction,
     VariationalProblem,
+    a_apply,
+    b_apply,
+    cumulative_trapezoid,
     dissipative_parameter,
+    dual,
     el_residual,
     evaluate_functional,
     interior_slice,
     interior_sup,
     isoperimetric_residual,
+    k_apply,
     natural_bc_residual,
     noether_drift,
     trapezoid,
@@ -317,30 +324,154 @@ def test_noether_rejects_weighted_problems():
         noether_drift(prob, SampledFunction(g, g.nodes), NoetherGenerator(lambda t, y: 1.0))
 
 
-def test_constrained_and_conserved_checks_form_the_trajectory_once():
-    """Each check forms the slots of ``y`` once and shares them.  A left
-    difference kernel samples its profile once per operator call: the
-    slots take 2 calls, each stationarity residual 2 and the conserved
-    quantity's pairings 4: 8 for ``noether_drift`` and 6 for
-    ``isoperimetric_residual``."""
+def counting_binding():
+    """Left binding of ``exp(-s)`` whose kernel counts its profile samples:
+    one per operator call, however many rows the call carries."""
     calls = [0]
 
     def h(s):
         calls[0] += 1
         return np.exp(-s)
 
+    return OperatorBinding(ParameterSet(0.0, 1.0, 1.0, 0.0), DifferenceKernel(h)), calls
+
+
+def profile_samples(check):
+    binding, calls = counting_binding()
+    check(binding)
+    return calls[0]
+
+
+def test_constrained_and_conserved_checks_form_the_trajectory_once():
+    """Each check forms the slots of ``y`` once and shares them.  The slots
+    take 2 operator calls, each stationarity residual 1 (one stacked dual
+    call on the rows ``(d4 F, d2 F)``), and the conserved quantity's
+    general pairings take ``K[xi]`` and ``B[xi]`` from the slot function,
+    2 more: 5 for ``noether_drift`` and 4 for ``isoperimetric_residual``."""
     g = Grid(0.0, 1.0, 256)
-    lag = quadratic_tracking()
-    binding = OperatorBinding(ParameterSet(0.0, 1.0, 1.0, 0.0), DifferenceKernel(h))
-    prob, y = VariationalProblem(lag, binding, ya=-1.0, yb=-2.0), SampledFunction(g, -1.0 - g.nodes)
-    level = evaluate_functional(prob, y)
-    counts = []
-    for check in (lambda: noether_drift(prob, y, NoetherGenerator(lambda t, x: 1.0)),
-                  lambda: isoperimetric_residual(prob, lag, level, y)):
-        calls[0] = 0
-        check()
-        counts.append(calls[0])
-    assert counts == [8, 6]
+    lag, y = quadratic_tracking(), SampledFunction(g, -1.0 - g.nodes)
+
+    def problem(binding):
+        return VariationalProblem(lag, binding, ya=-1.0, yb=-2.0)
+
+    level = evaluate_functional(problem(exp_binding()), y)
+    counts = [
+        profile_samples(lambda b: noether_drift(problem(b), y, NoetherGenerator(lambda t, x: 1.0))),
+        profile_samples(lambda b: isoperimetric_residual(problem(b), lag, level, y)),
+    ]
+    assert counts == [5, 4]
+
+
+def test_stationarity_and_reduced_conserved_quantity_share_one_dual_call():
+    """``el_residual`` makes 2 operator calls for the slots and 1 for the
+    dual images; the reduced conserved quantity ``K_dual[d4 F]`` is that
+    call's first row, so ``noether_drift`` makes 3 as well."""
+    g = Grid(0.0, 1.0, 256)
+    y = SampledFunction(g, np.sin(3.0 * g.nodes))
+    full = Lagrangian(lambda x1, x2, x3, x4, t: x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4)
+    fourth = Lagrangian(lambda x1, x2, x3, x4, t: x4 * x4)
+    shift = NoetherGenerator(lambda t, x: 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        counts = [
+            profile_samples(lambda b: el_residual(VariationalProblem(full, b), y)),
+            profile_samples(lambda b: noether_drift(VariationalProblem(fourth, b), y, shift)),
+        ]
+    assert counts == [3, 3]
+
+
+# --- one stacked dual call against one public call per image --------------------
+#
+# The checks take the dual images of the partials from one stacked call and
+# the generator's images from the trajectory's slot function.  Forming each
+# image by its own public ``k_apply``/``a_apply``/``b_apply`` call is the
+# oracle; a stacked row equals the same row computed alone, so the checks
+# must match it bit for bit.
+
+
+def _oracle_partials(problem, y):
+    p, kern, g = problem.binding.p, problem.binding.kernel, y.grid
+    slots = (y.values, k_apply(p, kern, y).values, np.gradient(y.values, g.h, edge_order=2),
+             b_apply(p, kern, y).values)
+    partials = problem.lagrangian.partials(*slots, g.nodes)
+    if problem.weight is not None:
+        partials = [q * problem.weight.values for q in partials]
+    return partials
+
+
+def _oracle_el(problem, y):
+    p1, p2, p3, p4 = _oracle_partials(problem, y)
+    pstar, kern, g = dual(problem.binding.p), problem.binding.kernel, y.grid
+    term_a = a_apply(pstar, kern, SampledFunction(g, p4)).values
+    term_k = k_apply(pstar, kern, SampledFunction(g, p2)).values
+    return np.gradient(p3, g.h, edge_order=2) + term_a - p1 - term_k
+
+
+def _oracle_natural_bc(problem, y):
+    _, _, p3, p4 = _oracle_partials(problem, y)
+    kern, g = problem.binding.kernel, y.grid
+    expr = p3 + k_apply(dual(problem.binding.p), kern, SampledFunction(g, p4)).values
+    return abs(2.0 * expr[1] - expr[2])
+
+
+def _oracle_noether(problem, y, xi):
+    p1, p2, p3, p4 = _oracle_partials(problem, y)
+    p, kern, g = problem.binding.p, problem.binding.kernel, y.grid
+    pstar, p2sf, p4sf = dual(p), SampledFunction(g, p2), SampledFunction(g, p4)
+    xi_v = np.broadcast_to(np.asarray(xi(g.nodes, y.values), dtype=float), g.nodes.shape)
+    scale = 1.0 + float(np.abs(p4).max())
+    reduced = (
+        max(float(np.abs(q).max()) for q in (p1, p2, p3)) <= 1e-12 * scale
+        and float(xi_v.max() - xi_v.min()) <= 1e-13 * (1.0 + float(np.abs(xi_v).mean()))
+    )
+    if reduced:
+        c_vals = k_apply(pstar, kern, p4sf).values
+    else:
+        xi_sf = SampledFunction(g, xi_v)
+        pair_d = xi_v * a_apply(pstar, kern, p4sf).values + p4 * b_apply(p, kern, xi_sf).values
+        pair_i = -xi_v * k_apply(pstar, kern, p2sf).values + p2 * k_apply(p, kern, xi_sf).values
+        c_vals = xi_v * p3 + cumulative_trapezoid(SampledFunction(g, pair_d + pair_i)).values
+    cw = c_vals[interior_slice(g.n)]
+    return c_vals, float(cw.max() - cw.min()) / (1.0 + float(np.abs(cw).mean())), reduced
+
+
+ORACLE_KERNELS = (
+    DifferenceKernel(lambda s: np.exp(-s)),
+    GeneralKernel(lambda x, y: np.exp(-(x - y)) * (1.0 + x * y), 0.0),
+)
+
+
+@pytest.mark.parametrize("n", [32, 1024])
+@pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["difference", "general"])
+@pytest.mark.parametrize("shape", ["smooth", "zero", "constant"])
+def test_checks_match_one_public_call_per_image(kernel, n, shape):
+    """``el_residual`` with and without a weight, the weighted
+    ``natural_bc_residual`` and both branches of ``noether_drift``, on a
+    two-sided binding."""
+    g = Grid(0.0, 1.0, n)
+    t = g.nodes
+    values = {"smooth": np.sin(2.0 * t) + t, "zero": np.zeros(n + 1), "constant": np.full(n + 1, 0.7)}
+    y = SampledFunction(g, values[shape])
+    binding = OperatorBinding(ParameterSet(0.0, 1.0, 0.8, -1.3), kernel)
+    full = Lagrangian(lambda x1, x2, x3, x4, t: x1 * x1 + x1 * x2 + x3 * x3 + x4 * x4 * t)
+    fourth = Lagrangian(lambda x1, x2, x3, x4, t: x4 * x4)
+    weight = SampledFunction(g, np.exp(0.1 * (1.0 - t)))
+    weighted = VariationalProblem(full, binding, weight=weight)
+    for problem in (VariationalProblem(full, binding), weighted):
+        assert np.array_equal(el_residual(problem, y).values, _oracle_el(problem, y))
+    assert natural_bc_residual(weighted, y) == _oracle_natural_bc(weighted, y)
+    branches = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        for lag, xi in ((full, lambda t, x: 0.5 + t * x), (fourth, lambda t, x: 1.0)):
+            problem = VariationalProblem(lag, binding)
+            report = noether_drift(problem, y, NoetherGenerator(xi))
+            c_vals, drift, reduced = _oracle_noether(problem, y, xi)
+            assert np.array_equal(report.constant.values, c_vals)
+            assert report.drift == drift
+            branches.add(reduced)
+    # a zero trajectory zeroes every partial, so both generators take the reduced branch
+    assert branches == ({True} if shape == "zero" else {True, False})
 
 
 # --- weighted (action-dissipative) problems -----------------------------------

@@ -263,13 +263,14 @@ class GeneralKernel(Kernel):
         return np.multiply(kv, np.power(d, s, out=d), out=d)
 
 
-def _convolve(y: np.ndarray, length: int, count: int):
+def _convolve(y: np.ndarray, length: int, count: int, discard: int = 0):
     """Function from a stack of rows of ``length`` entries to the first
     ``count`` entries of each row's linear convolution with ``y``, whose
-    spectrum is computed once.  Both are zero-padded to the power of two
-    at or above ``length + len(y) - 1``, so the circular convolution of
-    the real FFT does not wrap around."""
-    size = 1 << (length + len(y) - 2).bit_length()
+    spectrum is computed once.  Both are zero-padded to the smallest power
+    of two at or above ``length + len(y) - 1 - discard``: the circular
+    convolution of the real FFT then wraps only into the first ``discard``
+    entries, which the caller throws away."""
+    size = 1 << (length + len(y) - 2 - discard).bit_length()
     spectrum = np.fft.rfft(y, size)
     return lambda x: np.fft.irfft(np.fft.rfft(x, size, axis=1) * spectrum, size, axis=1)[:, :count]
 
@@ -303,7 +304,8 @@ def _apply_left(kernel: Kernel, grid: Grid):
 
     if kernel.is_difference:
         prof = _profile(kernel, grid)
-        convolve = _convolve((t1 + t2) * prof, n + 1, n + 1)
+        # node 0 is set to zero below, so it may take the wrapped terms
+        convolve = _convolve((t1 + t2) * prof, n + 1, n + 1, discard=1)
         start = t2 * prof
 
         def values(fv):

@@ -296,6 +296,37 @@ def test_run_all_experiments_script_defaults_to_the_environment_root(tmp_path, m
     assert (tmp_path / "from-env" / "noether" / "results.json").is_file()
 
 
+def test_compare_results_script_reports_changes_and_fails_on_verdicts(tmp_path, capsys):
+    """The artifact roots differ in ``inputs/output_dir`` alone, then in
+    one number, then in a verdict, a key and an experiment."""
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "compare_results.py")
+    compare = runpy.run_path(script)["main"]
+
+    def write(root, doc, name="noether"):
+        (tmp_path / root / name).mkdir(parents=True, exist_ok=True)
+        (tmp_path / root / name / "results.json").write_text(json.dumps(doc))
+        return str(tmp_path / root)
+
+    doc = {"assertions": [{"id": "drift", "measured": 2.0, "passed": True}],
+           "inputs": {"n": 64, "output_dir": "a"}, "results": {"drift": 2.0, "series": [1.0, 0.0]}}
+    a = write("a", doc)
+    doc["inputs"]["output_dir"] = "b"
+    assert compare([a, write("b", doc)]) == 0
+    assert "noether: 0 of 5 numbers differ" in capsys.readouterr().out
+
+    doc["results"]["drift"] = 2.5
+    assert compare([a, write("b", doc)]) == 0
+    assert "1 of 5 numbers differ; max abs 0.5, max rel 0.25 (results/drift: 2.0 -> 2.5)" in capsys.readouterr().out
+
+    for change in (lambda d: d["assertions"][0].update(passed=False), lambda d: d["results"].pop("series")):
+        broken = json.loads(json.dumps(doc))
+        change(broken)
+        assert compare([a, write("b", broken)]) == 1
+    write("b", doc, name="falva")
+    assert compare([a, write("b", doc)]) == 1
+    assert "falva: results.json only under ROOT_B" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "doc",
     [{"experiment": exp_id} for exp_id in ALL_IDS] + [{"experiment": "sl-solve", "alpha": 1.0}],

@@ -255,6 +255,88 @@ def test_fft_convolution_matches_direct_oracle(kernel, n, lam, mu, seed):
     assert np.abs(b_apply(p, kernel, f).values - ref).max() <= bound
 
 
+def _once_per_row(left_rule):
+    """``left_rule`` that computes each distinct row once, so that several
+    side weights share one direct convolution per side."""
+    memo = {}
+
+    def rule(kernel, grid, fv):
+        key = fv.tobytes()
+        if key not in memo:
+            memo[key] = left_rule(kernel, grid, fv)
+        return memo[key]
+
+    return rule
+
+
+@pytest.mark.parametrize(
+    "n, kernel",
+    [(32, EXP_KERNEL), (1024, PowerLawKernel(0.6, "integral")), (1025, EXP_KERNEL),
+     (4096, PowerLawKernel(0.3, "derivative")), (32768, EXP_KERNEL)],
+    ids=["32", "1024", "1025", "4096", "32768"],
+)
+def test_fft_convolution_matches_direct_oracle_at_the_wrap_boundary(n, kernel):
+    """The transforms are as short as the kept nodes allow, so a wrapped
+    term lands on the first node that may take one.  At n = 2**k, K's
+    2n-point transform wraps exactly into node 0, which its rule zeroes.
+    At n = 2**k + 1, B has 2n - 1 linear outputs, one more than 2(n - 1)
+    points hold, and B keeps its first output (node 1).  Left, right and
+    two-sided weights meet the oracle's bound."""
+    g = Grid(0.0, 1.0, n)
+    f = SampledFunction(g, np.random.default_rng(n).uniform(-1, 1, n + 1))
+    for apply, left_rule, sign in ((k_apply, _direct_k_left, 1.0), (b_apply, _direct_b_left, -1.0)):
+        left_rule = _once_per_row(left_rule)
+        for lam, mu in ((1.0, 0.0), (0.0, -1.7), (0.8, 1.9)):
+            p = ParameterSet(0.0, 1.0, lam, mu)
+            ref, bound = _direct_two_sided(p, kernel, f, left_rule, sign)
+            assert np.abs(apply(p, kernel, f).values - ref).max() <= bound
+
+
+def test_difference_rules_transform_twice_the_grid_on_a_power_of_two(monkeypatch):
+    """Work count: at n = 4096 both difference rules convolve by real FFTs
+    of 8192 points, the smallest power of two past the 8192 - 1 linear
+    outputs of B and the 8192 + 1 of K, of which K throws node 0 away."""
+    lengths = []
+    rfft = np.fft.rfft
+
+    def recording(a, n=None, *args, **kwargs):
+        lengths.append(n)
+        return rfft(a, n, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", recording)
+    p, g = ParameterSet(0.0, 1.0, 0.8, -1.3), Grid(0.0, 1.0, 4096)
+    f = SampledFunction(g, np.cos(3.0 * g.nodes))
+    for apply in (k_apply, b_apply):
+        lengths.clear()
+        apply(p, EXP_KERNEL, f)
+        assert lengths and max(lengths) <= 8192
+
+
+def test_power_law_integral_of_a_constant_meets_its_closed_form_to_round_off():
+    """Two-sided power-law K(nu, "integral") of a constant ``c`` at n = 32 is
+    ``c (lam (t - a)**nu + mu (b - t)**nu) / Gamma(nu + 1)``.  The rule
+    integrates piecewise-linear data exactly, so only round-off remains.
+    Its bound is the direct oracle's, 1e-14 times the convolution's scale
+    ``(|lam| + |mu|) h**nu max|f| sum|weights|``: with positive weights and
+    a constant row that scale is the largest value the two sides reach,
+    ``S = |c| (|lam| + |mu|) (b - a)**nu / Gamma(nu + 1)``, up to a term of
+    order ``S / n``.  1e-14 is 45 eps, which leaves room for the log2(64)
+    growth of the FFT's round-off (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., section 24.1) and a few eps from the
+    weight tables, ``h**nu`` and the Gamma factor; the cases below reach
+    4 eps S."""
+    for a, b in ((0.0, 1.0), (0.5, 2.0), (-1.0, 3.0)):
+        g = Grid(a, b, 32)
+        for nu in (0.001, 0.3, 0.7, 0.999):
+            for lam, mu in ((1.0, 0.0), (0.0, 1.0), (0.7, -0.4), (-2.5, 1.5)):
+                for c in (3.0, -0.25):
+                    out = k_apply(ParameterSet(a, b, lam, mu), PowerLawKernel(nu, "integral"),
+                                  SampledFunction(g, np.full(33, c))).values
+                    want = c * (lam * (g.nodes - a) ** nu + mu * (b - g.nodes) ** nu) / gamma(nu + 1.0)
+                    scale = abs(c) * (abs(lam) + abs(mu)) * (b - a) ** nu / gamma(nu + 1.0)
+                    assert np.abs(out - want).max() <= 1e-14 * scale
+
+
 # --- hierarchical engine against the row-by-row oracle ---------------------
 #
 # The functions below are the non-difference branches of the left-sided
@@ -771,6 +853,8 @@ def _assert_stack_matches_rows(p, kernel, rows):
 
 
 @hyp.example(kernel=PowerLawKernel(0.3, "derivative"), n=1000, count=13, sides=(0.8, 1.9), seed=4)
+@hyp.example(kernel=EXP_KERNEL, n=1024, count=5, sides=(0.8, 1.9), seed=5)
+@hyp.example(kernel=PowerLawKernel(0.6, "integral"), n=4097, count=3, sides=(0.0, -0.7), seed=6)
 @hyp.settings(max_examples=30, deadline=None)
 @hyp.given(
     kernel=difference_kernels,
@@ -836,12 +920,16 @@ def test_stacked_general_kernel_samples_as_many_entries_as_one_row():
     ids=["integral", "derivative", "exp", "general"],
 )
 def test_stacked_zero_rows_and_constant_rows_give_exact_zeros(kernel):
-    p = ParameterSet(0.0, 1.0, 0.8, 1.9)
+    """At n = 32, on either side and on both: K, A and B map zero rows to
+    exact zeros, and B maps constant rows to exact zeros."""
     g = Grid(0.0, 1.0, 32)
     zeros, constants = np.zeros((5, 33)), np.linspace(-2.0, 3.0, 5)[:, None] * np.ones(33)
-    for _, left_rule in STACKED_RULES:
-        assert np.all(_two_sided(p, kernel, g, zeros, left_rule) == 0.0)
-    assert np.all(_two_sided(p, kernel, g, constants, _bapply_left) == 0.0)
+    for sides in ((1.0, 0.0), (0.0, -0.7), (0.8, 1.9)):
+        p = ParameterSet(0.0, 1.0, *sides)
+        for _, left_rule in STACKED_RULES:
+            assert np.all(_two_sided(p, kernel, g, zeros, left_rule) == 0.0)
+        assert np.all(a_apply(p, kernel, SampledFunction(g, zeros[0])).values == 0.0)
+        assert np.all(_two_sided(p, kernel, g, constants, _bapply_left) == 0.0)
 
 
 def test_two_sided_difference_call_samples_its_profile_once():

@@ -1,18 +1,21 @@
-"""Compare the results.json of every experiment under two artifact roots.
+"""Compare the artifacts of every experiment under two artifact roots.
 
     python scripts/compare_results.py ROOT_A ROOT_B
 
 Both roots are directories with one artifact subdirectory per experiment,
 as ``scripts/run_all_experiments.py --output-root`` writes them.  For each
-experiment the script prints how many numbers differ and the largest
-absolute and relative change (relative to the value under ROOT_A).
+experiment the script prints how many numbers of ``results.json`` differ
+and the largest absolute and relative change (relative to the value under
+ROOT_A), then how many of its ``.csv`` and ``.dat`` files differ byte for
+byte.  ``timing.txt`` is left out, since it holds a wall time.
 Assertions are matched by id; ``inputs/output_dir`` is ignored, since it
-names the root itself.  Exit status is 1 when an experiment or a key is
-present under one root only, or when an assertion's ``passed`` verdict
-changes, else 0.
+names the root itself.  Exit status is 1 when an experiment, a key or a
+file is present under one root only, or when an assertion's ``passed``
+verdict changes, else 0.
 """
 
 import argparse
+import filecmp
 import json
 import math
 import os
@@ -75,6 +78,23 @@ def compare(doc_a, doc_b):
     return line, problems
 
 
+def compare_files(folder_a, folder_b):
+    """Summary line and the list of problems (files under one folder only)
+    for one experiment's ``.csv`` and ``.dat`` files, compared byte for byte."""
+    a, b = ({file for file in os.listdir(folder) if file.endswith((".csv", ".dat"))}
+            for folder in (folder_a, folder_b))
+    problems = [f"file {file} only under {side}"
+                for files, other, side in ((a, b, "ROOT_A"), (b, a, "ROOT_B"))
+                for file in sorted(files - other)]
+    shared = sorted(a & b)
+    changed = [file for file in shared if not filecmp.cmp(
+        os.path.join(folder_a, file), os.path.join(folder_b, file), shallow=False)]
+    line = f"{len(changed)} of {len(shared)} files differ"
+    if changed:
+        line += f" ({', '.join(changed)})"
+    return line, problems
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description="compare two experiment artifact roots")
     parser.add_argument("root_a", help="first artifact root (the reference)")
@@ -92,15 +112,17 @@ def main(argv=None):
             print(f"{name}: results.json only under {'ROOT_A' if name in names_a else 'ROOT_B'}")
             failed = True
             continue
+        folders = [os.path.join(root, name) for root in (args.root_a, args.root_b)]
         docs = []
-        for root in (args.root_a, args.root_b):
-            with open(os.path.join(root, name, "results.json")) as handle:
+        for folder in folders:
+            with open(os.path.join(folder, "results.json")) as handle:
                 docs.append(json.load(handle))
         line, problems = compare(*docs)
-        print(f"{name}: {line}")
-        for problem in problems:
+        files_line, file_problems = compare_files(*folders)
+        print(f"{name}: {line}; {files_line}")
+        for problem in problems + file_problems:
             print(f"  {problem}")
-        failed = failed or bool(problems)
+        failed = failed or bool(problems or file_problems)
     return 1 if failed else 0
 
 

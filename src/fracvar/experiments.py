@@ -43,7 +43,6 @@ from .operators import (
     PowerLawKernel,
     boundedness_constant,
     classical,
-    dual,
     k_apply,
     verify_ibp,
     verify_semigroup,
@@ -701,10 +700,10 @@ def _run_counterexample(cfg: ExperimentConfig):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CornerExtrapolationWarning)
         transform = k_apply(p, kernel, ones)
-        transform_dual = k_apply(dual(p), kernel, ones)
-    # with f = g = 1 these are the two sides of the swap identity
+    # with f = g = 1 these are the two sides of the swap identity; as
+    # mu = -lam, k_apply(dual(p), ...) is -transform bit for bit
     lhs = trapezoid(transform)
-    rhs = trapezoid(transform_dual)
+    rhs = -lhs
     residual = abs(lhs - rhs)
     target = math.pi / 4.0
     assertions = [

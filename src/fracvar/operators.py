@@ -344,15 +344,19 @@ def _left_engine(kernel: Kernel, grid: Grid, right: bool, lags, x1: np.ndarray, 
     With ``right`` set, ``t`` are the reflected nodes ``a + b - t`` and
     ``c(x, y)`` is ``kernel.cofactor(y, x)``, which turns the right-sided
     integral of the reversed rows into this left-sided one.
-    The lower triangle is split dyadically (Hackbusch, Computing 62, 1999).
-    Diagonal tiles of at most ``_LEAF`` rows are evaluated densely.  Each
-    far block ``[mid, hi) x [lo, mid)`` has a smooth cofactor, which
-    ``_far_factors`` reduces to a few rows and columns ``u.T @ v``; the lag
-    weights are then applied exactly, as one batched FFT middle product of
-    ``T1``, ``T2`` against ``v * x1``, ``v * x2``, of a size of at least
-    ``hi - lo``.  All that does not depend on the rows is built once per
-    call; the rows are summed ``_ROW_GROUP`` at a time.  Returns the
-    flagged nodes (NaN in ``into``).
+    The lower triangle is split dyadically (Hackbusch, Computing 62, 1999)
+    and walked level by level: first the far blocks
+    ``[mid, hi) x [lo, mid)`` of each level, from the top level down and
+    left to right, then the diagonal tiles of at most ``_LEAF`` rows, which
+    are evaluated densely.  So every row takes its far terms from the top
+    level first and its tile last.  A far block has a smooth cofactor,
+    which ``_far_factors`` reduces to a few rows and columns ``u.T @ v``;
+    the lag weights are then applied exactly, as one batched FFT middle
+    product of ``T1``, ``T2`` against ``v * x1``, ``v * x2``, of the
+    level's block size, whose lag spectra are formed once per level.  All
+    that does not depend on the rows is built once per call; the rows are
+    summed ``_ROW_GROUP`` at a time.  Returns the flagged nodes (NaN in
+    ``into``).
     """
     n, s = grid.n, kernel.singularity_exponent
     ab = grid.a + grid.b
@@ -383,7 +387,6 @@ def _left_engine(kernel: Kernel, grid: Grid, right: bool, lags, x1: np.ndarray, 
     flagged: set[int] = set()
     patterns: dict = {}
     chebyshev: dict = {}
-    spectra: dict = {}
 
     def tile(lo: int, hi: int) -> None:
         """Add the exact sum over columns ``[lo, j]`` to ``out_rj`` for rows
@@ -450,31 +453,24 @@ def _left_engine(kernel: Kernel, grid: Grid, right: bool, lags, x1: np.ndarray, 
     size = _LEAF
     while size < n + 1:
         size *= 2
-    pending = [(0, size)]
-    while pending:
-        lo, size = pending.pop()
-        hi = min(lo + size, n + 1)
-        if size <= _LEAF:
-            if hi > max(lo, 1):
-                tile(lo, hi)
-            continue
-        mid = lo + size // 2
-        pending.append((lo, size // 2))
-        if mid >= hi:
-            continue
-        pending.append((mid, size // 2))
-        factors = _far_factors(sample, between, lo, mid, hi, chebyshev)
-        if factors is None:
-            far_dense(lo, mid, hi)
-            continue
-        u, v = factors
-        if size not in spectra:
-            spectra[size] = [np.fft.rfft(lag[:size], size) for lag in lags]
-        for g in groups:
-            mixed = sum(np.fft.rfft(v * x[g, None, lo:mid], size) * spec
-                        for x, spec in zip((x1, x2), spectra[size]))
-            z = np.fft.irfft(mixed, size)[..., mid - lo : hi - lo]
-            out[g, mid:hi] += np.einsum("kr,gkr->gr", u, z)
+    while size > _LEAF:
+        half = size // 2
+        spectra = [np.fft.rfft(lag[:size], size) for lag in lags]
+        for mid in range(half, n + 1, size):
+            lo, hi = mid - half, min(mid + half, n + 1)
+            factors = _far_factors(sample, between, lo, mid, hi, chebyshev)
+            if factors is None:
+                far_dense(lo, mid, hi)
+                continue
+            u, v = factors
+            for g in groups:
+                mixed = sum(np.fft.rfft(v * x[g, None, lo:mid], size) * spec
+                            for x, spec in zip((x1, x2), spectra))
+                z = np.fft.irfft(mixed, size)[..., half : hi - lo]
+                out[g, mid:hi] += np.einsum("kr,gkr->gr", u, z)
+        size = half
+    for lo in range(0, n + 1, _LEAF):
+        tile(lo, min(lo + _LEAF, n + 1))
     out *= scale
     out[:, sorted(flagged)] = np.nan
     out *= weight

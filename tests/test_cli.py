@@ -327,6 +327,35 @@ def test_compare_results_script_reports_changes_and_fails_on_verdicts(tmp_path, 
     assert "falva: results.json only under ROOT_B" in capsys.readouterr().out
 
 
+def test_compare_results_script_compares_tables_and_series_byte_for_byte(tmp_path, capsys):
+    """Beside ``results.json`` each experiment's ``.csv`` and ``.dat``
+    files are compared byte for byte and ``timing.txt`` is left out; a
+    file under one root only fails the comparison."""
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "compare_results.py")
+    compare = runpy.run_path(script)["main"]
+    roots = []
+    for root, timing in (("a", "0.1 s\n"), ("b", "0.2 s\n")):
+        folder = tmp_path / root / "counterexample"
+        folder.mkdir(parents=True)
+        (folder / "results.json").write_text(json.dumps({"results": {"lhs": 0.78}}))
+        (folder / "values.csv").write_text("quantity,value\nlhs,0.78\n")
+        (folder / "kernel-transform.dat").write_text("0 1\n1 2\n")
+        (folder / "timing.txt").write_text(timing)
+        roots.append(str(tmp_path / root))
+    assert compare(roots) == 0
+    assert "counterexample: 0 of 1 numbers differ; max abs 0, max rel 0; 0 of 2 files differ" in capsys.readouterr().out
+
+    (tmp_path / "b" / "counterexample" / "values.csv").write_text("quantity,value\nlhs,0.79\n")
+    assert compare(roots) == 0
+    assert "; 1 of 2 files differ (values.csv)" in capsys.readouterr().out
+
+    (tmp_path / "b" / "counterexample" / "kernel-transform.dat").unlink()
+    assert compare(roots) == 1
+    out = capsys.readouterr().out
+    assert "1 of 1 files differ (values.csv)" in out
+    assert "file kernel-transform.dat only under ROOT_A" in out
+
+
 @pytest.mark.parametrize(
     "doc",
     [{"experiment": exp_id} for exp_id in ALL_IDS] + [{"experiment": "sl-solve", "alpha": 1.0}],

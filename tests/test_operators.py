@@ -33,6 +33,7 @@ from fracvar import (
     verify_ibp,
     verify_semigroup,
 )
+from fracvar import operators
 from fracvar.foundation import _pi_coefficients
 from fracvar.experiments import counterexample_kernel
 from fracvar.operators import (
@@ -630,6 +631,54 @@ def test_far_blocks_cost_three_kernel_calls_each():
         warnings.simplefilter("ignore", CornerExtrapolationWarning)
         k_apply(ParameterSet(0.0, 1.0, 1.0, -1.0), kernel, SampledFunction(g, np.ones(8193)))
     assert kernel.calls <= 2 * (3 * 31 + 1 + 33) + 1
+
+
+def test_engine_walks_far_blocks_level_by_level_from_the_top(monkeypatch):
+    """The far blocks of one side of the counterexample at n = 8192 come
+    level by level, from the top: 1, 1, 2, 4, 8 and 16 blocks of
+    half-sizes 8192 down to 256, left to right within a level.  A
+    depth-first walk visits a smaller block before the second block of a
+    level above it."""
+    blocks = []
+
+    def recorder(sample, between, lo, mid, hi, chebyshev):
+        blocks.append((mid - lo, lo))
+        return _far_factors(sample, between, lo, mid, hi, chebyshev)
+
+    monkeypatch.setattr(operators, "_far_factors", recorder)
+    g = Grid(0.0, 1.0, 8192)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CornerExtrapolationWarning)
+        k_apply(LEFT, counterexample_kernel(), SampledFunction(g, np.ones(8193)))
+    halves = [half for half, _ in blocks]
+    assert halves == [8192, 4096] + [2048] * 2 + [1024] * 4 + [512] * 8 + [256] * 16
+    for level in set(halves):
+        starts = [lo for half, lo in blocks if half == level]
+        assert starts == list(range(0, 8192, 2 * level))
+
+
+@pytest.mark.filterwarnings("ignore::fracvar.CornerExtrapolationWarning")
+@pytest.mark.parametrize(
+    "interval, kernel",
+    [((0.0, 1.0), counterexample_kernel()),
+     ((0.0, 1.0), GeneralKernel(_singular(0.5, 0.3, 0.4), 0.4)),
+     ((1.0, math.e), HadamardKernel(0.6)),
+     ((0.0, 1.0), EXP_KERNEL)],
+    ids=["counterexample", "singular", "hadamard", "difference"],
+)
+@pytest.mark.parametrize("lam", [1.0, 0.37])
+def test_dual_with_opposite_side_weights_negates_bit_for_bit(interval, kernel, lam):
+    """With mu = -lam, ``dual(p)`` negates both side weights of ``p``, and K
+    and B under it are the negated images bit for bit: every side adds its
+    weight times the same values, and the corner patch is linear.  The
+    counterexample experiment relies on this to take its dual side as
+    ``-lhs`` (at n = 512 its corner is patched).  If this test ever fails,
+    ``_run_counterexample`` must compute the dual side itself again."""
+    g = Grid(*interval, 512)
+    f = SampledFunction(g, np.random.default_rng(8).uniform(-1, 1, 513))
+    p = ParameterSet(*interval, lam, -lam)
+    for apply in (k_apply, b_apply):
+        assert np.array_equal(apply(dual(p), kernel, f).values, -apply(p, kernel, f).values)
 
 
 def test_kernel_finite_only_on_the_nodes_sends_every_far_block_dense():

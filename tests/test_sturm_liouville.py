@@ -30,6 +30,7 @@ from fracvar import (
     converge,
     direct_minimize,
     gamma,
+    interior_sup,
     rayleigh_quotient,
     sl_residual,
     solve_spectrum,
@@ -229,6 +230,41 @@ def test_four_mode_spectrum_at_the_edge_orders(alpha):
         gaps.append(np.abs(lams - solve_spectrum(constant_problem(1.0), 4, 4, grid).lambdas).max())
     if alpha > 0.9:
         assert gaps[0] > gaps[1] > gaps[2]
+
+
+@pytest.mark.parametrize("alpha", [0.75, 1.0])
+def test_spectral_layer_on_the_smallest_grid_and_on_zero_or_constant_inputs(alpha):
+    """n = 32 is the smallest grid a one-mode basis takes; n = 31 raises
+    ``ConfigurationError``.  There, with variable coefficients, the m = 1
+    eigenvalue equals its eigenfunction's Rayleigh quotient to 1e-12 and
+    the eigenfunction has unit weighted norm; with unit coefficients at
+    alpha = 1 it lies within h**2 of the exact 1 (0.9974 observed).  The
+    Rayleigh quotient of the zero function or of a nonzero constant raises
+    ``InputError``.  ``sl_residual`` is exactly 0 on the zero function and
+    the interior sup of ``(q - lam w) c`` on the constant ``c``, to a few
+    round-offs: both derivative images of a constant vanish."""
+    w = lambda t: 2.0 + np.sin(t)
+    problem = SLProblem(alpha, lambda t: 1.0 + t, lambda t: 0.5, w)
+    with pytest.raises(ConfigurationError):
+        solve_spectrum(problem, 1, 1, Grid(0.0, math.pi, 31))
+    grid = Grid(0.0, math.pi, 32)
+    spectrum = solve_spectrum(problem, 1, 1, grid)
+    lam, fn = spectrum.lambdas[0], spectrum.eigenfunctions[0]
+    assert abs(rayleigh_quotient(problem, fn) - lam) <= 1e-12 * lam
+    assert abs(trapezoid(SampledFunction(grid, w(grid.nodes) * fn.values**2)) - 1.0) <= 1e-12
+    if alpha == 1.0:
+        assert abs(solve_spectrum(constant_problem(1.0), 1, 1, grid).lambdas[0] - 1.0) <= grid.h**2
+
+    zero, constant = SampledFunction(grid, np.zeros(33)), SampledFunction(grid, np.full(33, 0.7))
+    with pytest.raises(InputError, match="zero"):
+        rayleigh_quotient(problem, zero)
+    with pytest.raises(InputError, match="vanish"):
+        rayleigh_quotient(problem, constant)
+    eps = np.finfo(float).eps
+    for lam in (0.0, 2.5):
+        assert sl_residual(problem, lam, zero) == 0.0
+        want = interior_sup(0.7 * (0.5 - lam * w(grid.nodes)))
+        assert abs(sl_residual(problem, lam, constant) - want) <= 4.0 * eps * 0.7 * (0.5 + lam * 3.0)
 
 
 # --- Rayleigh quotient -------------------------------------------------------------

@@ -474,6 +474,54 @@ def test_checks_match_one_public_call_per_image(kernel, n, shape):
     assert branches == ({True} if shape == "zero" else {True, False})
 
 
+@pytest.mark.parametrize("n", [32, 1024])
+@pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["difference", "general"])
+@pytest.mark.parametrize("c", [0.0, 0.7], ids=["zero", "constant"])
+def test_checks_on_zero_and_constant_trajectories_take_exact_values(kernel, n, c):
+    """On ``y = c`` on a two-sided binding, the slots ``y'`` and ``B y``
+    vanish exactly, so with analytic partials every check has an exact
+    value or a typed error:
+    - ``el_residual`` of ``x1**2 / 2 + x4**2`` is ``-c`` at every node;
+    - ``natural_bc_residual`` of ``x1 x3 + x4**2`` is ``|c|``;
+    - ``noether_drift`` of ``x1**2 / 2 + x4**2`` under a shift is a zero
+      constant with zero drift, and warns when ``c`` is not an extremal;
+    - ``isoperimetric_residual`` against the constraint ``x1**2 / 2``,
+      whose residual equals the objective's, gives multiplier 1 and
+      residual 0 on ``c != 0`` and raises ``DegeneracyError`` on zero,
+      and against ``t x2`` gives multiplier 0 and residual 0 on zero."""
+    zero = lambda *args: 0.0
+    first = lambda x1, x2, x3, x4, t: x1
+    objective = Lagrangian(lambda x1, x2, x3, x4, t: 0.5 * x1 * x1 + x4 * x4, d1=first, d2=zero,
+                           d3=zero, d4=lambda x1, x2, x3, x4, t: 2.0 * x4)
+    boundary = Lagrangian(lambda x1, x2, x3, x4, t: x1 * x3 + x4 * x4, d1=lambda x1, x2, x3, x4, t: x3,
+                          d2=zero, d3=first, d4=lambda x1, x2, x3, x4, t: 2.0 * x4)
+    square = Lagrangian(lambda x1, x2, x3, x4, t: 0.5 * x1 * x1, d1=first)
+    tracking = Lagrangian(lambda x1, x2, x3, x4, t: t * x2, d2=lambda x1, x2, x3, x4, t: np.asarray(t, dtype=float))
+    g = Grid(0.0, 1.0, n)
+    y = SampledFunction(g, np.full(n + 1, c))
+    binding = OperatorBinding(ParameterSet(0.0, 1.0, 0.8, -1.3), kernel)
+    problem = VariationalProblem(objective, binding)
+
+    assert np.all(el_residual(problem, y).values == -c)
+    assert natural_bc_residual(VariationalProblem(boundary, binding), y) == c
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        report = noether_drift(problem, y, NoetherGenerator(lambda t, x: 1.0))
+    assert np.all(report.constant.values == 0.0) and report.drift == 0.0
+    assert len(record) == (c != 0.0)
+
+    def report(constraint):
+        level = evaluate_functional(VariationalProblem(constraint, binding), y)
+        return tuple(isoperimetric_residual(problem, constraint, level, y))
+
+    if c:
+        assert report(square) == (1.0, 0.0)
+    else:
+        with pytest.raises(DegeneracyError):
+            report(square)
+        assert report(tracking) == (0.0, 0.0)
+
+
 # --- weighted (action-dissipative) problems -----------------------------------
 
 

@@ -4,7 +4,8 @@ Each experiment writes its artifact directory under --output-root (by
 default the root that ``fracvar.experiments.run`` resolves: the
 ``FRACVAR_OUTPUT_DIR`` environment variable, else ./fracvar_results) and
 prints one line per assertion. Exit status is 0 when every assertion
-passes, 1 when any fails, 2 for a config error.
+passes, 1 when any fails, 2 for a config error or an error raised during
+a run.
 """
 
 import argparse
@@ -12,7 +13,7 @@ import json
 import sys
 import time
 
-from fracvar.errors import ParseError
+from fracvar.errors import FracvarError, ParseError
 from fracvar.experiments import list_experiments, parse_config, run
 
 
@@ -55,7 +56,11 @@ def main(argv=None):
                 print(f"config error: {line}", file=sys.stderr)
             return 2
         started = time.perf_counter()
-        record = run(config)
+        try:
+            record = run(config)
+        except FracvarError as exc:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2
         elapsed = time.perf_counter() - started
         print(f"{name} ({elapsed:.1f}s)")
         for check in record.assertions:

@@ -1,8 +1,8 @@
 """Command-line entry point: run experiments or list the catalogue.
 
 Exit status: 0 when every assertion passes, 1 when any fails, 2 for
-config or usage errors, so shell pipelines and CI gates can branch on
-the result without parsing output.
+config or usage errors and for errors raised during a run, so shell
+pipelines and CI gates can branch on the result without parsing output.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .errors import ParseError
+from .errors import FracvarError, ParseError
 from .experiments import _config_from_mapping, _decode_document, list_experiments, run
 
 
@@ -83,7 +83,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for line in exc.errors:
             print(f"config error: {line}", file=sys.stderr)
         return 2
-    record = run(config)
+    try:
+        record = run(config)
+    except FracvarError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     for check in record.assertions:
         print(check)
     print(f"artifacts: {record.output_dir}")

@@ -17,14 +17,15 @@ import tempfile
 import time
 import warnings
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import InputError, ParseError
 from .foundation import (
     Grid,
     SampledFunction,
+    _check_endpoints,
     _trapezoid_weights,
     cumulative_trapezoid,
     gamma,
@@ -84,29 +85,21 @@ __all__ = [
     "power_weight_extremal",
 ]
 
-_CATALOGUE = {
-    "ops-identities": "power-function identities plus semigroup and inverse "
-    "laws of the one-sided fractional operators",
-    "ibp-suite": "two-sided integration-by-parts identity on seeded random "
-    "polynomial pairs with a smooth difference kernel",
-    "counterexample": "bounded non-difference kernel where the "
-    "integration-by-parts identity fails; both one-sided integrals have "
-    "magnitude pi/4",
-    "el-check": "optimality residual along the closed-form extremal built "
-    "from the one-parameter Mittag-Leffler function",
-    "isoperimetric": "constrained extremal with an exponential kernel; "
-    "recovers the multiplier 2*xi",
-    "noether": "conserved-quantity drift along extremals: fractional "
-    "momentum map and the classical limit",
-    "falva": "weighted optimality residual on a damped oscillator plus the "
-    "dissipation parameter of the action weight",
-    "sl-solve": "Ritz spectrum of the composed-derivative eigenproblem with "
-    "orthogonality and Rayleigh-quotient checks",
-    "sl-converge": "eigenvalue monotonicity and Cauchy convergence along a "
-    "nested basis-size schedule",
-    "direct-min": "coefficient-space descent on three convex functionals "
-    "with optimality-residual verification",
-}
+
+class _Experiment(NamedTuple):
+    """A catalogue entry: its ``fracvar list`` line, its runner, the
+    defaults of a config, and the assertion ids ``tolerances`` may set."""
+
+    description: str
+    runner: Callable
+    n: int
+    alpha: tuple  # its length is how many orders the runner reads
+    assertion_ids: tuple
+    interval: tuple = (0.0, 1.0)
+    spectral: bool = False  # orders in (0.5, 1), or 1.0 for the classical mode
+    m: int = 16
+    m_schedule: tuple = (4, 8, 16, 32)
+
 
 _SCHEMA_KEYS = (
     "experiment",
@@ -121,47 +114,10 @@ _SCHEMA_KEYS = (
     "seed",
 )
 
-_SL_EXPERIMENTS = ("sl-solve", "sl-converge")
-
-_DEFAULTS = {
-    "ops-identities": {"n": 4096, "alpha": (0.3, 0.5, 0.7), "interval": (0.0, 1.0)},
-    "ibp-suite": {"n": 4096, "alpha": (), "interval": (0.0, 1.0)},
-    "counterexample": {"n": 4096, "alpha": (), "interval": (0.0, 1.0)},
-    "el-check": {"n": 4096, "alpha": (0.4,), "interval": (0.0, 1.0)},
-    "isoperimetric": {"n": 2048, "alpha": (0.3,), "interval": (0.0, 1.0)},
-    "noether": {"n": 2048, "alpha": (0.9,), "interval": (0.0, 1.0)},
-    "falva": {"n": 2048, "alpha": (0.1,), "interval": (0.0, 1.0)},
-    "sl-solve": {"n": 4096, "alpha": (0.75,), "interval": (0.0, math.pi)},
-    "sl-converge": {"n": 8192, "alpha": (0.75,), "interval": (0.0, math.pi)},
-    "direct-min": {"n": 1024, "alpha": (), "interval": (0.0, 1.0)},
-}
-
-# the ids of each runner's assertions, the keys ``tolerances`` may set;
-# sl-solve adds "classical-eigenvalues" at alpha = 1, else "eigenvalue-bound"
-_ASSERTION_IDS = {
-    "ops-identities": ("power-sup", "power-order", "laws-sup"),
-    "ibp-suite": ("ibp-residual",),
-    "counterexample": ("left-value", "dual-value", "identity-gap"),
-    "el-check": ("defect-sup", "el-sup"),
-    "isoperimetric": ("multiplier", "augmented-el"),
-    "noether": ("fractional-drift", "classical-drift"),
-    "falva": ("weighted-el", "dissipation"),
-    "sl-solve": ("rayleigh-consistency", "gram-offdiag"),
-    "sl-converge": ("monotone", "strict-ordering"),
-    "direct-min": (
-        "quadratic-grad",
-        "quadratic-el",
-        "quasilinear-grad",
-        "quasilinear-el",
-        "tracking-grad",
-        "tracking-recovery",
-        "tracking-value",
-    ),
-}
-
 
 def _assertion_ids(experiment: str, alpha: tuple) -> tuple:
-    ids = _ASSERTION_IDS[experiment]
+    # sl-solve adds "classical-eigenvalues" at alpha = 1, else "eigenvalue-bound"
+    ids = _EXPERIMENTS[experiment].assertion_ids
     if experiment == "sl-solve":
         ids += ("classical-eigenvalues",) if alpha == (1.0,) else ("eigenvalue-bound",)
     return ids
@@ -226,14 +182,14 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _validate_alpha(values, experiment: str, errors: list) -> tuple:
+def _validate_alpha(values, spectral: bool, errors: list) -> tuple:
     out = []
     for v in values:
         if not _is_number(v) or not math.isfinite(v):
             errors.append("alpha: entries must be finite numbers")
             return ()
         v = float(v)
-        if experiment in _SL_EXPERIMENTS:
+        if spectral:
             if v != 1.0 and not 0.5 < v < 1.0:
                 errors.append(
                     "alpha: must lie in (0.5, 1), or be exactly 1.0 for the "
@@ -255,25 +211,28 @@ def _config_from_mapping(doc: dict) -> ExperimentConfig:
     experiment = doc.get("experiment")
     if experiment is None:
         errors.append("experiment: required")
-    elif experiment not in _CATALOGUE:
+    elif not isinstance(experiment, str) or experiment not in _EXPERIMENTS:
         errors.append(
             f"experiment: unknown id {experiment!r}; valid ids: "
-            + ", ".join(_CATALOGUE)
+            + ", ".join(_EXPERIMENTS)
         )
     if errors:
         raise ParseError(errors)
 
-    defaults = _DEFAULTS[experiment]
-    interval = doc.get("interval", defaults["interval"])
-    if (
-        not isinstance(interval, (list, tuple))
-        or len(interval) != 2
-        or not all(_is_number(v) and math.isfinite(v) for v in interval)
-        or not interval[0] < interval[1]
-    ):
+    spec = _EXPERIMENTS[experiment]
+    interval = doc.get("interval", spec.interval)
+    try:
+        if not (
+            isinstance(interval, (list, tuple))
+            and len(interval) == 2
+            and all(_is_number(v) for v in interval)
+        ):
+            raise InputError("interval is not a pair of numbers")
+        _check_endpoints(*interval)
+    except InputError:
         errors.append("interval: must be [a, b] with a < b")
 
-    n = doc.get("n", defaults["n"])
+    n = doc.get("n", spec.n)
     if (
         not isinstance(n, int)
         or isinstance(n, bool)
@@ -282,17 +241,16 @@ def _config_from_mapping(doc: dict) -> ExperimentConfig:
         or n & (n - 1)
     ):
         errors.append("n: must be a power of two between 32 and 16384")
-        n = defaults["n"]
+        n = spec.n
 
-    raw_alpha = doc.get("alpha", defaults["alpha"])
+    raw_alpha = doc.get("alpha", spec.alpha)
     if _is_number(raw_alpha):
         raw_alpha = (raw_alpha,)
     if not isinstance(raw_alpha, (list, tuple)):
         errors.append("alpha: must be a number or a list of numbers")
-        raw_alpha = defaults["alpha"]
-    alpha = _validate_alpha(raw_alpha, experiment, errors)
-    # the default's length says how many orders the runner reads
-    reads = len(defaults["alpha"])
+        raw_alpha = spec.alpha
+    alpha = _validate_alpha(raw_alpha, spec.spectral, errors)
+    reads = len(spec.alpha)
     if reads > 1 and not raw_alpha:
         errors.append(f"alpha: {experiment} needs at least one order")
     elif reads <= 1 and len(raw_alpha) != reads:
@@ -301,12 +259,12 @@ def _config_from_mapping(doc: dict) -> ExperimentConfig:
             + ("no order" if reads == 0 else "exactly one order")
         )
 
-    m = doc.get("m", 16)
+    m = doc.get("m", spec.m)
     if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= 200:
         errors.append("m: must be a positive integer at most 200")
-        m = 16
+        m = spec.m
 
-    m_schedule = doc.get("m_schedule", (4, 8, 16, 32))
+    m_schedule = doc.get("m_schedule", spec.m_schedule)
     if (
         not isinstance(m_schedule, (list, tuple))
         or len(m_schedule) < 2
@@ -314,7 +272,7 @@ def _config_from_mapping(doc: dict) -> ExperimentConfig:
         or any(x >= y for x, y in zip(m_schedule, list(m_schedule)[1:]))
     ):
         errors.append("m_schedule: must be a strictly increasing list of positive integers")
-        m_schedule = (4, 8, 16, 32)
+        m_schedule = spec.m_schedule
 
     r = doc.get("r", 3)
     if not isinstance(r, int) or isinstance(r, bool) or r < 1:
@@ -346,7 +304,7 @@ def _config_from_mapping(doc: dict) -> ExperimentConfig:
     if not isinstance(seed, int) or isinstance(seed, bool):
         errors.append("seed: must be an integer")
 
-    if experiment == "sl-solve" and n < 32 * m:
+    if experiment in ("sl-solve", "direct-min") and n < 32 * m:
         errors.append(f"n: must be at least 32*m = {32 * m} for m basis modes")
     if experiment == "sl-converge" and n < 32 * max(m_schedule):
         errors.append(
@@ -388,12 +346,20 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def list_experiments() -> str:
     """Stable catalogue text, one experiment per line."""
-    lines = [f"{name}: {desc}" for name, desc in _CATALOGUE.items()]
+    lines = [f"{name}: {spec.description}" for name, spec in _EXPERIMENTS.items()]
     return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # closed-form fixtures, shared by the runners and by the test suite
+
+#: the smooth difference kernel ``exp(-(t - tau))``
+_EXP_KERNEL = DifferenceKernel(lambda u: np.exp(-u))
+
+
+def _left_binding(grid: Grid, kernel) -> OperatorBinding:
+    """The left-sided binding of ``kernel`` on the interval of ``grid``."""
+    return OperatorBinding(ParameterSet(grid.a, grid.b, 1.0, 0.0), kernel)
 
 
 def power_identity_errors(alpha: float, beta: float, n: int, a: float = 0.0, b: float = 1.0) -> dict:
@@ -404,25 +370,18 @@ def power_identity_errors(alpha: float, beta: float, n: int, a: float = 0.0, b: 
     lowers it.  Right-sided versions mirror in ``b - t``.
     """
     grid = Grid(a, b, n)
-    t = grid.nodes
     sl = interior_slice(n)
-    left = SampledFunction(grid, (t - a) ** (beta - 1.0))
-    right = SampledFunction(grid, (b - t) ** (beta - 1.0))
-    ratio_int = gamma(beta) / gamma(beta + alpha)
-    ratio_der = gamma(beta) / gamma(beta - alpha)
+    left, right = grid.nodes - a, b - grid.nodes
     out = {}
-    got = classical(ClassicalOp.RL_INT_LEFT, alpha, left).values
-    want = ratio_int * (t[sl] - a) ** (beta + alpha - 1.0)
-    out["integral-left"] = float(np.abs(got[sl] - want).max())
-    got = classical(ClassicalOp.RL_INT_RIGHT, alpha, right).values
-    want = ratio_int * (b - t[sl]) ** (beta + alpha - 1.0)
-    out["integral-right"] = float(np.abs(got[sl] - want).max())
-    got = classical(ClassicalOp.RL_DER_LEFT, alpha, left).values
-    want = ratio_der * (t[sl] - a) ** (beta - alpha - 1.0)
-    out["derivative-left"] = float(np.abs(got[sl] - want).max())
-    got = classical(ClassicalOp.RL_DER_RIGHT, alpha, right).values
-    want = ratio_der * (b - t[sl]) ** (beta - alpha - 1.0)
-    out["derivative-right"] = float(np.abs(got[sl] - want).max())
+    for name, op, base, shift in (
+        ("integral-left", ClassicalOp.RL_INT_LEFT, left, alpha),
+        ("integral-right", ClassicalOp.RL_INT_RIGHT, right, alpha),
+        ("derivative-left", ClassicalOp.RL_DER_LEFT, left, -alpha),
+        ("derivative-right", ClassicalOp.RL_DER_RIGHT, right, -alpha),
+    ):
+        got = classical(op, alpha, SampledFunction(grid, base ** (beta - 1.0))).values
+        want = gamma(beta) / gamma(beta + shift) * base[sl] ** (beta + shift - 1.0)
+        out[name] = float(np.abs(got[sl] - want).max())
     return out
 
 
@@ -490,11 +449,7 @@ def translated_quadratic_problem(grid: Grid):
         d3=lambda x1, x2, x3, x4, t: x3 - g3(t),
         d4=lambda x1, x2, x3, x4, t: x4 - g4(t),
     )
-    binding = OperatorBinding(
-        ParameterSet(grid.a, grid.b, 1.0, 0.0),
-        DifferenceKernel(lambda u: np.exp(-u)),
-    )
-    problem = VariationalProblem(lag, binding, ya=0.0, yb=1.0)
+    problem = VariationalProblem(lag, _left_binding(grid, _EXP_KERNEL), ya=0.0, yb=1.0)
     exact = SampledFunction(grid, grid.nodes + np.sin(pi * grid.nodes))
     return problem, exact
 
@@ -514,10 +469,7 @@ def quasilinear_problem(grid: Grid) -> VariationalProblem:
         d1=lambda x1, x2, x3, x4, t: f1(t),
         d3=lambda x1, x2, x3, x4, t: x3 + f3(t),
     )
-    binding = OperatorBinding(
-        ParameterSet(grid.a, grid.b, 1.0, 0.0),
-        PowerLawKernel(0.6, "derivative"),
-    )
+    binding = _left_binding(grid, PowerLawKernel(0.6, "derivative"))
     return VariationalProblem(lag, binding, ya=0.0, yb=0.0)
 
 
@@ -527,11 +479,7 @@ def tracking_problem(grid: Grid):
         lambda x1, x2, x3, x4, t: (x2 + t) ** 2,
         d2=lambda x1, x2, x3, x4, t: 2.0 * (x2 + t),
     )
-    binding = OperatorBinding(
-        ParameterSet(grid.a, grid.b, 1.0, 0.0),
-        DifferenceKernel(lambda u: np.exp(-u)),
-    )
-    problem = VariationalProblem(lag, binding, ya=-1.0, yb=-2.0)
+    problem = VariationalProblem(lag, _left_binding(grid, _EXP_KERNEL), ya=-1.0, yb=-2.0)
     exact = SampledFunction(grid, -1.0 - grid.nodes)
     return problem, exact
 
@@ -561,12 +509,8 @@ def damped_oscillator_problem(grid: Grid, weight_rate: float = 0.1):
         d3=lambda x1, x2, x3, x4, tt: np.exp(damping * tt) * x3,
         d4=lambda x1, x2, x3, x4, tt: np.zeros_like(np.asarray(x1, dtype=float)),
     )
-    binding = OperatorBinding(
-        ParameterSet(grid.a, grid.b, 1.0, 0.0),
-        DifferenceKernel(lambda u: np.exp(-u)),
-    )
     problem = VariationalProblem(
-        lag, binding, ya=float(y[0]), yb=float(y[-1]), weight=weight
+        lag, _left_binding(grid, _EXP_KERNEL), ya=float(y[0]), yb=float(y[-1]), weight=weight
     )
     return problem, SampledFunction(grid, y)
 
@@ -600,17 +544,7 @@ def _check(cfg: ExperimentConfig, assertion_id: str, default: float, measured: f
     return Assertion(assertion_id, tol, measured, passes(measured, tol))
 
 
-def _fixture_functions(grid: Grid):
-    t = grid.nodes
-    return (
-        ("one", np.ones_like(t)),
-        ("t", t.copy()),
-        ("t^2", t * t),
-        ("sin", np.sin(t)),
-    )
-
-
-def _run_ops_identities(cfg: ExperimentConfig):
+def _run_ops_identities(cfg: ExperimentConfig, grid: Grid):
     betas = (1.0, 1.5, 2.0)
     id_rows = []
     worst_sup = 0.0
@@ -630,13 +564,14 @@ def _run_ops_identities(cfg: ExperimentConfig):
                     order = math.nan
                 id_rows.append((name, al, be, fine[name], order))
                 worst_sup = max(worst_sup, fine[name])
-    grid = Grid(cfg.a, cfg.b, cfg.n)
     sl = interior_slice(cfg.n)
+    t = grid.nodes
+    fixtures = (("one", np.ones_like(t)), ("t", t.copy()), ("t^2", t * t), ("sin", np.sin(t)))
     law_rows = []
     worst_law = 0.0
     for al in cfg.alpha:
         half = 0.5 * al
-        for fname, fv in _fixture_functions(grid):
+        for fname, fv in fixtures:
             f = SampledFunction(grid, fv)
             semi = verify_semigroup(half, half, f)
             smoothed = classical(ClassicalOp.RL_INT_LEFT, al, f)
@@ -671,9 +606,7 @@ def _run_ops_identities(cfg: ExperimentConfig):
 _IBP_SIDE_WEIGHTS = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0), (0.5, -0.25))
 
 
-def _run_ibp_suite(cfg: ExperimentConfig):
-    grid = Grid(cfg.a, cfg.b, cfg.n)
-    kernel = DifferenceKernel(lambda u: np.exp(-u))
+def _run_ibp_suite(cfg: ExperimentConfig, grid: Grid):
     rng = np.random.default_rng(cfg.seed)
     rows = []
     worst = 0.0
@@ -683,7 +616,7 @@ def _run_ibp_suite(cfg: ExperimentConfig):
         p = ParameterSet(cfg.a, cfg.b, lam, mu)
         f = SampledFunction(grid, np.polyval(coeffs[0], grid.nodes))
         g = SampledFunction(grid, np.polyval(coeffs[1], grid.nodes))
-        report = verify_ibp(p, kernel, f, g)
+        report = verify_ibp(p, _EXP_KERNEL, f, g)
         rows.append((i, lam, mu, report.lhs, report.rhs, report.residual))
         worst = max(worst, report.residual)
     assertions = [_check(cfg, "ibp-residual", 1e-6, worst)]
@@ -692,8 +625,7 @@ def _run_ibp_suite(cfg: ExperimentConfig):
     return results, tables, {}, assertions
 
 
-def _run_counterexample(cfg: ExperimentConfig):
-    grid = Grid(cfg.a, cfg.b, cfg.n)
+def _run_counterexample(cfg: ExperimentConfig, grid: Grid):
     kernel = counterexample_kernel()
     p = ParameterSet(cfg.a, cfg.b, 1.0, -1.0)
     ones = SampledFunction(grid, np.ones(cfg.n + 1))
@@ -727,21 +659,18 @@ def _run_counterexample(cfg: ExperimentConfig):
     return results, tables, series, assertions
 
 
-def _run_el_check(cfg: ExperimentConfig):
+def _run_el_check(cfg: ExperimentConfig, grid: Grid):
     al = cfg.alpha[0]
-    grid = Grid(cfg.a, cfg.b, cfg.n)
     y = mittag_leffler_extremal(al, grid)
-    binding = OperatorBinding(
-        ParameterSet(cfg.a, cfg.b, 1.0, 0.0), PowerLawKernel(al, "derivative")
-    )
+    binding = _left_binding(grid, PowerLawKernel(al, "derivative"))
     defect = y.derivative().values + binding.b(y).values - 1.0
     defect_sup = interior_sup(defect)
+
+    def slope(x1, x2, x3, x4, t):
+        return (x3 + x4 - 1.0) / np.sqrt(1.0 + (x3 + x4 - 1.0) ** 2)
+
     lag = Lagrangian(
-        lambda x1, x2, x3, x4, t: np.sqrt(1.0 + (x3 + x4 - 1.0) ** 2),
-        d3=lambda x1, x2, x3, x4, t: (x3 + x4 - 1.0)
-        / np.sqrt(1.0 + (x3 + x4 - 1.0) ** 2),
-        d4=lambda x1, x2, x3, x4, t: (x3 + x4 - 1.0)
-        / np.sqrt(1.0 + (x3 + x4 - 1.0) ** 2),
+        lambda x1, x2, x3, x4, t: np.sqrt(1.0 + (x3 + x4 - 1.0) ** 2), d3=slope, d4=slope
     )
     problem = VariationalProblem(lag, binding, ya=0.0, yb=float(y.values[-1]))
     el_sup = interior_sup(el_residual(problem, y).values)
@@ -757,14 +686,10 @@ def _run_el_check(cfg: ExperimentConfig):
     return results, {}, series, assertions
 
 
-def _run_isoperimetric(cfg: ExperimentConfig):
+def _run_isoperimetric(cfg: ExperimentConfig, grid: Grid):
     al = cfg.alpha[0]
     xi = 2.0
-    grid = Grid(cfg.a, cfg.b, cfg.n)
-    binding = OperatorBinding(
-        ParameterSet(cfg.a, cfg.b, 1.0, 0.0),
-        DifferenceKernel(lambda u: np.exp(al * u)),
-    )
+    binding = _left_binding(grid, DifferenceKernel(lambda u: np.exp(al * u)))
     lag = Lagrangian(
         lambda x1, x2, x3, x4, t: (x2 + t) ** 2,
         d2=lambda x1, x2, x3, x4, t: 2.0 * (x2 + t),
@@ -794,13 +719,10 @@ def _run_isoperimetric(cfg: ExperimentConfig):
     return results, {}, series, assertions
 
 
-def _run_noether(cfg: ExperimentConfig):
+def _run_noether(cfg: ExperimentConfig, grid: Grid):
     al = cfg.alpha[0]
-    grid = Grid(cfg.a, cfg.b, cfg.n)
     y, _scale = power_weight_extremal(al, grid)
-    binding = OperatorBinding(
-        ParameterSet(cfg.a, cfg.b, 1.0, 0.0), PowerLawKernel(al, "derivative")
-    )
+    binding = _left_binding(grid, PowerLawKernel(al, "derivative"))
     lag = Lagrangian(
         lambda x1, x2, x3, x4, t: x4 * x4,
         d4=lambda x1, x2, x3, x4, t: 2.0 * x4,
@@ -815,13 +737,9 @@ def _run_noether(cfg: ExperimentConfig):
         lambda x1, x2, x3, x4, t: x3 * x3,
         d3=lambda x1, x2, x3, x4, t: 2.0 * x3,
     )
-    classical_binding = OperatorBinding(
-        ParameterSet(cfg.a, cfg.b, 1.0, 0.0),
-        DifferenceKernel(lambda u: np.exp(-u)),
-    )
     line = SampledFunction(grid, grid.nodes)
     classical_problem = VariationalProblem(
-        classical_lag, classical_binding, ya=float(grid.a), yb=float(grid.b)
+        classical_lag, _left_binding(grid, _EXP_KERNEL), ya=float(grid.a), yb=float(grid.b)
     )
     classical_report = noether_drift(classical_problem, line, unit)
 
@@ -843,9 +761,8 @@ def _run_noether(cfg: ExperimentConfig):
     return results, {}, series, assertions
 
 
-def _run_falva(cfg: ExperimentConfig):
+def _run_falva(cfg: ExperimentConfig, grid: Grid):
     weight_rate = cfg.alpha[0]
-    grid = Grid(cfg.a, cfg.b, cfg.n)
     problem, y = damped_oscillator_problem(grid, weight_rate=weight_rate)
     el_sup = interior_sup(el_residual(problem, y).values)
     delta = dissipative_parameter(problem.weight)
@@ -877,9 +794,8 @@ def _constant_coefficient_problem(alpha: float, a: float, b: float) -> SLProblem
     )
 
 
-def _run_sl_solve(cfg: ExperimentConfig):
+def _run_sl_solve(cfg: ExperimentConfig, grid: Grid):
     al = cfg.alpha[0]
-    grid = Grid(cfg.a, cfg.b, cfg.n)
     problem = _constant_coefficient_problem(al, cfg.a, cfg.b)
     spectrum = solve_spectrum(problem, cfg.m, cfg.r, grid)
     tw = _trapezoid_weights(grid)
@@ -934,9 +850,8 @@ def _run_sl_solve(cfg: ExperimentConfig):
     return results, tables, series, assertions
 
 
-def _run_sl_converge(cfg: ExperimentConfig):
+def _run_sl_converge(cfg: ExperimentConfig, grid: Grid):
     al = cfg.alpha[0]
-    grid = Grid(cfg.a, cfg.b, cfg.n)
     problem = _constant_coefficient_problem(al, cfg.a, cfg.b)
     report = converge(problem, cfg.m_schedule, cfg.r, grid)
     rows = [
@@ -960,8 +875,7 @@ def _run_sl_converge(cfg: ExperimentConfig):
     return results, tables, {}, assertions
 
 
-def _run_direct_min(cfg: ExperimentConfig):
-    grid = Grid(cfg.a, cfg.b, cfg.n)
+def _run_direct_min(cfg: ExperimentConfig, grid: Grid):
     classical = _constant_coefficient_problem(1.0, cfg.a, cfg.b)
     basis = RitzBasis.build(classical, cfg.m, grid)
     small = RitzBasis.build(classical, min(cfg.m, 8), grid)
@@ -972,12 +886,11 @@ def _run_direct_min(cfg: ExperimentConfig):
     problem, exact = translated_quadratic_problem(grid)
     res = direct_minimize(problem, basis)
     el_sup = interior_sup(el_residual(problem, res.y).values)
-    dev = float(np.abs(res.y.values - exact.values).max())
+    quad_dev = float(np.abs(res.y.values - exact.values).max())
     rows.append(("translated-quadratic", res.iterations, res.gradient_norm, el_sup, res.value, res.stop))
     series["minimizer-translated-quadratic"] = (grid.nodes, res.y.values)
     assertions.append(_check(cfg, "quadratic-grad", 1e-8, res.gradient_norm))
     assertions.append(_check(cfg, "quadratic-el", 1e-2, el_sup))
-    quad_dev = dev
 
     problem = quasilinear_problem(grid)
     res = direct_minimize(problem, basis)
@@ -1010,17 +923,62 @@ def _run_direct_min(cfg: ExperimentConfig):
     return results, tables, series, assertions
 
 
-_RUNNERS = {
-    "ops-identities": _run_ops_identities,
-    "ibp-suite": _run_ibp_suite,
-    "counterexample": _run_counterexample,
-    "el-check": _run_el_check,
-    "isoperimetric": _run_isoperimetric,
-    "noether": _run_noether,
-    "falva": _run_falva,
-    "sl-solve": _run_sl_solve,
-    "sl-converge": _run_sl_converge,
-    "direct-min": _run_direct_min,
+_EXPERIMENTS = {
+    "ops-identities": _Experiment(
+        "power-function identities plus semigroup and inverse "
+        "laws of the one-sided fractional operators",
+        _run_ops_identities, 4096, (0.3, 0.5, 0.7), ("power-sup", "power-order", "laws-sup"),
+    ),
+    "ibp-suite": _Experiment(
+        "two-sided integration-by-parts identity on seeded random "
+        "polynomial pairs with a smooth difference kernel",
+        _run_ibp_suite, 4096, (), ("ibp-residual",),
+    ),
+    "counterexample": _Experiment(
+        "bounded non-difference kernel where the "
+        "integration-by-parts identity fails; both one-sided integrals have "
+        "magnitude pi/4",
+        _run_counterexample, 4096, (), ("left-value", "dual-value", "identity-gap"),
+    ),
+    "el-check": _Experiment(
+        "optimality residual along the closed-form extremal built "
+        "from the one-parameter Mittag-Leffler function",
+        _run_el_check, 4096, (0.4,), ("defect-sup", "el-sup"),
+    ),
+    "isoperimetric": _Experiment(
+        "constrained extremal with an exponential kernel; "
+        "recovers the multiplier 2*xi",
+        _run_isoperimetric, 2048, (0.3,), ("multiplier", "augmented-el"),
+    ),
+    "noether": _Experiment(
+        "conserved-quantity drift along extremals: fractional "
+        "momentum map and the classical limit",
+        _run_noether, 2048, (0.9,), ("fractional-drift", "classical-drift"),
+    ),
+    "falva": _Experiment(
+        "weighted optimality residual on a damped oscillator plus the "
+        "dissipation parameter of the action weight",
+        _run_falva, 2048, (0.1,), ("weighted-el", "dissipation"),
+    ),
+    "sl-solve": _Experiment(
+        "Ritz spectrum of the composed-derivative eigenproblem with "
+        "orthogonality and Rayleigh-quotient checks",
+        _run_sl_solve, 4096, (0.75,), ("rayleigh-consistency", "gram-offdiag"),
+        interval=(0.0, math.pi), spectral=True,
+    ),
+    "sl-converge": _Experiment(
+        "eigenvalue monotonicity and Cauchy convergence along a "
+        "nested basis-size schedule",
+        _run_sl_converge, 8192, (0.75,), ("monotone", "strict-ordering"),
+        interval=(0.0, math.pi), spectral=True,
+    ),
+    "direct-min": _Experiment(
+        "coefficient-space descent on three convex functionals "
+        "with optimality-residual verification",
+        _run_direct_min, 1024, (),
+        ("quadratic-grad", "quadratic-el", "quasilinear-grad", "quasilinear-el",
+         "tracking-grad", "tracking-recovery", "tracking-value"),
+    ),
 }
 
 
@@ -1087,7 +1045,8 @@ def run(config: ExperimentConfig) -> ResultRecord:
     ``output_dir``.
     """
     started = time.perf_counter()
-    results, tables, series, assertions = _RUNNERS[config.experiment](config)
+    grid = Grid(config.a, config.b, config.n)
+    results, tables, series, assertions = _EXPERIMENTS[config.experiment].runner(config, grid)
     wall = time.perf_counter() - started
     inputs = asdict(config)
     inputs["interval"] = [inputs.pop("a"), inputs.pop("b")]

@@ -34,6 +34,13 @@ __all__ = [
 _SERIES_CAP = 10000
 
 
+def _check_endpoints(a: float, b: float) -> None:
+    """Raise ``InputError`` unless ``a`` and ``b`` are finite and
+    ``0 < b - a < inf``; the one test every interval passes."""
+    if not (math.isfinite(a) and math.isfinite(b) and 0.0 < b - a < math.inf):
+        raise InputError(f"interval needs finite a < b with finite b - a, got a={a}, b={b}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform partition of ``[a, b]`` into ``n`` cells (``n + 1`` nodes)."""
@@ -44,10 +51,7 @@ class Grid:
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise InputError("grid endpoints must be finite")
-        if not self.b > self.a:
-            raise InputError(f"grid needs b > a, got a={self.a}, b={self.b}")
+        _check_endpoints(self.a, self.b)
         if self.n < 2:
             raise InputError(f"grid needs n >= 2, got n={self.n}")
         object.__setattr__(self, "nodes", np.linspace(self.a, self.b, self.n + 1))

@@ -52,6 +52,7 @@ from .errors import (
 from .foundation import (
     Grid,
     SampledFunction,
+    _check_endpoints,
     _check_interval,
     _evaluate,
     _lag_tables,
@@ -115,11 +116,10 @@ class ParameterSet:
     mu: float
 
     def __post_init__(self) -> None:
-        for name in ("a", "b", "lam", "mu"):
+        _check_endpoints(self.a, self.b)
+        for name in ("lam", "mu"):
             if not math.isfinite(getattr(self, name)):
                 raise InputError(f"parameter {name} must be finite")
-        if not self.b > self.a:
-            raise InputError(f"parameter set needs b > a, got a={self.a}, b={self.b}")
         if self.lam == 0.0 and self.mu == 0.0:
             warnings.warn("both side weights are zero; the operator is trivial", UserWarning)
 
@@ -748,8 +748,7 @@ def boundedness_constant(order: float, a: float, b: float) -> float:
     left power-law integral on square-integrable functions."""
     if not 0.0 < order < 1.0:
         raise DomainError(f"order must lie in (0, 1), got {order}")
-    if not b > a:
-        raise InputError(f"need b > a, got a={a}, b={b}")
+    _check_endpoints(a, b)
     return (b - a) ** order / gamma(order + 1.0)
 
 

@@ -32,6 +32,7 @@ from .foundation import (
     Grid,
     SampledFunction,
     SymmetricMatrix,
+    _check_endpoints,
     _check_interval,
     _evaluate,
     _trapezoid_weights,
@@ -88,8 +89,7 @@ class SLProblem:
     def __post_init__(self) -> None:
         if self.alpha != 1.0 and not 0.5 < self.alpha < 1.0:
             raise DomainError(f"alpha must lie in (0.5, 1), got {self.alpha}")
-        if not self.b > self.a:
-            raise InputError(f"need b > a, got a={self.a}, b={self.b}")
+        _check_endpoints(self.a, self.b)
 
     def derivative_image(self, f: SampledFunction) -> SampledFunction:
         """Left derivative of order ``alpha`` (classical one at ``alpha = 1``)."""

@@ -4,9 +4,9 @@ import runpy
 
 import pytest
 
-from fracvar import ParseError, list_experiments, parse_config, run
+from fracvar import Grid, ParseError, list_experiments, parse_config, run
 from fracvar.cli import main
-from fracvar.experiments import _RUNNERS, _assertion_ids
+from fracvar.experiments import _EXPERIMENTS, _assertion_ids
 
 ALL_IDS = (
     "ops-identities",
@@ -59,6 +59,8 @@ def test_alpha_range_depends_on_experiment():
     [
         ('{"experiment": "noether", "bogus": 1}', "bogus: unknown key"),
         ('{"experiment": "warp-drive"}', "valid ids"),
+        ('{"experiment": [1]}', "experiment: unknown id [1]"),
+        ('{"experiment": {"id": "noether"}}', "experiment: unknown id {'id': 'noether'}"),
         ('{"experiment": "noether", "n": 1000}', "power of two"),
         ('{"experiment": "noether", "n": 16}', "power of two"),
         ('{"experiment": "noether", "n": 32768}', "power of two"),
@@ -66,6 +68,7 @@ def test_alpha_range_depends_on_experiment():
         ('{"experiment": "noether", "m": 500}', "at most 200"),
         ('{"experiment": "noether", "interval": [1.0, 0.0]}', "interval"),
         ('{"experiment": "noether", "interval": [0.0]}', "interval"),
+        ('{"experiment": "noether", "interval": [-1e308, 1e308]}', "interval"),
         ('{"experiment": "sl-converge", "m_schedule": [8, 4]}', "strictly increasing"),
         ('{"experiment": "sl-solve", "r": 0}', "positive integer"),
         ('{"experiment": "sl-solve", "m": 4, "r": 9}', "must not exceed m"),
@@ -81,6 +84,7 @@ def test_alpha_range_depends_on_experiment():
         ('{"experiment": "noether", "output_dir": 4}', "output_dir"),
         ('{"experiment": "noether", "seed": 1.5}', "seed"),
         ('{"experiment": "sl-solve", "m": 100, "n": 1024}', "32*m"),
+        ('{"experiment": "direct-min", "m": 64}', "n: must be at least 32*m = 2048"),
         ('{"experiment": "sl-converge", "m_schedule": [64, 128], "n": 1024}', "32*max"),
         ('[1, 2]', "top level"),
         ('{"experiment": "noether", "alpha": "big"}', "alpha"),
@@ -115,6 +119,36 @@ def test_catalogue_lists_every_experiment():
     for exp_id in ALL_IDS:
         assert exp_id in text
     assert text == list_experiments()  # stable output
+
+
+def test_catalogue_text_and_order_are_pinned():
+    """``fracvar list`` prints exactly these lines, and an unknown id names
+    the valid ones in the same order."""
+    assert list_experiments() == (
+        "ops-identities: power-function identities plus semigroup and inverse laws of the "
+        "one-sided fractional operators\n"
+        "ibp-suite: two-sided integration-by-parts identity on seeded random polynomial pairs "
+        "with a smooth difference kernel\n"
+        "counterexample: bounded non-difference kernel where the integration-by-parts identity "
+        "fails; both one-sided integrals have magnitude pi/4\n"
+        "el-check: optimality residual along the closed-form extremal built from the "
+        "one-parameter Mittag-Leffler function\n"
+        "isoperimetric: constrained extremal with an exponential kernel; recovers the "
+        "multiplier 2*xi\n"
+        "noether: conserved-quantity drift along extremals: fractional momentum map and the "
+        "classical limit\n"
+        "falva: weighted optimality residual on a damped oscillator plus the dissipation "
+        "parameter of the action weight\n"
+        "sl-solve: Ritz spectrum of the composed-derivative eigenproblem with orthogonality "
+        "and Rayleigh-quotient checks\n"
+        "sl-converge: eigenvalue monotonicity and Cauchy convergence along a nested "
+        "basis-size schedule\n"
+        "direct-min: coefficient-space descent on three convex functionals with "
+        "optimality-residual verification\n"
+    )
+    assert errors_of('{"experiment": "warp-drive"}') == [
+        "experiment: unknown id 'warp-drive'; valid ids: " + ", ".join(ALL_IDS)
+    ]
 
 
 # --- running ----------------------------------------------------------------
@@ -252,6 +286,20 @@ def test_cli_rejects_settings_the_run_does_not_read(tmp_path, capsys, experiment
     assert list(tmp_path.iterdir()) == []
 
 
+def test_cli_error_during_a_run_exits_two_and_writes_nothing(tmp_path, capsys):
+    """The counterexample kernel is singular at the interior point 0 of
+    [-1, 1]: the run raises ``NumericError``, reported as one line."""
+    argv = ["run", "--experiment", "counterexample", "--set", "interval=[-1, 1]",
+            "--set", "n=64", "--set", f"output_dir={tmp_path}"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: NumericError: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not (tmp_path / "counterexample" / "results.json").exists()
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_parse_failures_exit_two(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")
@@ -365,7 +413,7 @@ def test_assertion_table_matches_the_run(doc):
     """The ids ``tolerances`` is checked against at parse time are the ids
     the runner emits."""
     cfg = parse_config(json.dumps(doc))
-    assertions = _RUNNERS[cfg.experiment](cfg)[3]
+    assertions = _EXPERIMENTS[cfg.experiment].runner(cfg, Grid(cfg.a, cfg.b, cfg.n))[3]
     assert tuple(a.id for a in assertions) == _assertion_ids(cfg.experiment, cfg.alpha)
 
 

@@ -10,8 +10,11 @@ from fracvar import (
     DomainError,
     Grid,
     InputError,
+    ParameterSet,
     SampledFunction,
+    SLProblem,
     SymmetricMatrix,
+    boundedness_constant,
     cumulative_trapezoid,
     erfc,
     gamma,
@@ -43,6 +46,25 @@ def test_grid_nodes():
 def test_grid_rejects_bad_input(a, b, n):
     with pytest.raises(InputError):
         Grid(a, b, n)
+
+
+@pytest.mark.parametrize("a,b", [(0.0, math.inf), (math.nan, 1.0), (-1e308, 1e308)])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda a, b: Grid(a, b, 4),
+        lambda a, b: ParameterSet(a, b, 1.0, 0.0),
+        lambda a, b: boundedness_constant(0.5, a, b),
+        lambda a, b: SLProblem(0.75, math.cos, math.cos, math.cos, a, b),
+    ],
+    ids=["Grid", "ParameterSet", "boundedness_constant", "SLProblem"],
+)
+def test_every_interval_check_needs_finite_endpoints_and_length(build, a, b):
+    """An infinite endpoint, a NaN endpoint, or finite endpoints whose
+    difference overflows are one ``InputError`` wherever an interval is
+    taken; ``b - a`` of the last pair is inf."""
+    with pytest.raises(InputError, match="finite a < b"):
+        build(a, b)
 
 
 def test_sampled_function_validation():

@@ -97,9 +97,10 @@ class _Experiment(NamedTuple):
     assertion_ids: tuple
     interval: tuple = (0.0, 1.0)
     spectral: bool = False  # orders in (0.5, 1), or 1.0 for the classical mode
-    m: int = 16
-    m_schedule: tuple = (4, 8, 16, 32)
 
+
+_DEFAULT_M = 16
+_DEFAULT_M_SCHEDULE = (4, 8, 16, 32)
 
 _SCHEMA_KEYS = (
     "experiment",
@@ -182,13 +183,23 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _to_float(v) -> float:
+    """``v`` as a float; NaN for a non-number or an integer beyond floats."""
+    if not _is_number(v):
+        return math.nan
+    try:
+        return float(v)
+    except OverflowError:
+        return math.nan
+
+
 def _validate_alpha(values, spectral: bool, errors: list) -> tuple:
     out = []
     for v in values:
-        if not _is_number(v) or not math.isfinite(v):
+        v = _to_float(v)
+        if not math.isfinite(v):
             errors.append("alpha: entries must be finite numbers")
             return ()
-        v = float(v)
         if spectral:
             if v != 1.0 and not 0.5 < v < 1.0:
                 errors.append(
@@ -221,14 +232,10 @@ def _config_from_mapping(doc: dict) -> ExperimentConfig:
 
     spec = _EXPERIMENTS[experiment]
     interval = doc.get("interval", spec.interval)
+    pair = isinstance(interval, (list, tuple)) and len(interval) == 2
+    a, b = map(_to_float, interval) if pair else (math.nan, math.nan)
     try:
-        if not (
-            isinstance(interval, (list, tuple))
-            and len(interval) == 2
-            and all(_is_number(v) for v in interval)
-        ):
-            raise InputError("interval is not a pair of numbers")
-        _check_endpoints(*interval)
+        _check_endpoints(a, b)
     except InputError:
         errors.append("interval: must be [a, b] with a < b")
 
@@ -259,12 +266,12 @@ def _config_from_mapping(doc: dict) -> ExperimentConfig:
             + ("no order" if reads == 0 else "exactly one order")
         )
 
-    m = doc.get("m", spec.m)
+    m = doc.get("m", _DEFAULT_M)
     if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= 200:
         errors.append("m: must be a positive integer at most 200")
-        m = spec.m
+        m = _DEFAULT_M
 
-    m_schedule = doc.get("m_schedule", spec.m_schedule)
+    m_schedule = doc.get("m_schedule", _DEFAULT_M_SCHEDULE)
     if (
         not isinstance(m_schedule, (list, tuple))
         or len(m_schedule) < 2
@@ -272,7 +279,7 @@ def _config_from_mapping(doc: dict) -> ExperimentConfig:
         or any(x >= y for x, y in zip(m_schedule, list(m_schedule)[1:]))
     ):
         errors.append("m_schedule: must be a strictly increasing list of positive integers")
-        m_schedule = spec.m_schedule
+        m_schedule = _DEFAULT_M_SCHEDULE
 
     r = doc.get("r", 3)
     if not isinstance(r, int) or isinstance(r, bool) or r < 1:
@@ -293,7 +300,7 @@ def _config_from_mapping(doc: dict) -> ExperimentConfig:
                     f"tolerances.{key}: names no assertion of {experiment}; "
                     f"its assertions are {', '.join(ids)}"
                 )
-            elif not _is_number(tolerances[key]) or not tolerances[key] > 0:
+            elif not _to_float(tolerances[key]) > 0:
                 errors.append(f"tolerances.{key}: must be a positive number")
 
     output_dir = doc.get("output_dir")
@@ -315,8 +322,8 @@ def _config_from_mapping(doc: dict) -> ExperimentConfig:
         raise ParseError(errors)
     return ExperimentConfig(
         experiment=experiment,
-        a=float(interval[0]),
-        b=float(interval[1]),
+        a=a,
+        b=b,
         n=n,
         alpha=alpha,
         m=m,
@@ -402,9 +409,7 @@ def mittag_leffler_extremal(alpha: float, grid: Grid) -> SampledFunction:
 
 def counterexample_kernel() -> GeneralKernel:
     """Bounded kernel whose transform of 1 on [0, 1] integrates to pi/4."""
-    return GeneralKernel(
-        lambda x, y: (x * x - y * y) / (x * x + y * y) ** 2, 0.0
-    )
+    return GeneralKernel(lambda x, y: (x * x - y * y) / (x * x + y * y) ** 2, 0.0)
 
 
 def translated_quadratic_problem(grid: Grid):
@@ -694,9 +699,7 @@ def _run_isoperimetric(cfg: ExperimentConfig, grid: Grid):
         lambda x1, x2, x3, x4, t: (x2 + t) ** 2,
         d2=lambda x1, x2, x3, x4, t: 2.0 * (x2 + t),
     )
-    problem = VariationalProblem(
-        lag, binding, ya=xi - 1.0, yb=(xi - 1.0) * (1.0 - al)
-    )
+    problem = VariationalProblem(lag, binding, ya=xi - 1.0, yb=(xi - 1.0) * (1.0 - al))
     constraint = Lagrangian(
         lambda x1, x2, x3, x4, t: t * x2,
         d2=lambda x1, x2, x3, x4, t: np.asarray(t, dtype=float),
@@ -827,9 +830,7 @@ def _run_sl_solve(cfg: ExperimentConfig, grid: Grid):
     if al == 1.0:
         scale = math.pi / (cfg.b - cfg.a)
         target = [(j + 1) ** 2 * scale * scale for j in range(cfg.r)]
-        gap = max(
-            abs(spectrum.lambdas[j] - target[j]) / target[j] for j in range(cfg.r)
-        )
+        gap = max(abs(spectrum.lambdas[j] - target[j]) / target[j] for j in range(cfg.r))
         assertions.append(_check(cfg, "classical-eigenvalues", 1e-2, gap))
         results["classical_targets"] = target
     else:
@@ -854,10 +855,7 @@ def _run_sl_converge(cfg: ExperimentConfig, grid: Grid):
     al = cfg.alpha[0]
     problem = _constant_coefficient_problem(al, cfg.a, cfg.b)
     report = converge(problem, cfg.m_schedule, cfg.r, grid)
-    rows = [
-        (m, *[float(v) for v in report.table[i]])
-        for i, m in enumerate(report.m_schedule)
-    ]
+    rows = [(m, *map(float, row)) for m, row in zip(report.m_schedule, report.table)]
     min_gap = float(np.diff(report.table[-1]).min())
     assertions = [
         _check(cfg, "monotone", 1e-8, report.max_upward_step, operator.le),
@@ -1061,16 +1059,11 @@ def run(config: ExperimentConfig) -> ResultRecord:
     root = config.output_dir or os.environ.get("FRACVAR_OUTPUT_DIR") or "fracvar_results"
     outdir = os.path.join(root, config.experiment)
     os.makedirs(outdir, exist_ok=True)
-    _write_atomic(
-        os.path.join(outdir, "results.json"),
-        json.dumps(payload, sort_keys=True, indent=2) + "\n",
-    )
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    _write_atomic(os.path.join(outdir, "results.json"), text)
     _write_atomic(os.path.join(outdir, "timing.txt"), f"wall_time_s {wall:.3f}\n")
     for name, (headers, rows) in tables.items():
-        _write_atomic(
-            os.path.join(outdir, f"{name}.csv"),
-            _csv_text(headers, rows, config.seed),
-        )
+        _write_atomic(os.path.join(outdir, f"{name}.csv"), _csv_text(headers, rows, config.seed))
     for name, (x, y) in series.items():
         _write_atomic(os.path.join(outdir, f"{name}.dat"), _dat_text(x, y))
     return ResultRecord(

@@ -69,6 +69,14 @@ def test_alpha_range_depends_on_experiment():
         ('{"experiment": "noether", "interval": [1.0, 0.0]}', "interval"),
         ('{"experiment": "noether", "interval": [0.0]}', "interval"),
         ('{"experiment": "noether", "interval": [-1e308, 1e308]}', "interval"),
+        # integers beyond the float range
+        ('{"experiment": "el-check", "alpha": 1' + "0" * 400 + '}', "finite numbers"),
+        # distinct integers that round to one float
+        ('{"experiment": "noether", "interval": [100000000000000000, 100000000000000001]}',
+         "interval"),
+        ('{"experiment": "noether", "interval": [0, 1' + "0" * 400 + ']}', "interval"),
+        ('{"experiment": "noether", "tolerances": {"fractional-drift": 1' + "0" * 400 + '}}',
+         "tolerances.fractional-drift: must be a positive number"),
         ('{"experiment": "sl-converge", "m_schedule": [8, 4]}', "strictly increasing"),
         ('{"experiment": "sl-solve", "r": 0}', "positive integer"),
         ('{"experiment": "sl-solve", "m": 4, "r": 9}', "must not exceed m"),

@@ -15,16 +15,20 @@ to product-integration quadrature.
 Difference-type kernels make the product-integration weights a Toeplitz
 matrix, so the left-sided integral at all ``n + 1`` nodes is one linear
 convolution, evaluated by zero-padded real FFT in O(n log n) (Hairer,
-Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).  Every other
-kernel goes through one hierarchical engine shared by the K and B rules:
-the lower triangle is split dyadically, diagonal tiles of 256 rows are
-evaluated densely, and each far block, where the cofactor is smooth, is
+Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985), its length the
+smallest 5-smooth one that holds it.  Every other kernel goes through one
+hierarchical engine shared by the K and B rules: the lower triangle is
+split dyadically, diagonal tiles of ``_LEAF`` = 128 rows are evaluated
+densely, and each far block, where the cofactor is smooth, is
 interpolated from Chebyshev points, the far field of the black-box FMM
 (Fong & Darve, J. Comput. Phys. 228, 2009) in barycentric form (Berrut &
 Trefethen, SIAM Rev. 46, 2004), and its lag weights are applied by FFT.
-That costs O(n * 256) cofactor evaluations and O(n log**2 n) arithmetic
-instead of the (n + 1)(n + 2) / 2 evaluations of a full triangle.  Each
-call builds its operator's rule once, for both sides.  The right-sided
+The far blocks of one tree level are sampled, recompressed, checked and
+transformed together, so the kernel calls grow with the levels and tiles,
+not with the blocks.  That costs O(n * _LEAF) cofactor evaluations and
+O(n log**2 n) arithmetic instead of the (n + 1)(n + 2) / 2 evaluations of
+a full triangle.  Each call builds its operator's rule once, for both
+sides, and the rule's barycentric tables serve both.  The right-sided
 integral is the left-sided one of the reversed samples at the reflected
 nodes ``a + b - t``, where the engine samples the cofactor with its
 arguments swapped, and B's rule negates it: the reversed samples'
@@ -88,7 +92,7 @@ _CORNER_PAD = 2
 _CORNER_FIT = 6
 
 # Rows per diagonal tile of the non-difference engine; see _left_engine.
-_LEAF = 256
+_LEAF = 128
 # First-kind Chebyshev points per side of a far block, their barycentric weights
 # and the core's SVD tolerance; 32 points resolve cos(40xy) on [0, 1], 24 do not.
 _CHEB = 32
@@ -96,9 +100,10 @@ _FAR_TOL = 1e-13
 _CHEB_ANGLES = [(k + 0.5) * math.pi / _CHEB for k in range(_CHEB)]
 _CHEB_POINTS = np.array([math.cos(angle) for angle in _CHEB_ANGLES])
 _CHEB_WEIGHTS = np.array([(-1) ** k * math.sin(angle) for k, angle in enumerate(_CHEB_ANGLES)])
-# Rows per FFT call of the difference rules and per tile or far-block pass of
-# the engine.  At n = 4096 a group's temporaries exceed one row's by < 1 MB and
-# 2-4 MB, and a difference group takes about 0.7 of the time of single rows.
+# Rows per FFT call of the difference rules and per tile, dense block or
+# far-level pass of the engine.  At n = 4096 a group's temporaries exceed one
+# row's by < 1 MB and 2-4 MB, and a difference group takes about 0.7 of the
+# time of single rows.
 _ROW_GROUP = 4
 
 
@@ -135,7 +140,7 @@ class Kernel:
     #: difference-type kernels depend on t - tau only and take the FFT
     #: convolution path, O(n log n), which samples the cofactor at
     #: ``(t_j, a)`` only; all others take the hierarchical engine,
-    #: O(n * 256) cofactor evaluations
+    #: O(n * _LEAF) cofactor evaluations, batched per tree level
     is_difference: bool = False
     #: kernels on multiplicative time need a strictly positive interval
     requires_positive_domain: bool = False
@@ -263,14 +268,27 @@ class GeneralKernel(Kernel):
         return np.multiply(kv, np.power(d, s, out=d), out=d)
 
 
+def _fft_size(m: int) -> int:
+    """Smallest ``2**a * 3**b * 5**c`` at or above ``m >= 1``."""
+    best, five = 1 << (m - 1).bit_length(), 1
+    while five < best:
+        odd = five
+        while odd < best:
+            best = min(best, odd << ((m - 1) // odd).bit_length())
+            odd *= 3
+        five *= 5
+    return best
+
+
 def _convolve(y: np.ndarray, length: int, count: int, discard: int = 0):
     """Function from a stack of rows of ``length`` entries to the first
     ``count`` entries of each row's linear convolution with ``y``, whose
-    spectrum is computed once.  Both are zero-padded to the smallest power
-    of two at or above ``length + len(y) - 1 - discard``: the circular
-    convolution of the real FFT then wraps only into the first ``discard``
-    entries, which the caller throws away."""
-    size = 1 << (length + len(y) - 2 - discard).bit_length()
+    spectrum is computed once.  Both are zero-padded to the smallest
+    5-smooth length (``_fft_size``) at or above
+    ``length + len(y) - 1 - discard``: the circular convolution of the
+    real FFT then wraps only into the first ``discard`` entries, which the
+    caller throws away."""
+    size = _fft_size(length + len(y) - 1 - discard)
     spectrum = np.fft.rfft(y, size)
     return lambda x: np.fft.irfft(np.fft.rfft(x, size, axis=1) * spectrum, size, axis=1)[:, :count]
 
@@ -301,6 +319,7 @@ def _apply_left(kernel: Kernel, grid: Grid):
     n, h = grid.n, grid.h
     mu = 1.0 - kernel.singularity_exponent
     t1, t2 = lags = _lag_tables(mu, n + 1)
+    chebyshev: dict = {}
 
     if kernel.is_difference:
         prof = _profile(kernel, grid)
@@ -318,7 +337,7 @@ def _apply_left(kernel: Kernel, grid: Grid):
             return _grouped(values, rows, out, weight)
         # the first node's weight has no B(j + 1) part
         tail = np.pad(rows[:, 1:], ((0, 0), (1, 0)))
-        return _left_engine(kernel, grid, right, lags, rows, tail, h ** mu, out, weight)
+        return _left_engine(kernel, grid, right, lags, chebyshev, rows, tail, h ** mu, out, weight)
 
     return rule
 
@@ -330,8 +349,8 @@ def _grouped(values, rows: np.ndarray, out: np.ndarray, weight: float) -> set:
     return set()
 
 
-def _left_engine(kernel: Kernel, grid: Grid, right: bool, lags, x1: np.ndarray, x2: np.ndarray,
-                 scale: float, into, weight: float):
+def _left_engine(kernel: Kernel, grid: Grid, right: bool, lags, chebyshev: dict,
+                 x1: np.ndarray, x2: np.ndarray, scale: float, into, weight: float):
     """Left-sided engine of non-difference kernels, shared by the K and B rules.
 
     Adds ``weight * out_rj`` to ``into``, for every row ``r`` of ``x1`` and
@@ -350,13 +369,16 @@ def _left_engine(kernel: Kernel, grid: Grid, right: bool, lags, x1: np.ndarray, 
     left to right, then the diagonal tiles of at most ``_LEAF`` rows, which
     are evaluated densely.  So every row takes its far terms from the top
     level first and its tile last.  A far block has a smooth cofactor,
-    which ``_far_factors`` reduces to a few rows and columns ``u.T @ v``;
-    the lag weights are then applied exactly, as one batched FFT middle
-    product of ``T1``, ``T2`` against ``v * x1``, ``v * x2``, of the
-    level's block size, whose lag spectra are formed once per level.  All
-    that does not depend on the rows is built once per call; the rows are
-    summed ``_ROW_GROUP`` at a time.  Returns the flagged nodes (NaN in
-    ``into``).
+    which ``_far_factors`` reduces to a few rows and columns ``u.T @ v``,
+    one call for all blocks of a level that share a shape (the ragged
+    last block, if any, has its own); a block it rejects is summed densely
+    on its own.  The lag weights are then applied exactly, as one FFT
+    middle product of ``T1``, ``T2`` against ``v * x1``, ``v * x2`` for
+    the whole level, whose lag spectra are formed once per level.  The
+    barycentric tables in ``chebyshev`` are built once per rule and serve
+    both sides.  All that does not depend on the rows is built once per
+    call; the rows are summed ``_ROW_GROUP`` at a time.  Returns the
+    flagged nodes (NaN in ``into``).
     """
     n, s = grid.n, kernel.singularity_exponent
     ab = grid.a + grid.b
@@ -386,7 +408,6 @@ def _left_engine(kernel: Kernel, grid: Grid, right: bool, lags, x1: np.ndarray, 
     groups = [slice(r, r + _ROW_GROUP) for r in range(0, len(x1), _ROW_GROUP)]
     flagged: set[int] = set()
     patterns: dict = {}
-    chebyshev: dict = {}
 
     def tile(lo: int, hi: int) -> None:
         """Add the exact sum over columns ``[lo, j]`` to ``out_rj`` for rows
@@ -450,24 +471,43 @@ def _left_engine(kernel: Kernel, grid: Grid, right: bool, lags, x1: np.ndarray, 
                 for x, band in zip((x1, x2), bands):
                     out[g, j0:j1] += np.einsum("ji,ji,ri->rj", c, band, x[g, lo:mid])
 
+    def far_factored(los, half: int, rows: int, u, v, ranks, spectra) -> None:
+        """Add the far blocks ``[lo + half, lo + half + rows) x [lo, lo + half)``
+        of one level, each ``u_b.T @ v_b`` (see ``_far_factors``), to ``out``:
+        one FFT middle product of ``T1``, ``T2`` against ``v * x1``,
+        ``v * x2`` for all the level's rank rows at once, each row taking
+        its block's columns, summed back per block by ``np.add.reduceat``."""
+        size = 2 * half
+        cols, at = los[:, None] + np.arange(half), los[:, None] + half + np.arange(rows)
+        starts = np.cumsum(ranks) - ranks
+        for g in groups:
+            mixed = 0.0
+            for x, spectrum in zip((x1, x2), spectra):
+                w = np.repeat(x[g][:, cols], ranks, axis=1)
+                w *= v
+                w = np.fft.rfft(w, size)
+                w *= spectrum
+                mixed += w
+            z = np.fft.irfft(mixed, size)[..., half : half + rows]
+            z *= u
+            out[g, at] += np.add.reduceat(z, starts, axis=1)
+
     size = _LEAF
     while size < n + 1:
         size *= 2
     while size > _LEAF:
         half = size // 2
         spectra = [np.fft.rfft(lag[:size], size) for lag in lags]
-        for mid in range(half, n + 1, size):
-            lo, hi = mid - half, min(mid + half, n + 1)
-            factors = _far_factors(sample, between, lo, mid, hi, chebyshev)
-            if factors is None:
-                far_dense(lo, mid, hi)
-                continue
-            u, v = factors
-            for g in groups:
-                mixed = sum(np.fft.rfft(v * x[g, None, lo:mid], size) * spec
-                            for x, spec in zip((x1, x2), spectra))
-                z = np.fft.irfft(mixed, size)[..., half : hi - lo]
-                out[g, mid:hi] += np.einsum("kr,gkr->gr", u, z)
+        mids = np.arange(half, n + 1, size)
+        heights = np.minimum(mids + half, n + 1) - mids
+        # the full blocks, then the ragged last one, if any
+        for rows in map(int, np.unique(heights)[::-1]):
+            los = mids[heights == rows] - half
+            kept, u, v, ranks = _far_factors(sample, between, los, half, rows, chebyshev)
+            for lo in los[~kept]:
+                far_dense(lo, lo + half, lo + half + rows)
+            if kept.any():
+                far_factored(los[kept], half, rows, u, v, ranks, spectra)
         size = half
     for lo in range(0, n + 1, _LEAF):
         tile(lo, min(lo + _LEAF, n + 1))
@@ -478,49 +518,63 @@ def _left_engine(kernel: Kernel, grid: Grid, right: bool, lags, x1: np.ndarray, 
     return flagged
 
 
-def _far_factors(sample, between, lo: int, mid: int, hi: int, chebyshev: dict):
-    """Low-rank factors ``u.T @ v`` of the cofactor on the far block of
-    nodes ``[mid, hi) x [lo, mid)``, or ``None`` when the block should be
-    evaluated densely.  ``sample(j, i)`` returns the cofactor at node
-    indices and raises on a non-finite value; ``between(x, y)`` returns it
-    at fractional node indices, non-finite values included.
+def _far_factors(sample, between, los: np.ndarray, half: int, rows: int, chebyshev: dict):
+    """Low-rank factors of the cofactor on the far blocks of one tree level:
+    nodes ``[lo + half, lo + half + rows) x [lo, lo + half)`` for each ``lo``
+    in ``los``.  ``sample(j, i)`` returns the cofactor at node indices and
+    raises on a non-finite value; ``between(x, y)`` returns it at fractional
+    node indices, non-finite values included.
 
-    The core, sampled once on the tensor grid of the block's row and
-    column Chebyshev points, is recompressed by SVD to ``_FAR_TOL`` of its
-    largest singular value, and barycentric Lagrange matrices, kept in
-    ``chebyshev`` by length, carry it to the nodes (Fong & Darve, J.
-    Comput. Phys. 228, 2009; Berrut & Trefethen, SIAM Rev. 46, 2004).
-    A block goes dense if it has fewer rows than points, if its core is
-    non-finite or all zero (which cannot prove the block zero), or if its
-    first column or last row, sampled in full, misses the factors: a jump
-    or kink that interpolation cannot follow shows there.
+    Returns ``(kept, u, v, ranks)``: ``kept`` marks the blocks of ``los``
+    that were compressed, and the ``b``-th of them is ``u_b.T @ v_b``,
+    where ``u_b`` and ``v_b`` are its ``ranks[b]`` consecutive rows of
+    ``u`` (``rows`` columns) and ``v`` (``half`` columns).  The other
+    blocks should be evaluated densely.
+
+    The cores, sampled in one call on the tensor grids of the blocks' row
+    and column Chebyshev points, are recompressed by one batched SVD to
+    ``_FAR_TOL`` of each largest singular value, and barycentric Lagrange
+    matrices, kept in ``chebyshev`` by length, carry them to the nodes
+    (Fong & Darve, J. Comput. Phys. 228, 2009; Berrut & Trefethen, SIAM
+    Rev. 46, 2004).  A block goes dense if it has fewer rows than points,
+    if its core is non-finite or all zero (which cannot prove the block
+    zero), or if its first column or last row, sampled in full with those
+    of the other blocks, misses its factors: a jump or kink that
+    interpolation cannot follow shows there.
     """
-    if hi - mid < _CHEB:
-        return None
-    for length in (hi - mid, mid - lo):
+    kept = np.zeros(len(los), dtype=bool)
+    if rows < _CHEB:
+        return kept, None, None, None
+    for length in (rows, half):
         if length not in chebyshev:
             # no point falls on a node for lengths 2 to 2,000,000; one that
             # did would make its node NaN and fail the check below
             points = 0.5 * (length - 1) * (1.0 + _CHEB_POINTS)
             q = _CHEB_WEIGHTS[:, None] / (np.arange(length) - points[:, None])
             chebyshev[length] = points, q / q.sum(axis=0)
-    (rows, to_rows), (cols, to_cols) = chebyshev[hi - mid], chebyshev[mid - lo]
-    core = between(mid + rows[:, None], lo + cols)
-    if not np.all(np.isfinite(core)) or not core.any():
-        return None
-    left, sv, right = np.linalg.svd(core)
-    k = int(np.count_nonzero(sv > _FAR_TOL * sv[0]))
+    (row_points, to_rows), (col_points, to_cols) = chebyshev[rows], chebyshev[half]
+    mids = los + half
+    core = between(mids[:, None, None] + row_points[:, None], los[:, None, None] + col_points)
+    live = np.flatnonzero(np.isfinite(core).all(axis=(1, 2)) & core.any(axis=(1, 2)))
+    if not len(live):
+        return kept, None, None, None
+    left, sv, right = np.linalg.svd(core[live])
+    ranks = np.count_nonzero(sv > _FAR_TOL * sv[:, :1], axis=1)
+    leading = np.arange(_CHEB) < ranks[:, None]
     # einsum, not BLAS: with more than one BLAS thread a small gemm can stall
-    u = np.einsum("pk,pr->kr", left[:, :k] * sv[:k], to_rows)
-    v = np.einsum("kp,pc->kc", right[:k], to_cols)
-    first = sample(np.arange(mid, hi), lo)
-    last = sample(hi - 1, np.arange(lo, mid))
+    u = np.einsum("kp,pr->kr", (left * sv[:, None, :]).transpose(0, 2, 1)[leading], to_rows)
+    v = np.einsum("kp,pc->kc", right[leading], to_cols)
+    starts = np.cumsum(ranks) - ranks
+    first = sample(mids[live, None] + np.arange(rows), los[live, None])
+    last = sample(mids[live, None] + rows - 1, los[live, None] + np.arange(half))
     # a resolved block leaves entries below the tolerance times the core's
     # norm; a missed feature leaves them near its size, and a NaN fails too
-    limit = 10.0 * _FAR_TOL * sv[0]
-    if not (np.abs(first - v[:, 0] @ u).max() <= limit and np.abs(last - u[:, -1] @ v).max() <= limit):
-        return None
-    return u, v
+    limit = 10.0 * _FAR_TOL * sv[:, 0]
+    ok = ((np.abs(first - np.add.reduceat(v[:, :1] * u, starts)).max(axis=1) <= limit)
+          & (np.abs(last - np.add.reduceat(u[:, -1:] * v, starts)).max(axis=1) <= limit))
+    kept[live[ok]] = True
+    own = np.repeat(ok, ranks)
+    return kept, u[own], v[own], ranks[ok]
 
 
 def _mend_row(c: np.ndarray, j: int, t: np.ndarray, s: float, cofactor) -> str:
@@ -654,6 +708,7 @@ def _bapply_left(kernel: Kernel, grid: Grid):
     n, h = grid.n, grid.h
     mu = 1.0 - kernel.singularity_exponent
     t1, t2 = lags = _lag_tables(mu, n + 1)
+    chebyshev: dict = {}
 
     if kernel.is_difference:
         prof = _profile(kernel, grid)
@@ -669,7 +724,8 @@ def _bapply_left(kernel: Kernel, grid: Grid):
         # cell i carries A - B at its left node and B at its right node
         df = np.diff(rows, axis=1)
         x1, x2 = np.pad(df, ((0, 0), (0, 1))), np.pad(df, ((0, 0), (1, 0)))
-        return _left_engine(kernel, grid, right, lags, x1, x2, h ** (mu - 1.0), out, weight)
+        return _left_engine(kernel, grid, right, lags, chebyshev, x1, x2, h ** (mu - 1.0), out,
+                            weight)
 
     return rule
 

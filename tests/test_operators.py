@@ -40,6 +40,7 @@ from fracvar.operators import (
     _CHEB,
     _CORNER_FIT,
     _CORNER_PAD,
+    _LEAF,
     Kernel,
     _apply_left,
     _bapply_left,
@@ -272,17 +273,21 @@ def _once_per_row(left_rule):
 
 @pytest.mark.parametrize(
     "n, kernel",
-    [(32, EXP_KERNEL), (1024, PowerLawKernel(0.6, "integral")), (1025, EXP_KERNEL),
-     (4096, PowerLawKernel(0.3, "derivative")), (32768, EXP_KERNEL)],
-    ids=["32", "1024", "1025", "4096", "32768"],
+    [(32, EXP_KERNEL), (1013, PowerLawKernel(0.4, "derivative")),
+     (1024, PowerLawKernel(0.6, "integral")), (1025, EXP_KERNEL), (3072, EXP_KERNEL),
+     (4096, PowerLawKernel(0.3, "derivative")), (4097, PowerLawKernel(0.6, "integral")),
+     (32768, EXP_KERNEL)],
+    ids=["32", "1013", "1024", "1025", "3072", "4096", "4097", "32768"],
 )
 def test_fft_convolution_matches_direct_oracle_at_the_wrap_boundary(n, kernel):
-    """The transforms are as short as the kept nodes allow, so a wrapped
-    term lands on the first node that may take one.  At n = 2**k, K's
-    2n-point transform wraps exactly into node 0, which its rule zeroes.
-    At n = 2**k + 1, B has 2n - 1 linear outputs, one more than 2(n - 1)
-    points hold, and B keeps its first output (node 1).  Left, right and
-    two-sided weights meet the oracle's bound."""
+    """The transforms are the shortest 5-smooth lengths the kept nodes
+    allow, so a wrapped term lands on the first node that may take one.
+    At n = 2**k and n = 3 * 2**k, K's 2n-point transform wraps exactly
+    into node 0, which its rule zeroes.  At n = 1013, B's 2n - 1 linear
+    outputs fill its transform of 2025 = 3**4 * 5**2 points, an odd
+    length, and B keeps its first output (node 1).  At n = 2**k + 1 both
+    transforms are 5-smooth lengths far below the next power of two.
+    Left, right and two-sided weights meet the oracle's bound."""
     g = Grid(0.0, 1.0, n)
     f = SampledFunction(g, np.random.default_rng(n).uniform(-1, 1, n + 1))
     for apply, left_rule, sign in ((k_apply, _direct_k_left, 1.0), (b_apply, _direct_b_left, -1.0)):
@@ -293,10 +298,8 @@ def test_fft_convolution_matches_direct_oracle_at_the_wrap_boundary(n, kernel):
             assert np.abs(apply(p, kernel, f).values - ref).max() <= bound
 
 
-def test_difference_rules_transform_twice_the_grid_on_a_power_of_two(monkeypatch):
-    """Work count: at n = 4096 both difference rules convolve by real FFTs
-    of 8192 points, the smallest power of two past the 8192 - 1 linear
-    outputs of B and the 8192 + 1 of K, of which K throws node 0 away."""
+def _record_rfft_lengths(monkeypatch):
+    """List that collects the length of every ``np.fft.rfft`` call."""
     lengths = []
     rfft = np.fft.rfft
 
@@ -305,12 +308,41 @@ def test_difference_rules_transform_twice_the_grid_on_a_power_of_two(monkeypatch
         return rfft(a, n, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, "rfft", recording)
+    return lengths
+
+
+def test_difference_rules_transform_twice_the_grid_on_a_power_of_two(monkeypatch):
+    """Work count: at n = 4096 both difference rules convolve by real FFTs
+    of 8192 points, the smallest 5-smooth length past the 8192 - 1 linear
+    outputs of B and the 8192 + 1 of K, of which K throws node 0 away."""
+    lengths = _record_rfft_lengths(monkeypatch)
     p, g = ParameterSet(0.0, 1.0, 0.8, -1.3), Grid(0.0, 1.0, 4096)
     f = SampledFunction(g, np.cos(3.0 * g.nodes))
     for apply in (k_apply, b_apply):
         lengths.clear()
         apply(p, EXP_KERNEL, f)
         assert lengths and max(lengths) <= 8192
+
+
+def _is_five_smooth(m):
+    for prime in (2, 3, 5):
+        while m % prime == 0:
+            m //= prime
+    return m == 1
+
+
+def test_difference_rules_transform_a_five_smooth_length_past_a_power_of_two(monkeypatch):
+    """Work count: at n = 4097, K needs 2n = 8194 points and B 2n - 1 =
+    8193.  Both transform the smallest 5-smooth length at or above that,
+    8640 = 2**6 * 3**3 * 5, where the smallest power of two is 16384."""
+    lengths = _record_rfft_lengths(monkeypatch)
+    p, g = ParameterSet(0.0, 1.0, 0.8, -1.3), Grid(0.0, 1.0, 4097)
+    f = SampledFunction(g, np.cos(3.0 * g.nodes))
+    for apply, need in ((k_apply, 8194), (b_apply, 8193)):
+        lengths.clear()
+        apply(p, EXP_KERNEL, f)
+        shortest = next(m for m in range(need, 2 * need) if _is_five_smooth(m))
+        assert shortest == 8640 and set(lengths) == {shortest}
 
 
 def test_power_law_integral_of_a_constant_meets_its_closed_form_to_round_off():
@@ -565,32 +597,70 @@ def test_right_side_is_the_left_side_of_the_mirrored_kernel(n):
             assert np.array_equal(right[kept], left[kept])
 
 
-def _far_block(kernel, n, lo, mid, hi):
-    """``_far_factors`` of ``kernel`` on the left side of a grid of [0, 1]."""
+def _far_level(kernel, n, los, half, rows):
+    """``_far_factors`` of ``kernel`` on the far blocks ``[lo + half, lo +
+    half + rows) x [lo, lo + half)`` of the left side of a grid of [0, 1],
+    one call for all of ``los``: a ``(u, v)`` pair per block, or None for a
+    block sent to the dense code."""
     t = Grid(0.0, 1.0, n).nodes
-    return _far_factors(lambda j, i: kernel.cofactor(t[j], t[i]),
-                        lambda x, y: kernel.cofactor(x / n, y / n), lo, mid, hi, {})
+    kept, u, v, ranks = _far_factors(lambda j, i: kernel.cofactor(t[j], t[i]),
+                                     lambda x, y: kernel.cofactor(x / n, y / n),
+                                     np.asarray(los), half, rows, {})
+    if not kept.any():
+        return [None] * len(kept)
+    cuts = np.cumsum(ranks)[:-1]
+    factors = iter(zip(np.split(u, cuts), np.split(v, cuts)))
+    return [next(factors) if keep else None for keep in kept]
+
+
+def _assert_factors_reproduce(kernel, n, los, half, blocks):
+    """Each ``(u, v)`` of ``blocks`` reproduces its block of ``kernel`` to
+    1e-12 of the block's largest entry."""
+    t = Grid(0.0, 1.0, n).nodes
+    for lo, (u, v) in zip(los, blocks):
+        rows = u.shape[1]
+        block = kernel.cofactor(t[lo + half : lo + half + rows, None], t[None, lo : lo + half])
+        assert np.abs(u.T @ v - block).max() <= 1e-12 * np.abs(block).max()
 
 
 @pytest.mark.parametrize("n", [4096, 8192])
 def test_far_factors_reproduce_smooth_blocks_and_send_jumps_dense(n):
-    """Chebyshev far blocks of ``cos(40xy)`` and the counterexample kernel
-    reproduce every entry to 1e-12 of the block's largest: the blocks
-    nearest the corner where the counterexample is singular, and those
-    where ``cos(40xy)`` oscillates fastest.  A block crossed by a jump, a
-    block whose nonzero rows the Chebyshev points miss, and a block with
-    fewer rows than points go to the dense code."""
+    """Chebyshev far blocks of ``cos(40xy)`` and the counterexample kernel,
+    factored a whole tree level per call, reproduce every entry to 1e-12
+    of the block's largest: the levels of half-sizes n / 16 and n / 8,
+    which hold the blocks nearest the corner where the counterexample is
+    singular and those where ``cos(40xy)`` oscillates fastest.  A block
+    crossed by a jump, a block whose nonzero rows the Chebyshev points
+    miss, and a block with fewer rows than points go to the dense code."""
     t = Grid(0.0, 1.0, n).nodes
-    blocks = [(0, n // 16, n // 8), (n // 8, 3 * n // 16, n // 4), (3 * n // 4, 7 * n // 8, n)]
     for kernel in (GeneralKernel(lambda x, y: np.cos(40.0 * x * y), 0.0), counterexample_kernel()):
-        for lo, mid, hi in blocks:
-            u, v = _far_block(kernel, n, lo, mid, hi)
-            block = kernel.cofactor(t[mid:hi, None], t[None, lo:mid])
-            assert np.abs(u.T @ v - block).max() <= 1e-12 * np.abs(block).max()
-    lo, mid, hi = 0, n // 2, n
-    for kernel in (_step(0.6), _band(t[mid + 10], t[mid + 20])):
-        assert _far_block(GeneralKernel(kernel, 0.0), n, lo, mid, hi) is None
-    assert _far_block(GeneralKernel(_smooth(1.3, -0.7), 0.0), n, 0, n // 2, n // 2 + _CHEB - 1) is None
+        for half in (n // 16, n // 8):
+            los = range(0, n, 2 * half)
+            blocks = _far_level(kernel, n, los, half, half)
+            assert None not in blocks
+            _assert_factors_reproduce(kernel, n, los, half, blocks)
+    for kernel in (_step(0.6), _band(t[n // 2 + 10], t[n // 2 + 20])):
+        assert _far_level(GeneralKernel(kernel, 0.0), n, [0], n // 2, n // 2) == [None]
+    assert _far_level(GeneralKernel(_smooth(1.3, -0.7), 0.0), n, [0], n // 2, _CHEB - 1) == [None]
+
+
+def test_a_block_crossed_by_a_jump_goes_dense_while_its_level_stays_compressed():
+    """At n = 2403 a smooth kernel plus a unit jump at x = 0.6 crosses the
+    rows of the third of the four full far blocks of half-size 256, and no
+    other block of that level.  One ``_far_factors`` call sends that block
+    alone to the dense code; its siblings keep factors that reproduce them
+    to 1e-12.  The engine's K and B, on both sides, meet the row oracle's
+    bound; there the same level also holds a ragged last block of 100
+    rows, which gets a call of its own."""
+    n, half = 2403, 256
+    smooth = _smooth(1.3, -0.7)
+    kernel = GeneralKernel(lambda x, y: smooth(x, y) + np.where(x >= 0.6, 1.0, 0.0), 0.0)
+    los = range(0, 2048, 2 * half)
+    blocks = _far_level(kernel, n, los, half, half)
+    assert [block is None for block in blocks] == [False, False, True, False]
+    _assert_factors_reproduce(kernel, n, [0, 512, 1536], half, [blocks[0], blocks[1], blocks[3]])
+    f = SampledFunction(Grid(0.0, 1.0, n), np.random.default_rng(9).uniform(-1, 1, n + 1))
+    _assert_engine_matches_oracle(ParameterSet(0.0, 1.0, 1.0, -0.5), kernel, f)
 
 
 class _CountingKernel(Kernel):
@@ -619,42 +689,46 @@ def test_non_difference_engine_samples_near_linearly():
 
 
 def test_far_blocks_cost_three_kernel_calls_each():
-    """A compressed far block asks the kernel three times: its Chebyshev
-    core, its first column and its last row.  On each side of the
-    counterexample at n = 8192 that is 31 blocks, plus one call for the
-    dense block of the last node alone and one per diagonal tile (32 full
-    tiles and the last node's); the right side asks for one more full row,
-    at the corner it flags."""
+    """The compressed far blocks of one tree level ask the kernel three
+    times together: their Chebyshev cores, their first columns and their
+    last rows.  On each side of the counterexample at n = 8192 that is
+    the levels of half-sizes 4096 down to ``_LEAF``, plus one call for the
+    dense block of the last node alone and one per diagonal tile (the
+    full tiles and the last node's); the right side asks for one more
+    full row, at the corner it flags.  So the calls grow with the levels
+    and tiles, not with the far blocks: 169 at ``_LEAF`` = 128, where
+    three calls per block would make 511."""
+    levels = (8192 // _LEAF).bit_length() - 1
+    tiles = -(-8193 // _LEAF)
     kernel = _CountingKernel(counterexample_kernel())
     g = Grid(0.0, 1.0, 8192)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CornerExtrapolationWarning)
         k_apply(ParameterSet(0.0, 1.0, 1.0, -1.0), kernel, SampledFunction(g, np.ones(8193)))
-    assert kernel.calls <= 2 * (3 * 31 + 1 + 33) + 1
+    assert kernel.calls <= 2 * (3 * levels + 1 + tiles) + 1
 
 
 def test_engine_walks_far_blocks_level_by_level_from_the_top(monkeypatch):
     """The far blocks of one side of the counterexample at n = 8192 come
-    level by level, from the top: 1, 1, 2, 4, 8 and 16 blocks of
-    half-sizes 8192 down to 256, left to right within a level.  A
-    depth-first walk visits a smaller block before the second block of a
-    level above it."""
-    blocks = []
+    level by level, one ``_far_factors`` call per level, from the top:
+    half-sizes 8192 down to ``_LEAF``, with every level present and its
+    blocks left to right.  A depth-first walk would visit a smaller block
+    before the second block of a level above it."""
+    levels = []
 
-    def recorder(sample, between, lo, mid, hi, chebyshev):
-        blocks.append((mid - lo, lo))
-        return _far_factors(sample, between, lo, mid, hi, chebyshev)
+    def recorder(sample, between, los, half, rows, chebyshev):
+        levels.append((half, list(los)))
+        return _far_factors(sample, between, los, half, rows, chebyshev)
 
     monkeypatch.setattr(operators, "_far_factors", recorder)
     g = Grid(0.0, 1.0, 8192)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CornerExtrapolationWarning)
         k_apply(LEFT, counterexample_kernel(), SampledFunction(g, np.ones(8193)))
-    halves = [half for half, _ in blocks]
-    assert halves == [8192, 4096] + [2048] * 2 + [1024] * 4 + [512] * 8 + [256] * 16
-    for level in set(halves):
-        starts = [lo for half, lo in blocks if half == level]
-        assert starts == list(range(0, 8192, 2 * level))
+    halves = [half for half, _ in levels]
+    assert halves == [8192 >> k for k in range((8192 // _LEAF).bit_length())]
+    for half, los in levels:
+        assert los == list(range(0, 8192, 2 * half))
 
 
 @pytest.mark.filterwarnings("ignore::fracvar.CornerExtrapolationWarning")

@@ -40,6 +40,7 @@ both sides, and its cofactor is sampled once per call, at ``(t_j, a)``.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -135,15 +136,14 @@ def dual(p: ParameterSet) -> ParameterSet:
 
 
 class Kernel:
-    """Base interface: diagonal singularity strength plus bounded cofactor."""
+    """Base interface: ``is_difference``, ``singularity_exponent`` and
+    ``cofactor``; a kernel raises ``DomainError`` outside its own domain."""
 
     #: difference-type kernels depend on t - tau only and take the FFT
     #: convolution path, O(n log n), which samples the cofactor at
     #: ``(t_j, a)`` only; all others take the hierarchical engine,
     #: O(n * _LEAF) cofactor evaluations, batched per tree level
     is_difference: bool = False
-    #: kernels on multiplicative time need a strictly positive interval
-    requires_positive_domain: bool = False
     #: strength ``s`` in [0, 1) of the ``(t - tau)**(-s)`` diagonal singularity
     singularity_exponent: float = 0.0
 
@@ -213,14 +213,13 @@ class PowerLawKernel(Kernel):
 class HadamardKernel(Kernel):
     """Logarithmic kernel ``log(t/tau)**(order-1) / (Gamma(order) tau)``.
 
-    Lives on multiplicative time, so the interval must satisfy ``a > 0``.
-    The cofactor is evaluated through ``log1p((t-tau)/tau) / (t-tau)``,
-    which stays well conditioned up to the diagonal, where it equals
-    ``1/tau``.
+    Lives on multiplicative time: its cofactor rejects times ``<= 0``, and
+    every operator samples it at ``a``.  The cofactor is evaluated through
+    ``log1p((t-tau)/tau) / (t-tau)``, which stays well conditioned up to
+    the diagonal, where it equals ``1/tau``.
     """
 
     order: float
-    requires_positive_domain = True
 
     def __post_init__(self) -> None:
         if not 0.0 < self.order < 1.0:
@@ -631,10 +630,14 @@ def _patch_corners(values: np.ndarray, bad: set, n: int) -> None:
         coeffs = np.polyfit(fit.astype(float), values[:, fit].T, 2)
         values[:, fix] = np.polyval(coeffs, fix[:, None].astype(float)).T
         patched += len(fix)
+    # name the first caller outside this package, however deep the call came in
+    frame, level = sys._getframe(1), 2
+    while frame.f_globals.get("__package__") == __package__:
+        frame, level = frame.f_back, level + 1
     warnings.warn(
         f"extrapolated {patched} corner-adjacent output nodes in each row",
         CornerExtrapolationWarning,
-        stacklevel=4,
+        stacklevel=level,
     )
 
 
@@ -648,8 +651,6 @@ def _two_sided(p: ParameterSet, kernel: Kernel, grid: Grid, rows: np.ndarray, le
     is built and the result is zeros.
     """
     _check_interval(grid, p.a, p.b)
-    if kernel.requires_positive_domain and grid.a <= 0.0:
-        raise DomainError("this kernel needs a strictly positive interval, got a <= 0")
     n, out, bad = grid.n, np.zeros(rows.shape), set()
     if p.lam == 0.0 and p.mu == 0.0:
         return out
@@ -768,7 +769,7 @@ class ClassicalOp(str, Enum):
 def classical(op, order: float, f: SampledFunction) -> SampledFunction:
     """Evaluate a named one-sided operator of the classical families.
 
-    ``order`` is a float in ``(0, 1)``.
+    ``order`` is a float in ``(0, 1)``, which the kernel built from it checks.
     """
     try:
         op = ClassicalOp(op)
@@ -777,8 +778,6 @@ def classical(op, order: float, f: SampledFunction) -> SampledFunction:
     grid = f.grid
     if callable(order):
         raise ConfigurationError(f"{op.value} takes a constant order, not a callable")
-    if not 0.0 < order < 1.0:
-        raise DomainError(f"order must lie in (0, 1), got {order}")
 
     left = ParameterSet(grid.a, grid.b, 1.0, 0.0)
     right = ParameterSet(grid.a, grid.b, 0.0, 1.0)

@@ -42,7 +42,7 @@ from .foundation import (
 )
 from .operators import ParameterSet, PowerLawKernel
 from .operators import _bapply_left, _two_sided
-from .variational import VariationalProblem, _slots
+from .variational import VariationalProblem, _check_weight_grid, _slots
 
 __all__ = [
     "SLProblem",
@@ -162,13 +162,18 @@ class RitzBasis:
         return cls(problem, grid, m, phi, problem._derivative(grid, phi, False), coefficients)
 
 
-def _assemble_from_basis(basis: RitzBasis) -> SymmetricMatrix:
+def _ritz_system(problem: SLProblem, m: int, grid: Optional[Grid]):
+    """The basis of an ``m``-mode space, its Ritz matrix and ``c`` (see
+    ``assemble``), on ``grid`` or else on ``max(1024, 32 m)`` cells."""
+    if grid is None:
+        grid = Grid(problem.a, problem.b, max(1024, _MIN_NODES_PER_MODE * m))
+    basis = RitzBasis.build(problem, m, grid)
     p_vals, q_vals, _ = basis._coefficients
-    tw = _trapezoid_weights(basis.grid)
+    tw = _trapezoid_weights(grid)
     stiff = (basis.dphi * (p_vals * tw)) @ basis.dphi.T
     mass_q = (basis.phi * (q_vals * tw)) @ basis.phi.T
     a = stiff + mass_q
-    return SymmetricMatrix(0.5 * (a + a.T))
+    return basis, SymmetricMatrix(0.5 * (a + a.T)), 0.5 * (grid.b - grid.a)
 
 
 def assemble(problem: SLProblem, m: int, grid: Grid):
@@ -180,12 +185,7 @@ def assemble(problem: SLProblem, m: int, grid: Grid):
     times the identity, so eigenvalues of the returned matrix divided by
     ``c`` approximate the problem's spectrum from above.
     """
-    basis = RitzBasis.build(problem, m, grid)
-    return _assemble_from_basis(basis), 0.5 * (grid.b - grid.a)
-
-
-def _default_grid(problem: SLProblem, m: int) -> Grid:
-    return Grid(problem.a, problem.b, max(1024, _MIN_NODES_PER_MODE * m))
+    return _ritz_system(problem, m, grid)[1:]
 
 
 @dataclass(frozen=True)
@@ -218,15 +218,11 @@ def solve_spectrum(problem: SLProblem, m: int, r: int, grid: Optional[Grid] = No
     """
     if not 1 <= r <= m:
         raise InputError(f"requested {r} eigenpairs from an m={m} basis")
-    if grid is None:
-        grid = _default_grid(problem, m)
-    basis = RitzBasis.build(problem, m, grid)
-    matrix = _assemble_from_basis(basis)
-    c = 0.5 * (grid.b - grid.a)
+    basis, matrix, c = _ritz_system(problem, m, grid)
     vals, vecs = symmetric_eigen(matrix)
     lambdas = vals[:r] / c
     coeffs = (vecs[:, :r] / math.sqrt(c)).T
-    funcs = tuple(SampledFunction(grid, coeffs[j] @ basis.phi) for j in range(r))
+    funcs = tuple(SampledFunction(basis.grid, coeffs[j] @ basis.phi) for j in range(r))
     p_b = float(basis._coefficients[0][-1])
     trace = np.array([p_b * float((coeffs[j] @ basis.dphi)[-1]) for j in range(r)])
     return Spectrum(lambdas, coeffs, funcs, basis.m, trace)
@@ -264,15 +260,10 @@ def converge(
         raise InputError("m_schedule must be strictly increasing with at least two entries")
     if r > schedule[0]:
         raise InputError(f"r={r} exceeds the smallest basis size {schedule[0]}")
-    m_max = schedule[-1]
-    if grid is None:
-        grid = _default_grid(problem, m_max)
-    basis = RitzBasis.build(problem, m_max, grid)
-    full = _assemble_from_basis(basis).entries
-    c = 0.5 * (grid.b - grid.a)
+    _, full, c = _ritz_system(problem, schedule[-1], grid)
     rows = []
     for m in schedule:
-        vals, _ = symmetric_eigen(SymmetricMatrix(full[:m, :m]))
+        vals, _ = symmetric_eigen(SymmetricMatrix(full.entries[:m, :m]))
         rows.append(vals[:r] / c)
     table = np.vstack(rows)
     steps = np.diff(table, axis=0)
@@ -343,6 +334,7 @@ class _TrialSpace:
     def __init__(self, problem: VariationalProblem, basis: RitzBasis) -> None:
         grid = basis.grid
         _check_interval(grid, problem.binding.p.a, problem.binding.p.b)
+        _check_weight_grid(problem, grid)
         self.problem = problem
         self.grid = grid
         self.tw = _trapezoid_weights(grid)

@@ -172,6 +172,12 @@ def _check_boundary(problem: VariationalProblem, y: SampledFunction) -> None:
             )
 
 
+def _check_weight_grid(problem: VariationalProblem, grid: Grid) -> None:
+    """``InputError`` unless the weight, if any, has ``grid.n`` cells (its interval is checked)."""
+    if problem.weight is not None and problem.weight.grid.n != grid.n:
+        raise InputError(f"weight grid {problem.weight.grid} does not match grid {grid}")
+
+
 def _slots(binding: OperatorBinding, grid: Grid, rows: np.ndarray):
     """The four trajectory slots ``(y, K y, y', B y)`` of each row of
     ``rows``, shape ``(rows, n + 1)``, one stacked application per operator."""
@@ -187,6 +193,7 @@ def _slots(binding: OperatorBinding, grid: Grid, rows: np.ndarray):
 def _trajectory(problem: VariationalProblem, y: SampledFunction):
     """``_slots`` of the one row ``y``, through the public ``k_apply`` and
     ``b_apply``, so that a trace of those names sees the checks' operator work."""
+    _check_weight_grid(problem, y.grid)
     p, kern = problem.binding.p, problem.binding.kernel
     return y.values, k_apply(p, kern, y).values, y.derivative().values, b_apply(p, kern, y).values
 

@@ -17,15 +17,19 @@ from fracvar import (
     Grid,
     HadamardKernel,
     InputError,
+    Lagrangian,
     NumericError,
+    OperatorBinding,
     ParameterSet,
     PowerLawKernel,
     SampledFunction,
+    VariationalProblem,
     a_apply,
     b_apply,
     boundedness_constant,
     classical,
     dual,
+    el_residual,
     gamma,
     interior_slice,
     k_apply,
@@ -159,8 +163,18 @@ def test_bounded_kernel_corner_is_mended_with_warning():
     with pytest.warns(CornerExtrapolationWarning) as record:
         out = k_apply(p, rational, SampledFunction(g, np.ones(65)))
     assert np.isfinite(out.values).all()
-    # the warning points at the caller of k_apply, not into the library
+    # the warning points at the caller, not into the library, however deep
+    # the call goes
     assert record[0].filename == __file__
+    with pytest.warns(CornerExtrapolationWarning) as record:
+        a_apply(p, rational, SampledFunction(g, np.ones(65)))
+    assert [w.filename for w in record] == [__file__]
+    problem = VariationalProblem(Lagrangian(lambda x1, x2, x3, x4, t: x2 * x2 + x4 * x4),
+                                 OperatorBinding(p, rational))
+    with pytest.warns(CornerExtrapolationWarning) as record:
+        el_residual(problem, SampledFunction(g, g.nodes * (1.0 - g.nodes)))
+    assert len(record) == 3
+    assert {w.filename for w in record} == {__file__}
     # a stack patches every row and warns once per call
     rows = np.random.default_rng(7).uniform(-1, 1, (5, 65))
     for _, left_rule in STACKED_RULES:
@@ -1173,9 +1187,18 @@ def test_hadamard_integral_of_unit():
 
 
 def test_hadamard_needs_positive_interval():
-    g = Grid(0.0, 1.0, 64)
-    with pytest.raises(DomainError):
-        k_apply(ParameterSet(0.0, 1.0, 1.0, 0.0), HadamardKernel(0.5), SampledFunction(g, np.ones(65)))
+    """Every side and rule samples ``tau = a``: at n = 64 in its one tile,
+    at n = 1024 on the far levels too."""
+    for a in (0.0, -0.5):
+        for n in (64, 1024):
+            g = Grid(a, 1.0, n)
+            f = SampledFunction(g, np.ones(n + 1))
+            for lam, mu in ((1.0, 0.0), (0.0, 1.0), (1.0, -1.0)):
+                for apply in (k_apply, b_apply):
+                    with pytest.raises(DomainError, match="strictly positive"):
+                        apply(ParameterSet(a, 1.0, lam, mu), HadamardKernel(0.5), f)
+            with pytest.raises(DomainError, match="strictly positive"):
+                classical("HadamardLeft", 0.5, f)
 
 
 def test_classical_dispatch_errors():
@@ -1185,8 +1208,11 @@ def test_classical_dispatch_errors():
         classical("not-an-op", 0.5, f)
     with pytest.raises(ConfigurationError, match="constant order"):
         classical(ClassicalOp.RL_INT_LEFT, lambda t, tau: 0.5, f)
-    with pytest.raises(DomainError):
-        classical(ClassicalOp.RL_INT_LEFT, 1.5, f)
+    # the kernel each operator builds checks the order, Hadamard's too
+    for order in (0.0, 1.0, 1.5, -0.2, math.nan):
+        for op in ClassicalOp:
+            with pytest.raises(DomainError, match=r"order must lie in \(0, 1\)"):
+                classical(op, order, f)
 
 
 # --- norm constant ----------------------------------------------------------

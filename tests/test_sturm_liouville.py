@@ -343,6 +343,21 @@ def test_converge_fractional_is_monotone_and_ordered():
     assert np.all(report.table[:, 1] - report.table[:, 0] > 1e-12)
 
 
+@pytest.mark.parametrize("m", [8, 40])
+def test_default_grid_has_max_1024_32m_cells(m):
+    problem = constant_problem(0.75)
+    grid = Grid(problem.a, problem.b, max(1024, 32 * m))
+    implicit, explicit = solve_spectrum(problem, m, 3), solve_spectrum(problem, m, 3, grid)
+    for field in ("lambdas", "coefficients", "right_trace"):
+        assert np.array_equal(getattr(implicit, field), getattr(explicit, field))
+    for got, want in zip(implicit.eigenfunctions, explicit.eigenfunctions):
+        assert got.grid == grid and np.array_equal(got.values, want.values)
+    implicit, explicit = converge(problem, (m // 2, m), 3), converge(problem, (m // 2, m), 3, grid)
+    assert np.array_equal(implicit.table, explicit.table)
+    assert implicit.max_upward_step == explicit.max_upward_step
+    assert np.array_equal(implicit.converged, explicit.converged)
+
+
 def test_converge_schedule_validation():
     with pytest.raises(InputError):
         converge(constant_problem(1.0), (8, 4), 1)

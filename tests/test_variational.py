@@ -19,11 +19,14 @@ from fracvar import (
     OperatorBinding,
     ParameterSet,
     PowerLawKernel,
+    RitzBasis,
     SampledFunction,
+    SLProblem,
     VariationalProblem,
     a_apply,
     b_apply,
     cumulative_trapezoid,
+    direct_minimize,
     dissipative_parameter,
     dual,
     el_residual,
@@ -548,3 +551,21 @@ def test_damped_oscillator_satisfies_weighted_stationarity():
     g = Grid(0.0, 1.0, 2048)
     prob, y = damped_oscillator_problem(g)
     assert interior_sup(el_residual(prob, y).values) < 1e-3
+
+
+def test_weight_on_another_grid_is_named_in_the_error():
+    prob, y = damped_oscillator_problem(Grid(0.0, 1.0, 256))
+    unit = SLProblem(1.0, lambda t: 1.0, lambda t: 0.0, lambda t: 1.0, 0.0, 1.0)
+    fine = Grid(0.0, 1.0, 512)
+    y_fine = SampledFunction(fine, np.interp(fine.nodes, y.grid.nodes, y.values))
+    mismatch = r"weight grid Grid\(a=0.0, b=1.0, n=256\) does not match grid Grid\(a=0.0, b=1.0, n=512\)"
+    with pytest.raises(InputError, match=mismatch):
+        el_residual(prob, y_fine)
+    with pytest.raises(InputError, match=mismatch):
+        evaluate_functional(prob, y_fine)
+    with pytest.raises(InputError, match=mismatch):
+        direct_minimize(prob, RitzBasis.build(unit, 8, fine))
+    # on the weight's own grid the same calls run
+    assert interior_sup(el_residual(prob, y).values) < 1e-2
+    assert math.isfinite(evaluate_functional(prob, y))
+    assert direct_minimize(prob, RitzBasis.build(unit, 8, y.grid)).stop == "converged"

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import InputError, ParseError
 from .foundation import (
+    _MAX_EIGEN_DIM,
     Grid,
     SampledFunction,
     _check_endpoints,
@@ -58,6 +59,7 @@ from .variational import (
     noether_drift,
 )
 from .sturm_liouville import (
+    _MIN_NODES_PER_MODE,
     MinimizeOptions,
     RitzBasis,
     SLProblem,
@@ -88,7 +90,8 @@ __all__ = [
 
 class _Experiment(NamedTuple):
     """A catalogue entry: its ``fracvar list`` line, its runner, the
-    defaults of a config, and the assertion ids ``tolerances`` may set."""
+    defaults of a config, the assertion ids ``tolerances`` may set, and
+    the basis settings (``_BASIS_SETTINGS``) its runner reads."""
 
     description: str
     runner: Callable
@@ -97,23 +100,35 @@ class _Experiment(NamedTuple):
     assertion_ids: tuple
     interval: tuple = (0.0, 1.0)
     spectral: bool = False  # orders in (0.5, 1), or 1.0 for the classical mode
+    reads: tuple = ()
 
 
-_DEFAULT_M = 16
-_DEFAULT_M_SCHEDULE = (4, 8, 16, 32)
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
 
-_SCHEMA_KEYS = (
-    "experiment",
-    "interval",
-    "n",
-    "alpha",
-    "m",
-    "m_schedule",
-    "r",
-    "tolerances",
-    "output_dir",
-    "seed",
-)
+
+#: the basis settings: default, test of a value, and the rule a value
+#: breaks; a run keeps the default of each setting it does not read
+_BASIS_SETTINGS = {
+    "m": (16, lambda v: _is_count(v) and v <= _MAX_EIGEN_DIM,
+          f"must be a positive integer at most {_MAX_EIGEN_DIM}"),
+    "m_schedule": ((4, 8, 16, 32),
+                   lambda v: isinstance(v, (list, tuple)) and len(v) >= 2
+                   and all(map(_is_count, v)) and all(x < y for x, y in zip(v, v[1:])),
+                   "must be a strictly increasing list of positive integers"),
+    "r": (3, _is_count, "must be a positive integer"),
+}
+
+#: how the cross-field rules name the smallest and the largest basis size,
+#: by the setting that holds the sizes
+_SIZE_WORDING = {
+    "m": ("m", "{}*m = {} for m basis modes"),
+    "m_schedule": ("the smallest m_schedule entry", "{}*max(m_schedule) = {}"),
+}
+
+_SCHEMA_KEYS = ("experiment", "interval", "n", "alpha", *_BASIS_SETTINGS, "tolerances",
+                "output_dir", "seed")
+_N_RANGE = (32, 16384)
 
 
 def _assertion_ids(experiment: str, alpha: tuple) -> tuple:
@@ -239,15 +254,9 @@ def _config_from_mapping(doc: dict) -> ExperimentConfig:
     except InputError:
         errors.append("interval: must be [a, b] with a < b")
 
-    n = doc.get("n", spec.n)
-    if (
-        not isinstance(n, int)
-        or isinstance(n, bool)
-        or n < 32
-        or n > 16384
-        or n & (n - 1)
-    ):
-        errors.append("n: must be a power of two between 32 and 16384")
+    n, (lo, hi) = doc.get("n", spec.n), _N_RANGE
+    if not (_is_count(n) and lo <= n <= hi and not n & (n - 1)):
+        errors.append(f"n: must be a power of two between {lo} and {hi}")
         n = spec.n
 
     raw_alpha = doc.get("alpha", spec.alpha)
@@ -257,37 +266,32 @@ def _config_from_mapping(doc: dict) -> ExperimentConfig:
         errors.append("alpha: must be a number or a list of numbers")
         raw_alpha = spec.alpha
     alpha = _validate_alpha(raw_alpha, spec.spectral, errors)
-    reads = len(spec.alpha)
-    if reads > 1 and not raw_alpha:
+    orders = len(spec.alpha)
+    if orders > 1 and not raw_alpha:
         errors.append(f"alpha: {experiment} needs at least one order")
-    elif reads <= 1 and len(raw_alpha) != reads:
+    elif orders <= 1 and len(raw_alpha) != orders:
         errors.append(
             f"alpha: {experiment} takes "
-            + ("no order" if reads == 0 else "exactly one order")
+            + ("no order" if orders == 0 else "exactly one order")
         )
 
-    m = doc.get("m", _DEFAULT_M)
-    if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= 200:
-        errors.append("m: must be a positive integer at most 200")
-        m = _DEFAULT_M
-
-    m_schedule = doc.get("m_schedule", _DEFAULT_M_SCHEDULE)
-    if (
-        not isinstance(m_schedule, (list, tuple))
-        or len(m_schedule) < 2
-        or not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in m_schedule)
-        or any(x >= y for x, y in zip(m_schedule, list(m_schedule)[1:]))
-    ):
-        errors.append("m_schedule: must be a strictly increasing list of positive integers")
-        m_schedule = _DEFAULT_M_SCHEDULE
-
-    r = doc.get("r", 3)
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-        errors.append("r: must be a positive integer")
-    elif experiment == "sl-solve" and r > m:
-        errors.append("r: must not exceed m")
-    elif experiment == "sl-converge" and r > min(m_schedule):
-        errors.append("r: must not exceed the smallest m_schedule entry")
+    settings = {}
+    for key, (default, valid, rule) in _BASIS_SETTINGS.items():
+        value = doc.get(key, default)
+        if key in doc and key not in spec.reads:
+            errors.append(f"{key}: {experiment} does not read it")
+        elif valid(value):
+            settings[key] = value
+        else:
+            errors.append(f"{key}: {rule}")
+    for key, (least, most) in _SIZE_WORDING.items():
+        if key in spec.reads and key in settings:
+            sizes = np.ravel(settings[key])
+            if "r" in spec.reads and settings.get("r", 0) > sizes.min():
+                errors.append(f"r: must not exceed {least}")
+            need = _MIN_NODES_PER_MODE * int(sizes.max())
+            if n < need:
+                errors.append("n: must be at least " + most.format(_MIN_NODES_PER_MODE, need))
 
     tolerances = doc.get("tolerances", {})
     if not isinstance(tolerances, dict):
@@ -311,28 +315,11 @@ def _config_from_mapping(doc: dict) -> ExperimentConfig:
     if not isinstance(seed, int) or isinstance(seed, bool):
         errors.append("seed: must be an integer")
 
-    if experiment in ("sl-solve", "direct-min") and n < 32 * m:
-        errors.append(f"n: must be at least 32*m = {32 * m} for m basis modes")
-    if experiment == "sl-converge" and n < 32 * max(m_schedule):
-        errors.append(
-            f"n: must be at least 32*max(m_schedule) = {32 * max(m_schedule)}"
-        )
-
     if errors:
         raise ParseError(errors)
-    return ExperimentConfig(
-        experiment=experiment,
-        a=a,
-        b=b,
-        n=n,
-        alpha=alpha,
-        m=m,
-        m_schedule=tuple(m_schedule),
-        r=r,
-        tolerances=dict(tolerances),
-        output_dir=output_dir,
-        seed=seed,
-    )
+    settings["m_schedule"] = tuple(settings["m_schedule"])
+    return ExperimentConfig(experiment=experiment, a=a, b=b, n=n, alpha=alpha, **settings,
+                            tolerances=dict(tolerances), output_dir=output_dir, seed=seed)
 
 
 def _decode_document(text: str) -> dict:
@@ -962,13 +949,13 @@ _EXPERIMENTS = {
         "Ritz spectrum of the composed-derivative eigenproblem with "
         "orthogonality and Rayleigh-quotient checks",
         _run_sl_solve, 4096, (0.75,), ("rayleigh-consistency", "gram-offdiag"),
-        interval=(0.0, math.pi), spectral=True,
+        interval=(0.0, math.pi), spectral=True, reads=("m", "r"),
     ),
     "sl-converge": _Experiment(
         "eigenvalue monotonicity and Cauchy convergence along a "
         "nested basis-size schedule",
         _run_sl_converge, 8192, (0.75,), ("monotone", "strict-ordering"),
-        interval=(0.0, math.pi), spectral=True,
+        interval=(0.0, math.pi), spectral=True, reads=("m_schedule", "r"),
     ),
     "direct-min": _Experiment(
         "coefficient-space descent on three convex functionals "
@@ -976,6 +963,7 @@ _EXPERIMENTS = {
         _run_direct_min, 1024, (),
         ("quadratic-grad", "quadratic-el", "quasilinear-grad", "quasilinear-el",
          "tracking-grad", "tracking-recovery", "tracking-value"),
+        reads=("m",),
     ),
 }
 

@@ -9,6 +9,7 @@ integration against a piecewise-linear interpolant (``singular_weights``).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -32,6 +33,17 @@ __all__ = [
 ]
 
 _SERIES_CAP = 10000
+#: the largest matrix ``symmetric_eigen`` accepts
+_MAX_EIGEN_DIM = 200
+
+
+def _outside_stacklevel() -> int:
+    """The ``stacklevel`` at which a ``warnings.warn`` call in the caller
+    names the first frame outside this package, however deep the call came in."""
+    frame, level = sys._getframe(2), 2
+    while frame.f_globals.get("__package__") == __package__:
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def _check_endpoints(a: float, b: float) -> None:
@@ -377,8 +389,8 @@ def symmetric_eigen(matrix: SymmetricMatrix):
     that its entry of largest magnitude is positive, which makes the
     eigenvectors deterministic.
     """
-    if matrix.dim > 200:
-        raise InputError(f"dimension capped at 200, got {matrix.dim}")
+    if matrix.dim > _MAX_EIGEN_DIM:
+        raise InputError(f"dimension capped at {_MAX_EIGEN_DIM}, got {matrix.dim}")
     try:
         vals, vecs = np.linalg.eigh(matrix.entries)
     except np.linalg.LinAlgError as exc:

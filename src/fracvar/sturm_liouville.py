@@ -16,6 +16,7 @@ symmetric eigenproblem.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -123,6 +124,13 @@ def _sample_coefficients(problem: SLProblem, grid: Grid):
     return p, q, w
 
 
+def _basis_size(m) -> int:
+    """``m`` as an int; ``InputError`` unless it is a positive integer (numpy's too)."""
+    if not isinstance(m, numbers.Integral) or m < 1:
+        raise InputError(f"basis size must be a positive integer, got {m!r}")
+    return int(m)
+
+
 @dataclass(frozen=True)
 class RitzBasis:
     """Sine-shape trial functions with precomputed derivative images.
@@ -144,8 +152,7 @@ class RitzBasis:
 
     @classmethod
     def build(cls, problem: SLProblem, m: int, grid: Grid) -> "RitzBasis":
-        if m < 1:
-            raise InputError(f"basis size must be positive, got {m}")
+        m = _basis_size(m)
         _check_interval(grid, problem.a, problem.b)
         if grid.n < _MIN_NODES_PER_MODE * m:
             raise ConfigurationError(
@@ -255,7 +262,7 @@ def converge(
     down (up to eigensolver round-off, reported separately as
     ``max_upward_step``).
     """
-    schedule = [int(m) for m in m_schedule]
+    schedule = [_basis_size(m) for m in m_schedule]
     if len(schedule) < 2 or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise InputError("m_schedule must be strictly increasing with at least two entries")
     if r > schedule[0]:

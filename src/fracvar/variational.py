@@ -27,6 +27,7 @@ from .foundation import (
     SampledFunction,
     _check_interval,
     _evaluate,
+    _outside_stacklevel,
     cumulative_trapezoid,
     interior_slice,
     interior_sup,
@@ -344,6 +345,7 @@ def noether_drift(
             f"trajectory fails the stationarity check (residual {check:.2e}); "
             "the conservation statement only holds along extremals",
             UserWarning,
+            stacklevel=_outside_stacklevel(),
         )
     xi_v = _evaluate(generator.xi, grid.nodes, y.values)
     if not np.all(np.isfinite(xi_v)):

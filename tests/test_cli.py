@@ -2,6 +2,7 @@ import json
 import os
 import runpy
 
+import numpy as np
 import pytest
 
 from fracvar import Grid, ParseError, list_experiments, parse_config, run
@@ -65,7 +66,10 @@ def test_alpha_range_depends_on_experiment():
         ('{"experiment": "noether", "n": 16}', "power of two"),
         ('{"experiment": "noether", "n": 32768}', "power of two"),
         ('{"experiment": "noether", "n": true}', "power of two"),
-        ('{"experiment": "noether", "m": 500}', "at most 200"),
+        ('{"experiment": "direct-min", "m": 500}', "at most 200"),
+        ('{"experiment": "noether", "m": 16}', "m: noether does not read it"),
+        ('{"experiment": "sl-solve", "m_schedule": [4, 8]}', "m_schedule: sl-solve does not read it"),
+        ('{"experiment": "direct-min", "r": 3}', "r: direct-min does not read it"),
         ('{"experiment": "noether", "interval": [1.0, 0.0]}', "interval"),
         ('{"experiment": "noether", "interval": [0.0]}', "interval"),
         ('{"experiment": "noether", "interval": [-1e308, 1e308]}', "interval"),
@@ -104,6 +108,23 @@ def test_alpha_range_depends_on_experiment():
 )
 def test_field_errors(doc, needle):
     assert any(needle in m for m in errors_of(doc))
+
+
+def test_each_experiment_takes_only_the_basis_settings_it_reads():
+    """Of the 30 pairs of experiment and basis setting, the 5 whose run reads
+    the setting are accepted; an unread one is rejected whatever its value."""
+    values = {"m": 8, "m_schedule": [4, 8], "r": 2}
+    accepted = []
+    for exp_id in ALL_IDS:
+        for key, value in values.items():
+            try:
+                parse_config(json.dumps({"experiment": exp_id, key: value}))
+                accepted.append((exp_id, key))
+            except ParseError as exc:
+                assert exc.errors == [f"{key}: {exp_id} does not read it"]
+    assert accepted == [("sl-solve", "m"), ("sl-solve", "r"), ("sl-converge", "m_schedule"),
+                        ("sl-converge", "r"), ("direct-min", "m")]
+    assert errors_of('{"experiment": "noether", "m": 500}') == ["m: noether does not read it"]
 
 
 def test_errors_are_collected_not_first_only():
@@ -284,10 +305,14 @@ def test_cli_tolerance_override_by_assertion_id(tmp_path, capsys):
     [
         ("direct-min", 'tolerances={"grad": 1e-30}', "tolerances.grad: names no assertion of direct-min"),
         ("el-check", "alpha=[0.4, 0.9]", "alpha: el-check takes exactly one order"),
+        ("noether", "m=16", "m: noether does not read it"),
+        ("direct-min", "m_schedule=[4, 8]", "m_schedule: direct-min does not read it"),
+        ("ibp-suite", "r=3", "r: ibp-suite does not read it"),
     ],
 )
 def test_cli_rejects_settings_the_run_does_not_read(tmp_path, capsys, experiment, override, needle):
-    """A tolerance or an order the run does not read exits 2 and writes no file."""
+    """A tolerance, an order or a basis setting the run does not read
+    exits 2 and writes no file."""
     argv = ["run", "--experiment", experiment, "--set", f"output_dir={tmp_path}", "--set", override]
     assert main(argv) == 2
     assert f"config error: {needle}" in capsys.readouterr().err
@@ -350,6 +375,18 @@ def test_run_all_experiments_script_defaults_to_the_environment_root(tmp_path, m
     capsys.readouterr()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["from-env"]
     assert (tmp_path / "from-env" / "noether" / "results.json").is_file()
+
+
+def test_extremal_profiles_script_writes_its_six_files(tmp_path, capsys):
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "extremal_profiles.py")
+    out = tmp_path / "profiles"
+    assert runpy.run_path(script)["main"](["--output-dir", str(out), "--n", "256"]) == 0
+    names = ["ml_defect.dat", "ml_extremal.dat", "oscillator.dat", "oscillator_residual.dat",
+             "tracking_exact.dat", "tracking_recovered.dat"]
+    assert sorted(p.name for p in out.iterdir()) == names
+    for name in names:
+        assert np.loadtxt(out / name).shape == (257, 2)
+    assert "wrote 6 profiles" in capsys.readouterr().out
 
 
 def test_compare_results_script_reports_changes_and_fails_on_verdicts(tmp_path, capsys):

@@ -88,8 +88,31 @@ def test_parameter_set_validation():
         ParameterSet(1.0, 0.0, 1.0, 0.0)
     with pytest.raises(InputError):
         ParameterSet(0.0, math.inf, 1.0, 0.0)
-    with pytest.warns(UserWarning, match="trivial"):
+    with pytest.warns(UserWarning, match="trivial") as record:
         ParameterSet(0.0, 1.0, 0.0, 0.0)
+    # the warning points at the caller, not into the library
+    assert record[0].filename == __file__
+
+
+def test_both_weights_zero_apply_as_zeros():
+    """With both side weights zero each operator returns zeros and builds no rule."""
+    g = Grid(0.0, 1.0, 64)
+    f = SampledFunction(g, np.sin(g.nodes))
+    with pytest.warns(UserWarning, match="trivial"):
+        p = ParameterSet(0.0, 1.0, 0.0, 0.0)
+    for apply in (k_apply, a_apply, b_apply):
+        assert np.array_equal(apply(p, EXP_KERNEL, f).values, np.zeros(65))
+
+
+def test_binding_methods_match_the_functions():
+    """``OperatorBinding.a`` is ``a_apply`` and ``.dual`` swaps the side weights."""
+    g = Grid(0.0, 1.0, 128)
+    f = SampledFunction(g, g.nodes * (1.0 - g.nodes))
+    p = ParameterSet(0.0, 1.0, 0.7, -0.4)
+    binding = OperatorBinding(p, EXP_KERNEL)
+    assert np.array_equal(binding.a(f).values, a_apply(p, EXP_KERNEL, f).values)
+    assert binding.dual() == OperatorBinding(dual(p), EXP_KERNEL)
+    assert np.array_equal(binding.dual().k(f).values, k_apply(dual(p), EXP_KERNEL, f).values)
 
 
 # --- kernel application ---------------------------------------------------

@@ -86,6 +86,23 @@ def test_basis_validation():
         RitzBasis.build(SLProblem(0.75, ONE, ZERO, lambda t: math.cos(4.0 * t)), 2, grid)
 
 
+def test_basis_sizes_must_be_integers():
+    """A fractional basis size is an ``InputError`` naming it, in the build,
+    in ``solve_spectrum`` and in each entry of a ``converge`` schedule;
+    numpy integers pass."""
+    grid, problem = Grid(0.0, math.pi, 512), constant_problem(0.75)
+    with pytest.raises(InputError, match="2.5"):
+        RitzBasis.build(problem, 2.5, grid)
+    with pytest.raises(InputError, match="2.5"):
+        solve_spectrum(problem, 2.5, 2, grid)
+    with pytest.raises(InputError, match="4.7"):
+        converge(problem, (4.7, 8.9), 1, grid)
+    with pytest.raises(InputError, match="8.9"):
+        converge(problem, (4, 8.9), 1, grid)
+    assert RitzBasis.build(problem, np.int64(3), grid).phi.shape == (3, 513)
+    assert converge(problem, (np.int32(4), np.int64(8)), 1, grid).m_schedule == (4, 8)
+
+
 # --- assembly -------------------------------------------------------------------
 
 

@@ -314,8 +314,10 @@ def test_noether_warns_off_extremal():
     lag = Lagrangian(lambda x1, x2, x3, x4, t: x1 * x1 + x3 * x3)
     prob = VariationalProblem(lag, exp_binding())
     junk = SampledFunction(g, np.cosh(3.0 * g.nodes))
-    with pytest.warns(UserWarning, match="stationarity"):
+    with pytest.warns(UserWarning, match="stationarity") as record:
         noether_drift(prob, junk, NoetherGenerator(lambda t, y: 1.0))
+    # the warning points at the caller, not into the library
+    assert record[0].filename == __file__
 
 
 def test_noether_rejects_weighted_problems():

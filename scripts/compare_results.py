@@ -7,15 +7,17 @@ as ``scripts/run_all_experiments.py --output-root`` writes them.  For each
 experiment the script prints how many numbers of ``results.json`` differ
 and the largest absolute and relative change (relative to the value under
 ROOT_A), then how many of its ``.csv`` and ``.dat`` files differ byte for
-byte.  ``timing.txt`` is left out, since it holds a wall time.
-Assertions are matched by id; ``inputs/output_dir`` is ignored, since it
-names the root itself.  Exit status is 1 when an experiment, a key or a
-file is present under one root only, or when an assertion's ``passed``
-verdict changes, else 0.
+byte (by SHA-256 digest).  ``timing.txt`` is left out, since it holds a
+wall time.  Assertions are matched by id; ``inputs/output_dir`` is
+ignored, since it names the root itself.  Exit status is 1 when an
+experiment, a key or a file is present under one root only, or when an
+assertion's ``passed`` verdict changes, else 0.  ``compare`` can also
+bound how far each number may move, as the committed-catalogue test
+(``tests/test_cli.py``) asks.
 """
 
 import argparse
-import filecmp
+import hashlib
 import json
 import math
 import os
@@ -46,8 +48,10 @@ def same(x, y):
     return x == y or (is_number(x) and is_number(y) and math.isnan(x) and math.isnan(y))
 
 
-def compare(doc_a, doc_b):
-    """Summary line and the list of problems (missing keys, changed verdicts)."""
+def compare(doc_a, doc_b, bound=None):
+    """Summary line and the list of problems (missing keys, changed verdicts
+    and, unless ``bound`` is None, numbers that move by more than ``bound``
+    relative; any change of a zero is beyond every bound)."""
     a, b = dict(flatten(doc_a)), dict(flatten(doc_b))
     problems = [f"key {'/'.join(map(str, k))} only under {side}"
                 for keys, other, side in ((a, b, "ROOT_A"), (b, a, "ROOT_B"))
@@ -69,6 +73,9 @@ def compare(doc_a, doc_b):
         change = abs(y - x)
         largest_abs = max(largest_abs, change)
         relative = change / abs(x) if x else math.inf
+        if bound is not None and not relative <= bound:
+            problems.append(f"number {'/'.join(map(str, key))} {x!r} -> {y!r} "
+                            f"moved beyond {bound:g} relative")
         if relative > largest_rel:
             largest_rel, where = relative, f" ({'/'.join(map(str, key))}: {x!r} -> {y!r})"
     line = (f"{differ} of {numbers} numbers differ; "
@@ -78,17 +85,25 @@ def compare(doc_a, doc_b):
     return line, problems
 
 
-def compare_files(folder_a, folder_b):
-    """Summary line and the list of problems (files under one folder only)
-    for one experiment's ``.csv`` and ``.dat`` files, compared byte for byte."""
-    a, b = ({file for file in os.listdir(folder) if file.endswith((".csv", ".dat"))}
-            for folder in (folder_a, folder_b))
+def digests(folder):
+    """SHA-256 hex digest of each ``.csv`` and ``.dat`` file in ``folder``, by name."""
+    out = {}
+    for file in sorted(os.listdir(folder)):
+        if file.endswith((".csv", ".dat")):
+            with open(os.path.join(folder, file), "rb") as handle:
+                out[file] = hashlib.sha256(handle.read()).hexdigest()
+    return out
+
+
+def compare_files(digests_a, digests_b):
+    """Summary line and the list of problems (files under one side only)
+    for one experiment's ``.csv`` and ``.dat`` files, given their ``digests``."""
     problems = [f"file {file} only under {side}"
-                for files, other, side in ((a, b, "ROOT_A"), (b, a, "ROOT_B"))
-                for file in sorted(files - other)]
-    shared = sorted(a & b)
-    changed = [file for file in shared if not filecmp.cmp(
-        os.path.join(folder_a, file), os.path.join(folder_b, file), shallow=False)]
+                for files, other, side in ((digests_a, digests_b, "ROOT_A"),
+                                           (digests_b, digests_a, "ROOT_B"))
+                for file in sorted(set(files) - set(other))]
+    shared = sorted(set(digests_a) & set(digests_b))
+    changed = [file for file in shared if digests_a[file] != digests_b[file]]
     line = f"{len(changed)} of {len(shared)} files differ"
     if changed:
         line += f" ({', '.join(changed)})"
@@ -118,7 +133,7 @@ def main(argv=None):
             with open(os.path.join(folder, "results.json")) as handle:
                 docs.append(json.load(handle))
         line, problems = compare(*docs)
-        files_line, file_problems = compare_files(*folders)
+        files_line, file_problems = compare_files(*map(digests, folders))
         print(f"{name}: {line}; {files_line}")
         for problem in problems + file_problems:
             print(f"  {problem}")

@@ -27,6 +27,7 @@ from .foundation import (
     Grid,
     SampledFunction,
     _check_endpoints,
+    _lag_table_memo,
     _trapezoid_weights,
     cumulative_trapezoid,
     gamma,
@@ -107,15 +108,20 @@ def _is_count(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= 1
 
 
+def _is_size(v) -> bool:
+    """A basis size the eigensolver takes."""
+    return _is_count(v) and v <= _MAX_EIGEN_DIM
+
+
 #: the basis settings: default, test of a value, and the rule a value
 #: breaks; a run keeps the default of each setting it does not read
 _BASIS_SETTINGS = {
-    "m": (16, lambda v: _is_count(v) and v <= _MAX_EIGEN_DIM,
-          f"must be a positive integer at most {_MAX_EIGEN_DIM}"),
+    "m": (16, _is_size, f"must be a positive integer at most {_MAX_EIGEN_DIM}"),
     "m_schedule": ((4, 8, 16, 32),
                    lambda v: isinstance(v, (list, tuple)) and len(v) >= 2
-                   and all(map(_is_count, v)) and all(x < y for x, y in zip(v, v[1:])),
-                   "must be a strictly increasing list of positive integers"),
+                   and all(map(_is_size, v)) and all(x < y for x, y in zip(v, v[1:])),
+                   "must be a strictly increasing list of positive integers "
+                   f"at most {_MAX_EIGEN_DIM}"),
     "r": (3, _is_count, "must be a positive integer"),
 }
 
@@ -1028,11 +1034,13 @@ def run(config: ExperimentConfig) -> ResultRecord:
     ``./fracvar_results``; each experiment writes ``results.json``,
     ``timing.txt`` and its ``.csv`` tables and ``.dat`` series into a
     subdirectory named after itself, which the returned record names in
-    ``output_dir``.
+    ``output_dir``.  Each lag table the run needs is built once for the
+    whole run (``foundation._lag_table_memo``).
     """
     started = time.perf_counter()
     grid = Grid(config.a, config.b, config.n)
-    results, tables, series, assertions = _EXPERIMENTS[config.experiment].runner(config, grid)
+    with _lag_table_memo():
+        results, tables, series, assertions = _EXPERIMENTS[config.experiment].runner(config, grid)
     wall = time.perf_counter() - started
     inputs = asdict(config)
     inputs["interval"] = [inputs.pop("a"), inputs.pop("b")]

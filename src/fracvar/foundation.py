@@ -8,6 +8,8 @@ integration against a piecewise-linear interpolant (``singular_weights``).
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 import sys
 from dataclasses import dataclass, field
@@ -179,7 +181,8 @@ def mittag_leffler(alpha: float, z: float | np.ndarray) -> float | np.ndarray:
     (or 0-d) ``z`` returns a Python ``float``, an array returns an array
     of the same shape.  Against a loop over the scalars with ``math.exp``,
     the float64 results differ by at most 4.4e-16 times ``max(1, |E|)``
-    (``np.exp`` against ``math.exp``); the escalated ones are identical.
+    (``np.exp`` against ``math.exp``).  The escalated pass forms its gamma
+    arguments in mpmath, so ``alpha * k`` carries no float64 round-off.
 
     The series settles on less than the stated domain.  It raises
     ``AccuracyError`` for ``alpha <= 0.3`` at every ``|z| >= 10`` tried,
@@ -266,12 +269,12 @@ def _mittag_leffler_mp(alpha: float, z: float, digits: int) -> float:
     where float64 round-off would exceed the error budget."""
     import mpmath  # here, not at module level: only this pass needs it
     with mpmath.workdps(digits):
-        zm = mpmath.mpf(z)
+        am, zm = mpmath.mpf(alpha), mpmath.mpf(z)
         total = mpmath.mpf(1)
         term = mpmath.mpf(1)
         tol = mpmath.mpf(10) ** (-(digits - 8))
         for k in range(1, _SERIES_CAP):
-            term = term * zm * mpmath.gamma(alpha * (k - 1) + 1) / mpmath.gamma(alpha * k + 1)
+            term = term * zm * mpmath.gamma(am * (k - 1) + 1) / mpmath.gamma(am * k + 1)
             total += term
             if abs(term) < tol * (1 + abs(total)):
                 out = float(total)
@@ -340,11 +343,36 @@ def _pi_coefficients(mu: float, count: int):
     return a, b
 
 
+#: the lag tables built so far by ``(mu, count)``, while a ``_lag_table_memo``
+#: is open; ``None`` (nothing kept) otherwise
+_LAG_MEMO: contextvars.ContextVar = contextvars.ContextVar("lag_memo", default=None)
+
+
+@contextlib.contextmanager
+def _lag_table_memo():
+    """Keep every lag table built inside the block, read-only, for reuse
+    inside it; all are dropped when the block exits, however it exits."""
+    token = _LAG_MEMO.set({})
+    try:
+        yield
+    finally:
+        _LAG_MEMO.reset(token)
+
+
 def _lag_tables(mu: float, count: int):
     """Lag tables ``T1[k] = A(k) - B(k)`` (``T1[0] = 0``) and ``T2[k] = B(k + 1)``,
-    ``k < count``: row ``j`` weighs node ``i > 0`` by ``T1[j - i] + T2[j - i]``."""
+    ``k < count``: row ``j`` weighs node ``i > 0`` by ``T1[j - i] + T2[j - i]``.
+    Inside a ``_lag_table_memo`` each pair is built once and is read-only."""
+    memo = _LAG_MEMO.get()
+    if memo is not None and (mu, count) in memo:
+        return memo[mu, count]
     a, b = _pi_coefficients(mu, count)
-    return np.concatenate(([0.0], a[:-1] - b[:-1])), b
+    tables = np.concatenate(([0.0], a[:-1] - b[:-1])), b
+    if memo is not None:
+        for table in tables:
+            table.flags.writeable = False
+        memo[mu, count] = tables
+    return tables
 
 
 def singular_weights(mu: float, grid: Grid, j: int) -> np.ndarray:

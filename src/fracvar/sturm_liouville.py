@@ -30,6 +30,7 @@ from .errors import (
     NumericError,
 )
 from .foundation import (
+    _MAX_EIGEN_DIM,
     Grid,
     SampledFunction,
     SymmetricMatrix,
@@ -125,9 +126,12 @@ def _sample_coefficients(problem: SLProblem, grid: Grid):
 
 
 def _basis_size(m) -> int:
-    """``m`` as an int; ``InputError`` unless it is a positive integer (numpy's too)."""
-    if not isinstance(m, numbers.Integral) or m < 1:
-        raise InputError(f"basis size must be a positive integer, got {m!r}")
+    """``m`` as an int; ``InputError`` unless it is a positive integer (numpy's
+    too) of at most ``_MAX_EIGEN_DIM``, the largest matrix the eigensolver takes."""
+    if not isinstance(m, numbers.Integral) or not 1 <= m <= _MAX_EIGEN_DIM:
+        raise InputError(
+            f"basis size must be a positive integer at most {_MAX_EIGEN_DIM}, got {m!r}"
+        )
     return int(m)
 
 
@@ -172,6 +176,7 @@ class RitzBasis:
 def _ritz_system(problem: SLProblem, m: int, grid: Optional[Grid]):
     """The basis of an ``m``-mode space, its Ritz matrix and ``c`` (see
     ``assemble``), on ``grid`` or else on ``max(1024, 32 m)`` cells."""
+    m = _basis_size(m)
     if grid is None:
         grid = Grid(problem.a, problem.b, max(1024, _MIN_NODES_PER_MODE * m))
     basis = RitzBasis.build(problem, m, grid)

@@ -54,6 +54,25 @@ _SELF_CHECK_POINTS = 100
 _FD_SCALE = 1e-6
 
 
+def _at_points(fn: Callable, *args: np.ndarray) -> np.ndarray:
+    """``fn`` at each point of the equal-length arrays ``args``: one array
+    call, or, for a callable that raises on arrays or returns the wrong
+    shape, one call per point, with NaN where that call raises."""
+    try:
+        out = np.asarray(fn(*args), dtype=float)
+        if out.shape == args[0].shape:
+            return out
+    except Exception:
+        pass
+    out = np.empty(args[0].shape)
+    for p, point in enumerate(zip(*args)):
+        try:
+            out[p] = float(fn(*point))
+        except Exception:
+            out[p] = math.nan
+    return out
+
+
 @dataclass(frozen=True)
 class Lagrangian:
     """Five-slot integrand with optional analytic partial derivatives.
@@ -79,44 +98,51 @@ class Lagrangian:
             self._self_check()
 
     def _self_check(self) -> None:
+        """Compare each analytic partial with its central difference at
+        ``_SELF_CHECK_POINTS`` seeded points, one array call per callable.
+
+        Points are taken in order, and at each point the partials in slot
+        order.  The first partial that is off by more than ``1e-4``
+        relative raises; one that raises or is not finite, or whose
+        difference is not, skips the rest of its point.  A check that
+        skips every point raises too.
+        """
         rng = np.random.default_rng(1234)
+        # each point draws x1..x4 in [-2, 2), then t in [0, 1)
+        points = rng.uniform([-2.0] * 4 + [0.0], [2.0] * 4 + [1.0], size=(_SELF_CHECK_POINTS, 5))
+        args = tuple(points.T)
         analytic = [(i, d) for i, d in enumerate(self._analytic) if d is not None]
-        checked = 0
-        for _ in range(_SELF_CHECK_POINTS):
-            x = rng.uniform(-2.0, 2.0, size=4)
-            t = rng.uniform(0.0, 1.0)
-            try:
-                for i, d in analytic:
-                    got = float(d(*x, t))
-                    want = float(self._fd_partial(i, *x, t))
-                    if not (math.isfinite(got) and math.isfinite(want)):
-                        raise ArithmeticError("partial not finite at this probe point")
-                    if abs(got - want) > 1e-4 * (1.0 + abs(got) + abs(want)):
-                        raise InputError(
-                            f"analytic partial d{i + 1} disagrees with finite "
-                            f"differences at x={tuple(x)}, t={t}: "
-                            f"{got} vs {want}"
-                        )
-                checked += 1
-            except InputError:
-                raise
-            except Exception:
-                continue  # integrand not defined at this probe point
-        if checked == 0:
+        got = np.array([_at_points(d, *args) for _, d in analytic])
+        want = np.array([self._fd_partial(i, *args, evaluate=_at_points) for i, _ in analytic])
+        usable = np.isfinite(got) & np.isfinite(want)
+        with np.errstate(invalid="ignore"):  # inf - inf at points that are skipped anyway
+            off = usable & (np.abs(got - want) > 1e-4 * (1.0 + np.abs(got) + np.abs(want)))
+        stop = off | ~usable
+        first = stop.argmax(axis=0)  # the partial each point stops at, if it stops
+        failing = np.flatnonzero(off[first, np.arange(_SELF_CHECK_POINTS)])
+        if failing.size:
+            p = failing[0]
+            k = first[p]
+            raise InputError(
+                f"analytic partial d{analytic[k][0] + 1} disagrees with finite "
+                f"differences at x={tuple(points[p, :4])}, t={float(points[p, 4])}: "
+                f"{float(got[k, p])} vs {float(want[k, p])}"
+            )
+        if stop.any(axis=0).all():
             raise InputError("could not validate analytic partials at any probe point")
 
     @property
     def _analytic(self):
         return (self.d1, self.d2, self.d3, self.d4)
 
-    def _fd_partial(self, i, x1, x2, x3, x4, t):
+    def _fd_partial(self, i, x1, x2, x3, x4, t, evaluate=_evaluate):
         args = [x1, x2, x3, x4]
         e = _FD_SCALE * (1.0 + np.abs(args[i]))
         hi = list(args)
         lo = list(args)
         hi[i] = args[i] + e
         lo[i] = args[i] - e
-        return (_evaluate(self.f, *hi, t) - _evaluate(self.f, *lo, t)) / (2.0 * e)
+        return (evaluate(self.f, *hi, t) - evaluate(self.f, *lo, t)) / (2.0 * e)
 
     def value(self, x1, x2, x3, x4, t) -> np.ndarray:
         return _evaluate(self.f, x1, x2, x3, x4, t)

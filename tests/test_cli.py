@@ -1,11 +1,23 @@
+import contextlib
+import io
 import json
+import math
 import os
 import runpy
 
 import numpy as np
 import pytest
 
-from fracvar import Grid, ParseError, list_experiments, parse_config, run
+from fracvar import (
+    Grid,
+    NumericError,
+    ParseError,
+    foundation,
+    list_experiments,
+    operators,
+    parse_config,
+    run,
+)
 from fracvar.cli import main
 from fracvar.experiments import _EXPERIMENTS, _assertion_ids
 
@@ -98,6 +110,7 @@ def test_alpha_range_depends_on_experiment():
         ('{"experiment": "sl-solve", "m": 100, "n": 1024}', "32*m"),
         ('{"experiment": "direct-min", "m": 64}', "n: must be at least 32*m = 2048"),
         ('{"experiment": "sl-converge", "m_schedule": [64, 128], "n": 1024}', "32*max"),
+        ('{"experiment": "sl-converge", "m_schedule": [4, 250]}', "integers at most 200"),
         ('[1, 2]', "top level"),
         ('{"experiment": "noether", "alpha": "big"}', "alpha"),
         ('{"experiment": "ops-identities", "alpha": []}', "alpha: ops-identities needs at least one order"),
@@ -240,6 +253,62 @@ def test_run_respects_env_output_root(tmp_path, monkeypatch):
     assert (tmp_path / "ops-identities" / "results.json").exists()
 
 
+def spy_lag_tables(monkeypatch):
+    """Every ``(mu, count, T1, T2)`` the operators get from ``_lag_tables``."""
+    seen = []
+    real = operators._lag_tables
+
+    def spy(mu, count):
+        tables = real(mu, count)
+        seen.append((mu, count, *tables))
+        return tables
+
+    monkeypatch.setattr(operators, "_lag_tables", spy)
+    return seen
+
+
+def test_a_run_builds_each_lag_table_once_and_read_only(tmp_path, monkeypatch):
+    """Inside ``run`` a repeated ``(mu, count)`` gets the same read-only
+    arrays; the memo is gone once ``run`` returns."""
+    seen = spy_lag_tables(monkeypatch)
+    run(parse_config(json.dumps({"experiment": "el-check", "n": 256, "output_dir": str(tmp_path)})))
+    assert len({(mu, count) for mu, count, *_ in seen}) < len(seen)
+    first = {}
+    for mu, count, t1, t2 in seen:
+        assert not (t1.flags.writeable or t2.flags.writeable)
+        assert first.setdefault((mu, count), t1) is t1
+    assert foundation._LAG_MEMO.get() is None
+
+
+def test_the_lag_table_memo_is_dropped_when_a_runner_raises(tmp_path, monkeypatch):
+    def failing(cfg, grid):
+        foundation._lag_tables(0.5, 64)
+        raise NumericError("runner failed")
+
+    monkeypatch.setitem(_EXPERIMENTS, "noether", _EXPERIMENTS["noether"]._replace(runner=failing))
+    with pytest.raises(NumericError):
+        run(parse_config(json.dumps({"experiment": "noether", "output_dir": str(tmp_path)})))
+    assert foundation._LAG_MEMO.get() is None
+
+
+def test_lag_tables_outside_a_run_are_built_afresh():
+    first, again = foundation._lag_tables(0.6, 64), foundation._lag_tables(0.6, 64)
+    for a, b in zip(first, again):
+        assert a is not b and a.flags.writeable and np.array_equal(a, b)
+
+
+def test_cli_rejects_an_oversized_schedule_before_any_work(tmp_path, capsys, monkeypatch):
+    """A schedule entry above the eigensolver's cap is a config error: exit 2,
+    no file written and no lag table built."""
+    seen = spy_lag_tables(monkeypatch)
+    argv = ["run", "--experiment", "sl-converge", "--set", "m_schedule=[4, 250]",
+            "--set", "n=8192", "--set", f"output_dir={tmp_path}"]
+    assert main(argv) == 2
+    assert "config error: m_schedule: must be a strictly increasing list of positive " \
+           "integers at most 200" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [] and seen == []
+
+
 # --- entry point ----------------------------------------------------------------
 
 
@@ -355,14 +424,81 @@ def test_cli_unknown_subcommand_exits_two(capsys):
     assert main(["explode"]) == 2
 
 
-def test_run_all_experiments_script_passes(tmp_path, capsys):
-    """The catalogue script runs all ten experiments at their defaults."""
+@pytest.fixture(scope="module")
+def catalogue(tmp_path_factory):
+    """One run of the catalogue script at its defaults: its exit status, its
+    output and the artifact root."""
+    root = tmp_path_factory.mktemp("catalogue")
     script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "run_all_experiments.py")
-    code = runpy.run_path(script)["main"](["--output-root", str(tmp_path)])
-    out = capsys.readouterr().out
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = runpy.run_path(script)["main"](["--output-root", str(root)])
+    return code, out.getvalue(), root
+
+
+def test_run_all_experiments_script_passes(catalogue):
+    """The catalogue script runs all ten experiments at their defaults."""
+    code, out, root = catalogue
     assert code == 0
     assert "all assertions passed across 10 experiments" in out
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(ALL_IDS)
+    assert sorted(p.name for p in root.iterdir()) == sorted(ALL_IDS)
+
+
+#: the committed catalogue: each experiment's ``results.json`` at its
+#: defaults and the SHA-256 digests of its ``.csv`` and ``.dat`` files,
+#: written at 1 BLAS thread
+REFERENCE = os.path.join(os.path.dirname(__file__), "catalogue")
+
+#: how far a number may move from the reference, relative: exactly nowhere,
+#: except in sl-converge, where the Ritz matrix products round differently
+#: at 1 and 2 BLAS threads (up to 1.01e-14, in 4 of its 24 numbers)
+CATALOGUE_BOUND = {"sl-converge": 2e-14}
+
+
+@pytest.mark.parametrize("name", ALL_IDS)
+def test_catalogue_matches_the_committed_reference(catalogue, name):
+    """Every number of ``results.json`` within its bound of the reference,
+    every verdict the same, no key missing or extra, and every table and
+    series byte-identical.  A change that moves a number updates the
+    reference: run ``scripts/run_all_experiments.py`` with
+    ``OPENBLAS_NUM_THREADS=1``, copy each ``results.json`` without
+    ``inputs/output_dir``, and the ``digests`` of ``scripts/compare_results.py``."""
+    compare = runpy.run_path(
+        os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "compare_results.py"))
+    with open(os.path.join(REFERENCE, name, "results.json")) as handle:
+        want = json.load(handle)
+    with open(os.path.join(REFERENCE, "digests.json")) as handle:
+        want_files = json.load(handle)[name]
+    folder = catalogue[2] / name
+    got = json.loads((folder / "results.json").read_text())
+    line, problems = compare["compare"](want, got, CATALOGUE_BOUND.get(name, 0.0))
+    got_files = compare["digests"](folder)
+    files_line, _ = compare["compare_files"](want_files, got_files)
+    assert problems == [] and got_files == want_files, f"{name}: {line}; {files_line}"
+
+
+def test_catalogue_check_fails_on_a_one_ulp_change():
+    """Moving any one number of the reference by one ulp fails the
+    comparison, outside sl-converge; there a move just beyond its bound does."""
+    compare = runpy.run_path(
+        os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "compare_results.py"))
+    for name in ALL_IDS:
+        with open(os.path.join(REFERENCE, name, "results.json")) as handle:
+            text = handle.read()
+        bound = CATALOGUE_BOUND.get(name, 0.0)
+        paths = [path for path, value in compare["flatten"](json.loads(text))
+                 if compare["is_number"](value)]
+        assert paths
+        for path in paths:
+            moved = node = json.loads(text)
+            for key in path[:-1]:  # a list entry with an id is keyed by it
+                by_id = isinstance(node, list) and isinstance(key, str)
+                node = next(n for n in node if n["id"] == key) if by_id else node[key]
+            value = float(node[path[-1]])
+            if bound and value:
+                node[path[-1]] = value * (1.0 + 1.5 * bound)
+            else:
+                node[path[-1]] = float(np.nextafter(value, math.inf))
+            assert compare["compare"](json.loads(text), moved, bound)[1], (name, path)
 
 
 def test_run_all_experiments_script_defaults_to_the_environment_root(tmp_path, monkeypatch, capsys):

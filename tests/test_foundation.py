@@ -159,11 +159,11 @@ def _scalar_mittag_leffler(alpha, z):
         return s, False
     digits = 30 + max(0, int(peak_log / ln10))
     with mp.workdps(digits):
-        zm = mp.mpf(z)
+        am, zm = mp.mpf(alpha), mp.mpf(z)
         total = term = mp.mpf(1)
         tol = mp.mpf(10) ** (-(digits - 8))
         for k in range(1, 10000):
-            term = term * zm * mp.gamma(alpha * (k - 1) + 1) / mp.gamma(alpha * k + 1)
+            term = term * zm * mp.gamma(am * (k - 1) + 1) / mp.gamma(am * k + 1)
             total += term
             if abs(term) < tol * (1 + abs(total)):
                 return float(total), True
@@ -174,9 +174,9 @@ def _mp_series(alpha, z):
     """``E_alpha(z)`` summed term by term at 100 digits: more than 50 are left
     after the cancellation of terms up to 1e43 at ``alpha = 0.5, z = -10``."""
     with mp.workdps(100):
-        total, k = mp.mpf(0), 0
+        am, total, k = mp.mpf(alpha), mp.mpf(0), 0
         while True:
-            term = mp.mpf(z) ** k * mp.rgamma(alpha * k + 1)
+            term = mp.mpf(z) ** k * mp.rgamma(am * k + 1)
             total += term
             if k > 4 * abs(z) ** (1 / alpha) and abs(term) < mp.mpf(10) ** -60:
                 return float(total)
@@ -206,6 +206,19 @@ def test_mittag_leffler_escalated_elements_match_the_scalar_loop(alpha, z):
     assert up
     assert mittag_leffler(alpha, np.array([z, -0.3]))[0] == want
     assert mittag_leffler(alpha, z) == want
+
+
+@pytest.mark.parametrize("alpha,z,exact", [
+    (0.7, -20.0, 0.01739569829160397999014497),
+    (0.9, -30.0, 0.003713707698459852110953738),
+    (0.9, -50.0, 0.002175353076856976049829736),
+])
+def test_mittag_leffler_at_non_dyadic_orders_matches_a_contour_reference(alpha, z, exact):
+    """Where ``alpha * k`` is not exact in binary.  Each reference is the
+    Laplace inverse of ``s**(alpha - 1) / (s**alpha - z)`` at ``t = 1``
+    (mpmath ``invertlaplace``, Talbot contour, 60 digits); the series
+    summed at 150 digits with ``alpha`` formed in mpmath agrees to 1e-77."""
+    assert abs(mittag_leffler(alpha, z) - exact) <= 1e-15 * max(1.0, abs(exact))
 
 
 def test_mittag_leffler_scalar_input_returns_float():

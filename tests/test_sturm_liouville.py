@@ -631,6 +631,20 @@ def count_table_builds(monkeypatch):
     return calls
 
 
+def test_oversized_bases_are_refused_before_any_table_is_built(monkeypatch):
+    """A basis size above the eigensolver's cap is an ``InputError`` before
+    any work, in the build, in ``solve_spectrum`` and in ``converge``."""
+    calls = count_table_builds(monkeypatch)
+    problem = constant_problem(0.75)
+    for attempt in (lambda: solve_spectrum(problem, 300, 3),
+                    lambda: converge(problem, (8, 250), 3),
+                    lambda: RitzBasis.build(problem, 201, Grid(0.0, math.pi, 8192))):
+        with pytest.raises(InputError, match="at most 200"):
+            attempt()
+    assert calls == []
+    assert solve_spectrum(problem, 200, 1, Grid(0.0, math.pi, 6400)).m == 200
+
+
 def test_basis_build_makes_one_table_for_all_rows(monkeypatch):
     calls = count_table_builds(monkeypatch)
     RitzBasis.build(constant_problem(0.7), 32, Grid(0.0, math.pi, 1024))

@@ -40,6 +40,7 @@ from fracvar import (
     trapezoid,
 )
 from fracvar.experiments import damped_oscillator_problem
+from fracvar.foundation import _evaluate
 
 EXP_KERNEL = DifferenceKernel(lambda s: math.exp(-s))
 
@@ -90,6 +91,139 @@ def test_lagrangian_accepts_consistent_partials():
         d1=lambda x1, x2, x3, x4, t: 2.0 * x1,
         d3=lambda x1, x2, x3, x4, t: math.cos(x3),
     )
+
+
+def _scalar_self_check(f, *partials):
+    """The self-check as one scalar call per point and partial, which the
+    array check replaced, kept as its oracle: ``None`` when the partials
+    pass, else the message of the ``InputError``."""
+    rng = np.random.default_rng(1234)
+    analytic = [(i, d) for i, d in enumerate(partials) if d is not None]
+    checked = 0
+    for _ in range(100):
+        x = rng.uniform(-2.0, 2.0, size=4)
+        t = rng.uniform(0.0, 1.0)
+        try:
+            for i, d in analytic:
+                got = float(d(*x, t))
+                e = 1e-6 * (1.0 + np.abs(x[i]))
+                hi, lo = list(x), list(x)
+                hi[i], lo[i] = x[i] + e, x[i] - e
+                want = float((_evaluate(f, *hi, t) - _evaluate(f, *lo, t)) / (2.0 * e))
+                if not (math.isfinite(got) and math.isfinite(want)):
+                    raise ArithmeticError("partial not finite at this probe point")
+                if abs(got - want) > 1e-4 * (1.0 + abs(got) + abs(want)):
+                    return (f"analytic partial d{i + 1} disagrees with finite "
+                            f"differences at x={tuple(x)}, t={t}: {got} vs {want}")
+            checked += 1
+        except Exception:
+            continue
+    return None if checked else "could not validate analytic partials at any probe point"
+
+
+def _raise_beyond(limit, value):
+    """A vectorized callable that raises wherever ``x1 > limit``; so on the
+    probe arrays it raises, and the check goes point by point."""
+    def fn(x1, x2, x3, x4, t):
+        if np.any(np.asarray(x1) > limit):
+            raise ValueError("outside the domain")
+        return value(x1, x2, x3, x4, t)
+    return fn
+
+
+def _square_x3(x1, x2, x3, x4, t):
+    return x3 * x3
+
+
+SELF_CHECK_CASES = {
+    "passes": (lambda x1, x2, x3, x4, t: x1 * x1 + x2 * x3 + np.sin(x4) * t,
+               lambda x1, x2, x3, x4, t: 2.0 * x1,
+               lambda x1, x2, x3, x4, t: x3,
+               lambda x1, x2, x3, x4, t: x2,
+               lambda x1, x2, x3, x4, t: np.cos(x4) * t),
+    "wrong everywhere": (_square_x3, None, None, lambda x1, x2, x3, x4, t: 7.0 * x3, None),
+    # d3 is wrong only where x3 > 1.5 and x1 < 0, first at a later point
+    "wrong at some points": (_square_x3, None, None,
+                             lambda x1, x2, x3, x4, t: 2.0 * x3 + ((x3 > 1.5) & (x1 < 0.0)),
+                             None),
+    # d1 raises where x1 > 1, and d3 is wrong only there: those points are skipped
+    "raises at some points": (_square_x3, _raise_beyond(1.0, lambda *x: 0.0 * x[0]), None,
+                              lambda x1, x2, x3, x4, t: 2.0 * x3 + 5.0 * x3 * (x1 > 1.0), None),
+    # f raises where x1 > 1.9 (the first point among them), d3 is wrong everywhere
+    "raises, then wrong": (_raise_beyond(1.9, _square_x3), None, None,
+                           lambda x1, x2, x3, x4, t: 3.0 * x3, None),
+    # d1 is NaN where x2 < 0, and the wrong d3 is only reached where x2 >= 0
+    "NaN earlier skips the point": (
+        lambda x1, x2, x3, x4, t: x3 * x3 + x1 * x2,
+        lambda x1, x2, x3, x4, t: np.where(x2 < 0.0, np.nan, x2), None,
+        lambda x1, x2, x3, x4, t: 2.0 * x3 + (x2 < 0.0), None),
+    # the difference is NaN where x1 > 0 (the first point among them) and d3
+    # is wrong: the first point with x1 <= 0 fails
+    "NaN at some points": (lambda x1, x2, x3, x4, t: x3 * x3 + np.where(x1 > 0.0, np.nan, 0.0),
+                           None, None, lambda x1, x2, x3, x4, t: 7.0 * x3, None),
+    "NaN everywhere": (lambda x1, x2, x3, x4, t: x3 * x3 + np.nan * x1, None, None,
+                       lambda x1, x2, x3, x4, t: 7.0 * x3, None),
+    "raises everywhere": (_raise_beyond(-3.0, _square_x3), None, None,
+                          lambda x1, x2, x3, x4, t: 2.0 * x3, None),
+    "scalars only, passes": (lambda x1, x2, x3, x4, t: math.exp(x1) * math.sin(x3) + t,
+                             lambda x1, x2, x3, x4, t: math.exp(x1) * math.sin(x3), None,
+                             lambda x1, x2, x3, x4, t: math.exp(x1) * math.cos(x3), None),
+    "scalars only, wrong": (lambda x1, x2, x3, x4, t: math.sqrt(x1 + 1.0) * x4,
+                            lambda x1, x2, x3, x4, t: x4 / math.sqrt(x1 + 1.0), None, None,
+                            lambda x1, x2, x3, x4, t: math.sqrt(x1 + 1.0)),
+    "returns a scalar": (lambda x1, x2, x3, x4, t: x3 * x3 + 2.0 * x2,
+                         None, lambda *x: 2.0, lambda x1, x2, x3, x4, t: 2.0 * x3, None),
+}
+
+SELF_CHECK_OUTCOMES = {
+    "passes": None,
+    "wrong everywhere": "d3",
+    "wrong at some points": "d3",
+    "raises at some points": None,
+    "raises, then wrong": "d3",
+    "NaN earlier skips the point": None,
+    "NaN at some points": "d3",
+    "NaN everywhere": "could not validate",
+    "raises everywhere": "could not validate",
+    "scalars only, passes": None,
+    "scalars only, wrong": "d1",
+    "returns a scalar": None,
+}
+
+
+@pytest.mark.parametrize("case", sorted(SELF_CHECK_CASES))
+def test_array_self_check_matches_the_scalar_loop(case):
+    """The array check accepts what the scalar loop accepts and rejects the
+    rest with the same message, which names the same first failing point."""
+    f, *partials = SELF_CHECK_CASES[case]
+    want = _scalar_self_check(f, *partials)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            Lagrangian(f, *partials)
+            got = None
+        except InputError as exc:
+            got = str(exc)
+    assert got == want
+    expected = SELF_CHECK_OUTCOMES[case]
+    assert (got is None) if expected is None else expected in got
+
+
+def test_array_self_check_makes_one_call_per_callable():
+    """Each analytic partial is called once on all points, and ``f`` twice
+    for its central difference."""
+    calls = []
+
+    def counted(fn, name):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    Lagrangian(counted(lambda x1, x2, x3, x4, t: x1 * x1 + x3 * x4, "f"),
+               d1=counted(lambda x1, x2, x3, x4, t: 2.0 * x1, "d1"),
+               d4=counted(lambda x1, x2, x3, x4, t: x3, "d4"))
+    assert sorted(calls) == ["d1", "d4", "f", "f", "f", "f"]
 
 
 def test_finite_differences_only_in_slots_without_partials():

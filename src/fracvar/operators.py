@@ -22,10 +22,13 @@ split dyadically, diagonal tiles of ``_LEAF`` = 128 rows are evaluated
 densely, and each far block, where the cofactor is smooth, is
 interpolated from Chebyshev points, the far field of the black-box FMM
 (Fong & Darve, J. Comput. Phys. 228, 2009) in barycentric form (Berrut &
-Trefethen, SIAM Rev. 46, 2004), and its lag weights are applied by FFT.
-The far blocks of one tree level are sampled, recompressed, checked and
-transformed together, so the kernel calls grow with the levels and tiles,
-not with the blocks.  That costs O(n * _LEAF) cofactor evaluations and
+Trefethen, SIAM Rev. 46, 2004).  For a bounded kernel (``s = 0``) the lag
+weights of every far block are the trapezoid's, so the interpolant is
+applied as it is, three small products per row and block; for a singular
+one it is recompressed by SVD and its lag weights are applied by FFT.
+The far blocks of one tree level are sampled, checked and applied
+together, so the kernel calls grow with the levels and tiles, not with
+the blocks.  That costs O(n * _LEAF) cofactor evaluations and
 O(n log**2 n) arithmetic instead of the (n + 1)(n + 2) / 2 evaluations of
 a full triangle.  Each call builds its operator's rule once, for both
 sides, and the rule's barycentric tables serve both.  The right-sided
@@ -95,7 +98,9 @@ _CORNER_FIT = 6
 # Rows per diagonal tile of the non-difference engine; see _left_engine.
 _LEAF = 128
 # First-kind Chebyshev points per side of a far block, their barycentric weights
-# and the core's SVD tolerance; 32 points resolve cos(40xy) on [0, 1], 24 do not.
+# and the far-block tolerance (a singular kernel's SVD cut, and a tenth of what
+# a checked column or row may miss relative to the core); 32 points resolve
+# cos(40xy) on [0, 1], 24 do not.
 _CHEB = 32
 _FAR_TOL = 1e-13
 _CHEB_ANGLES = [(k + 0.5) * math.pi / _CHEB for k in range(_CHEB)]
@@ -373,13 +378,25 @@ def _left_engine(kernel: Kernel, grid: Grid, right: bool, lags, chebyshev: dict,
     left to right, then the diagonal tiles of at most ``_LEAF`` rows, which
     are evaluated densely.  So every row takes its far terms from the top
     level first and its tile last.  A far block has a smooth cofactor,
-    which ``_far_factors`` reduces to a few rows and columns ``u.T @ v``,
-    one call for all blocks of a level that share a shape (the ragged
-    last block, if any, has its own); a block it rejects is summed densely
-    on its own.  The lag weights are then applied exactly, as one FFT
-    middle product of ``T1``, ``T2`` against ``v * x1``, ``v * x2`` for
-    the whole level, whose lag spectra are formed once per level.  The
-    barycentric tables in ``chebyshev`` are built once per rule and serve
+    interpolated from Chebyshev points in one call for all blocks of a
+    level that share a shape (the ragged last block, if any, has its own);
+    a block whose interpolant misses its first column or last row is
+    summed densely on its own.  How a kept block is applied depends on the
+    declared singularity exponent ``s``:
+
+    - ``s == 0``: every far block has lag >= 1, where a bounded kernel's
+      weights are the trapezoid's, ``T1 = T2 = 1/2`` (which the tables
+      hold only to about ``eps * lag``).  So the block's
+      interpolant (``_far_interpolants``) acts on ``(x1 + x2) / 2`` over
+      its columns, O(_CHEB * (rows + columns)) per row, with no SVD and no
+      FFT.
+    - ``s > 0``: ``_far_factors`` recompresses the interpolant by SVD to a
+      few rows and columns ``u.T @ v``, and the lag weights are applied
+      exactly, as one FFT middle product of ``T1``, ``T2`` against
+      ``v * x1``, ``v * x2`` for the whole level, whose lag spectra are
+      formed once per level.
+
+    The barycentric tables in ``chebyshev`` are built once per rule and serve
     both sides.  All that does not depend on the rows is built once per
     call; the rows are summed ``_ROW_GROUP`` at a time.  Returns the
     flagged nodes (NaN in ``into``).
@@ -475,12 +492,28 @@ def _left_engine(kernel: Kernel, grid: Grid, right: bool, lags, chebyshev: dict,
                 for x, band in zip((x1, x2), bands):
                     out[g, j0:j1] += np.einsum("ji,ji,ri->rj", c, band, x[g, lo:mid])
 
-    def far_factored(los, half: int, rows: int, u, v, ranks, spectra) -> None:
+    def far_interpolated(los, half: int, rows: int, cores) -> None:
+        """Add the far blocks ``[lo + half, lo + half + rows) x [lo, lo + half)``
+        of one level, each ``to_rows.T @ core_b @ to_cols`` (see
+        ``_far_interpolants``), to ``out``.  A bounded kernel's lag weights
+        at every lag >= 1 are the trapezoid's, ``T1 = T2 = 1/2``, so each
+        block acts on the mean of ``x1`` and ``x2`` over its columns:
+        three products per row, one ``matmul`` each over the level's
+        blocks, which numpy runs as the same gemm for every row of a
+        stack."""
+        to_rows, to_cols = chebyshev[rows][1], chebyshev[half][1]
+        cols, at = los[:, None] + np.arange(half), los[:, None] + half + np.arange(rows)
+        for g in groups:
+            y = mean[g][:, cols] @ to_cols.T
+            out[g, at] += (cores @ y[..., None])[..., 0] @ to_rows
+
+    def far_factored(los, half: int, rows: int, u, v, ranks) -> None:
         """Add the far blocks ``[lo + half, lo + half + rows) x [lo, lo + half)``
         of one level, each ``u_b.T @ v_b`` (see ``_far_factors``), to ``out``:
         one FFT middle product of ``T1``, ``T2`` against ``v * x1``,
-        ``v * x2`` for all the level's rank rows at once, each row taking
-        its block's columns, summed back per block by ``np.add.reduceat``."""
+        ``v * x2`` for all the level's rank rows at once, with the level's
+        lag ``spectra``, each row taking its block's columns, summed back
+        per block by ``np.add.reduceat``."""
         size = 2 * half
         cols, at = los[:, None] + np.arange(half), los[:, None] + half + np.arange(rows)
         starts = np.cumsum(ranks) - ranks
@@ -496,22 +529,29 @@ def _left_engine(kernel: Kernel, grid: Grid, right: bool, lags, chebyshev: dict,
             z *= u
             out[g, at] += np.add.reduceat(z, starts, axis=1)
 
+    if s == 0.0:
+        mean = 0.5 * (x1 + x2)
+        compress, expand = _far_interpolants, far_interpolated
+    else:
+        compress, expand = _far_factors, far_factored
     size = _LEAF
     while size < n + 1:
         size *= 2
     while size > _LEAF:
         half = size // 2
-        spectra = [np.fft.rfft(lag[:size], size) for lag in lags]
+        if s > 0.0:
+            # read by far_factored
+            spectra = [np.fft.rfft(lag[:size], size) for lag in lags]
         mids = np.arange(half, n + 1, size)
         heights = np.minimum(mids + half, n + 1) - mids
         # the full blocks, then the ragged last one, if any
         for rows in map(int, np.unique(heights)[::-1]):
             los = mids[heights == rows] - half
-            kept, u, v, ranks = _far_factors(sample, between, los, half, rows, chebyshev)
+            kept, *factors = compress(sample, between, los, half, rows, chebyshev)
             for lo in los[~kept]:
                 far_dense(lo, lo + half, lo + half + rows)
             if kept.any():
-                far_factored(los[kept], half, rows, u, v, ranks, spectra)
+                expand(los[kept], half, rows, *factors)
         size = half
     for lo in range(0, n + 1, _LEAF):
         tile(lo, min(lo + _LEAF, n + 1))
@@ -522,12 +562,58 @@ def _left_engine(kernel: Kernel, grid: Grid, right: bool, lags, chebyshev: dict,
     return flagged
 
 
+def _far_cores(between, los: np.ndarray, half: int, rows: int, chebyshev: dict):
+    """Chebyshev cores of the far blocks of one tree level: nodes
+    ``[lo + half, lo + half + rows) x [lo, lo + half)`` for each ``lo`` in
+    ``los``, where ``between(x, y)`` returns the cofactor at fractional node
+    indices, non-finite values included.
+
+    Returns ``(live, core, to_rows, to_cols)``: ``live`` indexes the blocks
+    of ``los`` whose core, sampled in one call on the tensor grid of the
+    block's row and column Chebyshev points, is finite and not all zero
+    (which could not prove the block zero), ``core`` holds those cores,
+    shape ``(len(live), _CHEB, _CHEB)``, and the barycentric Lagrange
+    matrices ``to_rows`` (``_CHEB x rows``) and ``to_cols``
+    (``_CHEB x half``), kept in ``chebyshev`` by length, carry a core to the
+    nodes: block ~ ``to_rows.T @ core @ to_cols`` (Fong & Darve, J. Comput.
+    Phys. 228, 2009; Berrut & Trefethen, SIAM Rev. 46, 2004).  A level with
+    fewer rows than points has no live block.
+    """
+    if rows < _CHEB:
+        return np.zeros(0, dtype=int), None, None, None
+    for length in (rows, half):
+        if length not in chebyshev:
+            # no point falls on a node for lengths 2 to 2,000,000; one that
+            # did would make its node NaN and fail _fits
+            points = 0.5 * (length - 1) * (1.0 + _CHEB_POINTS)
+            q = _CHEB_WEIGHTS[:, None] / (np.arange(length) - points[:, None])
+            chebyshev[length] = points, q / q.sum(axis=0)
+    (row_points, to_rows), (col_points, to_cols) = chebyshev[rows], chebyshev[half]
+    core = between((los + half)[:, None, None] + row_points[:, None], los[:, None, None] + col_points)
+    live = np.flatnonzero(np.isfinite(core).all(axis=(1, 2)) & core.any(axis=(1, 2)))
+    return live, core[live], to_rows, to_cols
+
+
+def _fits(sample, los: np.ndarray, half: int, rows: int, first_fit, last_fit, limit) -> np.ndarray:
+    """Which far blocks of ``los`` (as in ``_far_cores``) meet their
+    approximations ``first_fit`` of the first column and ``last_fit`` of
+    the last row to ``limit`` per block.  ``sample(j, i)`` returns the
+    cofactor at node indices and raises on a non-finite value; both sides
+    are sampled in full, one call each for all blocks.  A resolved block
+    leaves entries below the tolerance times the core's size; a jump or
+    kink that interpolation cannot follow leaves them near its own size,
+    and a NaN fails too."""
+    mids = los + half
+    first = sample(mids[:, None] + np.arange(rows), los[:, None])
+    last = sample(mids[:, None] + rows - 1, los[:, None] + np.arange(half))
+    return ((np.abs(first - first_fit).max(axis=1) <= limit)
+            & (np.abs(last - last_fit).max(axis=1) <= limit))
+
+
 def _far_factors(sample, between, los: np.ndarray, half: int, rows: int, chebyshev: dict):
-    """Low-rank factors of the cofactor on the far blocks of one tree level:
-    nodes ``[lo + half, lo + half + rows) x [lo, lo + half)`` for each ``lo``
-    in ``los``.  ``sample(j, i)`` returns the cofactor at node indices and
-    raises on a non-finite value; ``between(x, y)`` returns it at fractional
-    node indices, non-finite values included.
+    """Low-rank factors of the cofactor on the far blocks of one tree level
+    of a singular kernel (see ``_far_cores`` and ``_fits`` for the
+    arguments and the sampling).
 
     Returns ``(kept, u, v, ranks)``: ``kept`` marks the blocks of ``los``
     that were compressed, and the ``b``-th of them is ``u_b.T @ v_b``,
@@ -535,50 +621,52 @@ def _far_factors(sample, between, los: np.ndarray, half: int, rows: int, chebysh
     ``u`` (``rows`` columns) and ``v`` (``half`` columns).  The other
     blocks should be evaluated densely.
 
-    The cores, sampled in one call on the tensor grids of the blocks' row
-    and column Chebyshev points, are recompressed by one batched SVD to
-    ``_FAR_TOL`` of each largest singular value, and barycentric Lagrange
-    matrices, kept in ``chebyshev`` by length, carry them to the nodes
-    (Fong & Darve, J. Comput. Phys. 228, 2009; Berrut & Trefethen, SIAM
-    Rev. 46, 2004).  A block goes dense if it has fewer rows than points,
-    if its core is non-finite or all zero (which cannot prove the block
-    zero), or if its first column or last row, sampled in full with those
-    of the other blocks, misses its factors: a jump or kink that
-    interpolation cannot follow shows there.
+    The live cores are recompressed by one batched SVD to ``_FAR_TOL`` of
+    each largest singular value ``s1`` and carried to the nodes.  A block
+    goes dense if it has no live core, or if its first column or last row
+    misses its factors by more than ``10 * _FAR_TOL * s1``.
     """
     kept = np.zeros(len(los), dtype=bool)
-    if rows < _CHEB:
-        return kept, None, None, None
-    for length in (rows, half):
-        if length not in chebyshev:
-            # no point falls on a node for lengths 2 to 2,000,000; one that
-            # did would make its node NaN and fail the check below
-            points = 0.5 * (length - 1) * (1.0 + _CHEB_POINTS)
-            q = _CHEB_WEIGHTS[:, None] / (np.arange(length) - points[:, None])
-            chebyshev[length] = points, q / q.sum(axis=0)
-    (row_points, to_rows), (col_points, to_cols) = chebyshev[rows], chebyshev[half]
-    mids = los + half
-    core = between(mids[:, None, None] + row_points[:, None], los[:, None, None] + col_points)
-    live = np.flatnonzero(np.isfinite(core).all(axis=(1, 2)) & core.any(axis=(1, 2)))
+    live, core, to_rows, to_cols = _far_cores(between, los, half, rows, chebyshev)
     if not len(live):
         return kept, None, None, None
-    left, sv, right = np.linalg.svd(core[live])
+    left, sv, right = np.linalg.svd(core)
     ranks = np.count_nonzero(sv > _FAR_TOL * sv[:, :1], axis=1)
     leading = np.arange(_CHEB) < ranks[:, None]
     # einsum, not BLAS: with more than one BLAS thread a small gemm can stall
     u = np.einsum("kp,pr->kr", (left * sv[:, None, :]).transpose(0, 2, 1)[leading], to_rows)
     v = np.einsum("kp,pc->kc", right[leading], to_cols)
     starts = np.cumsum(ranks) - ranks
-    first = sample(mids[live, None] + np.arange(rows), los[live, None])
-    last = sample(mids[live, None] + rows - 1, los[live, None] + np.arange(half))
-    # a resolved block leaves entries below the tolerance times the core's
-    # norm; a missed feature leaves them near its size, and a NaN fails too
-    limit = 10.0 * _FAR_TOL * sv[:, 0]
-    ok = ((np.abs(first - np.add.reduceat(v[:, :1] * u, starts)).max(axis=1) <= limit)
-          & (np.abs(last - np.add.reduceat(u[:, -1:] * v, starts)).max(axis=1) <= limit))
+    ok = _fits(sample, los[live], half, rows, np.add.reduceat(v[:, :1] * u, starts),
+               np.add.reduceat(u[:, -1:] * v, starts), 10.0 * _FAR_TOL * sv[:, 0])
     kept[live[ok]] = True
     own = np.repeat(ok, ranks)
     return kept, u[own], v[own], ranks[ok]
+
+
+def _far_interpolants(sample, between, los: np.ndarray, half: int, rows: int, chebyshev: dict):
+    """Chebyshev interpolants of the cofactor on the far blocks of one tree
+    level of a bounded kernel (see ``_far_cores`` and ``_fits`` for the
+    arguments and the sampling).
+
+    Returns ``(kept, cores)``: ``kept`` marks the blocks of ``los`` that
+    were compressed, and the ``b``-th of them is
+    ``to_rows.T @ cores[b] @ to_cols``.  The other blocks should be
+    evaluated densely.  No core is recompressed: a bounded kernel's lag
+    weights need no FFT (see ``_left_engine``), so the interpolant costs
+    the same whatever its rank.  A block goes dense if it has no live
+    core, or if its first column or last row misses its interpolant by
+    more than ``10 * _FAR_TOL`` times the core's largest entry, which is
+    at most its largest singular value.
+    """
+    kept = np.zeros(len(los), dtype=bool)
+    live, core, to_rows, to_cols = _far_cores(between, los, half, rows, chebyshev)
+    if not len(live):
+        return kept, None
+    ok = _fits(sample, los[live], half, rows, (core @ to_cols[:, 0]) @ to_rows,
+               (to_rows[:, -1] @ core) @ to_cols, 10.0 * _FAR_TOL * np.abs(core).max(axis=(1, 2)))
+    kept[live[ok]] = True
+    return kept, core[ok]
 
 
 def _mend_row(c: np.ndarray, j: int, t: np.ndarray, s: float, cofactor) -> str:

@@ -49,6 +49,7 @@ from fracvar.operators import (
     _apply_left,
     _bapply_left,
     _far_factors,
+    _far_interpolants,
     _mend_row,
     _two_sided,
 )
@@ -459,12 +460,14 @@ def _lag_windows(table):
     return lambda lo, hi: sliding_window_view(padded, hi)[count - hi : count - lo][::-1]
 
 
-def _row_left(cofactor, s, grid, fv):
+def _row_left(cofactor, s, grid, fv, coefficients):
     """Values (NaN where flagged) and row absolute sums ``R_j`` of the left
-    K and B rules, as columns 0 and 1, and the flagged nodes."""
+    K and B rules, as columns 0 and 1, and the flagged nodes, with ``A``
+    and ``B`` from ``coefficients`` (``_pi_coefficients`` or
+    ``_trapezoid_coefficients``)."""
     n, h, t = grid.n, grid.h, grid.nodes
     mu = 1.0 - s
-    a_coef, b_coef = _pi_coefficients(mu, n + 1)
+    a_coef, b_coef = coefficients(mu, n + 1)
     t1 = _lag_windows(np.concatenate(([0.0], a_coef[:n] - b_coef[:n])))
     t2 = _lag_windows(b_coef)
     df = np.diff(fv)
@@ -483,15 +486,23 @@ def _row_left(cofactor, s, grid, fv):
     return scale * out, scale * size, flagged
 
 
-def _row_two_sided(p, kernel, f):
-    """Oracle values, per-node bounds ``1e-12 * R_j`` of K and B (columns 0
-    and 1) and flagged nodes.  B's right side carries the sign of the
-    reversed derivative."""
+def _trapezoid_coefficients(mu, count):
+    """The closed form of ``_pi_coefficients`` at ``mu = 1``: ``A(m) = 1``
+    and ``B(m) = 1/2``, the trapezoid's weights, which the computed
+    tables carry only to about ``eps * m``."""
+    assert mu == 1.0
+    return np.ones(count), np.full(count, 0.5)
+
+
+def _row_two_sided(p, kernel, f, relative=1e-12, coefficients=_pi_coefficients):
+    """Oracle values, per-node bounds ``relative * R_j`` of K and B
+    (columns 0 and 1) and flagged nodes.  B's right side carries the sign
+    of the reversed derivative."""
     grid, s, n = f.grid, kernel.singularity_exponent, f.grid.n
     ab = grid.a + grid.b
     out, size, flagged = np.zeros((n + 1, 2)), np.zeros((n + 1, 2)), set()
     if p.lam != 0.0:
-        vals, sums, flags = _row_left(kernel.cofactor, s, grid, f.values)
+        vals, sums, flags = _row_left(kernel.cofactor, s, grid, f.values, coefficients)
         out += p.lam * vals
         size += abs(p.lam) * sums
         flagged.update(flags)
@@ -500,11 +511,11 @@ def _row_two_sided(p, kernel, f):
         def reflected(x, y):
             return kernel.cofactor(ab - np.asarray(y), ab - np.asarray(x))
 
-        vals, sums, flags = _row_left(reflected, s, grid, f.values[::-1].copy())
+        vals, sums, flags = _row_left(reflected, s, grid, f.values[::-1].copy(), coefficients)
         out += np.array([1.0, -1.0]) * p.mu * vals[::-1]
         size += abs(p.mu) * sums[::-1]
         flagged.update(n - j for j in flags)
-    return out, 1e-12 * size, flagged
+    return out, relative * size, flagged
 
 
 def _engine_two_sided(p, kernel, f, left_rule):
@@ -520,8 +531,8 @@ def _engine_two_sided(p, kernel, f, left_rule):
     return out[0], flagged
 
 
-def _assert_engine_matches_oracle(p, kernel, f):
-    oracle, bounds, want_flags = _row_two_sided(p, kernel, f)
+def _assert_engine_matches_oracle(p, kernel, f, relative=1e-12, coefficients=_pi_coefficients):
+    oracle, bounds, want_flags = _row_two_sided(p, kernel, f, relative, coefficients)
     for engine, want, bound in zip((_apply_left, _bapply_left), oracle.T, bounds.T):
         got, got_flags = _engine_two_sided(p, kernel, f, engine)
         assert got_flags == want_flags
@@ -601,6 +612,67 @@ def test_shared_row_loop_matches_oracle(case, n, lam, mu, seed):
     _assert_engine_matches_oracle(p, kernel, f)
 
 
+@pytest.mark.filterwarnings("ignore::fracvar.CornerExtrapolationWarning")
+def test_two_sided_counterexample_at_a_ragged_n_matches_the_row_oracle():
+    """At n = 4500 the thin top far block of the counterexample (405 rows
+    by 4096 columns) goes dense while the levels below compress.  The
+    engine's two-sided K and B meet the row oracle's bound, 1e-12 of each
+    row's absolute sum ``R_j``.  Against the oracle with the closed-form
+    trapezoid weights, which the engine applies in every compressed block,
+    they meet 1e-14 ``R_j``.  K is 3.2e-14 ``R_j`` from the first oracle
+    and 4.0e-15 from the second: the lag tables that the first shares are
+    off 1/2 by up to 1e-12 at this n (see
+    ``test_lag_coefficients_against_a_50_digit_reference``)."""
+    g = Grid(0.0, 1.0, 4500)
+    f = SampledFunction(g, np.random.default_rng(4500).uniform(-1, 1, 4501))
+    p = ParameterSet(0.0, 1.0, 1.0, -1.0)
+    _assert_engine_matches_oracle(p, counterexample_kernel(), f)
+    _assert_engine_matches_oracle(p, counterexample_kernel(), f, 1e-14, _trapezoid_coefficients)
+
+
+def _record_calls(monkeypatch, targets):
+    """List that collects the name of every call of the ``(module, name)``
+    functions of ``targets``."""
+    names = []
+    for module, name in targets:
+
+        def recording(*args, _call=getattr(module, name), _name=name, **kwargs):
+            names.append(_name)
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
+    return names
+
+
+@pytest.mark.filterwarnings("ignore::fracvar.CornerExtrapolationWarning")
+def test_bounded_kernels_apply_far_blocks_with_no_svd_and_no_fft(monkeypatch):
+    """Work count: a bounded kernel's far blocks act as their Chebyshev
+    interpolants on the trapezoid's mean of their columns, so two-sided
+    K and B of the counterexample at n = 4096 make no SVD and no FFT call,
+    though their levels keep far blocks.  A singular general kernel still
+    recompresses by SVD and applies its lag weights by FFT."""
+    g = Grid(0.0, 1.0, 4096)
+    f = SampledFunction(g, np.random.default_rng(2).uniform(-1, 1, 4097))
+    p = ParameterSet(0.0, 1.0, 0.8, -1.3)
+    names = _record_calls(monkeypatch, [(np.linalg, "svd"), (np.fft, "rfft"), (np.fft, "irfft")])
+    kept = []
+    interpolants = operators._far_interpolants
+
+    def recorder(*args):
+        result = interpolants(*args)
+        kept.append(int(result[0].sum()))
+        return result
+
+    monkeypatch.setattr(operators, "_far_interpolants", recorder)
+    for apply in (k_apply, b_apply):
+        apply(p, counterexample_kernel(), f)
+    assert names == [] and sum(kept) > 0
+    for apply in (k_apply, b_apply):
+        names.clear()
+        apply(p, GeneralKernel(_singular(0.5, 0.3, 0.4), 0.4), f)
+        assert {"svd", "rfft", "irfft"} <= set(names)
+
+
 MIRROR_KERNELS = (
     GeneralKernel(_smooth(1.3, -0.7), 0.0),
     counterexample_kernel(),
@@ -634,30 +706,40 @@ def test_right_side_is_the_left_side_of_the_mirrored_kernel(n):
             assert np.array_equal(right[kept], left[kept])
 
 
-def _far_level(kernel, n, los, half, rows):
-    """``_far_factors`` of ``kernel`` on the far blocks ``[lo + half, lo +
-    half + rows) x [lo, lo + half)`` of the left side of a grid of [0, 1],
-    one call for all of ``los``: a ``(u, v)`` pair per block, or None for a
-    block sent to the dense code."""
-    t = Grid(0.0, 1.0, n).nodes
-    kept, u, v, ranks = _far_factors(lambda j, i: kernel.cofactor(t[j], t[i]),
-                                     lambda x, y: kernel.cofactor(x / n, y / n),
-                                     np.asarray(los), half, rows, {})
+def _far_level(compress, kernel, n, los, half, rows):
+    """``compress`` (``_far_factors`` or ``_far_interpolants``) of
+    ``kernel`` on the far blocks ``[lo + half, lo + half + rows) x [lo, lo
+    + half)`` of the left side of a grid of [0, 1], one call for all of
+    ``los``: the approximation of each block at its nodes, ``u.T @ v`` or
+    ``to_rows.T @ core @ to_cols``, or None for a block sent to the dense
+    code."""
+    t, chebyshev = Grid(0.0, 1.0, n).nodes, {}
+    kept, *factors = compress(lambda j, i: kernel.cofactor(t[j], t[i]),
+                              lambda x, y: kernel.cofactor(x / n, y / n),
+                              np.asarray(los), half, rows, chebyshev)
     if not kept.any():
         return [None] * len(kept)
-    cuts = np.cumsum(ranks)[:-1]
-    factors = iter(zip(np.split(u, cuts), np.split(v, cuts)))
-    return [next(factors) if keep else None for keep in kept]
+    if compress is _far_factors:
+        u, v, ranks = factors
+        cuts = np.cumsum(ranks)[:-1]
+        blocks = (a.T @ b for a, b in zip(np.split(u, cuts), np.split(v, cuts)))
+    else:
+        to_rows, to_cols = chebyshev[rows][1], chebyshev[half][1]
+        blocks = (to_rows.T @ core @ to_cols for core in factors[0])
+    return [next(blocks) if keep else None for keep in kept]
 
 
 def _assert_factors_reproduce(kernel, n, los, half, blocks):
-    """Each ``(u, v)`` of ``blocks`` reproduces its block of ``kernel`` to
-    1e-12 of the block's largest entry."""
+    """Each approximation of ``blocks`` reproduces its block of ``kernel``
+    to 1e-12 of the block's largest entry."""
     t = Grid(0.0, 1.0, n).nodes
-    for lo, (u, v) in zip(los, blocks):
-        rows = u.shape[1]
+    for lo, approx in zip(los, blocks):
+        rows = approx.shape[0]
         block = kernel.cofactor(t[lo + half : lo + half + rows, None], t[None, lo : lo + half])
-        assert np.abs(u.T @ v - block).max() <= 1e-12 * np.abs(block).max()
+        assert np.abs(approx - block).max() <= 1e-12 * np.abs(block).max()
+
+
+FAR_COMPRESSORS = (_far_factors, _far_interpolants)
 
 
 @pytest.mark.parametrize("n", [4096, 8192])
@@ -668,34 +750,40 @@ def test_far_factors_reproduce_smooth_blocks_and_send_jumps_dense(n):
     which hold the blocks nearest the corner where the counterexample is
     singular and those where ``cos(40xy)`` oscillates fastest.  A block
     crossed by a jump, a block whose nonzero rows the Chebyshev points
-    miss, and a block with fewer rows than points go to the dense code."""
+    miss, and a block with fewer rows than points go to the dense code.
+    All of it holds for the SVD factors of singular kernels and for the
+    uncompressed interpolants of bounded ones."""
     t = Grid(0.0, 1.0, n).nodes
-    for kernel in (GeneralKernel(lambda x, y: np.cos(40.0 * x * y), 0.0), counterexample_kernel()):
-        for half in (n // 16, n // 8):
-            los = range(0, n, 2 * half)
-            blocks = _far_level(kernel, n, los, half, half)
-            assert None not in blocks
-            _assert_factors_reproduce(kernel, n, los, half, blocks)
-    for kernel in (_step(0.6), _band(t[n // 2 + 10], t[n // 2 + 20])):
-        assert _far_level(GeneralKernel(kernel, 0.0), n, [0], n // 2, n // 2) == [None]
-    assert _far_level(GeneralKernel(_smooth(1.3, -0.7), 0.0), n, [0], n // 2, _CHEB - 1) == [None]
+    for compress in FAR_COMPRESSORS:
+        for kernel in (GeneralKernel(lambda x, y: np.cos(40.0 * x * y), 0.0), counterexample_kernel()):
+            for half in (n // 16, n // 8):
+                los = range(0, n, 2 * half)
+                blocks = _far_level(compress, kernel, n, los, half, half)
+                assert all(block is not None for block in blocks)
+                _assert_factors_reproduce(kernel, n, los, half, blocks)
+        for kernel in (_step(0.6), _band(t[n // 2 + 10], t[n // 2 + 20])):
+            assert _far_level(compress, GeneralKernel(kernel, 0.0), n, [0], n // 2, n // 2) == [None]
+        short = _far_level(compress, GeneralKernel(_smooth(1.3, -0.7), 0.0), n, [0], n // 2, _CHEB - 1)
+        assert short == [None]
 
 
 def test_a_block_crossed_by_a_jump_goes_dense_while_its_level_stays_compressed():
     """At n = 2403 a smooth kernel plus a unit jump at x = 0.6 crosses the
     rows of the third of the four full far blocks of half-size 256, and no
-    other block of that level.  One ``_far_factors`` call sends that block
-    alone to the dense code; its siblings keep factors that reproduce them
-    to 1e-12.  The engine's K and B, on both sides, meet the row oracle's
-    bound; there the same level also holds a ragged last block of 100
-    rows, which gets a call of its own."""
+    other block of that level.  One ``_far_factors`` or
+    ``_far_interpolants`` call sends that block alone to the dense code;
+    its siblings keep approximations that reproduce them to 1e-12.  The
+    engine's K and B, on both sides, meet the row oracle's bound; there
+    the same level also holds a ragged last block of 100 rows, which gets
+    a call of its own."""
     n, half = 2403, 256
     smooth = _smooth(1.3, -0.7)
     kernel = GeneralKernel(lambda x, y: smooth(x, y) + np.where(x >= 0.6, 1.0, 0.0), 0.0)
     los = range(0, 2048, 2 * half)
-    blocks = _far_level(kernel, n, los, half, half)
-    assert [block is None for block in blocks] == [False, False, True, False]
-    _assert_factors_reproduce(kernel, n, [0, 512, 1536], half, [blocks[0], blocks[1], blocks[3]])
+    for compress in FAR_COMPRESSORS:
+        blocks = _far_level(compress, kernel, n, los, half, half)
+        assert [block is None for block in blocks] == [False, False, True, False]
+        _assert_factors_reproduce(kernel, n, [0, 512, 1536], half, [blocks[0], blocks[1], blocks[3]])
     f = SampledFunction(Grid(0.0, 1.0, n), np.random.default_rng(9).uniform(-1, 1, n + 1))
     _assert_engine_matches_oracle(ParameterSet(0.0, 1.0, 1.0, -0.5), kernel, f)
 
@@ -747,17 +835,18 @@ def test_far_blocks_cost_three_kernel_calls_each():
 
 def test_engine_walks_far_blocks_level_by_level_from_the_top(monkeypatch):
     """The far blocks of one side of the counterexample at n = 8192 come
-    level by level, one ``_far_factors`` call per level, from the top:
-    half-sizes 8192 down to ``_LEAF``, with every level present and its
-    blocks left to right.  A depth-first walk would visit a smaller block
-    before the second block of a level above it."""
+    level by level, one ``_far_interpolants`` call per level (the
+    counterexample is bounded), from the top: half-sizes 8192 down to
+    ``_LEAF``, with every level present and its blocks left to right.  A
+    depth-first walk would visit a smaller block before the second block
+    of a level above it."""
     levels = []
 
     def recorder(sample, between, los, half, rows, chebyshev):
         levels.append((half, list(los)))
-        return _far_factors(sample, between, los, half, rows, chebyshev)
+        return _far_interpolants(sample, between, los, half, rows, chebyshev)
 
-    monkeypatch.setattr(operators, "_far_factors", recorder)
+    monkeypatch.setattr(operators, "_far_interpolants", recorder)
     g = Grid(0.0, 1.0, 8192)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CornerExtrapolationWarning)

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fracvar
 from fracvar import (
     AccuracyError,
     DomainError,
@@ -123,45 +127,39 @@ def test_mittag_leffler_order_one_is_exp(z):
 
 def _scalar_mittag_leffler(alpha, z):
     """The scalar loop the array form replaced, kept as its oracle: the same
-    compensated series one element at a time with ``math.exp``, and the same
-    mpmath re-summation where float64 falls short.  Returns the value and
-    whether it was re-summed."""
+    compensated series one element at a time with ``math.exp``, leaving it
+    where the absolute sum passes 10 (``z < 0``) or 1e3 (``z > 0``).
+    Returns the value and whether the element left the series.  A ``z > 0``
+    element that leaves is summed in 30-digit mpmath; a ``z < 0`` one goes
+    to the contour, which the 60-digit references check, and its value here
+    is None."""
     if z == 0.0:
         return 1.0, False
     log_az = math.log(abs(z))
-    ln10 = math.log(10.0)
-    s, comp, abs_sum, peak_log, prev_lt = 1.0, 0.0, 1.0, 0.0, 0.0
-    overflow = False
+    cut = 10.0 if z < 0 else 1e3
+    s, comp, abs_sum, prev_lt = 1.0, 0.0, 1.0, 0.0
     for k in range(1, 10000):
         lt = k * log_az - math.lgamma(alpha * k + 1.0)
-        peak_log = max(peak_log, lt)
-        if not overflow:
-            if lt > 700.0:
-                overflow = True
-            else:
-                mag = math.exp(lt)
-                term = mag if z > 0 or k % 2 == 0 else -mag
-                y = term - comp
-                t = s + y
-                comp = (t - s) - y
-                s = t
-                abs_sum += mag
-                if lt < prev_lt and mag < 1e-16 * (1.0 + abs(s)):
-                    break
-        if overflow:
-            digits = 30 + max(0, int(peak_log / ln10))
-            if lt < prev_lt and lt < -(digits - 8) * ln10:
-                break
+        mag = math.exp(lt)
+        term = mag if z > 0 or k % 2 == 0 else -mag
+        y = term - comp
+        t = s + y
+        comp = (t - s) - y
+        s = t
+        abs_sum += mag
+        if abs_sum > cut:
+            break
+        if lt < prev_lt and mag < 1e-16 * (1.0 + abs(s)):
+            return s, False
         prev_lt = lt
     else:
         raise AccuracyError("no convergence")
-    if not overflow and abs_sum <= 1e3:
-        return s, False
-    digits = 30 + max(0, int(peak_log / ln10))
-    with mp.workdps(digits):
+    if z < 0:
+        return None, True
+    with mp.workdps(30):
         am, zm = mp.mpf(alpha), mp.mpf(z)
         total = term = mp.mpf(1)
-        tol = mp.mpf(10) ** (-(digits - 8))
+        tol = mp.mpf(10) ** -22
         for k in range(1, 10000):
             term = term * zm * mp.gamma(am * (k - 1) + 1) / mp.gamma(am * k + 1)
             total += term
@@ -191,17 +189,19 @@ def test_mittag_leffler_array_mixes_escalated_and_float64_elements():
     for value, zi in zip(got.ravel(), z.ravel()):
         want, up = _scalar_mittag_leffler(0.5, float(zi))
         escalated += up
-        if up:
-            assert value == want
-        else:
+        if not up:
             assert abs(value - want) <= 4.4e-16 * max(1.0, abs(want))
+        elif zi > 0:
+            assert value == want
         exact = _mp_series(0.5, float(zi))
         assert abs(value - exact) <= 4.4e-16 * max(1.0, abs(exact))
+    # both z = -10 leave the series for the contour, z = 10 for mpmath
     assert escalated == 3
 
 
-@pytest.mark.parametrize("alpha,z", [(0.5, -10.0), (0.5, 10.0), (0.7, -20.0)])
+@pytest.mark.parametrize("alpha,z", [(0.5, 10.0), (0.7, 5.0), (0.3, 3.0)])
 def test_mittag_leffler_escalated_elements_match_the_scalar_loop(alpha, z):
+    """A ``z > 0`` element that leaves the series gets the oracle's bits."""
     want, up = _scalar_mittag_leffler(alpha, z)
     assert up
     assert mittag_leffler(alpha, np.array([z, -0.3]))[0] == want
@@ -221,6 +221,96 @@ def test_mittag_leffler_at_non_dyadic_orders_matches_a_contour_reference(alpha, 
     assert abs(mittag_leffler(alpha, z) - exact) <= 1e-15 * max(1.0, abs(exact))
 
 
+#: z of the reference grid, from the series (E_alpha(|z|) below 10) across
+#: the cut to the contour
+_ML_GRID_Z = (
+    -1e-8, -0.1, -0.5, -0.9, -1.0, -1.5, -2.0, -3.0, -5.0, -10.0, -20.0, -35.0, -50.0,
+)
+
+#: E_alpha(z) on ``_ML_GRID_Z``.  Each value is the real-axis integral, at
+#: ``x = -z``,
+#:
+#:     sin(alpha pi) / (alpha pi)
+#:         * int_0^inf exp(-w**(1/alpha)) x / (w**2 + 2 x w cos(alpha pi) + x**2) dw
+#:
+#: by mpmath ``quad`` at 60 digits, with ``alpha`` formed as
+#: ``mpmath.mpf(alpha)`` (``exp(z)`` at ``alpha = 1``).  The series summed at
+#: 75 digits or more (98 points) or mpmath's Talbot inversion at 40 digits
+#: (the 19 others, where the series is out of reach) agrees to 1e-30.
+_ML_GRID = {
+    0.01: (
+        0.9999999899429348161243134, 0.908618308038274070140784, 0.6653888206397369493010274,
+        0.5248776031089972704696499, 0.4985569555884718086233682, 0.3986115296044480455282103,
+        0.3320457701830187372222118, 0.2489115705914662875263946, 0.1658589061670683220865275,
+        0.09042761998207021816628357, 0.04735458200731495204036146, 0.02762022202547468956029392,
+        0.01949567216466139398993864,
+    ),
+    0.1: (
+        0.9999999894886300477946627, 0.9047657422574315107958986, 0.654324460288001928445878,
+        0.5120067796921973484659585, 0.4855644643110821015914755, 0.3858261333637836930429553,
+        0.3200153359597273986075796, 0.2385593497825385575351538, 0.158042382358451827910139,
+        0.08569695701065468509600699, 0.0447338640074509598300814, 0.02605289294553137233133984,
+        0.01837805701221919541039178,
+    ),
+    0.3: (
+        0.9999999888575750264444757, 0.8988115365027225480996672, 0.6326490059435990224625516,
+        0.4838415224523985701700379, 0.456594408329690670619513, 0.3553816565736031467526985,
+        0.2902322261678753550400761, 0.2118026331964357820337665, 0.1370808690202706388897539,
+        0.072649729072772086176824, 0.03740622621388445305763288, 0.02164548919000462917842922,
+        0.01522820150181469523425191,
+    ),
+    0.5: (
+        0.9999999887162084290448733, 0.8964569799691266366633883, 0.6156903441929258748707934,
+        0.456531651323117032523018, 0.4275835761558070044107503, 0.3215854164543175023543226,
+        0.2553956763105057438650886, 0.1790011511813899504192948, 0.1107046377330686263702121,
+        0.05614099274382258585751739, 0.02817434874105131931864915, 0.01611313095681597870371949,
+        0.01128153626532377250018381,
+    ),
+    0.6: (
+        0.9999999888082505500591449, 0.8965940059690092658150307, 0.6094758219562000216178401,
+        0.4435568855564216711270163, 0.4133273409431063005184706, 0.3032148361988204025324615,
+        0.2355710311118249688494649, 0.1597034802650912206911418, 0.09511784643875462034824078,
+        0.04658965442680428096204195, 0.02294656427325837639629382, 0.01301661169217790864672696,
+        0.0090837447731034546370664,
+    ),
+    0.7: (
+        0.9999999889945260252676634, 0.8975611269313867706456217, 0.6051475920595642727129876,
+        0.4314643088640021817830059, 0.399611978115599390269007, 0.2838409696217371666240632,
+        0.2137867270152972753355373, 0.1378971096650270821648007, 0.07756935776476980998110868,
+        0.03617326554230915814871462, 0.01739569829160397999014497, 0.009772087919762656484794634,
+        0.006793665670383093871800617,
+    ),
+    0.9: (
+        0.9999999896024587161720396, 0.9017569424498593987567888, 0.6034054986958609679977567,
+        0.4122109926906103535579898, 0.3760660214246418790237564, 0.2430926784792172556027476,
+        0.1635283000169300427791719, 0.08388835403377326206749091, 0.03443132480409841832341993,
+        0.01282060605110209993827513, 0.005749507816109112583640258, 0.003155607949111655737440137,
+        0.002175353076856976049829736,
+    ),
+    0.99: (
+        0.999999989957956624502431, 0.9045035881236984081523552, 0.6060899526314164779763533,
+        0.4069776915745043698667784, 0.3685483180603396169011751, 0.2250632270851285819000342,
+        0.1382172806980640283949662, 0.0534518675061996268493938, 0.009768092139174128170771058,
+        0.001347863806083208440417734, 0.0005616234836749529496326549, 0.0003050619054788978493663963,
+        0.0002095764990060077155038202,
+    ),
+    1.0: (
+        0.9999999900000000499999996, 0.9048374180359595681413924, 0.6065306597126334236037995,
+        0.4065696597405991028557943, 0.3678794411714423215955238, 0.2231301601484298289332805,
+        0.1353352832366126918939995, 0.04978706836786394297934242, 0.006737946999085467096636048,
+        4.539992976248485153559152e-5, 2.06115362243855782796594e-9, 6.305116760146989385639021e-16,
+        1.928749847963917783017343e-22,
+    ),
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(_ML_GRID))
+def test_mittag_leffler_at_negative_z_matches_60_digit_references(alpha):
+    got = mittag_leffler(alpha, np.array(_ML_GRID_Z))
+    exact = np.array(_ML_GRID[alpha])
+    assert np.all(np.abs(got - exact) <= 3e-15 * np.maximum(1.0, np.abs(exact)))
+
+
 def test_mittag_leffler_scalar_input_returns_float():
     for z in (np.float64(-0.5), np.array(-0.5), -0.5, 0):
         assert type(mittag_leffler(0.5, z)) is float
@@ -234,8 +324,38 @@ def test_mittag_leffler_array_with_one_bad_element_raises(bad):
 
 
 def test_mittag_leffler_array_raises_instead_of_returning_nan():
-    with pytest.raises(AccuracyError):
-        mittag_leffler(0.2, np.array([-0.5, -10.0]))
+    with pytest.raises(AccuracyError, match="exceeds the double-precision range"):
+        mittag_leffler(0.5, np.array([-0.5, 27.0]))
+
+
+@pytest.mark.parametrize("alpha,z", [(0.3, 10.0), (0.5, 30.0), (0.5, 50.0)])
+def test_mittag_leffler_beyond_the_double_range_says_so(alpha, z):
+    """Each ``E`` here is above 1e308; the mpmath sum stops as it passes."""
+    with pytest.raises(AccuracyError, match="exceeds the double-precision range"):
+        mittag_leffler(alpha, z)
+
+
+def test_mittag_leffler_at_negative_z_needs_no_mpmath():
+    """The contour is float64: a fresh interpreter evaluates ``z`` over
+    ``[-50, 0]`` without importing mpmath, and every value is finite."""
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from fracvar import mittag_leffler\n"
+        "z = np.linspace(-50.0, 0.0, 1001)\n"
+        "for alpha in (0.1, 0.5, 0.9):\n"
+        "    assert np.isfinite(mittag_leffler(alpha, z)).all()\n"
+        "assert 'mpmath' not in sys.modules\n"
+    )
+    src_dir = os.path.dirname(os.path.dirname(fracvar.__file__))
+    path = os.pathsep.join(filter(None, (src_dir, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_erfc_values():

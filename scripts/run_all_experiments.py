@@ -1,24 +1,18 @@
 """Run every experiment in the catalogue with its default parameters.
 
-Each experiment writes its artifact directory under --output-root (by
-default the root that ``fracvar.experiments.run`` resolves: the
-``FRACVAR_OUTPUT_DIR`` environment variable, else ./fracvar_results) and
-prints one line per assertion. Exit status is 0 when every assertion
-passes, 1 when any fails, 2 for a config error or an error raised during
-a run.
+A loop over ``fracvar run``: each experiment prints that command's lines
+and writes its artifact directory under --output-root (by default the root
+that ``fracvar run`` resolves: the ``FRACVAR_OUTPUT_DIR`` environment
+variable, else ./fracvar_results).  One summary line ends the run.  Exit
+status is 0 when every assertion passes, 1 when any fails, 2 at the first
+config error or error raised during a run.
 """
 
 import argparse
 import json
-import sys
-import time
 
-from fracvar.errors import FracvarError, ParseError
-from fracvar.experiments import list_experiments, parse_config, run
-
-
-def experiment_ids():
-    return [line.split(":", 1)[0] for line in list_experiments().splitlines()]
+from fracvar import cli
+from fracvar.experiments import list_experiments
 
 
 def main(argv=None):
@@ -41,35 +35,21 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
-    ids = args.only or experiment_ids()
-    failures = []
+    settings = []
+    if args.output_root is not None:  # as JSON, so a numeric root stays a string
+        settings += ["--set", "output_dir=" + json.dumps(args.output_root)]
+    if args.seed is not None:
+        settings += ["--set", f"seed={args.seed}"]
+    ids = args.only or [line.split(":", 1)[0] for line in list_experiments().splitlines()]
+    failing = []
     for name in ids:
-        doc = {"experiment": name}
-        if args.output_root is not None:
-            doc["output_dir"] = args.output_root
-        if args.seed is not None:
-            doc["seed"] = args.seed
-        try:
-            config = parse_config(json.dumps(doc))
-        except ParseError as exc:
-            for line in exc.errors:
-                print(f"config error: {line}", file=sys.stderr)
+        code = cli.main(["run", "--experiment", name, *settings])
+        if code == 2:
             return 2
-        started = time.perf_counter()
-        try:
-            record = run(config)
-        except FracvarError as exc:
-            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 2
-        elapsed = time.perf_counter() - started
-        print(f"{name} ({elapsed:.1f}s)")
-        for check in record.assertions:
-            print(f"  {check}")
-            if not check.passed:
-                failures.append(f"{name}/{check.id}")
-    print()
-    if failures:
-        print("failing assertions: " + ", ".join(failures))
+        if code:
+            failing.append(name)
+    if failing:
+        print("failing experiments: " + ", ".join(failing))
         return 1
     print(f"all assertions passed across {len(ids)} experiments")
     return 0

@@ -760,7 +760,8 @@ def _run_noether(cfg: ExperimentConfig, grid: Grid):
 def _run_falva(cfg: ExperimentConfig, grid: Grid):
     weight_rate = cfg.alpha[0]
     problem, y = damped_oscillator_problem(grid, weight_rate=weight_rate)
-    el_sup = interior_sup(el_residual(problem, y).values)
+    residual = el_residual(problem, y).values
+    el_sup = interior_sup(residual)
     delta = dissipative_parameter(problem.weight)
     delta_gap = float(np.abs(delta.values + weight_rate).max())
     assertions = [
@@ -775,6 +776,7 @@ def _run_falva(cfg: ExperimentConfig, grid: Grid):
     series = {
         "trajectory": (grid.nodes, y.values),
         "dissipation": (grid.nodes, delta.values),
+        "residual": (grid.nodes, residual),
     }
     return results, {}, series, assertions
 

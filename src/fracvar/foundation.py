@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from typing import Callable
@@ -66,8 +67,8 @@ class Grid:
 
     def __post_init__(self) -> None:
         _check_endpoints(self.a, self.b)
-        if self.n < 2:
-            raise InputError(f"grid needs n >= 2, got n={self.n}")
+        if not isinstance(self.n, numbers.Integral) or self.n < 2:  # True and False are below 2
+            raise InputError(f"grid needs an integer n >= 2, got n={self.n!r}")
         object.__setattr__(self, "nodes", np.linspace(self.a, self.b, self.n + 1))
 
     @property
@@ -267,9 +268,15 @@ def _mittag_leffler_mp(alpha: float, z: float) -> float:
     import mpmath  # here, not at module level: only this exit needs it
     with mpmath.workdps(30):
         am, zm = mpmath.mpf(alpha), mpmath.mpf(z)
-        total = term = mpmath.mpf(1)
+        # about the index of the largest term: if it alone leaves the double
+        # range, so does the sum of these positive terms
+        k = max(0, int((zm ** (1 / am) - 1) / am))
+        if k * mpmath.log(zm) - mpmath.loggamma(am * k + 1) > math.log(sys.float_info.max):
+            raise AccuracyError(f"E_{alpha}({z}) exceeds the double-precision range")
+        total = term = gamma = mpmath.mpf(1)  # gamma is Gamma(alpha (k - 1) + 1)
         for k in range(1, _SERIES_CAP):
-            term = term * zm * mpmath.gamma(am * (k - 1) + 1) / mpmath.gamma(am * k + 1)
+            previous, gamma = gamma, mpmath.gamma(am * k + 1)
+            term = term * zm * previous / gamma
             total += term
             if total > sys.float_info.max:
                 raise AccuracyError(f"E_{alpha}({z}) exceeds the double-precision range")

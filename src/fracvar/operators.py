@@ -700,24 +700,27 @@ def _mend_row(c: np.ndarray, j: int, t: np.ndarray, s: float, cofactor) -> str:
 
 
 def _patch_corners(values: np.ndarray, bad: set, n: int) -> None:
-    """Extrapolate the corner-adjacent garbage nodes of every row, with one warning."""
+    """Extrapolate the corner-adjacent garbage nodes of every row, with one
+    warning.  Each corner fits the ``_CORNER_FIT`` nodes next to its patch;
+    ``NumericError`` if they leave ``[0, n]`` or reach the other patch."""
     left = [i for i in bad if i <= n // 2]
     right = [i for i in bad if i > n // 2]
-    patched = 0
-    for cluster, at_left in ((left, True), (right, False)):
-        if not cluster:
-            continue
-        if at_left:
-            hi = max(cluster) + _CORNER_PAD
-            fit = np.arange(hi + 1, hi + 1 + _CORNER_FIT)
-            fix = np.arange(0, hi + 1)
-        else:
-            lo = min(cluster) - _CORNER_PAD
-            fit = np.arange(lo - _CORNER_FIT, lo)
-            fix = np.arange(lo, n + 1)
-        coeffs = np.polyfit(fit.astype(float), values[:, fit].T, 2)
-        values[:, fix] = np.polyval(coeffs, fix[:, None].astype(float)).T
-        patched += len(fix)
+    hi = max(left) + _CORNER_PAD if left else -1  # the left corner patches 0..hi
+    lo = min(right) - _CORNER_PAD if right else n + 1  # the right one lo..n
+    if lo - hi <= _CORNER_FIT:
+        corners = " and ".join(name for name, side in (("left", left), ("right", right)) if side)
+        raise NumericError(
+            f"the {corners} corner fit needs {_CORNER_FIT} clean nodes; "
+            f"a grid with n={n} leaves {lo - hi - 1}"
+        )
+    for cluster, fit, fix in (
+        (left, np.arange(hi + 1, hi + 1 + _CORNER_FIT), np.arange(0, hi + 1)),
+        (right, np.arange(lo - _CORNER_FIT, lo), np.arange(lo, n + 1)),
+    ):
+        if cluster:
+            coeffs = np.polyfit(fit.astype(float), values[:, fit].T, 2)
+            values[:, fix] = np.polyval(coeffs, fix[:, None].astype(float)).T
+    patched = (hi + 1) + (n + 1 - lo)
     warnings.warn(
         f"extrapolated {patched} corner-adjacent output nodes in each row",
         CornerExtrapolationWarning,

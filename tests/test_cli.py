@@ -34,6 +34,9 @@ ALL_IDS = (
     "direct-min",
 )
 
+#: the catalogue runner, a loop over ``fracvar run``
+RUN_ALL = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "run_all_experiments.py")
+
 
 def errors_of(text):
     with pytest.raises(ParseError) as info:
@@ -429,9 +432,8 @@ def catalogue(tmp_path_factory):
     """One run of the catalogue script at its defaults: its exit status, its
     output and the artifact root."""
     root = tmp_path_factory.mktemp("catalogue")
-    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "run_all_experiments.py")
     with contextlib.redirect_stdout(io.StringIO()) as out:
-        code = runpy.run_path(script)["main"](["--output-root", str(root)])
+        code = runpy.run_path(RUN_ALL)["main"](["--output-root", str(root)])
     return code, out.getvalue(), root
 
 
@@ -513,16 +515,30 @@ def test_run_all_experiments_script_defaults_to_the_environment_root(tmp_path, m
     assert (tmp_path / "from-env" / "noether" / "results.json").is_file()
 
 
-def test_extremal_profiles_script_writes_its_six_files(tmp_path, capsys):
-    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "extremal_profiles.py")
-    out = tmp_path / "profiles"
-    assert runpy.run_path(script)["main"](["--output-dir", str(out), "--n", "256"]) == 0
-    names = ["ml_defect.dat", "ml_extremal.dat", "oscillator.dat", "oscillator_residual.dat",
-             "tracking_exact.dat", "tracking_recovered.dat"]
-    assert sorted(p.name for p in out.iterdir()) == names
-    for name in names:
-        assert np.loadtxt(out / name).shape == (257, 2)
-    assert "wrote 6 profiles" in capsys.readouterr().out
+def test_run_all_experiments_script_stops_at_a_config_error(capsys):
+    assert runpy.run_path(RUN_ALL)["main"](["--only", "no-such-id"]) == 2
+    assert "config error: experiment: unknown id 'no-such-id'" in capsys.readouterr().err
+
+
+def test_run_all_experiments_script_names_the_failing_experiments(monkeypatch, capsys):
+    """Each id is one ``fracvar run``; one that exits 1 fails the loop,
+    which still runs the rest."""
+    calls = []
+    monkeypatch.setattr("fracvar.cli.main", lambda argv: calls.append(argv) or int("falva" in argv))
+    assert runpy.run_path(RUN_ALL)["main"](["--seed", "5"]) == 1
+    assert calls == [["run", "--experiment", name, "--set", "seed=5"] for name in ALL_IDS]
+    assert capsys.readouterr().out == "failing experiments: falva\n"
+
+
+def test_run_all_experiments_script_passes_its_seed_and_a_numeric_root(tmp_path, monkeypatch, capsys):
+    """``--seed`` reaches the tables, and an output root that reads as a
+    JSON number stays a directory name."""
+    monkeypatch.chdir(tmp_path)
+    assert runpy.run_path(RUN_ALL)["main"](["--only", "ibp-suite", "--seed", "5", "--output-root", "7"]) == 0
+    assert "all assertions passed across 1 experiments" in capsys.readouterr().out
+    lines = (tmp_path / "7" / "ibp-suite" / "pairs.csv").read_text().splitlines()
+    assert lines[0].endswith(",seed") and len(lines) == 21
+    assert all(line.endswith(",5") for line in lines[1:])
 
 
 def test_compare_results_script_reports_changes_and_fails_on_verdicts(tmp_path, capsys):

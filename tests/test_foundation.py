@@ -29,7 +29,7 @@ from fracvar import (
     symmetric_eigen,
     trapezoid,
 )
-from fracvar.foundation import _pi_coefficients
+from fracvar.foundation import _mittag_leffler_mp, _pi_coefficients
 
 st_mu = st.floats(0.05, 0.95)
 st_dim = st.integers(2, 12)
@@ -46,10 +46,17 @@ def test_grid_nodes():
     assert g.nodes[0] == 0.0 and g.nodes[-1] == 1.0
 
 
-@pytest.mark.parametrize("a,b,n", [(1.0, 0.0, 4), (0.0, 0.0, 4), (math.nan, 1.0, 4), (0.0, 1.0, 1)])
+@pytest.mark.parametrize("a,b,n", [
+    (1.0, 0.0, 4), (0.0, 0.0, 4), (math.nan, 1.0, 4), (0.0, 1.0, 1),
+    (0.0, 1.0, 4.0), (0.0, 1.0, np.float64(8)), (0.0, 1.0, "8"), (0.0, 1.0, None),
+])
 def test_grid_rejects_bad_input(a, b, n):
     with pytest.raises(InputError):
         Grid(a, b, n)
+
+
+def test_grid_takes_a_numpy_integer_size():
+    assert np.array_equal(Grid(0.0, 1.0, np.int64(8)).nodes, Grid(0.0, 1.0, 8).nodes)
 
 
 @pytest.mark.parametrize("a,b", [(0.0, math.inf), (math.nan, 1.0), (-1e308, 1e308)])
@@ -206,6 +213,32 @@ def test_mittag_leffler_escalated_elements_match_the_scalar_loop(alpha, z):
     assert up
     assert mittag_leffler(alpha, np.array([z, -0.3]))[0] == want
     assert mittag_leffler(alpha, z) == want
+
+
+def _count_gamma_calls(monkeypatch):
+    """The arguments of every later ``mpmath.gamma`` call, as floats."""
+    calls, real = [], mp.gamma
+    monkeypatch.setattr(mp, "gamma", lambda x: calls.append(float(x)) or real(x))
+    return calls
+
+
+def test_mittag_leffler_mp_makes_one_gamma_call_per_term(monkeypatch):
+    """Each term reuses the previous term's ``Gamma(alpha (k - 1) + 1)``: the
+    arguments ``alpha k + 1`` come once each, in order."""
+    want = _scalar_mittag_leffler(0.5, 10.0)[0]
+    calls = _count_gamma_calls(monkeypatch)
+    assert _mittag_leffler_mp(0.5, 10.0) == want
+    assert len(calls) > 100
+    assert calls == [0.5 * k + 1 for k in range(1, len(calls) + 1)]
+
+
+@pytest.mark.parametrize("alpha,z", [(0.1, 2.0), (0.5, 27.0)])
+def test_mittag_leffler_out_of_range_raises_before_the_series(monkeypatch, alpha, z):
+    """The largest term alone leaves the double range, so no term is summed."""
+    calls = _count_gamma_calls(monkeypatch)
+    with pytest.raises(AccuracyError, match="double-precision range"):
+        mittag_leffler(alpha, z)
+    assert calls == []
 
 
 @pytest.mark.parametrize("alpha,z,exact", [

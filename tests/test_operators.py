@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -206,6 +207,37 @@ def test_bounded_kernel_corner_is_mended_with_warning():
             warnings.simplefilter("always")
             _two_sided(p, rational, g, rows, left_rule)
         assert [w.category for w in record] == [CornerExtrapolationWarning]
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_corner_patch_on_a_grid_too_small_for_its_fit_raises(n):
+    """The left corner patches nodes 0..2 and fits on nodes 3..8, which a
+    grid of n < 8 does not hold."""
+    g = Grid(0.0, 1.0, n)
+    with pytest.raises(NumericError, match="left corner"):
+        k_apply(ParameterSet(0.0, 1.0, 1.0, -1.0), counterexample_kernel(), SampledFunction(g, np.ones(n + 1)))
+
+
+def test_corner_fit_window_that_reaches_the_other_corner_raises():
+    """At n = 10 the left fit window, nodes 3..8, reaches node 8, which the
+    right corner patches; nothing is written."""
+    values = np.arange(11.0)[None]
+    with pytest.raises(NumericError, match="left and right corner fit needs 6 clean nodes; .* leaves 5"):
+        operators._patch_corners(values, {0, 10}, 10)
+    assert values.tolist() == [list(range(11))]
+
+
+@pytest.mark.parametrize("n,digest", [
+    (8, "9b29cc28bc35162d77eabcbb8f1a11237868072cd90170774e0d814591cc86de"),
+    (16, "a3fdc2fbb5e0b2af118fd190483052967522804eba467579bda85035dc81b871"),
+])
+def test_smallest_patched_grids_keep_their_bits(n, digest):
+    """The SHA-256 of the patched counterexample output, from before the
+    fit-window check."""
+    g = Grid(0.0, 1.0, n)
+    with pytest.warns(CornerExtrapolationWarning):
+        out = k_apply(ParameterSet(0.0, 1.0, 1.0, -1.0), counterexample_kernel(), SampledFunction(g, np.ones(n + 1)))
+    assert hashlib.sha256(out.values.tobytes()).hexdigest() == digest
 
 
 # --- FFT convolution against the direct oracle -----------------------------

@@ -27,7 +27,7 @@ from .foundation import (
     Grid,
     SampledFunction,
     _check_endpoints,
-    _lag_table_memo,
+    _run_memo,
     _trapezoid_weights,
     cumulative_trapezoid,
     gamma,
@@ -44,11 +44,11 @@ from .operators import (
     OperatorBinding,
     ParameterSet,
     PowerLawKernel,
+    _classical_rows,
     boundedness_constant,
     classical,
     k_apply,
     verify_ibp,
-    verify_semigroup,
 )
 from .variational import (
     Lagrangian,
@@ -369,19 +369,25 @@ def power_identity_errors(alpha: float, beta: float, n: int, a: float = 0.0, b: 
     raised by ``alpha`` and scaled by a gamma ratio; the derivative
     lowers it.  Right-sided versions mirror in ``b - t``.
     """
+    return _power_identity_rows(alpha, (beta,), n, a, b)[0]
+
+
+def _power_identity_rows(alpha: float, betas, n: int, a: float, b: float) -> list:
+    """``power_identity_errors`` for each of ``betas``, one stacked call per mapping."""
     grid = Grid(a, b, n)
     sl = interior_slice(n)
     left, right = grid.nodes - a, b - grid.nodes
-    out = {}
+    out = [{} for _ in betas]
     for name, op, base, shift in (
         ("integral-left", ClassicalOp.RL_INT_LEFT, left, alpha),
         ("integral-right", ClassicalOp.RL_INT_RIGHT, right, alpha),
         ("derivative-left", ClassicalOp.RL_DER_LEFT, left, -alpha),
         ("derivative-right", ClassicalOp.RL_DER_RIGHT, right, -alpha),
     ):
-        got = classical(op, alpha, SampledFunction(grid, base ** (beta - 1.0))).values
-        want = gamma(beta) / gamma(beta + shift) * base[sl] ** (beta + shift - 1.0)
-        out[name] = float(np.abs(got[sl] - want).max())
+        rows = np.array([SampledFunction(grid, base ** (beta - 1.0)).values for beta in betas])
+        for got, beta, errors in zip(_classical_rows(op, alpha, grid, rows), betas, out):
+            want = gamma(beta) / gamma(beta + shift) * base[sl] ** (beta + shift - 1.0)
+            errors[name] = float(np.abs(got[sl] - want).max())
     return out
 
 
@@ -549,9 +555,9 @@ def _run_ops_identities(cfg: ExperimentConfig, grid: Grid):
     worst_order = math.inf
     floor = 1e-12
     for al in cfg.alpha:
-        for be in betas:
-            fine = power_identity_errors(al, be, cfg.n, cfg.a, cfg.b)
-            coarse = power_identity_errors(al, be, cfg.n // 2, cfg.a, cfg.b)
+        fines = _power_identity_rows(al, betas, cfg.n, cfg.a, cfg.b)
+        coarses = _power_identity_rows(al, betas, cfg.n // 2, cfg.a, cfg.b)
+        for be, fine, coarse in zip(betas, fines, coarses):
             for name in fine:
                 # ratios are noise once both grids sit at the roundoff
                 # floor (the rule is exact for these inputs)
@@ -564,19 +570,23 @@ def _run_ops_identities(cfg: ExperimentConfig, grid: Grid):
                 worst_sup = max(worst_sup, fine[name])
     sl = interior_slice(cfg.n)
     t = grid.nodes
-    fixtures = (("one", np.ones_like(t)), ("t", t.copy()), ("t^2", t * t), ("sin", np.sin(t)))
+    names = ("one", "t", "t^2", "sin")
+    fixtures = np.array([np.ones_like(t), t, t * t, np.sin(t)])
     law_rows = []
     worst_law = 0.0
     for al in cfg.alpha:
         half = 0.5 * al
-        for fname, fv in fixtures:
-            f = SampledFunction(grid, fv)
-            semi = verify_semigroup(half, half, f)
-            smoothed = classical(ClassicalOp.RL_INT_LEFT, al, f)
-            staged = classical(ClassicalOp.RL_DER_LEFT, al, smoothed)
-            rl_inv = float(np.abs(staged.values[sl] - fv[sl]).max())
-            staged = classical(ClassicalOp.CAPUTO_LEFT, al, smoothed)
-            cap_inv = float(np.abs(staged.values[sl] - fv[sl]).max())
+        # 0.5 * al + 0.5 * al == al exactly, so this is also the semigroup's
+        # one-step image, as in verify_semigroup
+        smoothed = _classical_rows(ClassicalOp.RL_INT_LEFT, al, grid, fixtures)
+        staged = _classical_rows(ClassicalOp.RL_INT_LEFT, half, grid,
+                                 _classical_rows(ClassicalOp.RL_INT_LEFT, half, grid, fixtures))
+        rl = _classical_rows(ClassicalOp.RL_DER_LEFT, al, grid, smoothed)
+        cap = _classical_rows(ClassicalOp.CAPUTO_LEFT, al, grid, smoothed)
+        for r, fname in enumerate(names):
+            semi = interior_sup(staged[r] - smoothed[r])
+            rl_inv = float(np.abs(rl[r, sl] - fixtures[r, sl]).max())
+            cap_inv = float(np.abs(cap[r, sl] - fixtures[r, sl]).max())
             for law, err in (
                 ("semigroup", semi),
                 ("derivative-inverse", rl_inv),
@@ -1036,12 +1046,14 @@ def run(config: ExperimentConfig) -> ResultRecord:
     ``./fracvar_results``; each experiment writes ``results.json``,
     ``timing.txt`` and its ``.csv`` tables and ``.dat`` series into a
     subdirectory named after itself, which the returned record names in
-    ``output_dir``.  Each lag table the run needs is built once for the
-    whole run (``foundation._lag_table_memo``).
+    ``output_dir``.  Each lag table and each operator rule (one per
+    builder, kernel and grid, whatever the side weights) the run needs is
+    built once for the whole run and dropped when it ends
+    (``foundation._run_memo``).
     """
     started = time.perf_counter()
     grid = Grid(config.a, config.b, config.n)
-    with _lag_table_memo():
+    with _run_memo():
         results, tables, series, assertions = _EXPERIMENTS[config.experiment].runner(config, grid)
     wall = time.perf_counter() - started
     inputs = asdict(config)

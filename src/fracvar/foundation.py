@@ -342,27 +342,28 @@ def _pi_coefficients(mu: float, count: int):
     return a, b
 
 
-#: the lag tables built so far by ``(mu, count)``, while a ``_lag_table_memo``
-#: is open; ``None`` (nothing kept) otherwise
-_LAG_MEMO: contextvars.ContextVar = contextvars.ContextVar("lag_memo", default=None)
+#: what one run has built so far, while a ``_run_memo`` is open: lag tables
+#: by ``(mu, count)`` and operator rules by ``(left_rule, kernel, grid)`` (see
+#: ``operators._two_sided``); ``None`` (nothing kept) otherwise
+_RUN_MEMO: contextvars.ContextVar = contextvars.ContextVar("run_memo", default=None)
 
 
 @contextlib.contextmanager
-def _lag_table_memo():
-    """Keep every lag table built inside the block, read-only, for reuse
-    inside it; all are dropped when the block exits, however it exits."""
-    token = _LAG_MEMO.set({})
+def _run_memo():
+    """Keep every lag table and operator rule built inside the block for
+    reuse inside it; all are dropped when the block exits, however it exits."""
+    token = _RUN_MEMO.set({})
     try:
         yield
     finally:
-        _LAG_MEMO.reset(token)
+        _RUN_MEMO.reset(token)
 
 
 def _lag_tables(mu: float, count: int):
     """Lag tables ``T1[k] = A(k) - B(k)`` (``T1[0] = 0``) and ``T2[k] = B(k + 1)``,
     ``k < count``: row ``j`` weighs node ``i > 0`` by ``T1[j - i] + T2[j - i]``.
-    Inside a ``_lag_table_memo`` each pair is built once and is read-only."""
-    memo = _LAG_MEMO.get()
+    Inside a ``_run_memo`` each pair is built once and is read-only."""
+    memo = _RUN_MEMO.get()
     if memo is not None and (mu, count) in memo:
         return memo[mu, count]
     a, b = _pi_coefficients(mu, count)

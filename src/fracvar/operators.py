@@ -30,14 +30,15 @@ The far blocks of one tree level are sampled, checked and applied
 together, so the kernel calls grow with the levels and tiles, not with
 the blocks.  That costs O(n * _LEAF) cofactor evaluations and
 O(n log**2 n) arithmetic instead of the (n + 1)(n + 2) / 2 evaluations of
-a full triangle.  Each call builds its operator's rule once, for both
-sides, and the rule's barycentric tables serve both.  The right-sided
-integral is the left-sided one of the reversed samples at the reflected
-nodes ``a + b - t``, where the engine samples the cofactor with its
-arguments swapped, and B's rule negates it: the reversed samples'
-derivative is the reversed derivative negated.  A difference kernel
-reflects onto itself, so its tables, profile and weight spectrum serve
-both sides, and its cofactor is sampled once per call, at ``(t_j, a)``.
+a full triangle.  Each call builds its operator's rule, for both sides,
+or inside one catalogue run takes the run's (see ``_two_sided``), and the
+rule's barycentric tables serve both.  The right-sided integral is the
+left-sided one of the reversed samples at the reflected nodes
+``a + b - t``, where the engine samples the cofactor with its arguments
+swapped, and B's rule negates it: the reversed samples' derivative is the
+reversed derivative negated.  A difference kernel reflects onto itself, so
+its tables, profile and weight spectrum serve both sides, and its cofactor
+is sampled once per rule, at ``(t_j, a)``.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .errors import (
     NumericError,
 )
 from .foundation import (
+    _RUN_MEMO,
     Grid,
     SampledFunction,
     _check_endpoints,
@@ -158,7 +160,7 @@ class Kernel:
 
         It is the only way a kernel is sampled.  The right-sided integral
         asks for ``cofactor(tau, t)`` with ``tau >= t`` at the reflected
-        nodes, and a difference-type kernel is asked once per call, for
+        nodes, and a difference-type kernel is asked once per rule, for
         ``cofactor(t_j, a)`` at every node ``t_j``.
 
         Far from the diagonal the engine samples each block at Chebyshev
@@ -312,7 +314,8 @@ def _profile(kernel: Kernel, grid: Grid) -> np.ndarray:
 
 
 def _apply_left(kernel: Kernel, grid: Grid):
-    """Left-sided integral rule, built once per ``_two_sided`` call: a
+    """Left-sided integral rule of ``kernel`` on ``grid``, for any side
+    weights (see ``_two_sided`` for when it is built): a
     function ``rule(rows, out, weight, right)`` that adds ``weight`` times
     each row's values into ``out`` and returns the set of flagged nodes.
     With ``right`` set it is the rule on the reflected interval, which
@@ -396,8 +399,9 @@ def _left_engine(kernel: Kernel, grid: Grid, right: bool, lags, chebyshev: dict,
       ``v * x1``, ``v * x2`` for the whole level, whose lag spectra are
       formed once per level.
 
-    The barycentric tables in ``chebyshev`` are built once per rule and serve
-    both sides.  All that does not depend on the rows is built once per
+    The barycentric tables in ``chebyshev`` depend on block lengths only, so
+    they are built once per rule and serve both sides and every later call
+    of it.  All else that does not depend on the rows is built once per
     call; the rows are summed ``_ROW_GROUP`` at a time.  Returns the
     flagged nodes (NaN in ``into``).
     """
@@ -732,16 +736,22 @@ def _two_sided(p: ParameterSet, kernel: Kernel, grid: Grid, rows: np.ndarray, le
     """``lam * left + mu * right`` of each row of ``rows``, shape
     ``(rows, n + 1)``, with corner patching.
 
-    ``left_rule`` (``_apply_left`` or ``_bapply_left``) builds the rule
-    once, for both sides, and it is handed the whole stack and the output,
-    both reversed for the right side.  With both side weights zero nothing
-    is built and the result is zeros.
+    ``left_rule`` (``_apply_left`` or ``_bapply_left``) builds the rule,
+    which serves both sides and does not depend on ``p``, and it is handed
+    the whole stack and the output, both reversed for the right side.
+    Outside a ``foundation._run_memo`` each call builds its rule; inside
+    one, the rule is kept under ``(left_rule, kernel, grid)`` (kernels and
+    grids compare by value) and built once for the run.  With both side
+    weights zero nothing is built and the result is zeros.
     """
     _check_interval(grid, p.a, p.b)
     n, out, bad = grid.n, np.zeros(rows.shape), set()
     if p.lam == 0.0 and p.mu == 0.0:
         return out
-    rule = left_rule(kernel, grid)
+    memo, key = _RUN_MEMO.get(), (left_rule, kernel, grid)
+    rule = memo[key] if memo is not None and key in memo else left_rule(kernel, grid)
+    if memo is not None:
+        memo[key] = rule
     if p.lam != 0.0:
         bad |= rule(rows, out, p.lam, False)
     if p.mu != 0.0:
@@ -784,7 +794,7 @@ def a_apply(p: ParameterSet, kernel: Kernel, f: SampledFunction) -> SampledFunct
 
 def _bapply_left(kernel: Kernel, grid: Grid):
     """Rule for the left integral of the kernel against the cell derivative
-    of each row, in the form of ``_apply_left``.
+    of each row, in the form of ``_apply_left`` and kept as it is.
 
     The derivative inside the composition is the exact (cellwise
     constant) derivative of the piecewise-linear interpolant, so the
@@ -858,31 +868,36 @@ def classical(op, order: float, f: SampledFunction) -> SampledFunction:
 
     ``order`` is a float in ``(0, 1)``, which the kernel built from it checks.
     """
+    return SampledFunction(f.grid, _classical_rows(op, order, f.grid, f.values[None])[0])
+
+
+def _classical_rows(op, order: float, grid: Grid, rows: np.ndarray) -> np.ndarray:
+    """``classical`` of each row of ``rows``, shape ``(rows, n + 1)``, in one
+    stacked call; each row's values are those of ``classical`` on it alone."""
     try:
         op = ClassicalOp(op)
     except ValueError:
         raise ConfigurationError(f"unknown operator name {op!r}") from None
-    grid = f.grid
     if callable(order):
         raise ConfigurationError(f"{op.value} takes a constant order, not a callable")
 
     left = ParameterSet(grid.a, grid.b, 1.0, 0.0)
     right = ParameterSet(grid.a, grid.b, 0.0, 1.0)
     if op is ClassicalOp.RL_INT_LEFT:
-        return k_apply(left, PowerLawKernel(order, "integral"), f)
+        return _two_sided(left, PowerLawKernel(order, "integral"), grid, rows, _apply_left)
     if op is ClassicalOp.RL_INT_RIGHT:
-        return k_apply(right, PowerLawKernel(order, "integral"), f)
+        return _two_sided(right, PowerLawKernel(order, "integral"), grid, rows, _apply_left)
     if op is ClassicalOp.RL_DER_LEFT:
-        return a_apply(left, PowerLawKernel(order, "derivative"), f)
+        kernel = PowerLawKernel(order, "derivative")
+        return _outside(left, _two_sided(left, kernel, grid, rows, _apply_left), grid.h)
     if op is ClassicalOp.RL_DER_RIGHT:
-        out = a_apply(right, PowerLawKernel(order, "derivative"), f)
-        return SampledFunction(grid, -out.values)
+        kernel = PowerLawKernel(order, "derivative")
+        return -_outside(right, _two_sided(right, kernel, grid, rows, _apply_left), grid.h)
     if op is ClassicalOp.CAPUTO_LEFT:
-        return b_apply(left, PowerLawKernel(order, "derivative"), f)
+        return _two_sided(left, PowerLawKernel(order, "derivative"), grid, rows, _bapply_left)
     if op is ClassicalOp.CAPUTO_RIGHT:
-        out = b_apply(right, PowerLawKernel(order, "derivative"), f)
-        return SampledFunction(grid, -out.values)
-    return k_apply(left, HadamardKernel(order), f)
+        return -_two_sided(right, PowerLawKernel(order, "derivative"), grid, rows, _bapply_left)
+    return _two_sided(left, HadamardKernel(order), grid, rows, _apply_left)
 
 
 def boundedness_constant(order: float, a: float, b: float) -> float:

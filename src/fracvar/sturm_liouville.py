@@ -127,8 +127,9 @@ def _sample_coefficients(problem: SLProblem, grid: Grid):
 
 def _basis_size(m) -> int:
     """``m`` as an int; ``InputError`` unless it is a positive integer (numpy's
-    too) of at most ``_MAX_EIGEN_DIM``, the largest matrix the eigensolver takes."""
-    if not isinstance(m, numbers.Integral) or not 1 <= m <= _MAX_EIGEN_DIM:
+    too, but not a bool) of at most ``_MAX_EIGEN_DIM``, the largest matrix the
+    eigensolver takes."""
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or not 1 <= m <= _MAX_EIGEN_DIM:
         raise InputError(
             f"basis size must be a positive integer at most {_MAX_EIGEN_DIM}, got {m!r}"
         )

@@ -12,6 +12,7 @@ from fracvar import (
     Grid,
     NumericError,
     ParseError,
+    SampledFunction,
     foundation,
     list_experiments,
     operators,
@@ -270,6 +271,31 @@ def spy_lag_tables(monkeypatch):
     return seen
 
 
+LEFT = operators.ParameterSet(0.0, 1.0, 1.0, 0.0)
+EXP_KERNEL = operators.DifferenceKernel(lambda u: np.exp(-u))
+
+
+def spy_rule_builds(monkeypatch):
+    """Every ``(builder, kernel, grid)`` for which ``_apply_left`` or
+    ``_bapply_left`` builds a rule, and the parameter set of every
+    ``_two_sided`` call."""
+    builds, calls = [], []
+    for name in ("_apply_left", "_bapply_left"):
+        def spy(kernel, grid, name=name, real=getattr(operators, name)):
+            builds.append((name, kernel, grid))
+            return real(kernel, grid)
+
+        monkeypatch.setattr(operators, name, spy)
+    real_two_sided = operators._two_sided
+
+    def counting(*args):
+        calls.append(args[0])
+        return real_two_sided(*args)
+
+    monkeypatch.setattr(operators, "_two_sided", counting)
+    return builds, calls
+
+
 def test_a_run_builds_each_lag_table_once_and_read_only(tmp_path, monkeypatch):
     """Inside ``run`` a repeated ``(mu, count)`` gets the same read-only
     arrays; the memo is gone once ``run`` returns."""
@@ -280,24 +306,52 @@ def test_a_run_builds_each_lag_table_once_and_read_only(tmp_path, monkeypatch):
     for mu, count, t1, t2 in seen:
         assert not (t1.flags.writeable or t2.flags.writeable)
         assert first.setdefault((mu, count), t1) is t1
-    assert foundation._LAG_MEMO.get() is None
+    assert foundation._RUN_MEMO.get() is None
 
 
 def test_the_lag_table_memo_is_dropped_when_a_runner_raises(tmp_path, monkeypatch):
+    """A run that raises after building a lag table and a rule keeps neither."""
+    kept = []
+
     def failing(cfg, grid):
         foundation._lag_tables(0.5, 64)
+        operators.k_apply(LEFT, EXP_KERNEL, SampledFunction(grid, np.ones(grid.n + 1)))
+        kept.extend(foundation._RUN_MEMO.get())
         raise NumericError("runner failed")
 
     monkeypatch.setitem(_EXPERIMENTS, "noether", _EXPERIMENTS["noether"]._replace(runner=failing))
     with pytest.raises(NumericError):
-        run(parse_config(json.dumps({"experiment": "noether", "output_dir": str(tmp_path)})))
-    assert foundation._LAG_MEMO.get() is None
+        run(parse_config(json.dumps({"experiment": "noether", "n": 64, "output_dir": str(tmp_path)})))
+    assert (0.5, 64) in kept and (operators._apply_left, EXP_KERNEL, Grid(0.0, 1.0, 64)) in kept
+    assert foundation._RUN_MEMO.get() is None
 
 
 def test_lag_tables_outside_a_run_are_built_afresh():
     first, again = foundation._lag_tables(0.6, 64), foundation._lag_tables(0.6, 64)
     for a, b in zip(first, again):
         assert a is not b and a.flags.writeable and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("experiment, rules, uses, sides",
+                         [("ops-identities", 18, 39, 2), ("ibp-suite", 1, 40, 7)])
+def test_a_run_builds_each_rule_once(tmp_path, monkeypatch, experiment, rules, uses, sides):
+    """Inside ``run`` each distinct ``(builder, kernel, grid)`` builds its
+    rule once, whatever the side weights: ``ops-identities`` builds six
+    rules for each of its three orders and uses them in 13 calls, and
+    ``ibp-suite``'s 40 calls, under seven side weights, share one rule."""
+    builds, calls = spy_rule_builds(monkeypatch)
+    run(parse_config(json.dumps({"experiment": experiment, "n": 256, "output_dir": str(tmp_path)})))
+    assert len(set(builds)) == len(builds) == rules
+    assert len(calls) == uses and len(set(calls)) == sides
+    assert foundation._RUN_MEMO.get() is None
+
+
+def test_rules_outside_a_run_are_built_afresh(monkeypatch):
+    builds, _ = spy_rule_builds(monkeypatch)
+    f = SampledFunction(Grid(0.0, 1.0, 64), np.ones(65))
+    first = operators.k_apply(LEFT, EXP_KERNEL, f)
+    assert np.array_equal(first.values, operators.k_apply(LEFT, EXP_KERNEL, f).values)
+    assert builds == [("_apply_left", EXP_KERNEL, f.grid)] * 2
 
 
 def test_cli_rejects_an_oversized_schedule_before_any_work(tmp_path, capsys, monkeypatch):

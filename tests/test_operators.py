@@ -49,6 +49,7 @@ from fracvar.operators import (
     Kernel,
     _apply_left,
     _bapply_left,
+    _classical_rows,
     _far_factors,
     _far_interpolants,
     _mend_row,
@@ -1357,6 +1358,17 @@ def test_classical_dispatch_errors():
         for op in ClassicalOp:
             with pytest.raises(DomainError, match=r"order must lie in \(0, 1\)"):
                 classical(op, order, f)
+
+
+@pytest.mark.parametrize("n", [4096, 2048])
+def test_stacked_classical_rows_match_per_row_calls_bit_for_bit(n):
+    """``_classical_rows`` on a stack gives each row the bits of ``classical``
+    on that row alone, for every operator."""
+    g = Grid(0.5, 2.0, n)
+    rows = np.random.default_rng(n).uniform(-1, 1, (4, n + 1))
+    for op in ClassicalOp:
+        per_row = [classical(op, 0.35, SampledFunction(g, row)).values for row in rows]
+        assert np.array_equal(_classical_rows(op, 0.35, g, rows), per_row)
 
 
 # --- norm constant ----------------------------------------------------------

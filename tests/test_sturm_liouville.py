@@ -87,12 +87,14 @@ def test_basis_validation():
 
 
 def test_basis_sizes_must_be_integers():
-    """A fractional basis size is an ``InputError`` naming it, in the build,
-    in ``solve_spectrum`` and in each entry of a ``converge`` schedule;
-    numpy integers pass."""
+    """A fractional or bool basis size is an ``InputError`` naming it, in the
+    build, in ``solve_spectrum`` and in each entry of a ``converge``
+    schedule; numpy integers pass."""
     grid, problem = Grid(0.0, math.pi, 512), constant_problem(0.75)
     with pytest.raises(InputError, match="2.5"):
         RitzBasis.build(problem, 2.5, grid)
+    with pytest.raises(InputError, match="True"):
+        RitzBasis.build(problem, True, grid)
     with pytest.raises(InputError, match="2.5"):
         solve_spectrum(problem, 2.5, 2, grid)
     with pytest.raises(InputError, match="4.7"):

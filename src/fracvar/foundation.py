@@ -312,34 +312,11 @@ def cumulative_trapezoid(f: SampledFunction) -> SampledFunction:
     return SampledFunction(f.grid, out)
 
 
-def _power_diff(m: np.ndarray, p: float) -> np.ndarray:
-    """Stable ``m**p - (m-1)**p`` for integer arrays ``m >= 1``."""
-    out = np.empty(m.shape, dtype=float)
-    first = m == 1
-    out[first] = 1.0
-    rest = m[~first].astype(float)
-    out[~first] = rest ** p * (-np.expm1(p * np.log1p(-1.0 / rest)))
-    return out
-
-
-def _pi_coefficients(mu: float, count: int):
-    """Product-integration building blocks ``A(m)`` and ``B(m)``.
-
-    For the moving-endpoint integral of ``(t_j - tau)**(mu - 1)`` against a
-    piecewise-linear interpolant, define (with ``m`` counting cells back
-    from the endpoint)
-
-        A(m) = (m**mu - (m-1)**mu) / mu
-        S(m) = (m**(mu+1) - (m-1)**(mu+1)) / (mu + 1)
-        B(m) = m * A(m) - S(m)
-
-    Returns arrays of ``A(1..count)`` and ``B(1..count)``.
-    """
-    m = np.arange(1, count + 1)
-    a = _power_diff(m, mu) / mu
-    s = _power_diff(m, mu + 1.0) / (mu + 1.0)
-    b = m * a - s
-    return a, b
+#: ``j = 1..55``, the moments ``1/((j + 1)(j + 2))`` and ``1/(j + 2)`` that weigh
+#: term ``j`` of ``_lag_tables``, and ``m**-(j - 9)`` for ``m = 2..63``, ``j = 55..10``
+_J = np.arange(1.0, 56.0)
+_MOMENTS = 1.0 / np.array([(_J + 1.0) * (_J + 2.0), _J + 2.0])
+_TAIL_POWERS = np.arange(2.0, 64.0) ** -_J[45::-1, None]
 
 
 #: what one run has built so far, while a ``_run_memo`` is open: lag tables
@@ -360,17 +337,39 @@ def _run_memo():
 
 
 def _lag_tables(mu: float, count: int):
-    """Lag tables ``T1[k] = A(k) - B(k)`` (``T1[0] = 0``) and ``T2[k] = B(k + 1)``,
-    ``k < count``: row ``j`` weighs node ``i > 0`` by ``T1[j - i] + T2[j - i]``.
+    """Lag tables ``T1[k] = int_0^1 (1 - s) (k - s)**(mu - 1) ds`` and
+    ``T2[k] = int_0^1 (1 - s) (k + s)**(mu - 1) ds``, ``k < count``, the
+    halves of a hat function: row ``j`` weighs node ``i > 0`` by
+    ``T1[j - i] + T2[j - i]`` and node 0 by ``T1[j]``.
+
+    ``T1[0] = 0``, ``T1[1] = 1/(mu + 1)``, ``T2[0] = 1/(mu (mu + 1))``; past
+    them, with ``m = k`` (``T1``) or ``k + 1`` (``T2``), the binomial series
+    ``m**(mu - 1) sum_j (1 - mu)_j / j! c_j m**-j``, ``c_j = 1/((j + 1)(j + 2))``
+    (``T1``) or ``1/(j + 2)`` (``T2``).  No term is negative, so nothing
+    cancels: each entry is within 2 eps of the integral, and at ``mu = 1``
+    exactly 1/2.  Terms add smallest first: below ``m = 64`` the terms
+    ``j = 55..10`` from ``_TAIL_POWERS`` (``2**-55 < 3e-17``), then Horner's
+    rule for ``j = 9..1``, each where ``m**-j >= 2**-60``.
     Inside a ``_run_memo`` each pair is built once and is read-only."""
     memo = _RUN_MEMO.get()
     if memo is not None and (mu, count) in memo:
         return memo[mu, count]
-    a, b = _pi_coefficients(mu, count)
-    tables = np.concatenate(([0.0], a[:-1] - b[:-1])), b
+    c = np.cumprod((_J - mu) / _J) * _MOMENTS  # r_j c_j, j >= 1: T1's row, then T2's
+    sums = np.zeros((2, count + 1))  # column m: both series at m
+    sums[:, 2:64] = np.add.reduce(c[:, :8:-1, None] * _TAIL_POWERS[:, : count - 1], axis=1)
+    m = np.arange(2.0, count + 1)
+    x = 1.0 / m
+    for j in range(9, 0, -1):
+        part = sums[:, 2 : int(2.0 ** (60 / j))]
+        part += c[:, j - 1 : j]
+        part *= x[: part.shape[1]]
+    sums += 0.5  # c_0
+    sums[:, 2:] *= m**mu / m
+    sums[0, :2] = 0.0, 1.0 / (mu + 1.0)
+    sums[1, 1] = 1.0 / (mu * (mu + 1.0))
+    sums.flags.writeable = memo is None
+    tables = sums[0, :count], sums[1, 1:]
     if memo is not None:
-        for table in tables:
-            table.flags.writeable = False
         memo[mu, count] = tables
     return tables
 
@@ -399,13 +398,13 @@ def singular_weights(mu: float, grid: Grid, j: int) -> np.ndarray:
     """
     if not 0.0 < mu <= 1.0:
         raise DomainError(f"mu must lie in (0, 1], got {mu}")
-    if j < 0 or j > grid.n:
-        raise InputError(f"node index {j} outside 0..{grid.n}")
+    if isinstance(j, bool) or not isinstance(j, numbers.Integral) or not 0 <= j <= grid.n:
+        raise InputError(f"node index must be an integer in 0..{grid.n}, got {j!r}")
     if j == 0:
         return np.zeros(0)
     t1, t2 = _lag_tables(mu, j + 1)
     w = t1[::-1] + t2[::-1]
-    w[0] = t1[j]  # node 0 has no B(j + 1) part
+    w[0] = t1[j]  # node 0 has no T2 part
     return w * grid.h ** mu
 
 

@@ -347,7 +347,7 @@ def _apply_left(kernel: Kernel, grid: Grid):
     def rule(rows, out, weight, right):
         if kernel.is_difference:
             return _grouped(values, rows, out, weight)
-        # the first node's weight has no B(j + 1) part
+        # the first node's weight has no T2 part
         tail = np.pad(rows[:, 1:], ((0, 0), (1, 0)))
         return _left_engine(kernel, grid, right, lags, chebyshev, rows, tail, h ** mu, out, weight)
 
@@ -388,11 +388,10 @@ def _left_engine(kernel: Kernel, grid: Grid, right: bool, lags, chebyshev: dict,
     declared singularity exponent ``s``:
 
     - ``s == 0``: every far block has lag >= 1, where a bounded kernel's
-      weights are the trapezoid's, ``T1 = T2 = 1/2`` (which the tables
-      hold only to about ``eps * lag``).  So the block's
-      interpolant (``_far_interpolants``) acts on ``(x1 + x2) / 2`` over
-      its columns, O(_CHEB * (rows + columns)) per row, with no SVD and no
-      FFT.
+      weights are the trapezoid's, ``T1 = T2 = 1/2``, as the tables hold
+      them.  So the block's interpolant (``_far_interpolants``) acts on
+      ``(x1 + x2) / 2`` over its columns, O(_CHEB * (rows + columns)) per
+      row, with no SVD and no FFT.
     - ``s > 0``: ``_far_factors`` recompresses the interpolant by SVD to a
       few rows and columns ``u.T @ v``, and the lag weights are applied
       exactly, as one FFT middle product of ``T1``, ``T2`` against

@@ -125,13 +125,13 @@ def _sample_coefficients(problem: SLProblem, grid: Grid):
     return p, q, w
 
 
-def _basis_size(m) -> int:
-    """``m`` as an int; ``InputError`` unless it is a positive integer (numpy's
-    too, but not a bool) of at most ``_MAX_EIGEN_DIM``, the largest matrix the
-    eigensolver takes."""
+def _basis_size(m, what: str = "basis size") -> int:
+    """``m`` as an int; ``InputError`` naming ``what`` unless it is a
+    positive integer (numpy's too, but not a bool) of at most
+    ``_MAX_EIGEN_DIM``, the largest matrix the eigensolver takes."""
     if isinstance(m, bool) or not isinstance(m, numbers.Integral) or not 1 <= m <= _MAX_EIGEN_DIM:
         raise InputError(
-            f"basis size must be a positive integer at most {_MAX_EIGEN_DIM}, got {m!r}"
+            f"{what} must be a positive integer at most {_MAX_EIGEN_DIM}, got {m!r}"
         )
     return int(m)
 
@@ -229,7 +229,8 @@ def solve_spectrum(problem: SLProblem, m: int, r: int, grid: Optional[Grid] = No
     Without an explicit grid, a grid fine enough for ``m`` modes is
     chosen automatically.
     """
-    if not 1 <= r <= m:
+    m, r = _basis_size(m), _basis_size(r, "number of eigenpairs")
+    if r > m:
         raise InputError(f"requested {r} eigenpairs from an m={m} basis")
     basis, matrix, c = _ritz_system(problem, m, grid)
     vals, vecs = symmetric_eigen(matrix)
@@ -271,6 +272,7 @@ def converge(
     schedule = [_basis_size(m) for m in m_schedule]
     if len(schedule) < 2 or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise InputError("m_schedule must be strictly increasing with at least two entries")
+    r = _basis_size(r, "number of eigenpairs")
     if r > schedule[0]:
         raise InputError(f"r={r} exceeds the smallest basis size {schedule[0]}")
     _, full, c = _ritz_system(problem, schedule[-1], grid)

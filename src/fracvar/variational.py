@@ -54,23 +54,28 @@ _SELF_CHECK_POINTS = 100
 _FD_SCALE = 1e-6
 
 
-def _at_points(fn: Callable, *args: np.ndarray) -> np.ndarray:
-    """``fn`` at each point of the equal-length arrays ``args``: one array
-    call, or, for a callable that raises on arrays or returns the wrong
-    shape, one call per point, with NaN where that call raises."""
-    try:
-        out = np.asarray(fn(*args), dtype=float)
-        if out.shape == args[0].shape:
-            return out
-    except Exception:
-        pass
-    out = np.empty(args[0].shape)
-    for p, point in enumerate(zip(*args)):
+def _fd_partial(f: Callable, i: int, x1, x2, x3, x4, t) -> np.ndarray:
+    """Central difference of ``f`` in slot ``i + 1``, with step
+    ``_FD_SCALE * (1 + |x_i|)``."""
+    args = [x1, x2, x3, x4]
+    e = _FD_SCALE * (1.0 + np.abs(args[i]))
+    hi = list(args)
+    lo = list(args)
+    hi[i] = args[i] + e
+    lo[i] = args[i] - e
+    return (_evaluate(f, *hi, t) - _evaluate(f, *lo, t)) / (2.0 * e)
+
+
+def _nan_where_raising(fn: Callable) -> Callable:
+    """``fn``, returning NaN where a call raises or a scalar result is not
+    a real number."""
+    def call(*args):
         try:
-            out[p] = float(fn(*point))
+            out = fn(*args)
+            return out if np.ndim(out) else float(out)
         except Exception:
-            out[p] = math.nan
-    return out
+            return math.nan
+    return call
 
 
 @dataclass(frozen=True)
@@ -112,10 +117,11 @@ class Lagrangian:
         points = rng.uniform([-2.0] * 4 + [0.0], [2.0] * 4 + [1.0], size=(_SELF_CHECK_POINTS, 5))
         args = tuple(points.T)
         analytic = [(i, d) for i, d in enumerate(self._analytic) if d is not None]
-        got = np.array([_at_points(d, *args) for _, d in analytic])
-        want = np.array([self._fd_partial(i, *args, evaluate=_at_points) for i, _ in analytic])
-        usable = np.isfinite(got) & np.isfinite(want)
-        with np.errstate(invalid="ignore"):  # inf - inf at points that are skipped anyway
+        f = _nan_where_raising(self.f)
+        with np.errstate(invalid="ignore"):  # NaN and inf - inf at points that are skipped anyway
+            got = np.array([_evaluate(_nan_where_raising(d), *args) for _, d in analytic])
+            want = np.array([_fd_partial(f, i, *args) for i, _ in analytic])
+            usable = np.isfinite(got) & np.isfinite(want)
             off = usable & (np.abs(got - want) > 1e-4 * (1.0 + np.abs(got) + np.abs(want)))
         stop = off | ~usable
         first = stop.argmax(axis=0)  # the partial each point stops at, if it stops
@@ -135,15 +141,6 @@ class Lagrangian:
     def _analytic(self):
         return (self.d1, self.d2, self.d3, self.d4)
 
-    def _fd_partial(self, i, x1, x2, x3, x4, t, evaluate=_evaluate):
-        args = [x1, x2, x3, x4]
-        e = _FD_SCALE * (1.0 + np.abs(args[i]))
-        hi = list(args)
-        lo = list(args)
-        hi[i] = args[i] + e
-        lo[i] = args[i] - e
-        return (evaluate(self.f, *hi, t) - evaluate(self.f, *lo, t)) / (2.0 * e)
-
     def value(self, x1, x2, x3, x4, t) -> np.ndarray:
         return _evaluate(self.f, x1, x2, x3, x4, t)
 
@@ -153,7 +150,7 @@ class Lagrangian:
         d = self._analytic[i]
         if d is not None:
             return _evaluate(d, x1, x2, x3, x4, t)
-        return np.asarray(self._fd_partial(i, x1, x2, x3, x4, t), dtype=float)
+        return np.asarray(_fd_partial(self.f, i, x1, x2, x3, x4, t), dtype=float)
 
     def partials(self, x1, x2, x3, x4, t):
         """All four slot derivatives along sample arrays."""

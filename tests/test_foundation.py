@@ -29,7 +29,7 @@ from fracvar import (
     symmetric_eigen,
     trapezoid,
 )
-from fracvar.foundation import _mittag_leffler_mp, _pi_coefficients
+from fracvar.foundation import _lag_tables, _mittag_leffler_mp
 
 st_mu = st.floats(0.05, 0.95)
 st_dim = st.integers(2, 12)
@@ -459,19 +459,20 @@ def test_singular_weights_domain():
     g = Grid(0.0, 1.0, 8)
     with pytest.raises(DomainError):
         singular_weights(1.5, g, 4)
-    with pytest.raises(InputError):
-        singular_weights(0.5, g, 9)
+    for bad in (9, -1, 2.5, True):
+        with pytest.raises(InputError, match="node index"):
+            singular_weights(0.5, g, bad)
+    assert np.array_equal(singular_weights(0.5, g, np.int64(4)), singular_weights(0.5, g, 4))
 
 
-def _row_weights(j, a_coef, b_coef):
-    """Unscaled row-``j`` weights straight from ``A`` and ``B``: node 0
-    ``A(j) - B(j)``, inner node ``i`` ``A(j - i) - B(j - i) + B(j - i + 1)``,
-    node ``j`` ``B(1)``."""
+def _row_weights(j, t1, t2):
+    """Unscaled row-``j`` weights straight from the lag tables: node 0
+    ``T1[j]``, inner node ``i`` ``T1[j - i] + T2[j - i]``, node ``j``
+    ``T2[0]``."""
     w = np.empty(j + 1)
-    w[j] = b_coef[0]
-    w[0] = a_coef[j - 1] - b_coef[j - 1]
-    if j >= 2:
-        w[1:j] = (a_coef[j - 2::-1] - b_coef[j - 2::-1]) + b_coef[j - 1:0:-1]
+    w[j] = t2[0]
+    w[0] = t1[j]
+    w[1:j] = t1[j - 1:0:-1] + t2[j - 1:0:-1]
     return w
 
 
@@ -479,51 +480,50 @@ def _row_weights(j, a_coef, b_coef):
 @pytest.mark.parametrize("j", [1, 2, 3, 17, 1024])
 def test_singular_weights_match_the_row_formula_bit_for_bit(mu, j):
     """The weights read the operators' lag tables; the direct row formula
-    from ``A`` and ``B`` is the oracle."""
+    from ``T1`` and ``T2`` is the oracle."""
     g = Grid(0.0, 1.0, 1024)
-    want = _row_weights(j, *_pi_coefficients(mu, j)) * g.h ** mu
+    want = _row_weights(j, *_lag_tables(mu, j + 1)) * g.h ** mu
     assert np.array_equal(singular_weights(mu, g, j), want)
 
 
 _EPS = np.finfo(float).eps
 
 
-def _mp_coefficients(mu, m):
-    """``A(m)`` and ``B(m)`` of ``_pi_coefficients`` in 50-digit mpmath,
-    with ``mu`` and ``m`` formed in mpmath."""
+def _mp_tables(mu, k):
+    """``T1[k] = int_0^1 (1 - s) (k - s)**(mu - 1) ds`` (``k >= 1``) and
+    ``T2[k] = int_0^1 (1 - s) (k + s)**(mu - 1) ds`` in closed form, in
+    50-digit mpmath with ``mu`` and ``k`` formed in mpmath.  The closed
+    forms cancel about ``log10(k) + 1`` digits, which leaves over 40."""
     with mp.workdps(50):
-        mu, m = mp.mpf(mu), mp.mpf(int(m))
-        a = (m**mu - (m - 1) ** mu) / mu
-        return a, m * a - (m ** (mu + 1) - (m - 1) ** (mu + 1)) / (mu + 1)
+        mu, k = mp.mpf(mu), mp.mpf(int(k))
+        t1 = ((k ** (mu + 1) - (k - 1) ** (mu + 1)) / (mu + 1)
+              - (k - 1) * (k**mu - (k - 1) ** mu) / mu)
+        t2 = ((k + 1) * ((k + 1) ** mu - k**mu) / mu
+              - ((k + 1) ** (mu + 1) - k ** (mu + 1)) / (mu + 1))
+        return t1, t2
 
 
 def test_lag_coefficients_against_a_50_digit_reference():
-    """``A(m)`` is accurate to a few eps relative; ``B(m) = m A(m) - S(m)``
-    subtracts two terms near ``m**mu`` to leave about ``m**(mu - 1) / 2``,
-    so it loses about ``log10(2m)`` digits.  Over every ``m <= 32768`` this
-    code measured ``A`` to 5.0e-16 relative and ``B`` to 6.9e-11 (mu =
-    0.3), 3.9e-11 (0.75) and 2.2e-11 (1), at most 10.1 eps m.  At mu = 1
-    the tables should be the trapezoid's, ``T1 = T2 = 1/2`` past lag 0,
-    and deviate from it by up to 1.09e-11.  The bounds here are 4 eps for
-    ``A`` and 16 eps m for ``B``, checked against mpmath on the first 64
-    and the last 256 ``m`` (where the worst values lie), and against the
-    closed form ``A = 1``, ``B = 1/2`` on every ``m`` at mu = 1.  A stable
-    form of ``B`` would tighten both, and the last line, which pins the
-    loss at mu = 1, would then fail."""
-    count = 32768
-    m = np.concatenate((np.arange(1, 65), np.arange(count - 255, count + 1)))
-    for mu in (0.3, 0.75):
-        a, b = _pi_coefficients(mu, count)
-        for k in m:
-            want_a, want_b = _mp_coefficients(mu, k)
-            assert abs(float((a[k - 1] - want_a) / want_a)) <= 4 * _EPS
-            assert abs(float((b[k - 1] - want_b) / want_b)) <= 16 * _EPS * k
-    a, b = _pi_coefficients(1.0, count)
-    m = np.arange(1, count + 1)
-    assert np.all(np.abs(a - 1.0) <= 4 * _EPS)
-    loss = np.abs(b - 0.5) / 0.5
-    assert np.all(loss <= 16 * _EPS * m)
-    assert loss.max() > 1e-11
+    """Every term of the series ``_lag_tables`` sums is at least 0, so no
+    digit cancels.  Against 50-digit mpmath, on the first 64 lags, the
+    last 256 up to 32768 and every ``2**k +- 1`` below, both tables are
+    within 4 eps relative at six ``mu`` (this code measured 1.5 eps); at
+    ``mu = 1`` they are the trapezoid's exactly, ``T1[0] = 0`` and every
+    other entry 1/2."""
+    count = 32769
+    lags = np.unique(np.concatenate((
+        np.arange(64), np.arange(count - 256, count),
+        [2**e + d for e in range(1, 16) for d in (-1, 1) if 2**e + d < count],
+    )))
+    for mu in (0.05, 0.3, 0.5, 0.75, 0.9, 1.0):
+        t1, t2 = _lag_tables(mu, count)
+        for k in lags:
+            want1, want2 = _mp_tables(mu, k)
+            if k >= 1:
+                assert abs(float((t1[k] - want1) / want1)) <= 4 * _EPS
+            assert abs(float((t2[k] - want2) / want2)) <= 4 * _EPS
+    t1, t2 = _lag_tables(1.0, count)
+    assert t1[0] == 0.0 and np.all(t1[1:] == 0.5) and np.all(t2 == 0.5)
 
 
 def test_singular_weights_near_one_recover_trapezoid():

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import warnings
@@ -39,7 +40,6 @@ from fracvar import (
     verify_semigroup,
 )
 from fracvar import operators
-from fracvar.foundation import _pi_coefficients
 from fracvar.experiments import counterexample_kernel
 from fracvar.operators import (
     _CHEB,
@@ -229,16 +229,41 @@ def test_corner_fit_window_that_reaches_the_other_corner_raises():
 
 
 @pytest.mark.parametrize("n,digest", [
-    (8, "9b29cc28bc35162d77eabcbb8f1a11237868072cd90170774e0d814591cc86de"),
-    (16, "a3fdc2fbb5e0b2af118fd190483052967522804eba467579bda85035dc81b871"),
-])
+    (8, "1049280ba24214714aedd69022c962392973248593fbda8997c2848801b9cac8"),
+    (16, "eb6a25e867efadb31a001f0382d0fba3534ff370a5316d9c5086c91c55279e96"),
+], ids=["8", "16"])
 def test_smallest_patched_grids_keep_their_bits(n, digest):
-    """The SHA-256 of the patched counterexample output, from before the
-    fit-window check."""
+    """The SHA-256 of the patched counterexample output, taken with the
+    lag tables that hold the trapezoid's 1/2 exactly."""
     g = Grid(0.0, 1.0, n)
     with pytest.warns(CornerExtrapolationWarning):
         out = k_apply(ParameterSet(0.0, 1.0, 1.0, -1.0), counterexample_kernel(), SampledFunction(g, np.ones(n + 1)))
     assert hashlib.sha256(out.values.tobytes()).hexdigest() == digest
+
+
+# --- lag tables of the oracles ---------------------------------------------
+
+
+@functools.cache
+def _oracle_tables(mu, count):
+    """``T1[k] = int_0^1 (1 - s) (k - s)**(mu - 1) ds`` and ``T2[k] =
+    int_0^1 (1 - s) (k + s)**(mu - 1) ds`` for ``k < count``, formed apart
+    from ``_lag_tables``: 20-point Gauss-Legendre where the integrand is
+    smooth on [0, 1] (its singularity at least 1 away, so the rule is
+    exact to round-off) and the closed forms ``T1[0] = 0``,
+    ``T1[1] = 1/(mu + 1)`` and ``T2[0] = 1/(mu (mu + 1))``.  Built once
+    per ``(mu, count)`` and read-only."""
+    x, w = np.polynomial.legendre.leggauss(20)
+    s, w = (x + 1.0) / 2.0, w * (1.0 - x) / 4.0  # the nodes on [0, 1]; w carries 1 - s
+    k = np.arange(count)[:, None]
+    with np.errstate(invalid="ignore"):  # T1 at lag 0, set below
+        t1 = (k - s) ** (mu - 1.0) @ w
+    t2 = (k + s) ** (mu - 1.0) @ w
+    t1[:2] = 0.0, 1.0 / (mu + 1.0)
+    t2[0] = 1.0 / (mu * (mu + 1.0))
+    for table in (t1, t2):
+        table.flags.writeable = False
+    return t1, t2
 
 
 # --- FFT convolution against the direct oracle -----------------------------
@@ -251,20 +276,16 @@ def test_smallest_patched_grids_keep_their_bits(n, digest):
 # error is absolute, so the bound is 1e-14 times that scale.
 
 
-def _direct_tables(kernel, grid, count):
+def _direct_tables(kernel, grid):
     mu = 1.0 - kernel.singularity_exponent
-    a_coef, b_coef = _pi_coefficients(mu, count)
-    return mu, a_coef, b_coef, kernel.cofactor(grid.nodes, grid.a)
+    return mu, *_oracle_tables(mu, grid.n + 1), kernel.cofactor(grid.nodes, grid.a)
 
 
 def _direct_k_left(kernel, grid, fv):
     n, h = grid.n, grid.h
-    mu, a_coef, b_coef, prof = _direct_tables(kernel, grid, n + 1)
-    weights = np.empty(n + 1)
-    weights[0] = b_coef[0]
-    weights[1:] = (a_coef[:n] - b_coef[:n]) + b_coef[1:]
-    wp = weights * prof
-    out = h**mu * (np.convolve(fv, wp)[: n + 1] - b_coef * prof * fv[0])
+    mu, t1, t2, prof = _direct_tables(kernel, grid)
+    wp = (t1 + t2) * prof
+    out = h**mu * (np.convolve(fv, wp)[: n + 1] - t2 * prof * fv[0])
     out[0] = 0.0
     return out, h**mu * np.abs(fv).max() * np.abs(wp).sum()
 
@@ -272,8 +293,8 @@ def _direct_k_left(kernel, grid, fv):
 def _direct_b_left(kernel, grid, fv):
     n, h = grid.n, grid.h
     df = np.diff(fv)
-    mu, a_coef, b_coef, prof = _direct_tables(kernel, grid, n)
-    cell = prof[1:] * (a_coef - b_coef) + prof[:-1] * b_coef
+    mu, t1, t2, prof = _direct_tables(kernel, grid)
+    cell = prof[1:] * t1[1:] + prof[:-1] * t2[:-1]
     out = np.zeros(n + 1)
     out[1:] = h ** (mu - 1.0) * np.convolve(df, cell)[:n]
     return out, h ** (mu - 1.0) * np.abs(df).max() * np.abs(cell).sum()
@@ -493,16 +514,14 @@ def _lag_windows(table):
     return lambda lo, hi: sliding_window_view(padded, hi)[count - hi : count - lo][::-1]
 
 
-def _row_left(cofactor, s, grid, fv, coefficients):
+def _row_left(cofactor, s, grid, fv, tables):
     """Values (NaN where flagged) and row absolute sums ``R_j`` of the left
-    K and B rules, as columns 0 and 1, and the flagged nodes, with ``A``
-    and ``B`` from ``coefficients`` (``_pi_coefficients`` or
-    ``_trapezoid_coefficients``)."""
+    K and B rules, as columns 0 and 1, and the flagged nodes, with ``T1``
+    and ``T2`` from ``tables`` (``_oracle_tables`` or
+    ``_trapezoid_tables``)."""
     n, h, t = grid.n, grid.h, grid.nodes
     mu = 1.0 - s
-    a_coef, b_coef = coefficients(mu, n + 1)
-    t1 = _lag_windows(np.concatenate(([0.0], a_coef[:n] - b_coef[:n])))
-    t2 = _lag_windows(b_coef)
+    t1, t2 = map(_lag_windows, tables(mu, n + 1))
     df = np.diff(fv)
     x1 = np.stack((fv, np.append(df, 0.0)), axis=1)
     x2 = np.stack((np.insert(fv[1:], 0, 0.0), np.insert(df, 0, 0.0)), axis=1)
@@ -519,15 +538,15 @@ def _row_left(cofactor, s, grid, fv, coefficients):
     return scale * out, scale * size, flagged
 
 
-def _trapezoid_coefficients(mu, count):
-    """The closed form of ``_pi_coefficients`` at ``mu = 1``: ``A(m) = 1``
-    and ``B(m) = 1/2``, the trapezoid's weights, which the computed
-    tables carry only to about ``eps * m``."""
+def _trapezoid_tables(mu, count):
+    """The lag tables at ``mu = 1`` in closed form, the trapezoid's
+    weights: ``T1[0] = 0`` and every other entry of ``T1`` and ``T2`` 1/2.
+    The quadrature of ``_oracle_tables`` carries them to about eps."""
     assert mu == 1.0
-    return np.ones(count), np.full(count, 0.5)
+    return np.insert(np.full(count - 1, 0.5), 0, 0.0), np.full(count, 0.5)
 
 
-def _row_two_sided(p, kernel, f, relative=1e-12, coefficients=_pi_coefficients):
+def _row_two_sided(p, kernel, f, relative=1e-12, tables=_oracle_tables):
     """Oracle values, per-node bounds ``relative * R_j`` of K and B
     (columns 0 and 1) and flagged nodes.  B's right side carries the sign
     of the reversed derivative."""
@@ -535,7 +554,7 @@ def _row_two_sided(p, kernel, f, relative=1e-12, coefficients=_pi_coefficients):
     ab = grid.a + grid.b
     out, size, flagged = np.zeros((n + 1, 2)), np.zeros((n + 1, 2)), set()
     if p.lam != 0.0:
-        vals, sums, flags = _row_left(kernel.cofactor, s, grid, f.values, coefficients)
+        vals, sums, flags = _row_left(kernel.cofactor, s, grid, f.values, tables)
         out += p.lam * vals
         size += abs(p.lam) * sums
         flagged.update(flags)
@@ -544,7 +563,7 @@ def _row_two_sided(p, kernel, f, relative=1e-12, coefficients=_pi_coefficients):
         def reflected(x, y):
             return kernel.cofactor(ab - np.asarray(y), ab - np.asarray(x))
 
-        vals, sums, flags = _row_left(reflected, s, grid, f.values[::-1].copy(), coefficients)
+        vals, sums, flags = _row_left(reflected, s, grid, f.values[::-1].copy(), tables)
         out += np.array([1.0, -1.0]) * p.mu * vals[::-1]
         size += abs(p.mu) * sums[::-1]
         flagged.update(n - j for j in flags)
@@ -564,8 +583,8 @@ def _engine_two_sided(p, kernel, f, left_rule):
     return out[0], flagged
 
 
-def _assert_engine_matches_oracle(p, kernel, f, relative=1e-12, coefficients=_pi_coefficients):
-    oracle, bounds, want_flags = _row_two_sided(p, kernel, f, relative, coefficients)
+def _assert_engine_matches_oracle(p, kernel, f, relative=1e-12, tables=_oracle_tables):
+    oracle, bounds, want_flags = _row_two_sided(p, kernel, f, relative, tables)
     for engine, want, bound in zip((_apply_left, _bapply_left), oracle.T, bounds.T):
         got, got_flags = _engine_two_sided(p, kernel, f, engine)
         assert got_flags == want_flags
@@ -652,15 +671,14 @@ def test_two_sided_counterexample_at_a_ragged_n_matches_the_row_oracle():
     engine's two-sided K and B meet the row oracle's bound, 1e-12 of each
     row's absolute sum ``R_j``.  Against the oracle with the closed-form
     trapezoid weights, which the engine applies in every compressed block,
-    they meet 1e-14 ``R_j``.  K is 3.2e-14 ``R_j`` from the first oracle
-    and 4.0e-15 from the second: the lag tables that the first shares are
-    off 1/2 by up to 1e-12 at this n (see
-    ``test_lag_coefficients_against_a_50_digit_reference``)."""
+    they meet 1e-14 ``R_j``.  The engine's tables and both oracles' hold
+    the lag weights 1/2 to eps, and K and B were 1.4e-16 ``R_j`` from
+    either oracle when this was written."""
     g = Grid(0.0, 1.0, 4500)
     f = SampledFunction(g, np.random.default_rng(4500).uniform(-1, 1, 4501))
     p = ParameterSet(0.0, 1.0, 1.0, -1.0)
     _assert_engine_matches_oracle(p, counterexample_kernel(), f)
-    _assert_engine_matches_oracle(p, counterexample_kernel(), f, 1e-14, _trapezoid_coefficients)
+    _assert_engine_matches_oracle(p, counterexample_kernel(), f, 1e-14, _trapezoid_tables)
 
 
 def _record_calls(monkeypatch, targets):

@@ -199,6 +199,9 @@ def test_solve_spectrum_rank_validation():
         solve_spectrum(constant_problem(0.75), 4, 5)
     with pytest.raises(InputError):
         solve_spectrum(constant_problem(0.75), 4, 0)
+    for r in (True, 2.0):
+        with pytest.raises(InputError, match=f"eigenpairs.*{r}"):
+            solve_spectrum(constant_problem(0.75), 8, r, Grid(0.0, math.pi, 512))
 
 
 def test_solve_spectrum_checks_rank_before_building_the_basis(monkeypatch):
@@ -402,6 +405,9 @@ def test_converge_schedule_validation():
         converge(constant_problem(1.0), (4,), 1)
     with pytest.raises(InputError):
         converge(constant_problem(1.0), (2, 4), 3)
+    for r in (True, 2.0):
+        with pytest.raises(InputError, match=f"eigenpairs.*{r}"):
+            converge(constant_problem(0.75), (4, 8), r, Grid(0.0, math.pi, 512))
 
 
 # --- direct minimization ------------------------------------------------------------------

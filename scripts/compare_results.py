@@ -9,11 +9,11 @@ and the largest absolute and relative change (relative to the value under
 ROOT_A), then how many of its ``.csv`` and ``.dat`` files differ byte for
 byte (by SHA-256 digest).  ``timing.txt`` is left out, since it holds a
 wall time.  Assertions are matched by id; ``inputs/output_dir`` is
-ignored, since it names the root itself.  Exit status is 1 when an
-experiment, a key or a file is present under one root only, or when an
-assertion's ``passed`` verdict changes, else 0.  ``compare`` can also
-bound how far each number may move, as the committed-catalogue test
-(``tests/test_cli.py``) asks.
+ignored, since it names the root itself.  Exit status is 2 when a root
+is not a directory, 1 when an experiment, a key or a file is present
+under one root only, or when an assertion's ``passed`` verdict changes,
+else 0.  ``compare`` can also bound how far each number may move, as
+the committed-catalogue test (``tests/test_cli.py``) asks.
 """
 
 import argparse
@@ -115,6 +115,10 @@ def main(argv=None):
     parser.add_argument("root_a", help="first artifact root (the reference)")
     parser.add_argument("root_b", help="second artifact root")
     args = parser.parse_args(argv)
+    for root in (args.root_a, args.root_b):
+        if not os.path.isdir(root):
+            print(f"error: artifact root {root} is not a directory", file=sys.stderr)
+            return 2
 
     def experiments(root):
         return {name for name in os.listdir(root)

@@ -1,8 +1,9 @@
 """Command-line entry point: run experiments or list the catalogue.
 
 Exit status: 0 when every assertion passes, 1 when any fails, 2 for
-config or usage errors and for errors raised during a run, so shell
-pipelines and CI gates can branch on the result without parsing output.
+config or usage errors and for errors raised during a run, an artifact
+root that cannot be written among them, so shell pipelines and CI gates
+can branch on the result without parsing output.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         record = run(config)
-    except FracvarError as exc:
+    except (FracvarError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     for check in record.assertions:

@@ -318,8 +318,8 @@ def _config_from_mapping(doc: dict) -> ExperimentConfig:
         errors.append("output_dir: must be a string")
 
     seed = doc.get("seed", 20240817)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        errors.append("seed: must be an integer")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        errors.append("seed: must be a non-negative integer")
 
     if errors:
         raise ParseError(errors)
@@ -1047,8 +1047,8 @@ def run(config: ExperimentConfig) -> ResultRecord:
     ``timing.txt`` and its ``.csv`` tables and ``.dat`` series into a
     subdirectory named after itself, which the returned record names in
     ``output_dir``.  Each lag table and each operator rule (one per
-    builder, kernel and grid, whatever the side weights) the run needs is
-    built once for the whole run and dropped when it ends
+    operator, K or B, kernel and grid, whatever the side weights) the run
+    needs is built once for the whole run and dropped when it ends
     (``foundation._run_memo``).
     """
     started = time.perf_counter()

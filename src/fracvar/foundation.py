@@ -320,8 +320,9 @@ _TAIL_POWERS = np.arange(2.0, 64.0) ** -_J[45::-1, None]
 
 
 #: what one run has built so far, while a ``_run_memo`` is open: lag tables
-#: by ``(mu, count)`` and operator rules by ``(left_rule, kernel, grid)`` (see
-#: ``operators._two_sided``); ``None`` (nothing kept) otherwise
+#: by ``(mu, count)`` and operator rules by ``(inside, kernel, grid)``, where
+#: ``inside`` tells B's sum from K's (see ``operators._two_sided``); ``None``
+#: (nothing kept) otherwise
 _RUN_MEMO: contextvars.ContextVar = contextvars.ContextVar("run_memo", default=None)
 
 

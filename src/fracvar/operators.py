@@ -12,12 +12,21 @@ operators.  Kernels declare how singular they are on the diagonal through
 cofactor ``k(t, tau) * (t - tau)**s`` and hands the singular power factor
 to product-integration quadrature.
 
+On the left, K and B are one product-integration sum over the nodes,
+
+    h**e * sum_{i <= j} c(t_j, t_i) (T1[j-i] x1_i + T2[j-i] x2_i),
+
+with the cofactor ``c``, the lag tables ``T1``, ``T2`` and ``mu = 1 - s``:
+K has ``x1 = f``, ``x2 = f`` without node 0 and ``e = mu``; B has the cell
+derivatives ``df``, ``x1 = (df, 0)``, ``x2 = (0, df)`` and ``e = mu - 1``.
+One builder, ``_left_rule``, makes the rule of either.
+
 Difference-type kernels make the product-integration weights a Toeplitz
 matrix, so the left-sided integral at all ``n + 1`` nodes is one linear
 convolution, evaluated by zero-padded real FFT in O(n log n) (Hairer,
 Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985), its length the
 smallest 5-smooth one that holds it.  Every other kernel goes through one
-hierarchical engine shared by the K and B rules: the lower triangle is
+hierarchical engine, for K and B alike: the lower triangle is
 split dyadically, diagonal tiles of ``_LEAF`` = 128 rows are evaluated
 densely, and each far block, where the cofactor is smooth, is
 interpolated from Chebyshev points, the far field of the black-box FMM
@@ -313,62 +322,80 @@ def _profile(kernel: Kernel, grid: Grid) -> np.ndarray:
     return prof
 
 
-def _apply_left(kernel: Kernel, grid: Grid):
-    """Left-sided integral rule of ``kernel`` on ``grid``, for any side
-    weights (see ``_two_sided`` for when it is built): a
-    function ``rule(rows, out, weight, right)`` that adds ``weight`` times
-    each row's values into ``out`` and returns the set of flagged nodes.
+def _left_rule(kernel: Kernel, grid: Grid, inside: bool):
+    """Left-sided rule of K (``inside`` false) or of B (``inside`` set) for
+    ``kernel`` on ``grid``, for any side weights (see ``_two_sided`` for
+    when it is built): a function ``rule(rows, out, weight, right)`` that
+    adds ``weight`` times each row's values, the module's one sum with the
+    operator's ``(x1, x2, e)``, into ``out`` and returns the set of flagged
+    nodes.  B's cell derivatives are the exact derivative of the
+    piecewise-linear interpolant, so the interpolation error of ``f``
+    telescopes within each cell instead of polluting the quadrature near a
+    startup cusp.
+
     With ``right`` set it is the rule on the reflected interval, which
-    ``_two_sided`` hands the reversed rows and output; a difference kernel
-    ignores it, as its tables, profile and spectrum serve both sides.
+    ``_two_sided`` hands the reversed rows and output, and B negates
+    ``weight`` there (see the module docstring).  A difference kernel
+    convolves ``_ROW_GROUP`` rows at a time, K's ``f`` with ``(T1 + T2) c``
+    less node 0's T2 term and B's ``df`` with the cell weights; other
+    kernels run the engine once per side.
 
     Flagged nodes hold no trustworthy value (NaN placeholder); they arise
     only when a kernel declared bounded turns out non-finite at an
     interval corner, depend on the kernel and grid alone, and are patched
-    afterwards by the caller.  Difference kernels transform ``_ROW_GROUP``
-    rows at a time; other kernels run the engine once per side.
+    afterwards by the caller.
     """
-    n, h = grid.n, grid.h
+    n = grid.n
     mu = 1.0 - kernel.singularity_exponent
     t1, t2 = lags = _lag_tables(mu, n + 1)
+    scale = grid.h ** (mu - 1.0 if inside else mu)
     chebyshev: dict = {}
 
     if kernel.is_difference:
         prof = _profile(kernel, grid)
-        # node 0 is set to zero below, so it may take the wrapped terms
-        convolve = _convolve((t1 + t2) * prof, n + 1, n + 1, discard=1)
-        start = t2 * prof
-
-        def values(fv):
-            out = h ** mu * (convolve(fv) - start * fv[:, :1])
-            out[:, 0] = 0.0
-            return out
+        if inside:
+            convolve = _convolve(prof[1:] * t1[1:] + prof[:-1] * t2[:-1], n, n)
+        else:
+            # node 0 is set to zero in the rule, so it may take the wrapped terms
+            convolve = _convolve((t1 + t2) * prof, n + 1, n + 1, discard=1)
+            start = t2 * prof
 
     def rule(rows, out, weight, right):
+        weight = -weight if inside and right else weight
         if kernel.is_difference:
-            return _grouped(values, rows, out, weight)
-        # the first node's weight has no T2 part
-        tail = np.pad(rows[:, 1:], ((0, 0), (1, 0)))
-        return _left_engine(kernel, grid, right, lags, chebyshev, rows, tail, h ** mu, out, weight)
+            for lo in range(0, len(rows), _ROW_GROUP):
+                x = rows[lo : lo + _ROW_GROUP]
+                if inside:
+                    values = np.pad(convolve(np.diff(x, axis=1)), ((0, 0), (1, 0)))
+                else:
+                    values = convolve(x) - start * x[:, :1]
+                    values[:, 0] = 0.0
+                out[lo : lo + _ROW_GROUP] += weight * (scale * values)
+            return set()
+        if inside:
+            df = np.diff(rows, axis=1)
+            x1, x2 = np.pad(df, ((0, 0), (0, 1))), np.pad(df, ((0, 0), (1, 0)))
+        else:
+            x1, x2 = rows, np.pad(rows[:, 1:], ((0, 0), (1, 0)))
+        values, flagged = _left_engine(kernel, grid, right, lags, chebyshev, x1, x2)
+        values *= scale
+        values[:, sorted(flagged)] = np.nan
+        values *= weight
+        out += values
+        return flagged
 
     return rule
 
 
-def _grouped(values, rows: np.ndarray, out: np.ndarray, weight: float) -> set:
-    """Add ``weight`` times ``values`` of each ``_ROW_GROUP`` rows into ``out``; flag no node."""
-    for lo in range(0, len(rows), _ROW_GROUP):
-        out[lo : lo + _ROW_GROUP] += weight * values(rows[lo : lo + _ROW_GROUP])
-    return set()
-
-
 def _left_engine(kernel: Kernel, grid: Grid, right: bool, lags, chebyshev: dict,
-                 x1: np.ndarray, x2: np.ndarray, scale: float, into, weight: float):
-    """Left-sided engine of non-difference kernels, shared by the K and B rules.
+                 x1: np.ndarray, x2: np.ndarray):
+    """Left-sided engine of non-difference kernels, for the K and B rules of
+    ``_left_rule``, which scale its sums by ``h**e``.
 
-    Adds ``weight * out_rj`` to ``into``, for every row ``r`` of ``x1`` and
-    ``x2`` (shape ``(rows, n + 1)``) and every node ``j``, where
+    Returns ``(out, flagged)``: for every row ``r`` of ``x1`` and ``x2``
+    (shape ``(rows, n + 1)``) and every node ``j``
 
-        out_rj = scale * sum_{i <= j} c(t_j, t_i) (T1[j-i] x1_ri + T2[j-i] x2_ri)
+        out_rj = sum_{i <= j} c(t_j, t_i) (T1[j-i] x1_ri + T2[j-i] x2_ri)
 
     with the cofactor ``c`` and the lag tables ``lags = (T1, T2)`` of ``_lag_tables``.
     On the left ``t`` are the grid nodes and ``c`` is ``kernel.cofactor``.
@@ -401,8 +428,9 @@ def _left_engine(kernel: Kernel, grid: Grid, right: bool, lags, chebyshev: dict,
     The barycentric tables in ``chebyshev`` depend on block lengths only, so
     they are built once per rule and serve both sides and every later call
     of it.  All else that does not depend on the rows is built once per
-    call; the rows are summed ``_ROW_GROUP`` at a time.  Returns the
-    flagged nodes (NaN in ``into``).
+    call; the rows are summed ``_ROW_GROUP`` at a time.  ``flagged`` holds
+    the nodes whose rows ``_mend_row`` could not mend; their sums are not
+    meaningful.
     """
     n, s = grid.n, kernel.singularity_exponent
     ab = grid.a + grid.b
@@ -558,11 +586,7 @@ def _left_engine(kernel: Kernel, grid: Grid, right: bool, lags, chebyshev: dict,
         size = half
     for lo in range(0, n + 1, _LEAF):
         tile(lo, min(lo + _LEAF, n + 1))
-    out *= scale
-    out[:, sorted(flagged)] = np.nan
-    out *= weight
-    into += out
-    return flagged
+    return out, flagged
 
 
 def _far_cores(between, los: np.ndarray, half: int, rows: int, chebyshev: dict):
@@ -731,24 +755,25 @@ def _patch_corners(values: np.ndarray, bad: set, n: int) -> None:
     )
 
 
-def _two_sided(p: ParameterSet, kernel: Kernel, grid: Grid, rows: np.ndarray, left_rule):
-    """``lam * left + mu * right`` of each row of ``rows``, shape
-    ``(rows, n + 1)``, with corner patching.
+def _two_sided(p: ParameterSet, kernel: Kernel, grid: Grid, rows: np.ndarray, inside: bool):
+    """``lam * left + mu * right`` of K (``inside`` false) or B (``inside``
+    set) on each row of ``rows``, shape ``(rows, n + 1)``, with corner
+    patching.
 
-    ``left_rule`` (``_apply_left`` or ``_bapply_left``) builds the rule,
-    which serves both sides and does not depend on ``p``, and it is handed
-    the whole stack and the output, both reversed for the right side.
-    Outside a ``foundation._run_memo`` each call builds its rule; inside
-    one, the rule is kept under ``(left_rule, kernel, grid)`` (kernels and
-    grids compare by value) and built once for the run.  With both side
-    weights zero nothing is built and the result is zeros.
+    ``_left_rule`` builds the rule, which serves both sides and does not
+    depend on ``p``, and it is handed the whole stack and the output, both
+    reversed for the right side.  Outside a ``foundation._run_memo`` each
+    call builds its rule; inside one, the rule is kept under
+    ``(inside, kernel, grid)`` (kernels and grids compare by value) and
+    built once for the run.  With both side weights zero nothing is built
+    and the result is zeros.
     """
     _check_interval(grid, p.a, p.b)
     n, out, bad = grid.n, np.zeros(rows.shape), set()
     if p.lam == 0.0 and p.mu == 0.0:
         return out
-    memo, key = _RUN_MEMO.get(), (left_rule, kernel, grid)
-    rule = memo[key] if memo is not None and key in memo else left_rule(kernel, grid)
+    memo, key = _RUN_MEMO.get(), (inside, kernel, grid)
+    rule = memo[key] if memo is not None and key in memo else _left_rule(kernel, grid, inside)
     if memo is not None:
         memo[key] = rule
     if p.lam != 0.0:
@@ -771,7 +796,7 @@ def k_apply(p: ParameterSet, kernel: Kernel, f: SampledFunction) -> SampledFunct
     the right integral reuses the same machinery on the reflected
     interval.
     """
-    return SampledFunction(f.grid, _two_sided(p, kernel, f.grid, f.values[None], _apply_left)[0])
+    return SampledFunction(f.grid, _two_sided(p, kernel, f.grid, f.values[None], False)[0])
 
 
 def _outside(p: ParameterSet, images: np.ndarray, h: float) -> np.ndarray:
@@ -791,45 +816,9 @@ def a_apply(p: ParameterSet, kernel: Kernel, f: SampledFunction) -> SampledFunct
     return SampledFunction(f.grid, _outside(p, k_apply(p, kernel, f).values[None], f.grid.h)[0])
 
 
-def _bapply_left(kernel: Kernel, grid: Grid):
-    """Rule for the left integral of the kernel against the cell derivative
-    of each row, in the form of ``_apply_left`` and kept as it is.
-
-    The derivative inside the composition is the exact (cellwise
-    constant) derivative of the piecewise-linear interpolant, so the
-    interpolation error of ``f`` telescopes within each cell instead of
-    polluting the quadrature near a startup cusp.  On the right side it
-    negates ``weight``: the reversed rows' derivative is the reversed
-    derivative with its sign changed.
-    """
-    n, h = grid.n, grid.h
-    mu = 1.0 - kernel.singularity_exponent
-    t1, t2 = lags = _lag_tables(mu, n + 1)
-    chebyshev: dict = {}
-
-    if kernel.is_difference:
-        prof = _profile(kernel, grid)
-        convolve = _convolve(prof[1:] * t1[1:] + prof[:-1] * t2[:-1], n, n)
-
-        def values(fv):
-            return np.pad(h ** (mu - 1.0) * convolve(np.diff(fv, axis=1)), ((0, 0), (1, 0)))
-
-    def rule(rows, out, weight, right):
-        weight = -weight if right else weight
-        if kernel.is_difference:
-            return _grouped(values, rows, out, weight)
-        # cell i carries A - B at its left node and B at its right node
-        df = np.diff(rows, axis=1)
-        x1, x2 = np.pad(df, ((0, 0), (0, 1))), np.pad(df, ((0, 0), (1, 0)))
-        return _left_engine(kernel, grid, right, lags, chebyshev, x1, x2, h ** (mu - 1.0), out,
-                            weight)
-
-    return rule
-
-
 def b_apply(p: ParameterSet, kernel: Kernel, f: SampledFunction) -> SampledFunction:
     """Derivative-inside operator: kernel integral of the derivative of ``f``."""
-    return SampledFunction(f.grid, _two_sided(p, kernel, f.grid, f.values[None], _bapply_left)[0])
+    return SampledFunction(f.grid, _two_sided(p, kernel, f.grid, f.values[None], True)[0])
 
 
 @dataclass(frozen=True)
@@ -883,20 +872,20 @@ def _classical_rows(op, order: float, grid: Grid, rows: np.ndarray) -> np.ndarra
     left = ParameterSet(grid.a, grid.b, 1.0, 0.0)
     right = ParameterSet(grid.a, grid.b, 0.0, 1.0)
     if op is ClassicalOp.RL_INT_LEFT:
-        return _two_sided(left, PowerLawKernel(order, "integral"), grid, rows, _apply_left)
+        return _two_sided(left, PowerLawKernel(order, "integral"), grid, rows, False)
     if op is ClassicalOp.RL_INT_RIGHT:
-        return _two_sided(right, PowerLawKernel(order, "integral"), grid, rows, _apply_left)
+        return _two_sided(right, PowerLawKernel(order, "integral"), grid, rows, False)
     if op is ClassicalOp.RL_DER_LEFT:
         kernel = PowerLawKernel(order, "derivative")
-        return _outside(left, _two_sided(left, kernel, grid, rows, _apply_left), grid.h)
+        return _outside(left, _two_sided(left, kernel, grid, rows, False), grid.h)
     if op is ClassicalOp.RL_DER_RIGHT:
         kernel = PowerLawKernel(order, "derivative")
-        return -_outside(right, _two_sided(right, kernel, grid, rows, _apply_left), grid.h)
+        return -_outside(right, _two_sided(right, kernel, grid, rows, False), grid.h)
     if op is ClassicalOp.CAPUTO_LEFT:
-        return _two_sided(left, PowerLawKernel(order, "derivative"), grid, rows, _bapply_left)
+        return _two_sided(left, PowerLawKernel(order, "derivative"), grid, rows, True)
     if op is ClassicalOp.CAPUTO_RIGHT:
-        return -_two_sided(right, PowerLawKernel(order, "derivative"), grid, rows, _bapply_left)
-    return _two_sided(left, HadamardKernel(order), grid, rows, _apply_left)
+        return -_two_sided(right, PowerLawKernel(order, "derivative"), grid, rows, True)
+    return _two_sided(left, HadamardKernel(order), grid, rows, False)
 
 
 def boundedness_constant(order: float, a: float, b: float) -> float:

@@ -43,7 +43,7 @@ from .foundation import (
     trapezoid,
 )
 from .operators import ParameterSet, PowerLawKernel
-from .operators import _bapply_left, _two_sided
+from .operators import _two_sided
 from .variational import VariationalProblem, _check_weight_grid, _slots
 
 __all__ = [
@@ -108,7 +108,7 @@ class SLProblem:
             d = np.gradient(rows, grid.h, axis=1, edge_order=2)
         else:
             side = ParameterSet(grid.a, grid.b, float(not right), float(right))
-            d = _two_sided(side, PowerLawKernel(self.alpha, "derivative"), grid, rows, _bapply_left)
+            d = _two_sided(side, PowerLawKernel(self.alpha, "derivative"), grid, rows, True)
         return -d if right else d
 
 

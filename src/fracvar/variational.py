@@ -34,7 +34,7 @@ from .foundation import (
     trapezoid,
 )
 from .operators import OperatorBinding, b_apply, dual, k_apply
-from .operators import _apply_left, _bapply_left, _outside, _two_sided
+from .operators import _outside, _two_sided
 
 __all__ = [
     "Lagrangian",
@@ -208,9 +208,9 @@ def _slots(binding: OperatorBinding, grid: Grid, rows: np.ndarray):
     p, kernel = binding.p, binding.kernel
     return (
         rows,
-        _two_sided(p, kernel, grid, rows, _apply_left),
+        _two_sided(p, kernel, grid, rows, False),
         np.gradient(rows, grid.h, axis=1, edge_order=2),
-        _two_sided(p, kernel, grid, rows, _bapply_left),
+        _two_sided(p, kernel, grid, rows, True),
     )
 
 
@@ -249,7 +249,7 @@ def _stationarity(problem: VariationalProblem, grid: Grid, slots):
     one stacked dual K of the rows ``(p4, p2)``, and A's rule on the first."""
     p1, p2, p3, p4 = partials = _weighted_partials(problem, grid, slots)
     pstar = dual(problem.binding.p)
-    k_p4, k_p2 = _two_sided(pstar, problem.binding.kernel, grid, np.vstack((p4, p2)), _apply_left)
+    k_p4, k_p2 = _two_sided(pstar, problem.binding.kernel, grid, np.vstack((p4, p2)), False)
     a_p4 = _outside(pstar, k_p4[None], grid.h)[0]
     term_dt = np.gradient(p3, grid.h, edge_order=2)
     return term_dt + a_p4 - p1 - k_p2, partials, (a_p4, k_p4, k_p2)

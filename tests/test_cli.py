@@ -111,6 +111,7 @@ def test_alpha_range_depends_on_experiment():
          "tolerances.classical-eigenvalues: names no assertion of sl-solve"),
         ('{"experiment": "noether", "output_dir": 4}', "output_dir"),
         ('{"experiment": "noether", "seed": 1.5}', "seed"),
+        ('{"experiment": "ibp-suite", "seed": -1}', "seed: must be a non-negative integer"),
         ('{"experiment": "sl-solve", "m": 100, "n": 1024}', "32*m"),
         ('{"experiment": "direct-min", "m": 64}', "n: must be at least 32*m = 2048"),
         ('{"experiment": "sl-converge", "m_schedule": [64, 128], "n": 1024}', "32*max"),
@@ -276,16 +277,16 @@ EXP_KERNEL = operators.DifferenceKernel(lambda u: np.exp(-u))
 
 
 def spy_rule_builds(monkeypatch):
-    """Every ``(builder, kernel, grid)`` for which ``_apply_left`` or
-    ``_bapply_left`` builds a rule, and the parameter set of every
-    ``_two_sided`` call."""
+    """Every ``(inside, kernel, grid)`` for which ``_left_rule`` builds a
+    rule, and the parameter set of every ``_two_sided`` call."""
     builds, calls = [], []
-    for name in ("_apply_left", "_bapply_left"):
-        def spy(kernel, grid, name=name, real=getattr(operators, name)):
-            builds.append((name, kernel, grid))
-            return real(kernel, grid)
+    real_rule = operators._left_rule
 
-        monkeypatch.setattr(operators, name, spy)
+    def spy(kernel, grid, inside):
+        builds.append((inside, kernel, grid))
+        return real_rule(kernel, grid, inside)
+
+    monkeypatch.setattr(operators, "_left_rule", spy)
     real_two_sided = operators._two_sided
 
     def counting(*args):
@@ -322,7 +323,7 @@ def test_the_lag_table_memo_is_dropped_when_a_runner_raises(tmp_path, monkeypatc
     monkeypatch.setitem(_EXPERIMENTS, "noether", _EXPERIMENTS["noether"]._replace(runner=failing))
     with pytest.raises(NumericError):
         run(parse_config(json.dumps({"experiment": "noether", "n": 64, "output_dir": str(tmp_path)})))
-    assert (0.5, 64) in kept and (operators._apply_left, EXP_KERNEL, Grid(0.0, 1.0, 64)) in kept
+    assert (0.5, 64) in kept and (False, EXP_KERNEL, Grid(0.0, 1.0, 64)) in kept
     assert foundation._RUN_MEMO.get() is None
 
 
@@ -335,7 +336,7 @@ def test_lag_tables_outside_a_run_are_built_afresh():
 @pytest.mark.parametrize("experiment, rules, uses, sides",
                          [("ops-identities", 18, 39, 2), ("ibp-suite", 1, 40, 7)])
 def test_a_run_builds_each_rule_once(tmp_path, monkeypatch, experiment, rules, uses, sides):
-    """Inside ``run`` each distinct ``(builder, kernel, grid)`` builds its
+    """Inside ``run`` each distinct ``(inside, kernel, grid)`` builds its
     rule once, whatever the side weights: ``ops-identities`` builds six
     rules for each of its three orders and uses them in 13 calls, and
     ``ibp-suite``'s 40 calls, under seven side weights, share one rule."""
@@ -351,7 +352,7 @@ def test_rules_outside_a_run_are_built_afresh(monkeypatch):
     f = SampledFunction(Grid(0.0, 1.0, 64), np.ones(65))
     first = operators.k_apply(LEFT, EXP_KERNEL, f)
     assert np.array_equal(first.values, operators.k_apply(LEFT, EXP_KERNEL, f).values)
-    assert builds == [("_apply_left", EXP_KERNEL, f.grid)] * 2
+    assert builds == [(False, EXP_KERNEL, f.grid)] * 2
 
 
 def test_cli_rejects_an_oversized_schedule_before_any_work(tmp_path, capsys, monkeypatch):
@@ -457,6 +458,19 @@ def test_cli_error_during_a_run_exits_two_and_writes_nothing(tmp_path, capsys):
     assert captured.out == ""
     assert not (tmp_path / "counterexample" / "results.json").exists()
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_unwritable_artifact_root_exits_two(tmp_path, capsys):
+    """An artifact root that is a file cannot hold the experiment's
+    directory: the ``NotADirectoryError`` is reported as one line."""
+    root = tmp_path / "file"
+    root.write_text("")
+    argv = ["run", "--experiment", "ibp-suite", "--set", "n=64", "--set", f"output_dir={root}"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: NotADirectoryError: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 def test_cli_parse_failures_exit_two(tmp_path, capsys):
@@ -653,6 +667,18 @@ def test_compare_results_script_compares_tables_and_series_byte_for_byte(tmp_pat
     out = capsys.readouterr().out
     assert "1 of 1 files differ (values.csv)" in out
     assert "file kernel-transform.dat only under ROOT_A" in out
+
+
+def test_compare_results_script_rejects_a_missing_root(tmp_path, capsys):
+    """A root that is not a directory is one error line and exit 2, which
+    no comparison returns."""
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "compare_results.py")
+    compare = runpy.run_path(script)["main"]
+    missing = str(tmp_path / "absent")
+    assert compare([str(tmp_path), missing]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: artifact root {missing} is not a directory\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -47,11 +47,10 @@ from fracvar.operators import (
     _CORNER_PAD,
     _LEAF,
     Kernel,
-    _apply_left,
-    _bapply_left,
     _classical_rows,
     _far_factors,
     _far_interpolants,
+    _left_rule,
     _mend_row,
     _two_sided,
 )
@@ -203,10 +202,10 @@ def test_bounded_kernel_corner_is_mended_with_warning():
     assert {w.filename for w in record} == {__file__}
     # a stack patches every row and warns once per call
     rows = np.random.default_rng(7).uniform(-1, 1, (5, 65))
-    for _, left_rule in STACKED_RULES:
+    for _, inside in STACKED_RULES:
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
-            _two_sided(p, rational, g, rows, left_rule)
+            _two_sided(p, rational, g, rows, inside)
         assert [w.category for w in record] == [CornerExtrapolationWarning]
 
 
@@ -464,8 +463,8 @@ def test_power_law_integral_of_a_constant_meets_its_closed_form_to_round_off():
 
 # --- hierarchical engine against the row-by-row oracle ---------------------
 #
-# The functions below are the non-difference branches of the left-sided
-# engines as one direct O(n**2) sum over output nodes, a block of full
+# The functions below are the non-difference branch of ``_left_rule``, for
+# K and B, as one direct O(n**2) sum over output nodes, a block of full
 # cofactor rows at a time, without the engine's ``_lag_tables``, FFT or
 # far-block approximation; they are the reference the hierarchical engine
 # is checked against.  Both rules are sums
@@ -570,11 +569,11 @@ def _row_two_sided(p, kernel, f, relative=1e-12, tables=_oracle_tables):
     return out, relative * size, flagged
 
 
-def _engine_two_sided(p, kernel, f, left_rule):
+def _engine_two_sided(p, kernel, f, inside):
     """``_two_sided`` without the corner patch: values and flagged nodes."""
     grid, n = f.grid, f.grid.n
     out, flagged = np.zeros((1, n + 1)), set()
-    rule = left_rule(kernel, grid)
+    rule = _left_rule(kernel, grid, inside)
     if p.lam != 0.0:
         flagged.update(rule(f.values[None], out, p.lam, False))
     if p.mu != 0.0:
@@ -585,8 +584,8 @@ def _engine_two_sided(p, kernel, f, left_rule):
 
 def _assert_engine_matches_oracle(p, kernel, f, relative=1e-12, tables=_oracle_tables):
     oracle, bounds, want_flags = _row_two_sided(p, kernel, f, relative, tables)
-    for engine, want, bound in zip((_apply_left, _bapply_left), oracle.T, bounds.T):
-        got, got_flags = _engine_two_sided(p, kernel, f, engine)
+    for inside, want, bound in zip((False, True), oracle.T, bounds.T):
+        got, got_flags = _engine_two_sided(p, kernel, f, inside)
         assert got_flags == want_flags
         assert np.array_equal(np.isnan(got), np.isnan(want))
         kept = ~np.isnan(want)
@@ -1141,13 +1140,13 @@ def test_singular_diagonal_is_continued_linearly():
 # which must not change a single bit.  Row counts 3, 5 and 13 leave the
 # last group ragged.
 
-STACKED_RULES = ((k_apply, _apply_left), (b_apply, _bapply_left))
+STACKED_RULES = ((k_apply, False), (b_apply, True))
 
 
 def _assert_stack_matches_rows(p, kernel, rows):
     g = Grid(p.a, p.b, rows.shape[1] - 1)
-    for apply, left_rule in STACKED_RULES:
-        stacked = _two_sided(p, kernel, g, rows, left_rule)
+    for apply, inside in STACKED_RULES:
+        stacked = _two_sided(p, kernel, g, rows, inside)
         per_row = np.array([apply(p, kernel, SampledFunction(g, row)).values for row in rows])
         assert np.array_equal(stacked, per_row)
 
@@ -1204,11 +1203,11 @@ def test_stacked_general_kernel_samples_as_many_entries_as_one_row():
 
     kernel, p, g = GeneralKernel(exp_lag), ParameterSet(0.0, 1.0, 0.8, -1.3), Grid(0.0, 1.0, 2048)
     rows = np.random.default_rng(6).uniform(-1, 1, (33, 2049))
-    for _, left_rule in STACKED_RULES:
+    for _, inside in STACKED_RULES:
         counts = []
         for stack in (rows[:1], rows):
             asked[0] = 0
-            _two_sided(p, kernel, g, stack, left_rule)
+            _two_sided(p, kernel, g, stack, inside)
             counts.append(asked[0])
         assert counts[1] == counts[0]
 
@@ -1226,10 +1225,10 @@ def test_stacked_zero_rows_and_constant_rows_give_exact_zeros(kernel):
     zeros, constants = np.zeros((5, 33)), np.linspace(-2.0, 3.0, 5)[:, None] * np.ones(33)
     for sides in ((1.0, 0.0), (0.0, -0.7), (0.8, 1.9)):
         p = ParameterSet(0.0, 1.0, *sides)
-        for _, left_rule in STACKED_RULES:
-            assert np.all(_two_sided(p, kernel, g, zeros, left_rule) == 0.0)
+        for _, inside in STACKED_RULES:
+            assert np.all(_two_sided(p, kernel, g, zeros, inside) == 0.0)
         assert np.all(a_apply(p, kernel, SampledFunction(g, zeros[0])).values == 0.0)
-        assert np.all(_two_sided(p, kernel, g, constants, _bapply_left) == 0.0)
+        assert np.all(_two_sided(p, kernel, g, constants, True) == 0.0)
 
 
 def test_two_sided_difference_call_samples_its_profile_once():
@@ -1257,9 +1256,9 @@ def test_stacked_call_keeps_the_typed_errors():
     g = Grid(0.0, 1.0, 32)
     rows = np.zeros((5, 33))
     pole = DifferenceKernel(lambda u: 1.0 / u)
-    for _, left_rule in STACKED_RULES:
+    for _, inside in STACKED_RULES:
         with pytest.raises(NumericError, match="profile"), np.errstate(divide="ignore"):
-            _two_sided(LEFT, pole, g, rows, left_rule)
+            _two_sided(LEFT, pole, g, rows, inside)
 
     rows[3] = 1e308
     kernel = PowerLawKernel(0.5, "integral")
@@ -1267,7 +1266,7 @@ def test_stacked_call_keeps_the_typed_errors():
         with pytest.raises(InputError, match="non-finite sample") as alone:
             k_apply(LEFT, kernel, SampledFunction(g, rows[3]))
         with pytest.raises(InputError) as stacked:
-            _two_sided(LEFT, kernel, g, rows, _apply_left)
+            _two_sided(LEFT, kernel, g, rows, False)
     assert str(stacked.value) == str(alone.value)
 
 

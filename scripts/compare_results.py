@@ -10,10 +10,11 @@ ROOT_A), then how many of its ``.csv`` and ``.dat`` files differ byte for
 byte (by SHA-256 digest).  ``timing.txt`` is left out, since it holds a
 wall time.  Assertions are matched by id; ``inputs/output_dir`` is
 ignored, since it names the root itself.  Exit status is 2 when a root
-is not a directory, 1 when an experiment, a key or a file is present
-under one root only, or when an assertion's ``passed`` verdict changes,
-else 0.  ``compare`` can also bound how far each number may move, as
-the committed-catalogue test (``tests/test_cli.py``) asks.
+is not a directory or a ``results.json`` cannot be read or parsed (one
+``error:`` line on stderr), 1 when an experiment, a key or a file is
+present under one root only, or when an assertion's ``passed`` verdict
+changes, else 0.  ``compare`` can also bound how far each number may
+move, as the committed-catalogue test (``tests/test_cli.py``) asks.
 """
 
 import argparse
@@ -134,8 +135,13 @@ def main(argv=None):
         folders = [os.path.join(root, name) for root in (args.root_a, args.root_b)]
         docs = []
         for folder in folders:
-            with open(os.path.join(folder, "results.json")) as handle:
-                docs.append(json.load(handle))
+            path = os.path.join(folder, "results.json")
+            try:
+                with open(path) as handle:
+                    docs.append(json.load(handle))
+            except (OSError, ValueError) as exc:
+                print(f"error: {path}: {exc}", file=sys.stderr)
+                return 2
         line, problems = compare(*docs)
         files_line, file_problems = compare_files(*map(digests, folders))
         print(f"{name}: {line}; {files_line}")

@@ -27,7 +27,6 @@ from .foundation import (
     Grid,
     SampledFunction,
     _check_endpoints,
-    _run_memo,
     _trapezoid_weights,
     cumulative_trapezoid,
     gamma,
@@ -45,6 +44,7 @@ from .operators import (
     ParameterSet,
     PowerLawKernel,
     _classical_rows,
+    _run_memo,
     boundedness_constant,
     classical,
     k_apply,
@@ -392,17 +392,18 @@ def _power_identity_rows(alpha: float, betas, n: int, a: float, b: float) -> lis
 
 
 def mittag_leffler_extremal(alpha: float, grid: Grid) -> SampledFunction:
-    """Trajectory with ``dy/dt + (Caputo derivative of order alpha) = 1``.
+    """Trajectory with ``dy/dt + (Caputo derivative of order alpha) = 1``
+    and ``y(a) = 0`` on the grid's interval ``[a, b]``.
 
     The integrand of the antiderivative is the one-parameter
     Mittag-Leffler function of order ``1 - alpha`` evaluated at
-    ``-(t**(1-alpha))``, at all nodes in one array call.  Against one
+    ``-((t - a)**(1-alpha))``, at all nodes in one array call.  Against one
     scalar call per node, the rate differs by at most 4.4e-16 relative,
     from ``np.exp`` against ``math.exp`` and ``np.power`` on the array
     against the scalar.
     """
     nu = 1.0 - alpha
-    rate = mittag_leffler(nu, -(grid.nodes**nu))
+    rate = mittag_leffler(nu, -((grid.nodes - grid.a) ** nu))
     return cumulative_trapezoid(SampledFunction(grid, rate))
 
 
@@ -1024,20 +1025,6 @@ def _dat_text(x, y) -> str:
     return "%.12g %.12g\n" * len(x) % tuple(np.column_stack((x, y)).ravel().tolist())
 
 
-def _jsonable(value):
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
-
-
 def run(config: ExperimentConfig) -> ResultRecord:
     """Execute one experiment and write its artifact directory.
 
@@ -1049,7 +1036,9 @@ def run(config: ExperimentConfig) -> ResultRecord:
     ``output_dir``.  Each lag table and each operator rule (one per
     operator, K or B, kernel and grid, whatever the side weights) the run
     needs is built once for the whole run and dropped when it ends
-    (``foundation._run_memo``).
+    (``operators._run_memo``).  ``results.json`` is encoded by ``json``
+    itself, numpy scalars as their Python values, and the record's
+    ``inputs`` and ``results`` are decoded from that same text.
     """
     started = time.perf_counter()
     grid = Grid(config.a, config.b, config.n)
@@ -1059,27 +1048,28 @@ def run(config: ExperimentConfig) -> ResultRecord:
     inputs = asdict(config)
     inputs["interval"] = [inputs.pop("a"), inputs.pop("b")]
     series_files = {name: f"{name}.dat" for name in series}
-    payload = _jsonable({
+    payload = {
         "experiment": config.experiment,
         "inputs": inputs,
         "results": results,
         "series": series_files,
         "assertions": [asdict(a) for a in assertions],
-    })
+    }
+    text = json.dumps(payload, sort_keys=True, indent=2, default=lambda v: v.item()) + "\n"
     root = config.output_dir or os.environ.get("FRACVAR_OUTPUT_DIR") or "fracvar_results"
     outdir = os.path.join(root, config.experiment)
     os.makedirs(outdir, exist_ok=True)
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     _write_atomic(os.path.join(outdir, "results.json"), text)
     _write_atomic(os.path.join(outdir, "timing.txt"), f"wall_time_s {wall:.3f}\n")
     for name, (headers, rows) in tables.items():
         _write_atomic(os.path.join(outdir, f"{name}.csv"), _csv_text(headers, rows, config.seed))
     for name, (x, y) in series.items():
         _write_atomic(os.path.join(outdir, f"{name}.dat"), _dat_text(x, y))
+    written = json.loads(text)
     return ResultRecord(
         experiment=config.experiment,
-        inputs=payload["inputs"],
-        results=payload["results"],
+        inputs=written["inputs"],
+        results=written["results"],
         series=series_files,
         assertions=tuple(assertions),
         wall_time_s=wall,

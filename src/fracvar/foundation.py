@@ -8,8 +8,6 @@ integration against a piecewise-linear interpolant (``singular_weights``).
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import math
 import numbers
 import sys
@@ -319,24 +317,6 @@ _MOMENTS = 1.0 / np.array([(_J + 1.0) * (_J + 2.0), _J + 2.0])
 _TAIL_POWERS = np.arange(2.0, 64.0) ** -_J[45::-1, None]
 
 
-#: what one run has built so far, while a ``_run_memo`` is open: lag tables
-#: by ``(mu, count)`` and operator rules by ``(inside, kernel, grid)``, where
-#: ``inside`` tells B's sum from K's (see ``operators._two_sided``); ``None``
-#: (nothing kept) otherwise
-_RUN_MEMO: contextvars.ContextVar = contextvars.ContextVar("run_memo", default=None)
-
-
-@contextlib.contextmanager
-def _run_memo():
-    """Keep every lag table and operator rule built inside the block for
-    reuse inside it; all are dropped when the block exits, however it exits."""
-    token = _RUN_MEMO.set({})
-    try:
-        yield
-    finally:
-        _RUN_MEMO.reset(token)
-
-
 def _lag_tables(mu: float, count: int):
     """Lag tables ``T1[k] = int_0^1 (1 - s) (k - s)**(mu - 1) ds`` and
     ``T2[k] = int_0^1 (1 - s) (k + s)**(mu - 1) ds``, ``k < count``, the
@@ -350,11 +330,8 @@ def _lag_tables(mu: float, count: int):
     cancels: each entry is within 2 eps of the integral, and at ``mu = 1``
     exactly 1/2.  Terms add smallest first: below ``m = 64`` the terms
     ``j = 55..10`` from ``_TAIL_POWERS`` (``2**-55 < 3e-17``), then Horner's
-    rule for ``j = 9..1``, each where ``m**-j >= 2**-60``.
-    Inside a ``_run_memo`` each pair is built once and is read-only."""
-    memo = _RUN_MEMO.get()
-    if memo is not None and (mu, count) in memo:
-        return memo[mu, count]
+    rule for ``j = 9..1``, each where ``m**-j >= 2**-60``.  Both tables
+    are read-only, so a caller may keep and share them."""
     c = np.cumprod((_J - mu) / _J) * _MOMENTS  # r_j c_j, j >= 1: T1's row, then T2's
     sums = np.zeros((2, count + 1))  # column m: both series at m
     sums[:, 2:64] = np.add.reduce(c[:, :8:-1, None] * _TAIL_POWERS[:, : count - 1], axis=1)
@@ -368,11 +345,8 @@ def _lag_tables(mu: float, count: int):
     sums[:, 2:] *= m**mu / m
     sums[0, :2] = 0.0, 1.0 / (mu + 1.0)
     sums[1, 1] = 1.0 / (mu * (mu + 1.0))
-    sums.flags.writeable = memo is None
-    tables = sums[0, :count], sums[1, 1:]
-    if memo is not None:
-        memo[mu, count] = tables
-    return tables
+    sums.flags.writeable = False
+    return sums[0, :count], sums[1, 1:]
 
 
 def singular_weights(mu: float, grid: Grid, j: int) -> np.ndarray:

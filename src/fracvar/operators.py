@@ -52,6 +52,8 @@ is sampled once per rule, at ``(t_j, a)``.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 import warnings
 from dataclasses import dataclass
@@ -67,7 +69,6 @@ from .errors import (
     NumericError,
 )
 from .foundation import (
-    _RUN_MEMO,
     Grid,
     SampledFunction,
     _check_endpoints,
@@ -313,6 +314,34 @@ def _convolve(y: np.ndarray, length: int, count: int, discard: int = 0):
     return lambda x: np.fft.irfft(np.fft.rfft(x, size, axis=1) * spectrum, size, axis=1)[:, :count]
 
 
+#: what one run has built so far, while a ``_run_memo`` is open: lag tables
+#: by ``(mu, count)`` and rules by ``(inside, kernel, grid)`` (see
+#: ``_two_sided``); ``None`` (nothing kept) otherwise
+_RUN_MEMO: contextvars.ContextVar = contextvars.ContextVar("run_memo", default=None)
+
+
+@contextlib.contextmanager
+def _run_memo():
+    """Keep every lag table and rule built inside the block for reuse
+    inside it; all are dropped when the block exits, however it exits."""
+    token = _RUN_MEMO.set({})
+    try:
+        yield
+    finally:
+        _RUN_MEMO.reset(token)
+
+
+def _kept(key, build, *args):
+    """``build(*args)``, or inside a ``_run_memo`` what it returned the
+    first time the run asked for ``key``."""
+    memo = _RUN_MEMO.get()
+    if memo is None:
+        return build(*args)
+    if key not in memo:
+        memo[key] = build(*args)
+    return memo[key]
+
+
 def _profile(kernel: Kernel, grid: Grid) -> np.ndarray:
     """Cofactor ``c(t_j, a)`` of a difference kernel at every lag ``t_j - a``."""
     prof = np.asarray(kernel.cofactor(grid.nodes, grid.a), dtype=float)
@@ -347,7 +376,7 @@ def _left_rule(kernel: Kernel, grid: Grid, inside: bool):
     """
     n = grid.n
     mu = 1.0 - kernel.singularity_exponent
-    t1, t2 = lags = _lag_tables(mu, n + 1)
+    t1, t2 = lags = _kept((mu, n + 1), _lag_tables, mu, n + 1)
     scale = grid.h ** (mu - 1.0 if inside else mu)
     chebyshev: dict = {}
 
@@ -762,20 +791,17 @@ def _two_sided(p: ParameterSet, kernel: Kernel, grid: Grid, rows: np.ndarray, in
 
     ``_left_rule`` builds the rule, which serves both sides and does not
     depend on ``p``, and it is handed the whole stack and the output, both
-    reversed for the right side.  Outside a ``foundation._run_memo`` each
-    call builds its rule; inside one, the rule is kept under
-    ``(inside, kernel, grid)`` (kernels and grids compare by value) and
-    built once for the run.  With both side weights zero nothing is built
-    and the result is zeros.
+    reversed for the right side.  Outside a ``_run_memo`` each call builds
+    its rule; inside one, the rule is kept under ``(inside, kernel, grid)``
+    (kernels and grids compare by value) and built once for the run, as
+    ``_left_rule`` keeps its lag tables under ``(mu, n + 1)``.  With both
+    side weights zero nothing is built and the result is zeros.
     """
     _check_interval(grid, p.a, p.b)
     n, out, bad = grid.n, np.zeros(rows.shape), set()
     if p.lam == 0.0 and p.mu == 0.0:
         return out
-    memo, key = _RUN_MEMO.get(), (inside, kernel, grid)
-    rule = memo[key] if memo is not None and key in memo else _left_rule(kernel, grid, inside)
-    if memo is not None:
-        memo[key] = rule
+    rule = _kept((inside, kernel, grid), _left_rule, kernel, grid, inside)
     if p.lam != 0.0:
         bad |= rule(rows, out, p.lam, False)
     if p.mu != 0.0:

@@ -42,8 +42,7 @@ from .foundation import (
     symmetric_eigen,
     trapezoid,
 )
-from .operators import ParameterSet, PowerLawKernel
-from .operators import _two_sided
+from .operators import ClassicalOp, _classical_rows
 from .variational import VariationalProblem, _check_weight_grid, _slots
 
 __all__ = [
@@ -102,13 +101,13 @@ class SLProblem:
 
     def _derivative(self, grid: Grid, rows: np.ndarray, right: bool) -> np.ndarray:
         """Left (right) derivative image of each row of ``rows``, shape
-        ``(rows, n + 1)``: the grid derivative at ``alpha = 1``, else B of
-        the Caputo kernel in one stacked application; negated on the right."""
-        if self.alpha == 1.0:
-            d = np.gradient(rows, grid.h, axis=1, edge_order=2)
-        else:
-            side = ParameterSet(grid.a, grid.b, float(not right), float(right))
-            d = _two_sided(side, PowerLawKernel(self.alpha, "derivative"), grid, rows, True)
+        ``(rows, n + 1)``, in one stacked call: the left (right) Caputo
+        derivative of ``classical``, or at ``alpha = 1`` the grid
+        derivative, negated on the right."""
+        if self.alpha != 1.0:
+            op = ClassicalOp.CAPUTO_RIGHT if right else ClassicalOp.CAPUTO_LEFT
+            return _classical_rows(op, self.alpha, grid, rows)
+        d = np.gradient(rows, grid.h, axis=1, edge_order=2)
         return -d if right else d
 
 

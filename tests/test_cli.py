@@ -232,6 +232,33 @@ def test_run_writes_artifacts(smoke_record):
     assert "wall_time_s" not in payload
 
 
+def test_run_record_holds_what_results_json_holds(smoke_record):
+    """The record's ``inputs`` and ``results`` are decoded from the file's
+    text: plain lists, strings, floats, ints and bools, no numpy scalars."""
+    record, out = smoke_record
+    payload = json.loads((out / "ops-identities" / "results.json").read_text())
+    assert record.inputs == payload["inputs"] and record.results == payload["results"]
+
+    def leaves(node):
+        if isinstance(node, dict):
+            node = list(node.values())
+        if isinstance(node, list):
+            for value in node:
+                yield from leaves(value)
+        else:
+            yield node
+
+    assert {type(v) for v in leaves([record.inputs, record.results])} <= {str, float, int, bool}
+
+
+def test_el_check_passes_on_a_shifted_interval(tmp_path):
+    """The closed-form extremal starts at the interval's left end, so
+    el-check holds on [1, 2] as on [0, 1]."""
+    record = run(parse_config(json.dumps(
+        {"experiment": "el-check", "interval": [1.0, 2.0], "output_dir": str(tmp_path)})))
+    assert record.passed, [(a.id, a.measured) for a in record.assertions]
+
+
 def test_run_is_deterministic(tmp_path):
     """Byte-identical repeat runs of one config, timing file aside."""
     cfg = parse_config(
@@ -259,7 +286,7 @@ def test_run_respects_env_output_root(tmp_path, monkeypatch):
 
 
 def spy_lag_tables(monkeypatch):
-    """Every ``(mu, count, T1, T2)`` the operators get from ``_lag_tables``."""
+    """Every ``(mu, count, T1, T2)`` the operators build with ``_lag_tables``."""
     seen = []
     real = operators._lag_tables
 
@@ -298,16 +325,20 @@ def spy_rule_builds(monkeypatch):
 
 
 def test_a_run_builds_each_lag_table_once_and_read_only(tmp_path, monkeypatch):
-    """Inside ``run`` a repeated ``(mu, count)`` gets the same read-only
-    arrays; the memo is gone once ``run`` returns."""
+    """Inside ``run`` the operators build each ``(mu, count)`` once, as
+    read-only arrays, and share it between rules: ``el-check`` builds two
+    rules on one table.  The memo is gone once ``run`` returns, and
+    ``foundation._lag_tables`` itself keeps nothing, even inside one."""
     seen = spy_lag_tables(monkeypatch)
+    builds, _ = spy_rule_builds(monkeypatch)
     run(parse_config(json.dumps({"experiment": "el-check", "n": 256, "output_dir": str(tmp_path)})))
-    assert len({(mu, count) for mu, count, *_ in seen}) < len(seen)
-    first = {}
+    assert [(mu, count) for mu, count, *_ in seen] == [(0.6, 257)] and len(builds) == 2
     for mu, count, t1, t2 in seen:
         assert not (t1.flags.writeable or t2.flags.writeable)
-        assert first.setdefault((mu, count), t1) is t1
-    assert foundation._RUN_MEMO.get() is None
+    assert operators._RUN_MEMO.get() is None
+    with operators._run_memo():  # as ``run`` opens it
+        first, again = foundation._lag_tables(0.6, 257), foundation._lag_tables(0.6, 257)
+    assert all(a is not b and np.array_equal(a, b) for a, b in zip(first, again))
 
 
 def test_the_lag_table_memo_is_dropped_when_a_runner_raises(tmp_path, monkeypatch):
@@ -315,22 +346,21 @@ def test_the_lag_table_memo_is_dropped_when_a_runner_raises(tmp_path, monkeypatc
     kept = []
 
     def failing(cfg, grid):
-        foundation._lag_tables(0.5, 64)
         operators.k_apply(LEFT, EXP_KERNEL, SampledFunction(grid, np.ones(grid.n + 1)))
-        kept.extend(foundation._RUN_MEMO.get())
+        kept.extend(operators._RUN_MEMO.get())
         raise NumericError("runner failed")
 
     monkeypatch.setitem(_EXPERIMENTS, "noether", _EXPERIMENTS["noether"]._replace(runner=failing))
     with pytest.raises(NumericError):
         run(parse_config(json.dumps({"experiment": "noether", "n": 64, "output_dir": str(tmp_path)})))
-    assert (0.5, 64) in kept and (False, EXP_KERNEL, Grid(0.0, 1.0, 64)) in kept
-    assert foundation._RUN_MEMO.get() is None
+    assert (1.0, 65) in kept and (False, EXP_KERNEL, Grid(0.0, 1.0, 64)) in kept
+    assert operators._RUN_MEMO.get() is None
 
 
 def test_lag_tables_outside_a_run_are_built_afresh():
     first, again = foundation._lag_tables(0.6, 64), foundation._lag_tables(0.6, 64)
     for a, b in zip(first, again):
-        assert a is not b and a.flags.writeable and np.array_equal(a, b)
+        assert a is not b and not a.flags.writeable and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("experiment, rules, uses, sides",
@@ -344,7 +374,7 @@ def test_a_run_builds_each_rule_once(tmp_path, monkeypatch, experiment, rules, u
     run(parse_config(json.dumps({"experiment": experiment, "n": 256, "output_dir": str(tmp_path)})))
     assert len(set(builds)) == len(builds) == rules
     assert len(calls) == uses and len(set(calls)) == sides
-    assert foundation._RUN_MEMO.get() is None
+    assert operators._RUN_MEMO.get() is None
 
 
 def test_rules_outside_a_run_are_built_afresh(monkeypatch):
@@ -678,6 +708,22 @@ def test_compare_results_script_rejects_a_missing_root(tmp_path, capsys):
     assert compare([str(tmp_path), missing]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: artifact root {missing} is not a directory\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("text", [b'{"results": ', b"\xff"], ids=["truncated", "not-utf8"])
+def test_compare_results_script_rejects_a_malformed_results_file(tmp_path, capsys, text):
+    """A ``results.json`` that cannot be parsed is one error line and
+    exit 2, which no comparison returns."""
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "compare_results.py")
+    compare = runpy.run_path(script)["main"]
+    for root, content in (("a", b"{}"), ("b", text)):
+        (tmp_path / root / "noether").mkdir(parents=True)
+        (tmp_path / root / "noether" / "results.json").write_bytes(content)
+    assert compare([str(tmp_path / "a"), str(tmp_path / "b")]) == 2
+    captured = capsys.readouterr()
+    path = os.path.join(str(tmp_path / "b"), "noether", "results.json")
+    assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
     assert captured.out == ""
 
 

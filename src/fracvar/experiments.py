@@ -92,7 +92,9 @@ __all__ = [
 class _Experiment(NamedTuple):
     """A catalogue entry: its ``fracvar list`` line, its runner, the
     defaults of a config, the assertion ids ``tolerances`` may set, and
-    the basis settings (``_BASIS_SETTINGS``) its runner reads."""
+    the ``_OPTIONAL_SETTINGS`` its runner reads; a config that sets any
+    other is refused, and the run keeps its default.  Only runners whose
+    closed forms hold on every ``[a, b]`` read ``interval``."""
 
     description: str
     runner: Callable
@@ -113,8 +115,7 @@ def _is_size(v) -> bool:
     return _is_count(v) and v <= _MAX_EIGEN_DIM
 
 
-#: the basis settings: default, test of a value, and the rule a value
-#: breaks; a run keeps the default of each setting it does not read
+#: the basis settings: default, test of a value, and the rule a value breaks
 _BASIS_SETTINGS = {
     "m": (16, _is_size, f"must be a positive integer at most {_MAX_EIGEN_DIM}"),
     "m_schedule": ((4, 8, 16, 32),
@@ -125,15 +126,9 @@ _BASIS_SETTINGS = {
     "r": (3, _is_count, "must be a positive integer"),
 }
 
-#: how the cross-field rules name the smallest and the largest basis size,
-#: by the setting that holds the sizes
-_SIZE_WORDING = {
-    "m": ("m", "{}*m = {} for m basis modes"),
-    "m_schedule": ("the smallest m_schedule entry", "{}*max(m_schedule) = {}"),
-}
-
-_SCHEMA_KEYS = ("experiment", "interval", "n", "alpha", *_BASIS_SETTINGS, "tolerances",
-                "output_dir", "seed")
+#: the settings each experiment reads or refuses, by its ``reads``
+_OPTIONAL_SETTINGS = ("interval", "alpha", *_BASIS_SETTINGS)
+_SCHEMA_KEYS = ("experiment", "n", *_OPTIONAL_SETTINGS, "tolerances", "output_dir", "seed")
 _N_RANGE = (32, 16384)
 
 
@@ -252,6 +247,9 @@ def _config_from_mapping(doc: dict) -> ExperimentConfig:
         raise ParseError(errors)
 
     spec = _EXPERIMENTS[experiment]
+    unread = [key for key in _OPTIONAL_SETTINGS if key in doc and key not in spec.reads]
+    errors += [f"{key}: {experiment} does not read it" for key in unread]
+    doc = {key: value for key, value in doc.items() if key not in unread}
     interval = doc.get("interval", spec.interval)
     pair = isinstance(interval, (list, tuple)) and len(interval) == 2
     a, b = map(_to_float, interval) if pair else (math.nan, math.nan)
@@ -272,36 +270,30 @@ def _config_from_mapping(doc: dict) -> ExperimentConfig:
         errors.append("alpha: must be a number or a list of numbers")
         raw_alpha = spec.alpha
     alpha = _validate_alpha(raw_alpha, spec.spectral, errors)
-    orders = len(spec.alpha)
-    if orders > 1 and not raw_alpha:
+    if len(spec.alpha) > 1 and not raw_alpha:
         errors.append(f"alpha: {experiment} needs at least one order")
-    elif orders <= 1 and len(raw_alpha) != orders:
-        errors.append(
-            f"alpha: {experiment} takes "
-            + ("no order" if orders == 0 else "exactly one order")
-        )
+    elif len(spec.alpha) == 1 and len(raw_alpha) != 1:
+        errors.append(f"alpha: {experiment} takes exactly one order")
 
     settings = {}
     for key, (default, valid, rule) in _BASIS_SETTINGS.items():
         value = doc.get(key, default)
-        if key in doc and key not in spec.reads:
-            errors.append(f"{key}: {experiment} does not read it")
-        elif valid(value):
+        if valid(value):
             settings[key] = value
         else:
             errors.append(f"{key}: {rule}")
-    for key, (least, most) in _SIZE_WORDING.items():
+    for key in ("m", "m_schedule"):
         if key in spec.reads and key in settings:
             sizes = np.ravel(settings[key])
             if "r" in spec.reads and settings.get("r", 0) > sizes.min():
-                errors.append(f"r: must not exceed {least}")
+                errors.append(f"r: must not exceed min({key}) = {sizes.min()}")
             need = _MIN_NODES_PER_MODE * int(sizes.max())
             if n < need:
-                errors.append("n: must be at least " + most.format(_MIN_NODES_PER_MODE, need))
+                errors.append(f"n: must be at least {_MIN_NODES_PER_MODE}*max({key}) = {need}")
 
     tolerances = doc.get("tolerances", {})
     if not isinstance(tolerances, dict):
-        errors.append("tolerances: must be an object of positive numbers")
+        errors.append("tolerances: must be an object of positive finite numbers")
     else:
         ids = _assertion_ids(experiment, alpha)
         for key in sorted(tolerances):
@@ -310,12 +302,12 @@ def _config_from_mapping(doc: dict) -> ExperimentConfig:
                     f"tolerances.{key}: names no assertion of {experiment}; "
                     f"its assertions are {', '.join(ids)}"
                 )
-            elif not _to_float(tolerances[key]) > 0:
-                errors.append(f"tolerances.{key}: must be a positive number")
+            elif not 0 < _to_float(tolerances[key]) < math.inf:
+                errors.append(f"tolerances.{key}: must be a positive finite number")
 
     output_dir = doc.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        errors.append("output_dir: must be a string")
+    if output_dir is not None and not (isinstance(output_dir, str) and output_dir):
+        errors.append("output_dir: must be a non-empty string")
 
     seed = doc.get("seed", 20240817)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
@@ -932,6 +924,7 @@ _EXPERIMENTS = {
         "power-function identities plus semigroup and inverse "
         "laws of the one-sided fractional operators",
         _run_ops_identities, 4096, (0.3, 0.5, 0.7), ("power-sup", "power-order", "laws-sup"),
+        reads=("interval", "alpha"),
     ),
     "ibp-suite": _Experiment(
         "two-sided integration-by-parts identity on seeded random "
@@ -947,34 +940,34 @@ _EXPERIMENTS = {
     "el-check": _Experiment(
         "optimality residual along the closed-form extremal built "
         "from the one-parameter Mittag-Leffler function",
-        _run_el_check, 4096, (0.4,), ("defect-sup", "el-sup"),
+        _run_el_check, 4096, (0.4,), ("defect-sup", "el-sup"), reads=("interval", "alpha"),
     ),
     "isoperimetric": _Experiment(
         "constrained extremal with an exponential kernel; "
         "recovers the multiplier 2*xi",
-        _run_isoperimetric, 2048, (0.3,), ("multiplier", "augmented-el"),
+        _run_isoperimetric, 2048, (0.3,), ("multiplier", "augmented-el"), reads=("alpha",),
     ),
     "noether": _Experiment(
         "conserved-quantity drift along extremals: fractional "
         "momentum map and the classical limit",
-        _run_noether, 2048, (0.9,), ("fractional-drift", "classical-drift"),
+        _run_noether, 2048, (0.9,), ("fractional-drift", "classical-drift"), reads=("alpha",),
     ),
     "falva": _Experiment(
         "weighted optimality residual on a damped oscillator plus the "
         "dissipation parameter of the action weight",
-        _run_falva, 2048, (0.1,), ("weighted-el", "dissipation"),
+        _run_falva, 2048, (0.1,), ("weighted-el", "dissipation"), reads=("interval", "alpha"),
     ),
     "sl-solve": _Experiment(
         "Ritz spectrum of the composed-derivative eigenproblem with "
         "orthogonality and Rayleigh-quotient checks",
         _run_sl_solve, 4096, (0.75,), ("rayleigh-consistency", "gram-offdiag"),
-        interval=(0.0, math.pi), spectral=True, reads=("m", "r"),
+        interval=(0.0, math.pi), spectral=True, reads=("interval", "alpha", "m", "r"),
     ),
     "sl-converge": _Experiment(
         "eigenvalue monotonicity and Cauchy convergence along a "
         "nested basis-size schedule",
         _run_sl_converge, 8192, (0.75,), ("monotone", "strict-ordering"),
-        interval=(0.0, math.pi), spectral=True, reads=("m_schedule", "r"),
+        interval=(0.0, math.pi), spectral=True, reads=("interval", "alpha", "m_schedule", "r"),
     ),
     "direct-min": _Experiment(
         "coefficient-space descent on three convex functionals "
@@ -1033,12 +1026,13 @@ def run(config: ExperimentConfig) -> ResultRecord:
     ``./fracvar_results``; each experiment writes ``results.json``,
     ``timing.txt`` and its ``.csv`` tables and ``.dat`` series into a
     subdirectory named after itself, which the returned record names in
-    ``output_dir``.  Each lag table and each operator rule (one per
-    operator, K or B, kernel and grid, whatever the side weights) the run
-    needs is built once for the whole run and dropped when it ends
-    (``operators._run_memo``).  ``results.json`` is encoded by ``json``
-    itself, numpy scalars as their Python values, and the record's
-    ``inputs`` and ``results`` are decoded from that same text.
+    ``output_dir``, and removes every other ``.csv`` and ``.dat`` file
+    there, such as a series an earlier run wrote.  Each lag table and each
+    operator rule (one per operator, K or B, kernel and grid, whatever the
+    side weights) the run needs is built once for the whole run and
+    dropped when it ends (``operators._run_memo``).  ``results.json`` is
+    encoded by ``json`` itself, numpy scalars as their Python values, and
+    the record's ``inputs`` and ``results`` are decoded from that same text.
     """
     started = time.perf_counter()
     grid = Grid(config.a, config.b, config.n)
@@ -1064,7 +1058,11 @@ def run(config: ExperimentConfig) -> ResultRecord:
     for name, (headers, rows) in tables.items():
         _write_atomic(os.path.join(outdir, f"{name}.csv"), _csv_text(headers, rows, config.seed))
     for name, (x, y) in series.items():
-        _write_atomic(os.path.join(outdir, f"{name}.dat"), _dat_text(x, y))
+        _write_atomic(os.path.join(outdir, series_files[name]), _dat_text(x, y))
+    kept = {f"{name}.csv" for name in tables} | set(series_files.values())
+    for name in os.listdir(outdir):
+        if name.endswith((".csv", ".dat")) and name not in kept:
+            os.remove(os.path.join(outdir, name))
     written = json.loads(text)
     return ResultRecord(
         experiment=config.experiment,

@@ -86,34 +86,41 @@ def test_alpha_range_depends_on_experiment():
         ('{"experiment": "noether", "m": 16}', "m: noether does not read it"),
         ('{"experiment": "sl-solve", "m_schedule": [4, 8]}', "m_schedule: sl-solve does not read it"),
         ('{"experiment": "direct-min", "r": 3}', "r: direct-min does not read it"),
-        ('{"experiment": "noether", "interval": [1.0, 0.0]}', "interval"),
-        ('{"experiment": "noether", "interval": [0.0]}', "interval"),
-        ('{"experiment": "noether", "interval": [-1e308, 1e308]}', "interval"),
+        ('{"experiment": "el-check", "interval": [1.0, 0.0]}', "interval: must be"),
+        ('{"experiment": "el-check", "interval": [0.0]}', "interval: must be"),
+        ('{"experiment": "el-check", "interval": [-1e308, 1e308]}', "interval: must be"),
         # integers beyond the float range
         ('{"experiment": "el-check", "alpha": 1' + "0" * 400 + '}', "finite numbers"),
         # distinct integers that round to one float
-        ('{"experiment": "noether", "interval": [100000000000000000, 100000000000000001]}',
-         "interval"),
-        ('{"experiment": "noether", "interval": [0, 1' + "0" * 400 + ']}', "interval"),
+        ('{"experiment": "el-check", "interval": [100000000000000000, 100000000000000001]}',
+         "interval: must be"),
+        ('{"experiment": "el-check", "interval": [0, 1' + "0" * 400 + ']}', "interval: must be"),
         ('{"experiment": "noether", "tolerances": {"fractional-drift": 1' + "0" * 400 + '}}',
-         "tolerances.fractional-drift: must be a positive number"),
+         "tolerances.fractional-drift: must be a positive finite number"),
+        # floats beyond the float range parse to inf, as does JSON's non-standard Infinity
+        ('{"experiment": "falva", "tolerances": {"weighted-el": 1e400}}',
+         "tolerances.weighted-el: must be a positive finite number"),
+        ('{"experiment": "falva", "tolerances": {"weighted-el": Infinity}}',
+         "tolerances.weighted-el: must be a positive finite number"),
         ('{"experiment": "sl-converge", "m_schedule": [8, 4]}', "strictly increasing"),
         ('{"experiment": "sl-solve", "r": 0}', "positive integer"),
         ('{"experiment": "sl-solve", "m": 4, "r": 9}', "must not exceed m"),
-        ('{"experiment": "sl-converge", "m_schedule": [4, 8], "r": 6}', "smallest m_schedule"),
+        ('{"experiment": "sl-converge", "m_schedule": [4, 8], "r": 6}',
+         "r: must not exceed min(m_schedule) = 4"),
         ('{"experiment": "noether", "tolerances": {"x": -1.0}}', "tolerances.x"),
         ('{"experiment": "noether", "tolerances": 3}', "tolerances"),
         ('{"experiment": "noether", "tolerances": {"fractional-drift": -1.0}}',
-         "tolerances.fractional-drift: must be a positive number"),
+         "tolerances.fractional-drift: must be a positive finite number"),
         ('{"experiment": "sl-solve", "alpha": 1.0, "tolerances": {"eigenvalue-bound": 1.0}}',
          "tolerances.eigenvalue-bound: names no assertion of sl-solve"),
         ('{"experiment": "sl-solve", "tolerances": {"classical-eigenvalues": 1.0}}',
          "tolerances.classical-eigenvalues: names no assertion of sl-solve"),
         ('{"experiment": "noether", "output_dir": 4}', "output_dir"),
+        ('{"experiment": "noether", "output_dir": ""}', "output_dir: must be a non-empty string"),
         ('{"experiment": "noether", "seed": 1.5}', "seed"),
         ('{"experiment": "ibp-suite", "seed": -1}', "seed: must be a non-negative integer"),
         ('{"experiment": "sl-solve", "m": 100, "n": 1024}', "32*m"),
-        ('{"experiment": "direct-min", "m": 64}', "n: must be at least 32*m = 2048"),
+        ('{"experiment": "direct-min", "m": 64}', "n: must be at least 32*max(m) = 2048"),
         ('{"experiment": "sl-converge", "m_schedule": [64, 128], "n": 1024}', "32*max"),
         ('{"experiment": "sl-converge", "m_schedule": [4, 250]}', "integers at most 200"),
         ('[1, 2]', "top level"),
@@ -121,7 +128,7 @@ def test_alpha_range_depends_on_experiment():
         ('{"experiment": "ops-identities", "alpha": []}', "alpha: ops-identities needs at least one order"),
         ('{"experiment": "el-check", "alpha": [0.4, 0.9]}', "alpha: el-check takes exactly one order"),
         ('{"experiment": "noether", "alpha": []}', "alpha: noether takes exactly one order"),
-        ('{"experiment": "counterexample", "alpha": 0.5}', "alpha: counterexample takes no order"),
+        ('{"experiment": "counterexample", "alpha": 0.5}', "alpha: counterexample does not read it"),
     ],
 )
 def test_field_errors(doc, needle):
@@ -129,20 +136,32 @@ def test_field_errors(doc, needle):
 
 
 def test_each_experiment_takes_only_the_basis_settings_it_reads():
-    """Of the 30 pairs of experiment and basis setting, the 5 whose run reads
-    the setting are accepted; an unread one is rejected whatever its value."""
-    values = {"m": 8, "m_schedule": [4, 8], "r": 2}
+    """Of the 50 pairs of experiment and optional setting, the 17 whose run
+    reads the setting are accepted, and a bad value there is that setting's
+    error; an unread one is one error whatever its value, unchecked.  All
+    ten take ``n``, ``seed``, ``tolerances`` and ``output_dir``."""
+    good = {"interval": [-1.0, 0.5], "alpha": 0.75, "m": 8, "m_schedule": [4, 8], "r": 2}
+    bad = {"interval": [1.0, 0.0], "alpha": 2.0, "m": 500, "m_schedule": [8, 4], "r": 0}
     accepted = []
     for exp_id in ALL_IDS:
-        for key, value in values.items():
+        for key in good:
             try:
-                parse_config(json.dumps({"experiment": exp_id, key: value}))
+                parse_config(json.dumps({"experiment": exp_id, key: good[key]}))
                 accepted.append((exp_id, key))
+                (error,) = errors_of(json.dumps({"experiment": exp_id, key: bad[key]}))
+                assert error.startswith(f"{key}: ") and "does not read it" not in error
             except ParseError as exc:
                 assert exc.errors == [f"{key}: {exp_id} does not read it"]
-    assert accepted == [("sl-solve", "m"), ("sl-solve", "r"), ("sl-converge", "m_schedule"),
-                        ("sl-converge", "r"), ("direct-min", "m")]
-    assert errors_of('{"experiment": "noether", "m": 500}') == ["m: noether does not read it"]
+                assert errors_of(json.dumps({"experiment": exp_id, key: bad[key]})) == exc.errors
+    readers = {"interval": ("ops-identities", "el-check", "falva", "sl-solve", "sl-converge"),
+               "alpha": ("ops-identities", "el-check", "isoperimetric", "noether", "falva",
+                         "sl-solve", "sl-converge"),
+               "m": ("sl-solve", "direct-min"), "m_schedule": ("sl-converge",),
+               "r": ("sl-solve", "sl-converge")}
+    assert sorted(accepted) == sorted((e, key) for key, ids in readers.items() for e in ids)
+    for exp_id in ALL_IDS:  # the settings every experiment reads
+        parse_config(json.dumps({"experiment": exp_id, "n": 1024, "seed": 1, "tolerances": {},
+                                 "output_dir": "out"}))
 
 
 def test_errors_are_collected_not_first_only():
@@ -251,12 +270,16 @@ def test_run_record_holds_what_results_json_holds(smoke_record):
     assert {type(v) for v in leaves([record.inputs, record.results])} <= {str, float, int, bool}
 
 
-def test_el_check_passes_on_a_shifted_interval(tmp_path):
-    """The closed-form extremal starts at the interval's left end, so
-    el-check holds on [1, 2] as on [0, 1]."""
+@pytest.mark.parametrize("interval", [(1.0, 2.0), (-1.0, 0.5)], ids=lambda v: "[%g, %g]" % v)
+@pytest.mark.parametrize("experiment", ["ops-identities", "el-check", "falva", "sl-solve",
+                                        "sl-converge"])
+def test_interval_readers_pass_on_a_shifted_interval(tmp_path, experiment, interval):
+    """Each experiment that reads ``interval`` passes at its defaults on
+    an interval other than its own: its closed forms are stated from ``a``."""
     record = run(parse_config(json.dumps(
-        {"experiment": "el-check", "interval": [1.0, 2.0], "output_dir": str(tmp_path)})))
+        {"experiment": experiment, "interval": interval, "output_dir": str(tmp_path)})))
     assert record.passed, [(a.id, a.measured) for a in record.assertions]
+    assert record.inputs["interval"] == list(interval)
 
 
 def test_run_is_deterministic(tmp_path):
@@ -283,6 +306,32 @@ def test_run_respects_env_output_root(tmp_path, monkeypatch):
     cfg = parse_config('{"experiment": "ops-identities", "n": 1024}')
     run(cfg)
     assert (tmp_path / "ops-identities" / "results.json").exists()
+
+
+def test_cli_rejects_an_empty_output_dir(tmp_path, capsys, monkeypatch):
+    """An empty ``output_dir`` is a config error, not a fall back to the
+    environment's root or ``./fracvar_results``: exit 2, nothing written."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("FRACVAR_OUTPUT_DIR", str(tmp_path / "env"))
+    assert main(["run", "--experiment", "ibp-suite", "--set", 'output_dir=""']) == 2
+    assert capsys.readouterr().err == "config error: output_dir: must be a non-empty string\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_rerun_removes_the_tables_and_series_it_did_not_write(tmp_path):
+    """``sl-solve`` with ``r = 3`` and then ``r = 2`` into one root leaves
+    the series the second run lists and its table, and no other ``.csv`` or
+    ``.dat`` file; files of other kinds stay."""
+    outdir = tmp_path / "sl-solve"
+    outdir.mkdir()
+    (outdir / "notes.txt").write_text("kept\n")
+    for r in (3, 2):
+        record = run(parse_config(json.dumps(
+            {"experiment": "sl-solve", "n": 1024, "r": r, "output_dir": str(tmp_path)})))
+    assert sorted(record.series.values()) == ["eigenfunction-1.dat", "eigenfunction-2.dat"]
+    assert sorted(p.name for p in outdir.iterdir()) == [
+        "eigenfunction-1.dat", "eigenfunction-2.dat", "notes.txt", "results.json",
+        "spectrum.csv", "timing.txt"]
 
 
 def spy_lag_tables(monkeypatch):
@@ -465,22 +514,29 @@ def test_cli_tolerance_override_by_assertion_id(tmp_path, capsys):
         ("noether", "m=16", "m: noether does not read it"),
         ("direct-min", "m_schedule=[4, 8]", "m_schedule: direct-min does not read it"),
         ("ibp-suite", "r=3", "r: ibp-suite does not read it"),
+        ("counterexample", "interval=[1, 2]", "interval: counterexample does not read it"),
+        ("direct-min", "alpha=0.5", "alpha: direct-min does not read it"),
     ],
 )
 def test_cli_rejects_settings_the_run_does_not_read(tmp_path, capsys, experiment, override, needle):
-    """A tolerance, an order or a basis setting the run does not read
-    exits 2 and writes no file."""
+    """A tolerance, an order, an interval or a basis setting the run does
+    not read exits 2 and writes no file."""
     argv = ["run", "--experiment", experiment, "--set", f"output_dir={tmp_path}", "--set", override]
     assert main(argv) == 2
     assert f"config error: {needle}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
-def test_cli_error_during_a_run_exits_two_and_writes_nothing(tmp_path, capsys):
-    """The counterexample kernel is singular at the interior point 0 of
-    [-1, 1]: the run raises ``NumericError``, reported as one line."""
-    argv = ["run", "--experiment", "counterexample", "--set", "interval=[-1, 1]",
-            "--set", "n=64", "--set", f"output_dir={tmp_path}"]
+def test_cli_error_during_a_run_exits_two_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    """A runner that raises ``NumericError`` is reported as one line."""
+
+    def failing(cfg, grid):
+        raise NumericError("kernel evaluation non-finite at node 0.5")
+
+    monkeypatch.setitem(_EXPERIMENTS, "counterexample",
+                        _EXPERIMENTS["counterexample"]._replace(runner=failing))
+    argv = ["run", "--experiment", "counterexample", "--set", "n=64",
+            "--set", f"output_dir={tmp_path}"]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: NumericError: ")

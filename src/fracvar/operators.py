@@ -25,7 +25,11 @@ Difference-type kernels make the product-integration weights a Toeplitz
 matrix, so the left-sided integral at all ``n + 1`` nodes is one linear
 convolution, evaluated by zero-padded real FFT in O(n log n) (Hairer,
 Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985), its length the
-smallest 5-smooth one that holds it.  Every other kernel goes through one
+smallest 5-smooth one that holds it.  The right-sided integral is the
+correlation with the same weights, so both sides are one convolution
+plus correlation in one spectrum, one forward and one inverse transform
+per group of rows, with the end nodes 0 and n, where that transform
+wraps, set directly.  Every other kernel goes through one
 hierarchical engine, for K and B alike: the lower triangle is
 split dyadically, diagonal tiles of ``_LEAF`` = 128 rows are evaluated
 densely, and each far block, where the cofactor is smooth, is
@@ -47,7 +51,8 @@ left-sided one of the reversed samples at the reflected nodes
 swapped, and B's rule negates it: the reversed samples' derivative is the
 reversed derivative negated.  A difference kernel reflects onto itself, so
 its tables, profile and weight spectrum serve both sides, and its cofactor
-is sampled once per rule, at ``(t_j, a)``.
+is sampled once per rule, at ``(t_j, a)``; with one side weight zero it
+takes that one side alone.
 """
 
 from __future__ import annotations
@@ -301,17 +306,16 @@ def _fft_size(m: int) -> int:
     return best
 
 
-def _convolve(y: np.ndarray, length: int, count: int, discard: int = 0):
-    """Function from a stack of rows of ``length`` entries to the first
-    ``count`` entries of each row's linear convolution with ``y``, whose
-    spectrum is computed once.  Both are zero-padded to the smallest
-    5-smooth length (``_fft_size``) at or above
-    ``length + len(y) - 1 - discard``: the circular convolution of the
-    real FFT then wraps only into the first ``discard`` entries, which the
-    caller throws away."""
-    size = _fft_size(length + len(y) - 1 - discard)
-    spectrum = np.fft.rfft(y, size)
-    return lambda x: np.fft.irfft(np.fft.rfft(x, size, axis=1) * spectrum, size, axis=1)[:, :count]
+def _delay(size: int) -> np.ndarray:
+    """``exp(-2 pi i k / size)`` for ``k`` in ``0 .. size // 2``, the real-FFT
+    spectrum of a delay by one node.  It is the outer product of two tables
+    of about ``sqrt(size / 2)`` entries, within 1e-15 of the exponential of
+    each entry at a tenth of its cost."""
+    count = size // 2 + 1
+    step = math.isqrt(count) + 1
+    coarse = np.exp(-2j * math.pi * step / size * np.arange(-(-count // step)))
+    fine = np.exp(-2j * math.pi / size * np.arange(step))
+    return np.multiply.outer(coarse, fine).ravel()[:count]
 
 
 #: what one run has built so far, while a ``_run_memo`` is open: lag tables
@@ -352,22 +356,28 @@ def _profile(kernel: Kernel, grid: Grid) -> np.ndarray:
 
 
 def _left_rule(kernel: Kernel, grid: Grid, inside: bool):
-    """Left-sided rule of K (``inside`` false) or of B (``inside`` set) for
-    ``kernel`` on ``grid``, for any side weights (see ``_two_sided`` for
-    when it is built): a function ``rule(rows, out, weight, right)`` that
-    adds ``weight`` times each row's values, the module's one sum with the
-    operator's ``(x1, x2, e)``, into ``out`` and returns the set of flagged
-    nodes.  B's cell derivatives are the exact derivative of the
-    piecewise-linear interpolant, so the interpolation error of ``f``
-    telescopes within each cell instead of polluting the quadrature near a
-    startup cusp.
+    """Rule of K (``inside`` false) or of B (``inside`` set) for ``kernel``
+    on ``grid``, for any side weights (see ``_two_sided`` for when it is
+    built): a function ``rule(rows, out, lam, mu)`` that adds ``lam`` times
+    each row's left-sided values, the module's one sum with the operator's
+    ``(x1, x2, e)``, and ``mu`` times its right-sided values into ``out``
+    and returns the set of flagged nodes.  B's cell derivatives are the
+    exact derivative of the piecewise-linear interpolant, so the
+    interpolation error of ``f`` telescopes within each cell instead of
+    polluting the quadrature near a startup cusp.
 
-    With ``right`` set it is the rule on the reflected interval, which
-    ``_two_sided`` hands the reversed rows and output, and B negates
-    ``weight`` there (see the module docstring).  A difference kernel
-    convolves ``_ROW_GROUP`` rows at a time, K's ``f`` with ``(T1 + T2) c``
-    less node 0's T2 term and B's ``df`` with the cell weights; other
-    kernels run the engine once per side.
+    One side is the left-sided rule, run on the reversed rows and output
+    for the right side, where B negates ``mu`` (see the module docstring).
+    A difference kernel convolves ``_ROW_GROUP`` rows at a time, K's ``f``
+    with ``(T1 + T2) c`` less node 0's T2 term and B's ``df`` with the cell
+    weights; other kernels run the engine once per side.  With both
+    weights nonzero a difference kernel takes both sides in one transform
+    pair per row group: the right-sided sum is the correlation of the rows
+    with the same weights, so the weight spectrum ``W`` becomes
+    ``lam W + mu conj(W)``, with B's convolution delayed one node,
+    ``lam exp(-2 pi i k / N) W``.  The wrapped terms of that transform
+    land on nodes 0 and n only, where one side vanishes, so those two
+    nodes are set by a direct dot product each.
 
     Flagged nodes hold no trustworthy value (NaN placeholder); they arise
     only when a kernel declared bounded turns out non-finite at an
@@ -378,26 +388,41 @@ def _left_rule(kernel: Kernel, grid: Grid, inside: bool):
     mu = 1.0 - kernel.singularity_exponent
     t1, t2 = lags = _kept((mu, n + 1), _lag_tables, mu, n + 1)
     scale = grid.h ** (mu - 1.0 if inside else mu)
-    chebyshev: dict = {}
 
     if kernel.is_difference:
         prof = _profile(kernel, grid)
+        # the smallest 5-smooth length at which one side's kept nodes take no
+        # wrapped term
         if inside:
-            convolve = _convolve(prof[1:] * t1[1:] + prof[:-1] * t2[:-1], n, n)
+            # n cell derivatives against n cell weights, all 2n - 1 outputs kept
+            weights, size = prof[1:] * t1[1:] + prof[:-1] * t2[:-1], _fft_size(2 * n - 1)
         else:
-            # node 0 is set to zero in the rule, so it may take the wrapped terms
-            convolve = _convolve((t1 + t2) * prof, n + 1, n + 1, discard=1)
+            # n + 1 samples against n + 1 weights; node 0, which the rule
+            # sets, may take the wrapped term
+            weights, size = (t1 + t2) * prof, _fft_size(2 * n)
             start = t2 * prof
+        spectrum = np.fft.rfft(weights, size)
+    else:
+        chebyshev: dict = {}
 
-    def rule(rows, out, weight, right):
+        def engine(right, x1, x2):
+            # the only holder of the lag tables, which a difference rule drops
+            return _left_engine(kernel, grid, right, lags, chebyshev, x1, x2)
+
+    def convolve(x, factor):
+        z = np.fft.rfft(x, size, axis=1)
+        z *= factor
+        return np.fft.irfft(z, size, axis=1)
+
+    def one_side(rows, out, weight, right):
         weight = -weight if inside and right else weight
         if kernel.is_difference:
             for lo in range(0, len(rows), _ROW_GROUP):
                 x = rows[lo : lo + _ROW_GROUP]
                 if inside:
-                    values = np.pad(convolve(np.diff(x, axis=1)), ((0, 0), (1, 0)))
+                    values = np.pad(convolve(np.diff(x, axis=1), spectrum)[:, :n], ((0, 0), (1, 0)))
                 else:
-                    values = convolve(x) - start * x[:, :1]
+                    values = convolve(x, spectrum)[:, : n + 1] - start * x[:, :1]
                     values[:, 0] = 0.0
                 out[lo : lo + _ROW_GROUP] += weight * (scale * values)
             return set()
@@ -406,11 +431,36 @@ def _left_rule(kernel: Kernel, grid: Grid, inside: bool):
             x1, x2 = np.pad(df, ((0, 0), (0, 1))), np.pad(df, ((0, 0), (1, 0)))
         else:
             x1, x2 = rows, np.pad(rows[:, 1:], ((0, 0), (1, 0)))
-        values, flagged = _left_engine(kernel, grid, right, lags, chebyshev, x1, x2)
+        values, flagged = engine(right, x1, x2)
         values *= scale
         values[:, sorted(flagged)] = np.nan
         values *= weight
         out += values
+        return flagged
+
+    def both_sides(rows, out, lam, mu):
+        mixed = (_delay(size) * lam if inside else lam) * spectrum + mu * spectrum.conj()
+        for lo in range(0, len(rows), _ROW_GROUP):
+            x = rows[lo : lo + _ROW_GROUP]
+            x = np.diff(x, axis=1) if inside else x
+            values = convolve(x, mixed)[:, : n + 1]
+            # the right side's sum at node 0 and the left side's at node n
+            first, last = (x * weights).sum(axis=1), (x * weights[::-1]).sum(axis=1)
+            if not inside:
+                values -= (lam * x[:, :1]) * start
+                values -= (mu * x[:, -1:]) * start[::-1]
+                first -= start[-1] * x[:, -1]
+                last -= start[-1] * x[:, 0]
+            values[:, 0], values[:, -1] = mu * first, lam * last
+            out[lo : lo + _ROW_GROUP] += scale * values
+
+    def rule(rows, out, lam, mu):
+        if kernel.is_difference and lam != 0.0 and mu != 0.0:
+            both_sides(rows, out, lam, mu)
+            return set()
+        flagged = one_side(rows, out, lam, False) if lam != 0.0 else set()
+        if mu != 0.0:
+            flagged |= {n - j for j in one_side(rows[:, ::-1], out[:, ::-1], mu, True)}
         return flagged
 
     return rule
@@ -790,24 +840,24 @@ def _two_sided(p: ParameterSet, kernel: Kernel, grid: Grid, rows: np.ndarray, in
     patching.
 
     ``_left_rule`` builds the rule, which serves both sides and does not
-    depend on ``p``, and it is handed the whole stack and the output, both
-    reversed for the right side.  Outside a ``_run_memo`` each call builds
-    its rule; inside one, the rule is kept under ``(inside, kernel, grid)``
-    (kernels and grids compare by value) and built once for the run, as
-    ``_left_rule`` keeps its lag tables under ``(mu, n + 1)``.  With both
-    side weights zero nothing is built and the result is zeros.
+    depend on ``p``, and one call of it adds both sides of the whole stack
+    into the output and returns the flagged nodes of both: a difference
+    kernel convolves and correlates in one spectrum, the engine runs once
+    per active side on the stack and output, reversed for the right side.
+    Outside a ``_run_memo`` each call builds its rule; inside one, the
+    rule is kept under ``(inside, kernel, grid)`` (kernels and grids
+    compare by value) and built once for the run, as ``_left_rule`` keeps
+    its lag tables under ``(mu, n + 1)``.  With both side weights zero
+    nothing is built and the result is zeros.
     """
     _check_interval(grid, p.a, p.b)
-    n, out, bad = grid.n, np.zeros(rows.shape), set()
+    out = np.zeros(rows.shape)
     if p.lam == 0.0 and p.mu == 0.0:
         return out
     rule = _kept((inside, kernel, grid), _left_rule, kernel, grid, inside)
-    if p.lam != 0.0:
-        bad |= rule(rows, out, p.lam, False)
-    if p.mu != 0.0:
-        bad |= {n - j for j in rule(rows[:, ::-1], out[:, ::-1], p.mu, True)}
+    bad = rule(rows, out, p.lam, p.mu)
     if bad:
-        _patch_corners(out, bad, n)
+        _patch_corners(out, bad, grid.n)
     if not np.all(np.isfinite(out)):
         _, bad_node = np.argwhere(~np.isfinite(out))[0]
         raise InputError(f"non-finite sample at node {bad_node}")

@@ -364,11 +364,12 @@ def _once_per_row(left_rule):
 
 @pytest.mark.parametrize(
     "n, kernel",
-    [(32, EXP_KERNEL), (1013, PowerLawKernel(0.4, "derivative")),
+    [(2, EXP_KERNEL), (3, PowerLawKernel(0.4, "derivative")), (32, EXP_KERNEL),
+     (1012, PowerLawKernel(0.6, "integral")), (1013, PowerLawKernel(0.4, "derivative")),
      (1024, PowerLawKernel(0.6, "integral")), (1025, EXP_KERNEL), (3072, EXP_KERNEL),
      (4096, PowerLawKernel(0.3, "derivative")), (4097, PowerLawKernel(0.6, "integral")),
      (32768, EXP_KERNEL)],
-    ids=["32", "1013", "1024", "1025", "3072", "4096", "4097", "32768"],
+    ids=["2", "3", "32", "1012", "1013", "1024", "1025", "3072", "4096", "4097", "32768"],
 )
 def test_fft_convolution_matches_direct_oracle_at_the_wrap_boundary(n, kernel):
     """The transforms are the shortest 5-smooth lengths the kept nodes
@@ -378,7 +379,12 @@ def test_fft_convolution_matches_direct_oracle_at_the_wrap_boundary(n, kernel):
     outputs fill its transform of 2025 = 3**4 * 5**2 points, an odd
     length, and B keeps its first output (node 1).  At n = 2**k + 1 both
     transforms are 5-smooth lengths far below the next power of two.
-    Left, right and two-sided weights meet the oracle's bound."""
+    Both sides at once wrap into nodes 0 and n, which the rule sets
+    directly: K's 2n-point transform wraps into both at n = 2**k, and at
+    n = 1012 it has the odd length 2025; B's transform of 2n - 1 points
+    wraps into both at n = 2 and 3, where the end nodes are one or two
+    nodes apart.  Left, right and two-sided weights meet the oracle's
+    bound."""
     g = Grid(0.0, 1.0, n)
     f = SampledFunction(g, np.random.default_rng(n).uniform(-1, 1, n + 1))
     for apply, left_rule, sign in ((k_apply, _direct_k_left, 1.0), (b_apply, _direct_b_left, -1.0)):
@@ -389,16 +395,21 @@ def test_fft_convolution_matches_direct_oracle_at_the_wrap_boundary(n, kernel):
             assert np.abs(apply(p, kernel, f).values - ref).max() <= bound
 
 
-def _record_rfft_lengths(monkeypatch):
-    """List that collects the length of every ``np.fft.rfft`` call."""
+def _record_rfft_lengths(monkeypatch, inverse=None):
+    """List that collects the length of every ``np.fft.rfft`` call; the
+    length of every ``np.fft.irfft`` call goes to the list ``inverse``,
+    if given."""
     lengths = []
-    rfft = np.fft.rfft
 
-    def recording(a, n=None, *args, **kwargs):
-        lengths.append(n)
-        return rfft(a, n, *args, **kwargs)
+    def recording(transform, into):
+        def call(a, n=None, *args, **kwargs):
+            into.append(n)
+            return transform(a, n, *args, **kwargs)
+        return call
 
-    monkeypatch.setattr(np.fft, "rfft", recording)
+    monkeypatch.setattr(np.fft, "rfft", recording(np.fft.rfft, lengths))
+    if inverse is not None:
+        monkeypatch.setattr(np.fft, "irfft", recording(np.fft.irfft, inverse))
     return lengths
 
 
@@ -413,6 +424,23 @@ def test_difference_rules_transform_twice_the_grid_on_a_power_of_two(monkeypatch
         lengths.clear()
         apply(p, EXP_KERNEL, f)
         assert lengths and max(lengths) <= 8192
+
+
+def test_two_sided_difference_rules_transform_each_row_group_once_each_way(monkeypatch):
+    """Work count: at n = 4096 a two-sided K or B of one row makes one
+    forward and one inverse transform of the row, with one forward
+    transform of the rule's weights; a stack of 5 rows, two row groups,
+    makes one of each per group."""
+    inverse = []
+    lengths = _record_rfft_lengths(monkeypatch, inverse)
+    p, g = ParameterSet(0.0, 1.0, 0.8, -1.3), Grid(0.0, 1.0, 4096)
+    rows = np.cos(np.arange(1.0, 6.0)[:, None] * g.nodes)
+    for inside in (False, True):
+        for stack, groups in ((rows[:1], 1), (rows, 2)):
+            lengths.clear()
+            inverse.clear()
+            _two_sided(p, EXP_KERNEL, g, stack, inside)
+            assert lengths == [8192] * (1 + groups) and inverse == [8192] * groups
 
 
 def _is_five_smooth(m):
@@ -571,14 +599,8 @@ def _row_two_sided(p, kernel, f, relative=1e-12, tables=_oracle_tables):
 
 def _engine_two_sided(p, kernel, f, inside):
     """``_two_sided`` without the corner patch: values and flagged nodes."""
-    grid, n = f.grid, f.grid.n
-    out, flagged = np.zeros((1, n + 1)), set()
-    rule = _left_rule(kernel, grid, inside)
-    if p.lam != 0.0:
-        flagged.update(rule(f.values[None], out, p.lam, False))
-    if p.mu != 0.0:
-        flags = rule(f.values[None, ::-1], out[:, ::-1], p.mu, True)
-        flagged.update(n - j for j in flags)
+    out = np.zeros((1, f.grid.n + 1))
+    flagged = _left_rule(kernel, f.grid, inside)(f.values[None], out, p.lam, p.mu)
     return out[0], flagged
 
 
@@ -661,6 +683,36 @@ def test_shared_row_loop_matches_oracle(case, n, lam, mu, seed):
     g = Grid(a, b, n)
     f = SampledFunction(g, np.random.default_rng(seed).uniform(-1, 1, n + 1))
     _assert_engine_matches_oracle(p, kernel, f)
+
+
+@pytest.mark.filterwarnings("ignore::fracvar.CornerExtrapolationWarning")
+def test_counterexample_transform_of_one_converges_to_its_closed_form_at_order_two():
+    """The counterexample kernel ``(x**2 - y**2) / (x**2 + y**2)**2`` is
+    ``d/dtau [tau / (t**2 + tau**2)]``, so K of ``f = 1`` on [0, 1] is
+    ``1/(2t)`` on the left and ``1/(2t) - 1/(1 + t**2)`` on the right, a
+    reference that shares nothing with the engine.  Over ``t >= 1/4`` the
+    sup errors of the left side, the right side and a two-sided call fall
+    as ``h**2`` at powers of two and at the ragged n = 4500.  They read
+    ``2.667 h**2`` on the left and ``2.780 h**2`` on the right, order
+    2.000 between neighbouring n, when this was written."""
+    lam, mu = 0.7, -1.6
+    bounds = {(1.0, 0.0): 2.7, (0.0, 1.0): 2.8, (lam, mu): abs(lam) * 2.7 + abs(mu) * 2.8}
+    errors = []
+    for n in (1024, 2048, 4096, 4500, 8192):
+        g = Grid(0.0, 1.0, n)
+        t = g.nodes[g.nodes >= 0.25]
+        left, right = 1.0 / (2.0 * t), 1.0 / (2.0 * t) - 1.0 / (1.0 + t * t)
+        row = []
+        for (wl, wr), bound in bounds.items():
+            out = k_apply(ParameterSet(0.0, 1.0, wl, wr), counterexample_kernel(),
+                          SampledFunction(g, np.ones(n + 1)))
+            err = np.abs(out.values[-len(t):] - (wl * left + wr * right)).max()
+            assert err <= bound * g.h**2
+            row.append(err)
+        errors.append((n, row))
+    for (n, coarse), (m, fine) in zip(errors, errors[1:]):
+        orders = np.log(np.divide(coarse, fine)) / math.log(m / n)
+        assert np.all(np.abs(orders - 2.0) <= 0.05)
 
 
 @pytest.mark.filterwarnings("ignore::fracvar.CornerExtrapolationWarning")

@@ -15,6 +15,7 @@ symmetric eigenproblem.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -88,8 +89,8 @@ class SLProblem:
     b: float = math.pi
 
     def __post_init__(self) -> None:
-        if self.alpha != 1.0 and not 0.5 < self.alpha < 1.0:
-            raise DomainError(f"alpha must lie in (0.5, 1), got {self.alpha}")
+        if isinstance(self.alpha, bool) or self.alpha != 1.0 and not 0.5 < self.alpha < 1.0:
+            raise DomainError(f"alpha must be a number in (0.5, 1) or 1, got {self.alpha!r}")
         _check_endpoints(self.a, self.b)
 
     def derivative_image(self, f: SampledFunction) -> SampledFunction:
@@ -145,6 +146,18 @@ class RitzBasis:
     row, the single expensive part of assembly, computed here by one
     stacked application that builds the tables once for all rows.
     ``_coefficients`` holds the checked samples ``(p, q, w)`` on the grid.
+
+    Row ``k`` and its image do not depend on ``m``, so the trial spaces
+    are nested and ``build`` shares rows between them: it keeps the last
+    basis it made (see ``_LAST_BASIS``), and a later build on an equal
+    problem and grid with at most as many rows returns that basis's
+    leading rows, bit for bit what a fresh build computes.  ``phi`` and
+    ``dphi`` are therefore read-only.  Problems compare their callables
+    by identity, so ``p``, ``q`` and ``w`` are taken to be pure, as the
+    frozen ``SLProblem`` implies.  More rows, another grid or an unequal
+    problem is a full build, which drops the kept basis first.  One basis
+    per thread is kept, and with it its problem's callables, until the
+    next build in that thread that does not reuse it.
     """
 
     problem: SLProblem
@@ -163,6 +176,10 @@ class RitzBasis:
                 f"grid too coarse for m={m} modes: need n >= {_MIN_NODES_PER_MODE * m}, "
                 f"got n={grid.n}"
             )
+        kept = _LAST_BASIS.get()
+        if kept is not None and kept.m >= m and kept.problem == problem and kept.grid == grid:
+            return cls(problem, grid, m, kept.phi[:m], kept.dphi[:m], kept._coefficients)
+        _LAST_BASIS.set(None)  # free the old rows before the new ones are made
         coefficients = _sample_coefficients(problem, grid)
         s = math.pi * (grid.nodes - grid.a) / (grid.b - grid.a)
         phi = np.outer(np.arange(1, m + 1), s)
@@ -170,12 +187,31 @@ class RitzBasis:
         phi *= 1.0 / np.sqrt(coefficients[2])
         phi[:, 0] = 0.0
         phi[:, -1] = 0.0
-        return cls(problem, grid, m, phi, problem._derivative(grid, phi, False), coefficients)
+        dphi = problem._derivative(grid, phi, False)
+        phi.flags.writeable = dphi.flags.writeable = False
+        basis = cls(problem, grid, m, phi, dphi, coefficients)
+        _LAST_BASIS.set(basis)
+        return basis
+
+
+#: the last basis ``RitzBasis.build`` made in this thread; ``None`` before
+#: the first build and during a build that does not reuse it
+_LAST_BASIS: contextvars.ContextVar = contextvars.ContextVar("last_basis", default=None)
 
 
 def _ritz_system(problem: SLProblem, m: int, grid: Optional[Grid]):
     """The basis of an ``m``-mode space, its Ritz matrix and ``c`` (see
-    ``assemble``), on ``grid`` or else on ``max(1024, 32 m)`` cells."""
+    ``assemble``), on ``grid`` or else on ``max(1024, 32 m)`` cells.
+
+    The basis comes from ``RitzBasis.build``, so it shares the rows of the
+    last basis built in this thread on an equal problem (the same pure
+    callables) and grid when that one has at least ``m``; without a grid
+    that needs the same ``max(1024, 32 m)``.  Shared rows are the leading
+    rows of a C-contiguous array, so both products see the operands a
+    fresh build gives, and so the same bits.  The kept basis, and its
+    problem's callables, stay in memory until the next build in this
+    thread that does not reuse it.
+    """
     m = _basis_size(m)
     if grid is None:
         grid = Grid(problem.a, problem.b, max(1024, _MIN_NODES_PER_MODE * m))

@@ -1,6 +1,15 @@
 import pytest
 
+from fracvar import sturm_liouville
+
 _ACCEPTANCE_LINES = []
+
+
+@pytest.fixture(autouse=True)
+def empty_basis_slot():
+    """Start every test with no kept Ritz basis, so no test's builds turn
+    into reuses of a basis an earlier test left (work counts stay exact)."""
+    sturm_liouville._LAST_BASIS.set(None)
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -58,7 +59,7 @@ def unit_interval_basis(m, n=256):
 # --- problem validation -------------------------------------------------------
 
 
-@pytest.mark.parametrize("alpha", [0.4, 0.5, 1.2, -0.1])
+@pytest.mark.parametrize("alpha", [0.4, 0.5, 1.2, -0.1, True, False])
 def test_alpha_outside_admissible_range(alpha):
     with pytest.raises(DomainError, match="alpha"):
         SLProblem(alpha, ONE, ZERO, ONE)
@@ -682,3 +683,126 @@ def test_trial_space_makes_one_table_per_side_and_operator(monkeypatch):
     calls = count_table_builds(monkeypatch)
     sturm_liouville._TrialSpace(two_sided_exp_problem(), basis)
     assert len(calls) <= 4
+
+
+# --- nested spaces share their rows ---------------------------------------------------
+#
+# RitzBasis.build keeps the last basis it made; a build of no more rows on an
+# equal problem and grid returns its leading rows, which must be the bits a
+# cold build computes, with no lag table and no derivative image made.
+
+
+def varied_problem(alpha=0.7):
+    return SLProblem(alpha, lambda t: 1.0 + 0.3 * np.sin(t) ** 2, lambda t: 0.5 + np.cos(t),
+                     lambda t: 1.0 + 0.2 * t)
+
+
+def count_derivative_images(monkeypatch):
+    calls = []
+    real = SLProblem._derivative
+
+    def counting(self, grid, rows, right):
+        calls.append(len(rows))
+        return real(self, grid, rows, right)
+
+    monkeypatch.setattr(SLProblem, "_derivative", counting)
+    return calls
+
+
+@pytest.mark.parametrize("m", [16, 13])
+def test_solve_spectrum_after_converge_reuses_the_rows_bit_for_bit(monkeypatch, m):
+    """``converge`` builds 32 rows; ``solve_spectrum`` on the same problem and
+    grid then makes no lag table and no derivative image, and its spectrum
+    equals a cold solve's bitwise, also at m = 13, where a cold build groups
+    the rows differently (13 is not a multiple of ``_ROW_GROUP``)."""
+    problem, grid = varied_problem(), Grid(0.0, math.pi, 1024)
+    converge(problem, (8, 16, 32), 3, grid)
+    tables, images = count_table_builds(monkeypatch), count_derivative_images(monkeypatch)
+    warm = solve_spectrum(problem, m, 3, grid)
+    assert tables == [] and images == []
+    sturm_liouville._LAST_BASIS.set(None)
+    cold = solve_spectrum(problem, m, 3, grid)
+    assert len(tables) == 1 and images == [m]
+    assert warm.m == cold.m == m
+    for name in ("lambdas", "coefficients", "right_trace"):
+        assert np.array_equal(getattr(warm, name), getattr(cold, name))
+    for got, want in zip(warm.eigenfunctions, cold.eigenfunctions, strict=True):
+        assert np.array_equal(got.values, want.values)
+
+
+def test_a_reuse_shares_the_kept_rows_and_samples():
+    """Equal problems (the same callables) on equal grids share rows, even as
+    distinct objects; the kept basis stays the larger one."""
+    grid = Grid(0.0, math.pi, 1024)
+    big = RitzBasis.build(constant_problem(0.7), 32, grid)
+    small = RitzBasis.build(constant_problem(0.7), 8, Grid(0.0, math.pi, 1024))
+    assert np.shares_memory(small.phi, big.phi) and np.shares_memory(small.dphi, big.dphi)
+    assert np.array_equal(small.phi, big.phi[:8]) and small.phi.flags.c_contiguous
+    assert small._coefficients is big._coefficients
+    assert sturm_liouville._LAST_BASIS.get() is big
+
+
+def test_a_larger_basis_another_grid_or_problem_rebuilds(monkeypatch):
+    """More rows, another grid or an unequal problem is a full build; the
+    slot is emptied before it and then holds the new basis only."""
+    problem, grid = varied_problem(), Grid(0.0, math.pi, 1024)
+    first = RitzBasis.build(problem, 8, grid)
+    tables, images = count_table_builds(monkeypatch), count_derivative_images(monkeypatch)
+    real_sample = sturm_liouville._sample_coefficients
+    slot_during_build = []
+
+    def sampling(*args):
+        slot_during_build.append(sturm_liouville._LAST_BASIS.get())
+        return real_sample(*args)
+
+    monkeypatch.setattr(sturm_liouville, "_sample_coefficients", sampling)
+    previous = first
+    for attempt_problem, m, attempt_grid in ((problem, 16, grid),
+                                             (problem, 8, Grid(0.0, math.pi, 512)),
+                                             (varied_problem(), 8, grid),
+                                             (varied_problem(0.8), 8, grid)):
+        before = len(tables)
+        basis = RitzBasis.build(attempt_problem, m, attempt_grid)
+        assert len(tables) == before + 1 and images[-1] == m
+        assert slot_during_build[-1] is None
+        assert sturm_liouville._LAST_BASIS.get() is basis
+        assert not np.shares_memory(basis.phi, previous.phi)
+        previous = basis
+    assert len(images) == 4
+
+
+def test_kept_rows_are_read_only():
+    grid = Grid(0.0, math.pi, 512)
+    fresh = RitzBasis.build(constant_problem(0.7), 16, grid)
+    reused = RitzBasis.build(constant_problem(0.7), 4, grid)
+    for basis in (fresh, reused):
+        for rows in (basis.phi, basis.dphi):
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0, 1] = 1.0
+
+
+def test_a_kept_basis_does_not_bypass_the_build_checks(monkeypatch):
+    """With a basis kept, an oversized or bool size, a too-coarse grid and a
+    grid on another interval still raise, before any table is built, and
+    leave the kept basis in place."""
+    problem, grid = constant_problem(0.7), Grid(0.0, math.pi, 1024)
+    kept = RitzBasis.build(problem, 32, grid)
+    calls = count_table_builds(monkeypatch)
+    with pytest.raises(InputError, match="at most 200"):
+        RitzBasis.build(problem, 201, grid)
+    with pytest.raises(InputError, match="True"):
+        RitzBasis.build(problem, True, grid)
+    with pytest.raises(ConfigurationError, match="coarse"):
+        RitzBasis.build(problem, 33, grid)
+    with pytest.raises(InputError):
+        RitzBasis.build(problem, 8, Grid(0.0, 3.0, 1024))
+    assert calls == [] and sturm_liouville._LAST_BASIS.get() is kept
+
+
+def test_each_thread_keeps_its_own_basis():
+    kept = RitzBasis.build(constant_problem(0.7), 4, Grid(0.0, math.pi, 256))
+    seen = []
+    thread = threading.Thread(target=lambda: seen.append(sturm_liouville._LAST_BASIS.get()))
+    thread.start()
+    thread.join()
+    assert seen == [None] and sturm_liouville._LAST_BASIS.get() is kept

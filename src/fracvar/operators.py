@@ -45,14 +45,13 @@ the blocks.  That costs O(n * _LEAF) cofactor evaluations and
 O(n log**2 n) arithmetic instead of the (n + 1)(n + 2) / 2 evaluations of
 a full triangle.  Each call builds its operator's rule, for both sides,
 or inside one catalogue run takes the run's (see ``_two_sided``), and the
-rule's barycentric tables serve both.  The right-sided integral is the
-left-sided one of the reversed samples at the reflected nodes
-``a + b - t``, where the engine samples the cofactor with its arguments
-swapped, and B's rule negates it: the reversed samples' derivative is the
-reversed derivative negated.  A difference kernel reflects onto itself, so
-its tables, profile and weight spectrum serve both sides, and its cofactor
-is sampled once per rule, at ``(t_j, a)``; with one side weight zero it
-takes that one side alone.
+rule's barycentric tables serve both.  In the engine the right-sided
+integral is the left-sided one of the reversed samples at the reflected
+nodes ``a + b - t``, where the engine samples the cofactor with its
+arguments swapped, and B's rule negates it: the reversed samples'
+derivative is the reversed derivative negated.  A difference kernel
+reflects onto itself, so its tables, profile and weight spectrum serve
+both sides, and its cofactor is sampled once per rule, at ``(t_j, a)``.
 """
 
 from __future__ import annotations
@@ -60,6 +59,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -145,9 +145,9 @@ class ParameterSet:
 
     def __post_init__(self) -> None:
         _check_endpoints(self.a, self.b)
-        for name in ("lam", "mu"):
-            if not math.isfinite(getattr(self, name)):
-                raise InputError(f"parameter {name} must be finite")
+        for name, value in (("lam", self.lam), ("mu", self.mu)):
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise InputError(f"parameter {name} must be a finite real number, got {value!r}")
         if self.lam == 0.0 and self.mu == 0.0:
             warnings.warn("both side weights are zero; the operator is trivial", UserWarning,
                           stacklevel=_outside_stacklevel())
@@ -366,18 +366,18 @@ def _left_rule(kernel: Kernel, grid: Grid, inside: bool):
     interpolation error of ``f`` telescopes within each cell instead of
     polluting the quadrature near a startup cusp.
 
-    One side is the left-sided rule, run on the reversed rows and output
-    for the right side, where B negates ``mu`` (see the module docstring).
-    A difference kernel convolves ``_ROW_GROUP`` rows at a time, K's ``f``
-    with ``(T1 + T2) c`` less node 0's T2 term and B's ``df`` with the cell
-    weights; other kernels run the engine once per side.  With both
-    weights nonzero a difference kernel takes both sides in one transform
-    pair per row group: the right-sided sum is the correlation of the rows
-    with the same weights, so the weight spectrum ``W`` becomes
-    ``lam W + mu conj(W)``, with B's convolution delayed one node,
-    ``lam exp(-2 pi i k / N) W``.  The wrapped terms of that transform
-    land on nodes 0 and n only, where one side vanishes, so those two
-    nodes are set by a direct dot product each.
+    A difference kernel takes both sides in one transform pair per
+    ``_ROW_GROUP`` rows: the left-sided sum is the convolution of the rows,
+    K's ``f`` or B's ``df``, with the weights, K's ``(T1 + T2) c`` less node
+    0's T2 term or B's cell weights, and the right-sided sum is their
+    correlation with the same weights.  So the weight spectrum ``W``
+    becomes ``lam W + mu conj(W)``, with B's convolution delayed one node,
+    ``lam exp(-2 pi i k / N) W``.  Each side's wrapped terms land on the
+    end node where its own integral is empty, node 0 on the left and n on
+    the right: with both sides those two nodes are set by a direct dot
+    product each, with one side its empty end node is set to 0.  A side
+    whose weight is zero adds no term.  Other kernels run the engine on the
+    reversed rows and output for the right side, where B negates ``mu``.
 
     Flagged nodes hold no trustworthy value (NaN placeholder); they arise
     only when a kernel declared bounded turns out non-finite at an
@@ -391,73 +391,63 @@ def _left_rule(kernel: Kernel, grid: Grid, inside: bool):
 
     if kernel.is_difference:
         prof = _profile(kernel, grid)
-        # the smallest 5-smooth length at which one side's kept nodes take no
-        # wrapped term
+        # the smallest 5-smooth length where only the end nodes take wrapped terms
         if inside:
             # n cell derivatives against n cell weights, all 2n - 1 outputs kept
             weights, size = prof[1:] * t1[1:] + prof[:-1] * t2[:-1], _fft_size(2 * n - 1)
         else:
-            # n + 1 samples against n + 1 weights; node 0, which the rule
-            # sets, may take the wrapped term
+            # n + 1 samples against n + 1 weights
             weights, size = (t1 + t2) * prof, _fft_size(2 * n)
             start = t2 * prof
         spectrum = np.fft.rfft(weights, size)
-    else:
-        chebyshev: dict = {}
 
-        def engine(right, x1, x2):
-            # the only holder of the lag tables, which a difference rule drops
-            return _left_engine(kernel, grid, right, lags, chebyshev, x1, x2)
-
-    def convolve(x, factor):
-        z = np.fft.rfft(x, size, axis=1)
-        z *= factor
-        return np.fft.irfft(z, size, axis=1)
-
-    def one_side(rows, out, weight, right):
-        weight = -weight if inside and right else weight
-        if kernel.is_difference:
+        def rule(rows, out, lam, mu):
+            mixed = (_delay(size) * lam if inside else lam) * spectrum if lam != 0.0 else 0.0
+            if mu != 0.0:
+                mixed = mixed + mu * spectrum.conj()
             for lo in range(0, len(rows), _ROW_GROUP):
                 x = rows[lo : lo + _ROW_GROUP]
-                if inside:
-                    values = np.pad(convolve(np.diff(x, axis=1), spectrum)[:, :n], ((0, 0), (1, 0)))
+                x = np.diff(x, axis=1) if inside else x
+                values = np.fft.rfft(x, size, axis=1)
+                values *= mixed
+                values = np.fft.irfft(values, size, axis=1)[:, : n + 1]
+                if not inside:
+                    # K's x2 leaves out node 0 on the left and node n on the right
+                    if lam != 0.0:
+                        values -= (lam * x[:, :1]) * start
+                    if mu != 0.0:
+                        values -= (mu * x[:, -1:]) * start[::-1]
+                if lam != 0.0 and mu != 0.0:
+                    # the right side's sum at node 0 and the left side's at node n
+                    first, last = (x * weights).sum(axis=1), (x * weights[::-1]).sum(axis=1)
+                    if not inside:
+                        first -= start[-1] * x[:, -1]
+                        last -= start[-1] * x[:, 0]
+                    values[:, 0], values[:, -1] = mu * first, lam * last
                 else:
-                    values = convolve(x, spectrum)[:, : n + 1] - start * x[:, :1]
-                    values[:, 0] = 0.0
-                out[lo : lo + _ROW_GROUP] += weight * (scale * values)
+                    # the one side's empty integral, where its wrapped term lands
+                    values[:, 0 if mu == 0.0 else n] = 0.0
+                out[lo : lo + _ROW_GROUP] += scale * values
             return set()
+
+        return rule
+
+    chebyshev: dict = {}
+
+    def one_side(rows, out, weight, right):
         if inside:
             df = np.diff(rows, axis=1)
             x1, x2 = np.pad(df, ((0, 0), (0, 1))), np.pad(df, ((0, 0), (1, 0)))
         else:
             x1, x2 = rows, np.pad(rows[:, 1:], ((0, 0), (1, 0)))
-        values, flagged = engine(right, x1, x2)
+        values, flagged = _left_engine(kernel, grid, right, lags, chebyshev, x1, x2)
         values *= scale
         values[:, sorted(flagged)] = np.nan
-        values *= weight
+        values *= -weight if inside and right else weight
         out += values
         return flagged
 
-    def both_sides(rows, out, lam, mu):
-        mixed = (_delay(size) * lam if inside else lam) * spectrum + mu * spectrum.conj()
-        for lo in range(0, len(rows), _ROW_GROUP):
-            x = rows[lo : lo + _ROW_GROUP]
-            x = np.diff(x, axis=1) if inside else x
-            values = convolve(x, mixed)[:, : n + 1]
-            # the right side's sum at node 0 and the left side's at node n
-            first, last = (x * weights).sum(axis=1), (x * weights[::-1]).sum(axis=1)
-            if not inside:
-                values -= (lam * x[:, :1]) * start
-                values -= (mu * x[:, -1:]) * start[::-1]
-                first -= start[-1] * x[:, -1]
-                last -= start[-1] * x[:, 0]
-            values[:, 0], values[:, -1] = mu * first, lam * last
-            out[lo : lo + _ROW_GROUP] += scale * values
-
     def rule(rows, out, lam, mu):
-        if kernel.is_difference and lam != 0.0 and mu != 0.0:
-            both_sides(rows, out, lam, mu)
-            return set()
         flagged = one_side(rows, out, lam, False) if lam != 0.0 else set()
         if mu != 0.0:
             flagged |= {n - j for j in one_side(rows[:, ::-1], out[:, ::-1], mu, True)}

@@ -207,10 +207,15 @@ def _ritz_system(problem: SLProblem, m: int, grid: Optional[Grid]):
     last basis built in this thread on an equal problem (the same pure
     callables) and grid when that one has at least ``m``; without a grid
     that needs the same ``max(1024, 32 m)``.  Shared rows are the leading
-    rows of a C-contiguous array, so both products see the operands a
+    rows of a C-contiguous array, so the products see the operands a
     fresh build gives, and so the same bits.  The kept basis, and its
     problem's callables, stay in memory until the next build in this
     thread that does not reuse it.
+
+    The matrix sums symmetric products ``y @ y.T`` (BLAS syrk) of ``dphi``
+    and ``phi`` scaled by the roots of ``p tw`` and of each nonzero sign
+    part of ``q tw``: exactly symmetric, and unlike a general product the
+    same at any BLAS thread count (measured on OpenBLAS 0.3.31).
     """
     m = _basis_size(m)
     if grid is None:
@@ -218,10 +223,15 @@ def _ritz_system(problem: SLProblem, m: int, grid: Optional[Grid]):
     basis = RitzBasis.build(problem, m, grid)
     p_vals, q_vals, _ = basis._coefficients
     tw = _trapezoid_weights(grid)
-    stiff = (basis.dphi * (p_vals * tw)) @ basis.dphi.T
-    mass_q = (basis.phi * (q_vals * tw)) @ basis.phi.T
-    a = stiff + mass_q
-    return basis, SymmetricMatrix(0.5 * (a + a.T)), 0.5 * (grid.b - grid.a)
+    y = basis.dphi * np.sqrt(p_vals * tw)
+    a = y @ y.T
+    del y  # one (m, n + 1) temporary at a time
+    for sign in (1.0, -1.0):
+        part = np.maximum(sign * q_vals * tw, 0.0)
+        if part.any():
+            z = basis.phi * np.sqrt(part)
+            a += sign * (z @ z.T)
+    return basis, SymmetricMatrix(a), 0.5 * (grid.b - grid.a)
 
 
 def assemble(problem: SLProblem, m: int, grid: Grid):

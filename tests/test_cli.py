@@ -601,23 +601,19 @@ def test_run_all_experiments_script_passes(catalogue):
 
 #: the committed catalogue: each experiment's ``results.json`` at its
 #: defaults and the SHA-256 digests of its ``.csv`` and ``.dat`` files,
-#: written at 1 BLAS thread
+#: the same at any BLAS thread count
 REFERENCE = os.path.join(os.path.dirname(__file__), "catalogue")
-
-#: how far a number may move from the reference, relative: exactly nowhere,
-#: except in sl-converge, where the Ritz matrix products round differently
-#: at 1 and 2 BLAS threads (up to 1.01e-14, in 4 of its 24 numbers)
-CATALOGUE_BOUND = {"sl-converge": 2e-14}
 
 
 @pytest.mark.parametrize("name", ALL_IDS)
 def test_catalogue_matches_the_committed_reference(catalogue, name):
-    """Every number of ``results.json`` within its bound of the reference,
-    every verdict the same, no key missing or extra, and every table and
-    series byte-identical.  A change that moves a number updates the
-    reference: run ``scripts/run_all_experiments.py`` with
-    ``OPENBLAS_NUM_THREADS=1``, copy each ``results.json`` without
-    ``inputs/output_dir``, and the ``digests`` of ``scripts/compare_results.py``."""
+    """Every number of ``results.json`` exactly the reference's, every
+    verdict the same, no key missing or extra, and every table and series
+    byte-identical, whatever the BLAS thread count.  A change that moves a
+    number updates the reference: run ``scripts/run_all_experiments.py``
+    (the README's recipe pins ``OPENBLAS_NUM_THREADS=1``), copy each
+    ``results.json`` without ``inputs/output_dir``, and the ``digests`` of
+    ``scripts/compare_results.py``."""
     compare = runpy.run_path(
         os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "compare_results.py"))
     with open(os.path.join(REFERENCE, name, "results.json")) as handle:
@@ -626,7 +622,7 @@ def test_catalogue_matches_the_committed_reference(catalogue, name):
         want_files = json.load(handle)[name]
     folder = catalogue[2] / name
     got = json.loads((folder / "results.json").read_text())
-    line, problems = compare["compare"](want, got, CATALOGUE_BOUND.get(name, 0.0))
+    line, problems = compare["compare"](want, got, 0.0)
     got_files = compare["digests"](folder)
     files_line, _ = compare["compare_files"](want_files, got_files)
     assert problems == [] and got_files == want_files, f"{name}: {line}; {files_line}"
@@ -634,13 +630,12 @@ def test_catalogue_matches_the_committed_reference(catalogue, name):
 
 def test_catalogue_check_fails_on_a_one_ulp_change():
     """Moving any one number of the reference by one ulp fails the
-    comparison, outside sl-converge; there a move just beyond its bound does."""
+    comparison."""
     compare = runpy.run_path(
         os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "compare_results.py"))
     for name in ALL_IDS:
         with open(os.path.join(REFERENCE, name, "results.json")) as handle:
             text = handle.read()
-        bound = CATALOGUE_BOUND.get(name, 0.0)
         paths = [path for path, value in compare["flatten"](json.loads(text))
                  if compare["is_number"](value)]
         assert paths
@@ -649,12 +644,8 @@ def test_catalogue_check_fails_on_a_one_ulp_change():
             for key in path[:-1]:  # a list entry with an id is keyed by it
                 by_id = isinstance(node, list) and isinstance(key, str)
                 node = next(n for n in node if n["id"] == key) if by_id else node[key]
-            value = float(node[path[-1]])
-            if bound and value:
-                node[path[-1]] = value * (1.0 + 1.5 * bound)
-            else:
-                node[path[-1]] = float(np.nextafter(value, math.inf))
-            assert compare["compare"](json.loads(text), moved, bound)[1], (name, path)
+            node[path[-1]] = float(np.nextafter(float(node[path[-1]]), math.inf))
+            assert compare["compare"](json.loads(text), moved, 0.0)[1], (name, path)
 
 
 def test_run_all_experiments_script_defaults_to_the_environment_root(tmp_path, monkeypatch, capsys):

@@ -3,6 +3,7 @@ import hashlib
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -48,8 +49,10 @@ from fracvar.operators import (
     _LEAF,
     Kernel,
     _classical_rows,
+    _delay,
     _far_factors,
     _far_interpolants,
+    _fft_size,
     _left_rule,
     _mend_row,
     _two_sided,
@@ -90,6 +93,13 @@ def test_parameter_set_validation():
         ParameterSet(1.0, 0.0, 1.0, 0.0)
     with pytest.raises(InputError):
         ParameterSet(0.0, math.inf, 1.0, 0.0)
+    # a side weight is a real number, not a bool or a string
+    for lam in (True, "1"):
+        with pytest.raises(InputError, match="lam"):
+            ParameterSet(0.0, 1.0, lam, 0.0)
+    with pytest.raises(InputError, match="mu"):
+        ParameterSet(0.0, 1.0, 1.0, np.bool_(False))
+    assert ParameterSet(0, 1, np.float32(0.5), np.int64(-2)).mu == -2
     with pytest.warns(UserWarning, match="trivial") as record:
         ParameterSet(0.0, 1.0, 0.0, 0.0)
     # the warning points at the caller, not into the library
@@ -373,26 +383,29 @@ def _once_per_row(left_rule):
 )
 def test_fft_convolution_matches_direct_oracle_at_the_wrap_boundary(n, kernel):
     """The transforms are the shortest 5-smooth lengths the kept nodes
-    allow, so a wrapped term lands on the first node that may take one.
-    At n = 2**k and n = 3 * 2**k, K's 2n-point transform wraps exactly
-    into node 0, which its rule zeroes.  At n = 1013, B's 2n - 1 linear
-    outputs fill its transform of 2025 = 3**4 * 5**2 points, an odd
-    length, and B keeps its first output (node 1).  At n = 2**k + 1 both
-    transforms are 5-smooth lengths far below the next power of two.
-    Both sides at once wrap into nodes 0 and n, which the rule sets
-    directly: K's 2n-point transform wraps into both at n = 2**k, and at
-    n = 1012 it has the odd length 2025; B's transform of 2n - 1 points
-    wraps into both at n = 2 and 3, where the end nodes are one or two
-    nodes apart.  Left, right and two-sided weights meet the oracle's
-    bound."""
+    allow, so a wrapped term lands on the first node that may take one:
+    the end node where its own side's integral is empty, node 0 for the
+    left side and node n for the right.  At n = 2**k and n = 3 * 2**k,
+    K's 2n-point transform wraps exactly there.  At n = 1013, B's 2n - 1
+    linear outputs fill its transform of 2025 = 3**4 * 5**2 points, an
+    odd length, and B keeps its first output (node 1).  At n = 2**k + 1
+    both transforms are 5-smooth lengths far below the next power of two.
+    With both sides the rule sets nodes 0 and n directly: K's 2n-point
+    transform wraps into both at n = 2**k, and at n = 1012 it has the odd
+    length 2025; B's transform of 2n - 1 points wraps into both at n = 2
+    and 3, where the end nodes are one or two nodes apart.  With one side
+    the rule sets that side's empty end node to exactly 0.  Left, right
+    and two-sided weights meet the oracle's bound."""
     g = Grid(0.0, 1.0, n)
     f = SampledFunction(g, np.random.default_rng(n).uniform(-1, 1, n + 1))
     for apply, left_rule, sign in ((k_apply, _direct_k_left, 1.0), (b_apply, _direct_b_left, -1.0)):
         left_rule = _once_per_row(left_rule)
-        for lam, mu in ((1.0, 0.0), (0.0, -1.7), (0.8, 1.9)):
+        for lam, mu, empty in ((1.0, 0.0, 0), (0.0, -1.7, n), (0.8, 1.9, None)):
             p = ParameterSet(0.0, 1.0, lam, mu)
             ref, bound = _direct_two_sided(p, kernel, f, left_rule, sign)
-            assert np.abs(apply(p, kernel, f).values - ref).max() <= bound
+            out = apply(p, kernel, f).values
+            assert np.abs(out - ref).max() <= bound
+            assert empty is None or out[empty] == 0.0
 
 
 def _record_rfft_lengths(monkeypatch, inverse=None):
@@ -426,14 +439,17 @@ def test_difference_rules_transform_twice_the_grid_on_a_power_of_two(monkeypatch
         assert lengths and max(lengths) <= 8192
 
 
-def test_two_sided_difference_rules_transform_each_row_group_once_each_way(monkeypatch):
-    """Work count: at n = 4096 a two-sided K or B of one row makes one
-    forward and one inverse transform of the row, with one forward
-    transform of the rule's weights; a stack of 5 rows, two row groups,
-    makes one of each per group."""
+@pytest.mark.parametrize("lam, mu", [(0.8, -1.3), (1.0, 0.0), (0.0, -1.3)],
+                         ids=["both", "left", "right"])
+def test_difference_rules_transform_each_row_group_once_each_way(monkeypatch, lam, mu):
+    """Work count: at n = 4096 a K or B of one row, with both side
+    weights nonzero or one of them zero, makes one forward and one
+    inverse transform of the row, with one forward transform of the
+    rule's weights; a stack of 5 rows, two row groups, makes one of each
+    per group."""
     inverse = []
     lengths = _record_rfft_lengths(monkeypatch, inverse)
-    p, g = ParameterSet(0.0, 1.0, 0.8, -1.3), Grid(0.0, 1.0, 4096)
+    p, g = ParameterSet(0.0, 1.0, lam, mu), Grid(0.0, 1.0, 4096)
     rows = np.cos(np.arange(1.0, 6.0)[:, None] * g.nodes)
     for inside in (False, True):
         for stack, groups in ((rows[:1], 1), (rows, 2)):
@@ -464,6 +480,29 @@ def test_difference_rules_transform_a_five_smooth_length_past_a_power_of_two(mon
         assert shortest == 8640 and set(lengths) == {shortest}
 
 
+def test_fft_size_is_the_next_five_smooth_number():
+    """``_fft_size(m)`` is the smallest ``2**a * 3**b * 5**c`` at or above
+    ``m``, for every m up to 65537, against a sorted table of such
+    numbers."""
+    smooth = np.sort(((2 ** np.arange(18))[:, None, None] * (3 ** np.arange(12))[:, None]
+                      * 5 ** np.arange(8)).ravel())
+    m = np.arange(1, 65538)
+    assert [_fft_size(k) for k in range(1, 65538)] == smooth[np.searchsorted(smooth, m)].tolist()
+
+
+def test_delay_spectrum_is_the_exponential_to_round_off():
+    """``_delay(N)`` is within the 1e-15 its docstring claims of
+    ``exp(-2 pi i k / N)`` from mpmath at 30 digits, for k = 0 .. N // 2,
+    at the transform lengths of the smallest grids (2 and 3), of
+    n = 1013 (2025), of n = 4097 (8640) and of n = 32768 (65536); the
+    cases reach 5.0e-16."""
+    with mpmath.workdps(30):
+        for size in (2, 3, 2025, 8640, 65536):
+            want = [complex(mpmath.expjpi(mpmath.mpf(-2 * k) / size)) for k in range(size // 2 + 1)]
+            got = _delay(size)
+            assert len(got) == len(want) and np.abs(got - np.array(want)).max() <= 1e-15
+
+
 def test_power_law_integral_of_a_constant_meets_its_closed_form_to_round_off():
     """Two-sided power-law K(nu, "integral") of a constant ``c`` at n = 32 is
     ``c (lam (t - a)**nu + mu (b - t)**nu) / Gamma(nu + 1)``.  The rule
@@ -487,6 +526,37 @@ def test_power_law_integral_of_a_constant_meets_its_closed_form_to_round_off():
                     want = c * (lam * (g.nodes - a) ** nu + mu * (b - g.nodes) ** nu) / gamma(nu + 1.0)
                     scale = abs(c) * (abs(lam) + abs(mu)) * (b - a) ** nu / gamma(nu + 1.0)
                     assert np.abs(out - want).max() <= 1e-14 * scale
+
+
+def test_power_law_derivative_of_a_line_meets_its_closed_form_to_round_off():
+    """Two-sided power-law B(nu, "derivative") of ``c0 + c1 t`` is
+    ``c1 (lam (t - a)**(1 - nu) + mu (b - t)**(1 - nu)) / Gamma(2 - nu)``,
+    an independent reference for B's rule.  The rule integrates the kernel
+    against the piecewise-constant cell derivative exactly, so only
+    round-off remains, bounded as in the K test above by 1e-14 times
+    ``S = |c1| (|lam| + |mu|) (b - a)**(1 - nu) / Gamma(2 - nu)``, the
+    largest value the two sides reach.  The grids have n = 32 and 4096
+    cells on intervals whose nodes, and the samples of the line at them,
+    are exact binary fractions, so every cell difference is exactly
+    ``c1 h``.  On other grids the cell differences carry the nodes'
+    rounding divided by h, which is no round-off of the rule: at
+    n = 1013 the error reaches about 8000 eps S (and
+    ``test_b_apply_caputo_of_identity`` allows 5e-3 for the same line).
+    The cases below reach 6 eps S."""
+    for n in (32, 4096):
+        for a, b in ((0.0, 1.0), (0.5, 2.0), (-1.0, 3.0)):
+            g = Grid(a, b, n)
+            for nu in (0.001, 0.3, 0.7, 0.999):
+                kernel = PowerLawKernel(nu, "derivative")
+                for lam, mu in ((1.0, 0.0), (0.0, 1.0), (0.7, -0.4), (-2.5, 1.5)):
+                    for c0, c1 in ((3.0, -0.25), (-0.5, 2.0)):
+                        f = SampledFunction(g, c0 + c1 * g.nodes)
+                        out = b_apply(ParameterSet(a, b, lam, mu), kernel, f).values
+                        rise = 1.0 - nu
+                        want = c1 * (lam * (g.nodes - a) ** rise + mu * (b - g.nodes) ** rise)
+                        want /= gamma(2.0 - nu)
+                        scale = abs(c1) * (abs(lam) + abs(mu)) * (b - a) ** rise / gamma(2.0 - nu)
+                        assert np.abs(out - want).max() <= 1e-14 * scale
 
 
 # --- hierarchical engine against the row-by-row oracle ---------------------

@@ -13,8 +13,7 @@ ignored, since it names the root itself.  Exit status is 2 when a root
 is not a directory or a ``results.json`` cannot be read or parsed (one
 ``error:`` line on stderr), 1 when an experiment, a key or a file is
 present under one root only, or when an assertion's ``passed`` verdict
-changes, else 0.  ``compare`` can also bound how far each number may
-move, as the committed-catalogue test (``tests/test_cli.py``) asks.
+changes, else 0.
 """
 
 import argparse
@@ -49,10 +48,9 @@ def same(x, y):
     return x == y or (is_number(x) and is_number(y) and math.isnan(x) and math.isnan(y))
 
 
-def compare(doc_a, doc_b, bound=None):
-    """Summary line and the list of problems (missing keys, changed verdicts
-    and, unless ``bound`` is None, numbers that move by more than ``bound``
-    relative; any change of a zero is beyond every bound)."""
+def compare(doc_a, doc_b):
+    """Summary line and the list of problems (missing keys and changed
+    verdicts)."""
     a, b = dict(flatten(doc_a)), dict(flatten(doc_b))
     problems = [f"key {'/'.join(map(str, k))} only under {side}"
                 for keys, other, side in ((a, b, "ROOT_A"), (b, a, "ROOT_B"))
@@ -74,9 +72,6 @@ def compare(doc_a, doc_b, bound=None):
         change = abs(y - x)
         largest_abs = max(largest_abs, change)
         relative = change / abs(x) if x else math.inf
-        if bound is not None and not relative <= bound:
-            problems.append(f"number {'/'.join(map(str, key))} {x!r} -> {y!r} "
-                            f"moved beyond {bound:g} relative")
         if relative > largest_rel:
             largest_rel, where = relative, f" ({'/'.join(map(str, key))}: {x!r} -> {y!r})"
     line = (f"{differ} of {numbers} numbers differ; "

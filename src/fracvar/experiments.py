@@ -27,6 +27,7 @@ from .foundation import (
     Grid,
     SampledFunction,
     _check_endpoints,
+    _is_count,
     _trapezoid_weights,
     cumulative_trapezoid,
     gamma,
@@ -106,24 +107,17 @@ class _Experiment(NamedTuple):
     reads: tuple = ()
 
 
-def _is_count(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
-
-
-def _is_size(v) -> bool:
-    """A basis size the eigensolver takes."""
-    return _is_count(v) and v <= _MAX_EIGEN_DIM
-
-
 #: the basis settings: default, test of a value, and the rule a value breaks
 _BASIS_SETTINGS = {
-    "m": (16, _is_size, f"must be a positive integer at most {_MAX_EIGEN_DIM}"),
+    "m": (16, lambda v: _is_count(v, 1, _MAX_EIGEN_DIM),
+          f"must be a positive integer at most {_MAX_EIGEN_DIM}"),
     "m_schedule": ((4, 8, 16, 32),
                    lambda v: isinstance(v, (list, tuple)) and len(v) >= 2
-                   and all(map(_is_size, v)) and all(x < y for x, y in zip(v, v[1:])),
+                   and all(_is_count(x, 1, _MAX_EIGEN_DIM) for x in v)
+                   and all(x < y for x, y in zip(v, v[1:])),
                    "must be a strictly increasing list of positive integers "
                    f"at most {_MAX_EIGEN_DIM}"),
-    "r": (3, _is_count, "must be a positive integer"),
+    "r": (3, lambda v: _is_count(v, 1, math.inf), "must be a positive integer"),
 }
 
 #: the settings each experiment reads or refuses, by its ``reads``
@@ -259,7 +253,7 @@ def _config_from_mapping(doc: dict) -> ExperimentConfig:
         errors.append("interval: must be [a, b] with a < b")
 
     n, (lo, hi) = doc.get("n", spec.n), _N_RANGE
-    if not (_is_count(n) and lo <= n <= hi and not n & (n - 1)):
+    if not (_is_count(n, lo, hi) and not n & (n - 1)):
         errors.append(f"n: must be a power of two between {lo} and {hi}")
         n = spec.n
 
@@ -310,7 +304,7 @@ def _config_from_mapping(doc: dict) -> ExperimentConfig:
         errors.append("output_dir: must be a non-empty string")
 
     seed = doc.get("seed", 20240817)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+    if not _is_count(seed, 0, math.inf):
         errors.append("seed: must be a non-negative integer")
 
     if errors:

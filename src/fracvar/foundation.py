@@ -47,10 +47,26 @@ def _outside_stacklevel() -> int:
     return level
 
 
+def _is_real(v) -> bool:
+    """Whether ``v`` is a number: a finite real that is not a bool (numpy
+    scalars pass; a string, an array, NaN, infinity or an int beyond the
+    float range fail).  The package's one test of a real scalar."""
+    try:
+        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+def _is_count(v, lo, hi) -> bool:
+    """Whether ``v`` is a count: an integer in ``[lo, hi]`` that is not a
+    bool (numpy's pass).  The package's one test of an integer scalar."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and lo <= v <= hi
+
+
 def _check_endpoints(a: float, b: float) -> None:
-    """Raise ``InputError`` unless ``a`` and ``b`` are finite and
+    """Raise ``InputError`` unless ``a`` and ``b`` are numbers with
     ``0 < b - a < inf``; the one test every interval passes."""
-    if not (math.isfinite(a) and math.isfinite(b) and 0.0 < b - a < math.inf):
+    if not (_is_real(a) and _is_real(b) and 0.0 < float(b) - float(a) < math.inf):
         raise InputError(f"interval needs finite a < b with finite b - a, got a={a}, b={b}")
 
 
@@ -65,7 +81,7 @@ class Grid:
 
     def __post_init__(self) -> None:
         _check_endpoints(self.a, self.b)
-        if not isinstance(self.n, numbers.Integral) or self.n < 2:  # True and False are below 2
+        if not _is_count(self.n, 2, sys.maxsize - 1):  # n + 1 nodes, at most an array's length
             raise InputError(f"grid needs an integer n >= 2, got n={self.n!r}")
         object.__setattr__(self, "nodes", np.linspace(self.a, self.b, self.n + 1))
 
@@ -153,7 +169,7 @@ class SymmetricMatrix:
 
 def gamma(x: float) -> float:
     """Gamma function for positive real arguments."""
-    if not x > 0:
+    if not (_is_real(x) and x > 0):
         raise DomainError(f"gamma requires x > 0, got {x}")
     return math.gamma(x)
 
@@ -189,7 +205,7 @@ def mittag_leffler(alpha: float, z: float | np.ndarray) -> float | np.ndarray:
     leaves the double range or a series does not settle within
     ``_SERIES_CAP`` terms.
     """
-    if not 0.0 < alpha <= 1.0:
+    if not (_is_real(alpha) and 0.0 < alpha <= 1.0):
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
     zs = np.asarray(z, dtype=float)
     flat = zs.ravel()
@@ -371,9 +387,9 @@ def singular_weights(mu: float, grid: Grid, j: int) -> np.ndarray:
     numpy.ndarray
         Weights for samples ``f(t_0), ..., f(t_j)``.
     """
-    if not 0.0 < mu <= 1.0:
+    if not (_is_real(mu) and 0.0 < mu <= 1.0):
         raise DomainError(f"mu must lie in (0, 1], got {mu}")
-    if isinstance(j, bool) or not isinstance(j, numbers.Integral) or not 0 <= j <= grid.n:
+    if not _is_count(j, 0, grid.n):
         raise InputError(f"node index must be an integer in 0..{grid.n}, got {j!r}")
     if j == 0:
         return np.zeros(0)

@@ -59,7 +59,6 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -79,6 +78,7 @@ from .foundation import (
     _check_endpoints,
     _check_interval,
     _evaluate,
+    _is_real,
     _lag_tables,
     _outside_stacklevel,
     gamma,
@@ -146,7 +146,7 @@ class ParameterSet:
     def __post_init__(self) -> None:
         _check_endpoints(self.a, self.b)
         for name, value in (("lam", self.lam), ("mu", self.mu)):
-            if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            if not _is_real(value):
                 raise InputError(f"parameter {name} must be a finite real number, got {value!r}")
         if self.lam == 0.0 and self.mu == 0.0:
             warnings.warn("both side weights are zero; the operator is trivial", UserWarning,
@@ -201,8 +201,8 @@ class DifferenceKernel(Kernel):
 
 
 def _check_order(order: float) -> None:
-    """Raise ``DomainError`` unless ``order`` lies in (0, 1)."""
-    if not 0.0 < order < 1.0:
+    """Raise ``DomainError`` unless ``order`` is a number in (0, 1)."""
+    if not (_is_real(order) and 0.0 < order < 1.0):
         raise DomainError(f"order must lie in (0, 1), got {order}")
 
 
@@ -278,7 +278,7 @@ class GeneralKernel(Kernel):
     singularity_exponent: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.singularity_exponent < 1.0:
+        if not (_is_real(self.singularity_exponent) and 0.0 <= self.singularity_exponent < 1.0):
             raise DomainError(
                 f"singularity exponent must lie in [0, 1), got {self.singularity_exponent}"
             )
@@ -402,7 +402,10 @@ def _left_rule(kernel: Kernel, grid: Grid, inside: bool):
         spectrum = np.fft.rfft(weights, size)
 
         def rule(rows, out, lam, mu):
-            mixed = (_delay(size) * lam if inside else lam) * spectrum if lam != 0.0 else 0.0
+            if inside:
+                mixed = _delay(size) * lam * spectrum if lam != 0.0 else 0.0
+            else:  # at lam = 1 the spectrum itself, not a copy
+                mixed = spectrum if lam == 1.0 else lam * spectrum if lam != 0.0 else 0.0
             if mu != 0.0:
                 mixed = mixed + mu * spectrum.conj()
             for lo in range(0, len(rows), _ROW_GROUP):

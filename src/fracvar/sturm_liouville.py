@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import contextvars
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -38,6 +37,8 @@ from .foundation import (
     _check_endpoints,
     _check_interval,
     _evaluate,
+    _is_count,
+    _is_real,
     _trapezoid_weights,
     interior_sup,
     symmetric_eigen,
@@ -89,7 +90,7 @@ class SLProblem:
     b: float = math.pi
 
     def __post_init__(self) -> None:
-        if isinstance(self.alpha, bool) or self.alpha != 1.0 and not 0.5 < self.alpha < 1.0:
+        if not _is_real(self.alpha) or self.alpha != 1.0 and not 0.5 < self.alpha < 1.0:
             raise DomainError(f"alpha must be a number in (0.5, 1) or 1, got {self.alpha!r}")
         _check_endpoints(self.a, self.b)
 
@@ -129,7 +130,7 @@ def _basis_size(m, what: str = "basis size") -> int:
     """``m`` as an int; ``InputError`` naming ``what`` unless it is a
     positive integer (numpy's too, but not a bool) of at most
     ``_MAX_EIGEN_DIM``, the largest matrix the eigensolver takes."""
-    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or not 1 <= m <= _MAX_EIGEN_DIM:
+    if not _is_count(m, 1, _MAX_EIGEN_DIM):
         raise InputError(
             f"{what} must be a positive integer at most {_MAX_EIGEN_DIM}, got {m!r}"
         )

@@ -1,7 +1,9 @@
+import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -12,9 +14,13 @@ import fracvar
 from fracvar import (
     AccuracyError,
     DomainError,
+    GeneralKernel,
     Grid,
+    HadamardKernel,
     InputError,
     ParameterSet,
+    ParseError,
+    PowerLawKernel,
     SampledFunction,
     SLProblem,
     SymmetricMatrix,
@@ -25,7 +31,9 @@ from fracvar import (
     interior_slice,
     interior_sup,
     mittag_leffler,
+    parse_config,
     singular_weights,
+    solve_spectrum,
     symmetric_eigen,
     trapezoid,
 )
@@ -620,3 +628,108 @@ def test_interior_sup_ignores_edges():
     v[0] = 50.0
     v[50] = 3.0
     assert interior_sup(v) == 3.0
+
+
+# --- scalar checks -------------------------------------------------------
+
+
+def _config(experiment, **settings):
+    return parse_config(json.dumps({"experiment": experiment, **settings}))
+
+
+_ONE = lambda t: 1.0
+_ZERO = lambda t: 0.0
+_G8 = Grid(0.0, 1.0, 8)
+_SL_GRID = Grid(0.0, math.pi, 64)
+
+#: every site that judges a scalar by ``_is_real`` (a number) or
+#: ``_is_count`` (a count): a call that passes it the value, the typed
+#: error it raises for a bad one, and values it takes.  No integer is an
+#: order in (0, 1), so those sites take numpy floats of either width.  A
+#: config document is JSON, whose numbers are Python ints and floats.
+SCALAR_SITES = {
+    "Grid.a": (lambda v: Grid(v, 2.0, 4), InputError, (0, np.int64(0), np.float64(0.5))),
+    "Grid.b": (lambda v: Grid(0.0, v, 4), InputError, (2, np.int64(2), np.float64(2.5))),
+    "Grid.n": (lambda v: Grid(0.0, 1.0, v), InputError, (4, np.int64(4))),
+    "ParameterSet.a": (lambda v: ParameterSet(v, 2.0, 1.0, 0.0), InputError,
+                       (0, np.int64(0), np.float64(0.5))),
+    "ParameterSet.lam": (lambda v: ParameterSet(0.0, 1.0, v, 0.0), InputError,
+                         (1, np.int64(1), np.float64(0.5))),
+    "ParameterSet.mu": (lambda v: ParameterSet(0.0, 1.0, 1.0, v), InputError,
+                        (-2, np.int64(-2), np.float64(0.5))),
+    "SLProblem.a": (lambda v: SLProblem(0.75, _ONE, _ZERO, _ONE, v, 3.0), InputError,
+                    (0, np.int64(0), np.float64(0.5))),
+    "SLProblem.alpha": (lambda v: SLProblem(v, _ONE, _ZERO, _ONE), DomainError,
+                        (1, np.int64(1), np.float64(0.75))),
+    "boundedness_constant.order": (lambda v: boundedness_constant(v, 0.0, 2.0), DomainError,
+                                   (0.5, np.float64(0.5), np.float32(0.5))),
+    "boundedness_constant.a": (lambda v: boundedness_constant(0.5, v, 2.0), InputError,
+                               (0, np.int64(0), np.float64(0.5))),
+    "PowerLawKernel.order": (lambda v: PowerLawKernel(v, "integral"), DomainError,
+                             (0.5, np.float64(0.5), np.float32(0.5))),
+    "HadamardKernel.order": (lambda v: HadamardKernel(v), DomainError,
+                             (0.5, np.float64(0.5), np.float32(0.5))),
+    "GeneralKernel.singularity_exponent": (lambda v: GeneralKernel(_ONE, v), DomainError,
+                                           (0, np.int64(0), np.float64(0.2))),
+    "singular_weights.mu": (lambda v: singular_weights(v, _G8, 2), DomainError,
+                            (1, np.int64(1), np.float64(0.5))),
+    "singular_weights.j": (lambda v: singular_weights(0.5, _G8, v), InputError,
+                           (2, np.int64(2))),
+    "mittag_leffler.alpha": (lambda v: mittag_leffler(v, -1.0), DomainError,
+                             (1, np.int64(1), np.float64(0.5))),
+    "gamma": (gamma, DomainError, (2, np.int64(2), np.float64(0.5))),
+    "solve_spectrum.m": (lambda v: solve_spectrum(SLProblem(1.0, _ONE, _ZERO, _ONE), v, 1,
+                                                  _SL_GRID), InputError, (2, np.int64(2))),
+    "solve_spectrum.r": (lambda v: solve_spectrum(SLProblem(1.0, _ONE, _ZERO, _ONE), 2, v,
+                                                  _SL_GRID), InputError, (1, np.int64(1))),
+    "config.n": (lambda v: _config("noether", n=v), ParseError, (64,)),
+    "config.m": (lambda v: _config("sl-solve", m=v, r=1), ParseError, (4,)),
+    "config.m_schedule": (lambda v: _config("sl-converge", m_schedule=[4, v], r=1),
+                          ParseError, (8,)),
+    "config.r": (lambda v: _config("sl-solve", r=v), ParseError, (1,)),
+    # any non-negative integer seeds the generator, however large
+    "config.seed": (lambda v: _config("noether", seed=v), ParseError, (0, 10**400)),
+}
+
+#: bools, a string, an integer beyond the float range and NaN: no number
+#: and no count
+BAD_SCALARS = {"True": True, "False": False, "str": "0.5", "10**400": 10**400, "nan": math.nan}
+
+
+@pytest.mark.parametrize("bad", BAD_SCALARS)
+@pytest.mark.parametrize("site", SCALAR_SITES)
+def test_a_bad_scalar_raises_the_sites_typed_error(site, bad):
+    """Each bad scalar raises the site's own ``FracvarError`` subclass, but
+    for a huge seed, which is a seed.  Before the sites shared ``_is_real``
+    and ``_is_count``, 35 of these 120 cases got through or raised an
+    untyped error:
+
+    * accepted: ``True`` at the endpoint sites, ``singular_weights`` ``mu``,
+      ``mittag_leffler`` and ``gamma``; ``False`` at the ``a`` endpoints and
+      ``GeneralKernel``;
+    * a bare ``TypeError``: ``"0.5"`` at every number site but ``lam`` and
+      ``mu``;
+    * a bare ``OverflowError``: ``10**400`` at the endpoints, ``lam``,
+      ``mu`` and ``gamma``; a bare ``ValueError`` at ``Grid.n``.
+    """
+    call, error, _ = SCALAR_SITES[site]
+    if (site, bad) == ("config.seed", "10**400"):
+        call(BAD_SCALARS[bad])
+        return
+    with pytest.raises(error):
+        call(BAD_SCALARS[bad])
+
+
+@pytest.mark.parametrize("site", SCALAR_SITES)
+def test_ints_and_numpy_scalars_pass_every_scalar_site(site):
+    call, _, good = SCALAR_SITES[site]
+    for value in good:
+        call(value)
+
+
+def test_an_interval_wider_than_the_float_range_is_an_input_error():
+    """``b - a`` of two numpy endpoints overflows without a numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="interval"):
+            Grid(np.float64(-1e308), np.float64(1e308), 4)

@@ -36,3 +36,17 @@ def test_no_unused_imports():
     assert files
     unused = [line for path in files for line in _unused_imports(path)]
     assert unused == []
+
+
+def test_only_foundation_imports_numbers():
+    """The scalar predicates ``_is_real`` and ``_is_count`` of
+    ``fracvar.foundation`` are the package's one test of a number and of a
+    count, so no other module reaches for ``numbers`` to write its own."""
+    importers = []
+    for path in sorted((ROOT / "src/fracvar").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "numbers" in names:
+                importers.append(path.name)
+    assert importers == ["foundation.py"]

@@ -67,7 +67,7 @@ def _check_endpoints(a: float, b: float) -> None:
     """Raise ``InputError`` unless ``a`` and ``b`` are numbers with
     ``0 < b - a < inf``; the one test every interval passes."""
     if not (_is_real(a) and _is_real(b) and 0.0 < float(b) - float(a) < math.inf):
-        raise InputError(f"interval needs finite a < b with finite b - a, got a={a}, b={b}")
+        raise InputError(f"interval needs finite a < b with finite b - a, got a={a!r}, b={b!r}")
 
 
 @dataclass(frozen=True)
@@ -157,6 +157,9 @@ class SymmetricMatrix:
         m = np.asarray(self.entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InputError(f"expected a square matrix, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            i, j = np.argwhere(~np.isfinite(m))[0]
+            raise InputError(f"matrix entry ({i}, {j}) is not finite")
         scale = 1.0 + np.abs(m)
         if not np.all(np.abs(m - m.T) <= 1e-12 * scale):
             raise InputError("matrix is not symmetric within 1e-12 relative tolerance")
@@ -170,7 +173,7 @@ class SymmetricMatrix:
 def gamma(x: float) -> float:
     """Gamma function for positive real arguments."""
     if not (_is_real(x) and x > 0):
-        raise DomainError(f"gamma requires x > 0, got {x}")
+        raise DomainError(f"gamma requires x > 0, got {x!r}")
     return math.gamma(x)
 
 
@@ -206,7 +209,7 @@ def mittag_leffler(alpha: float, z: float | np.ndarray) -> float | np.ndarray:
     ``_SERIES_CAP`` terms.
     """
     if not (_is_real(alpha) and 0.0 < alpha <= 1.0):
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
+        raise DomainError(f"alpha must lie in (0, 1], got {alpha!r}")
     zs = np.asarray(z, dtype=float)
     flat = zs.ravel()
     bad = np.flatnonzero(~(np.abs(flat) <= 50.0))
@@ -388,7 +391,7 @@ def singular_weights(mu: float, grid: Grid, j: int) -> np.ndarray:
         Weights for samples ``f(t_0), ..., f(t_j)``.
     """
     if not (_is_real(mu) and 0.0 < mu <= 1.0):
-        raise DomainError(f"mu must lie in (0, 1], got {mu}")
+        raise DomainError(f"mu must lie in (0, 1], got {mu!r}")
     if not _is_count(j, 0, grid.n):
         raise InputError(f"node index must be an integer in 0..{grid.n}, got {j!r}")
     if j == 0:

@@ -182,9 +182,10 @@ class Kernel:
         points between the nodes and at the nodes of its first column and
         last row only, so a non-finite value at other nodes may go unseen:
         the cofactor must be finite there except on the diagonal (continued
-        linearly when ``s > 0``) and at the interval corners (extrapolated;
-        see ``_mend_row``).  A non-finite value between nodes sends its
-        block to the dense code, which samples nodes.
+        linearly when ``s > 0``) and at the interval corners (extrapolated),
+        which the diagonal tiles mend (see ``_left_engine``).  A non-finite
+        value between nodes sends its block to the dense code, which samples
+        nodes.
         """
         raise NotImplementedError
 
@@ -203,7 +204,7 @@ class DifferenceKernel(Kernel):
 def _check_order(order: float) -> None:
     """Raise ``DomainError`` unless ``order`` is a number in (0, 1)."""
     if not (_is_real(order) and 0.0 < order < 1.0):
-        raise DomainError(f"order must lie in (0, 1), got {order}")
+        raise DomainError(f"order must lie in (0, 1), got {order!r}")
 
 
 @dataclass(frozen=True)
@@ -280,7 +281,7 @@ class GeneralKernel(Kernel):
     def __post_init__(self) -> None:
         if not (_is_real(self.singularity_exponent) and 0.0 <= self.singularity_exponent < 1.0):
             raise DomainError(
-                f"singularity exponent must lie in [0, 1), got {self.singularity_exponent}"
+                f"singularity exponent must lie in [0, 1), got {self.singularity_exponent!r}"
             )
 
     def cofactor(self, x, y) -> np.ndarray:
@@ -501,18 +502,17 @@ def _left_engine(kernel: Kernel, grid: Grid, right: bool, lags, chebyshev: dict,
     they are built once per rule and serve both sides and every later call
     of it.  All else that does not depend on the rows is built once per
     call; the rows are summed ``_ROW_GROUP`` at a time.  ``flagged`` holds
-    the nodes whose rows ``_mend_row`` could not mend; their sums are not
-    meaningful.
+    the corner nodes whose rows a tile could not mend (see ``tile``); their
+    sums are not meaningful.
     """
     n, s = grid.n, kernel.singularity_exponent
     ab = grid.a + grid.b
     t = ab - grid.nodes if right else grid.nodes
-    cofactor = (lambda x, y: kernel.cofactor(y, x)) if right else kernel.cofactor
 
     def evaluate(x, y) -> np.ndarray:
         """``c(x, y)`` as floats, non-finite values included."""
         with np.errstate(invalid="ignore", divide="ignore"):
-            return np.array(cofactor(x, y), dtype=float)
+            return np.array(kernel.cofactor(y, x) if right else kernel.cofactor(x, y), dtype=float)
 
     def between(j, i) -> np.ndarray:
         """``evaluate`` at fractional node indices, reflected like ``t``."""
@@ -538,12 +538,17 @@ def _left_engine(kernel: Kernel, grid: Grid, right: bool, lags, chebyshev: dict,
         ``j`` in ``[lo, hi)``.
 
         Row ``j`` is one contiguous segment of a flat sample that starts two
-        columns left of ``lo``, so that a non-finite diagonal sample of a
-        singular kernel is continued linearly, ``2 c[j-1] - c[j-2]``, for
-        every row at once.  A row still non-finite after that (the first
-        row off the endpoint, and corner rows) is evaluated in full and
-        mended or flagged by ``_mend_row``, exactly as a row on its own.
-        Index patterns and lag tables are built once per tile shape.
+        columns left of ``lo``, and the sample is mended in one pass, where
+        each row's first non-finite sample decides.  On the diagonal of a
+        singular kernel (``s > 0``) it is continued linearly,
+        ``2 c[j-1] - c[j-2]``, or on row 1, which has one neighbour, through
+        the cofactor at its cell midpoint; ``NumericError`` if that is not
+        finite either.  At an interval corner, column 0 of a row up to
+        ``_CORNER_FIT`` or the last node's diagonal of a kernel declared
+        bounded, its row is flagged and its segment zeroed.  Anywhere else
+        it raises ``NumericError`` naming the node and sample index, the
+        lowest such row first.  Index patterns and lag tables are built once
+        per tile shape.
         """
         first = max(lo - 2, 0)
         shape = (lo - first, hi - first)
@@ -557,22 +562,31 @@ def _left_engine(kernel: Kernel, grid: Grid, right: bool, lags, chebyshev: dict,
             # block sums them
             t1, t2, left = lags[0][rj - ci], lags[1][rj - ci], starts[:, None] + np.arange(lo - first)
             t1[left] = t2[left] = 0.0
-            patterns[shape] = rows, counts, starts, rj, ci, t1, t2
-        rows, counts, starts, rj, ci, t1, t2 = patterns[shape]
+            patterns[shape] = rows, starts, rj, ci, t1, t2
+        rows, starts, rj, ci, t1, t2 = patterns[shape]
         nodes = t[first:]
         c = evaluate(nodes[rj], nodes[ci])
-        if s > 0.0:
-            ends = starts + counts - 1
-            gap = ends[(rows + first >= 2) & ~np.isfinite(c[ends])]
-            with np.errstate(invalid="ignore"):
-                c[gap] = 2.0 * c[gap - 1] - c[gap - 2]
-        for k in np.flatnonzero(np.logical_or.reduceat(~np.isfinite(c), starts)):
-            j = first + int(rows[k])
-            row = evaluate(t[j], t[: j + 1])
-            if not np.all(np.isfinite(row)) and _mend_row(row, j, t, s, cofactor) == "flag":
-                flagged.add(j)
-                row = np.zeros_like(row)
-            c[starts[k] : starts[k] + counts[k]] = row[first:]
+        bad = np.flatnonzero(~np.isfinite(c))
+        if len(bad):
+            # each row's first non-finite sample, at node j and column i
+            at = bad[np.unique(rj[bad], return_index=True)[1]]
+            j, i = first + rj[at], first + ci[at]
+            diagonal = (i == j) & (s > 0.0)
+            ends = at[diagonal]
+            with np.errstate(invalid="ignore", over="ignore"):
+                c[ends] = 2.0 * c[ends - 1] - c[ends - 2]
+                if diagonal[0] and j[0] == 1:
+                    c[at[0]] = 2.0 * evaluate(t[1], 0.5 * (t[0] + t[1])) - c[0]
+            corner = ((i == j) & (j == n) & (s == 0.0)) | ((i == 0) & (j <= _CORNER_FIT))
+            failed = np.flatnonzero(~np.isfinite(c[at]) & ~corner)
+            if len(failed):
+                k = failed[0]
+                if diagonal[k]:
+                    raise NumericError(f"kernel cofactor non-finite near node {j[k]}")
+                raise NumericError(f"kernel evaluation non-finite at node {j[k]} (sample index {i[k]})")
+            if corner.any():
+                flagged.update(map(int, j[corner]))
+                c[np.isin(rj, rj[at[corner]])] = 0.0
         for g in groups:
             # np.take keeps a one-row gather as fast as 1-D indexing
             weight = np.take(x1[g, first:], ci, axis=1) * t1 + np.take(x2[g, first:], ci, axis=1) * t2
@@ -766,36 +780,6 @@ def _far_interpolants(sample, between, los: np.ndarray, half: int, rows: int, ch
                (to_rows[:, -1] @ core) @ to_cols, 10.0 * _FAR_TOL * np.abs(core).max(axis=(1, 2)))
     kept[live[ok]] = True
     return kept, core[ok]
-
-
-def _mend_row(c: np.ndarray, j: int, t: np.ndarray, s: float, cofactor) -> str:
-    """Repair non-finite samples of the cofactor row
-    ``c = cofactor(t_j, t_0..t_j)`` in place.
-
-    A singular kernel (``s > 0``) has a smooth cofactor, so a non-finite
-    diagonal sample is continued linearly from its two neighbours; the
-    first row, which has one, continues through the cofactor at its cell
-    midpoint instead.  A kernel declared bounded that still blows up at an
-    interval corner marks the row for output extrapolation.  Anything else
-    is a hard error.
-    """
-    for i in np.flatnonzero(~np.isfinite(c)):
-        i = int(i)
-        if i == j and s > 0.0:
-            if j >= 2:
-                filled = 2.0 * c[j - 1] - c[j - 2]
-            else:
-                filled = 2.0 * float(cofactor(t[1], 0.5 * (t[0] + t[1]))) - c[0]
-            if not np.isfinite(filled):
-                raise NumericError(f"kernel cofactor non-finite near node {j}")
-            c[j] = filled
-        elif (i == j == len(t) - 1 and s == 0.0) or (i == 0 and j <= _CORNER_FIT):
-            return "flag"
-        else:
-            raise NumericError(
-                f"kernel evaluation non-finite at node {j} (sample index {i})"
-            )
-    return "ok"
 
 
 def _patch_corners(values: np.ndarray, bad: set, n: int) -> None:

@@ -264,6 +264,8 @@ class Spectrum:
 
     def __post_init__(self) -> None:
         lam = np.asarray(self.lambdas, dtype=float)
+        if not np.all(np.isfinite(lam)):
+            raise InputError(f"eigenvalue {np.flatnonzero(~np.isfinite(lam))[0]} is not finite")
         if np.any(np.diff(lam) < -1e-10 * (1.0 + np.abs(lam[:-1]))):
             raise InputError("eigenvalues must be ascending")
 

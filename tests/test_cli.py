@@ -546,6 +546,20 @@ def test_cli_error_during_a_run_exits_two_and_writes_nothing(tmp_path, capsys, m
     assert list(tmp_path.iterdir()) == []
 
 
+def test_cli_failed_artifact_write_leaves_no_temporary_file(tmp_path, capsys, monkeypatch):
+    """An artifact whose temporary file is written but cannot replace its
+    target: the temporary file is removed and the error is one line."""
+
+    def refuse(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    argv = ["run", "--experiment", "ibp-suite", "--set", "n=64", "--set", f"output_dir={tmp_path}"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: OSError: no space left on device\n"
+    assert [path.name for path in tmp_path.rglob("*") if path.is_file()] == []
+
+
 def test_cli_unwritable_artifact_root_exits_two(tmp_path, capsys):
     """An artifact root that is a file cannot hold the experiment's
     directory: the ``NotADirectoryError`` is reported as one line."""

@@ -13,24 +13,33 @@ from hypothesis import given, settings, strategies as st
 import fracvar
 from fracvar import (
     AccuracyError,
+    ConfigurationError,
+    DifferenceKernel,
     DomainError,
     GeneralKernel,
     Grid,
     HadamardKernel,
     InputError,
+    Lagrangian,
+    NoetherGenerator,
+    NumericError,
+    OperatorBinding,
     ParameterSet,
     ParseError,
     PowerLawKernel,
     SampledFunction,
     SLProblem,
     SymmetricMatrix,
+    VariationalProblem,
     boundedness_constant,
     cumulative_trapezoid,
     erfc,
     gamma,
     interior_slice,
     interior_sup,
+    k_apply,
     mittag_leffler,
+    noether_drift,
     parse_config,
     singular_weights,
     solve_spectrum,
@@ -592,6 +601,22 @@ def test_symmetric_matrix_rejects_asymmetry():
         SymmetricMatrix(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize(
+    "entries, index",
+    [([[math.nan]], "(0, 0)"), ([[1.0, math.inf], [math.inf, 1.0]], "(0, 1)"),
+     ([[1.0, 2.0], [2.0, -math.inf]], "(1, 1)")],
+    ids=["nan", "inf-pair", "inf-diagonal"],
+)
+def test_symmetric_matrix_names_its_first_non_finite_entry(entries, index):
+    """A non-finite entry is named before the symmetry test, which would
+    call a NaN asymmetric and warn on an infinite off-diagonal pair."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError) as raised:
+            SymmetricMatrix(np.array(entries))
+    assert str(raised.value) == f"matrix entry {index} is not finite"
+
+
 def test_eigen_dimension_cap():
     with pytest.raises(InputError):
         symmetric_eigen(SymmetricMatrix(np.eye(201)))
@@ -716,8 +741,51 @@ def test_a_bad_scalar_raises_the_sites_typed_error(site, bad):
     if (site, bad) == ("config.seed", "10**400"):
         call(BAD_SCALARS[bad])
         return
-    with pytest.raises(error):
+    with pytest.raises(error) as raised:
         call(BAD_SCALARS[bad])
+    if bad == "str" and not site.startswith("config."):
+        # the rejected value as it was given, quoted; a config error names its key
+        assert "'0.5'" in str(raised.value)
+
+
+def _noether_drift_with(xi):
+    """``noether_drift`` of the generator ``xi`` along an extremal."""
+    g = Grid(0.0, 1.0, 64)
+    binding = OperatorBinding(ParameterSet(0.0, 1.0, 1.0, 0.0), DifferenceKernel(math.exp))
+    problem = VariationalProblem(Lagrangian(lambda x1, x2, x3, x4, t: x3 * x3), binding)
+    return noether_drift(problem, SampledFunction(g, g.nodes), NoetherGenerator(xi))
+
+
+def _midpoint_nan(x, y):
+    """``(x - y)**-0.25``, NaN where ``y`` is half of ``x``: on [0, 1] row
+    1's diagonal sample and the cofactor at its cell midpoint are NaN."""
+    return np.where(2.0 * y == x, np.nan, (x - y) ** -0.25)
+
+
+#: typed raises of the other layers: a call, the error and its message
+TYPED_RAISES = {
+    "PowerLawKernel.variant": (lambda: PowerLawKernel(0.5, "fractional"), ConfigurationError,
+                               "unknown power-law variant 'fractional'"),
+    "SLProblem.q": (lambda: solve_spectrum(SLProblem(1.0, _ONE, lambda t: math.inf, _ONE), 2, 1,
+                                           _SL_GRID), DomainError, "coefficient q must be finite"),
+    "noether_drift.generator": (lambda: _noether_drift_with(lambda t, y: math.nan), InputError,
+                                "generator produced non-finite values along the trajectory"),
+    "engine.near_node": (lambda: k_apply(ParameterSet(0.0, 1.0, 1.0, 0.0), GeneralKernel(_midpoint_nan, 0.25),
+                                         SampledFunction(_G8, np.ones(9))),
+                         NumericError, "kernel cofactor non-finite near node 1"),
+    "config.alpha": (lambda: _config("el-check", alpha=["0.4"]), ParseError,
+                     "alpha: entries must be finite numbers"),
+    "config.interval": (lambda: _config("el-check", interval=["0", 1.0]), ParseError,
+                        "interval: must be [a, b] with a < b"),
+}
+
+
+@pytest.mark.parametrize("site", TYPED_RAISES)
+def test_each_typed_raise_says_what_went_wrong(site):
+    call, error, message = TYPED_RAISES[site]
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value) == message
 
 
 @pytest.mark.parametrize("site", SCALAR_SITES)

@@ -50,3 +50,38 @@ def test_only_foundation_imports_numbers():
             if "numbers" in names:
                 importers.append(path.name)
     assert importers == ["foundation.py"]
+
+
+def _private_module_names(tree):
+    """``(line, name)`` of each private function, class and constant that
+    a module defines at its top level; dunder names are not private."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node]
+        elif isinstance(node, ast.Assign):
+            targets = [leaf for target in node.targets for leaf in ast.walk(target)]
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            name = getattr(target, "name", None) or getattr(target, "id", "")
+            if name.startswith("_") and not name.startswith("__"):
+                yield node.lineno, name
+
+
+def test_every_private_module_name_is_read_in_the_package():
+    """Every module-level private function, class and constant of the
+    package is read somewhere in it, by name or as a module attribute, so
+    a deletion leaves no orphan helper behind."""
+    defined, read = [], set()
+    for path in sorted((ROOT / "src/fracvar").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined += [(path.name, line, name) for line, name in _private_module_names(tree)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert len(defined) > 90
+    assert [f"{file}:{line}: {name}" for file, line, name in defined if name not in read] == []

@@ -54,7 +54,6 @@ from fracvar.operators import (
     _far_interpolants,
     _fft_size,
     _left_rule,
-    _mend_row,
     _two_sided,
 )
 
@@ -598,10 +597,30 @@ def _oracle_rows(cofactor, t, s, lo, hi):
     flagged = []
     for k in np.flatnonzero(~np.isfinite(c).all(axis=1)):
         j = lo + int(k)
-        if _mend_row(c[k, : j + 1], j, t, s, cofactor) == "flag":
+        if _oracle_mend(c[k, : j + 1], j, t, s, cofactor):
             c[k] = 0.0
             flagged.append(j)
     return c, flagged
+
+
+def _oracle_mend(c, j, t, s, cofactor):
+    """Mend the cofactor row ``c = c(t_j, t_0..t_j)`` in place by its first
+    non-finite sample, and say whether the row is flagged instead: a
+    singular kernel's diagonal is continued linearly, on row 1 through the
+    cofactor at its cell midpoint; column 0 of a row up to ``_CORNER_FIT``
+    and a bounded kernel's last diagonal flag the row; all else raises."""
+    i = int(np.flatnonzero(~np.isfinite(c))[0])
+    if i == j and s > 0.0:
+        if j >= 2:
+            c[j] = 2.0 * c[j - 1] - c[j - 2]
+        else:
+            c[j] = 2.0 * cofactor(t[1], 0.5 * (t[0] + t[1])) - c[0]
+        if not np.isfinite(c[j]):
+            raise NumericError(f"kernel cofactor non-finite near node {j}")
+        return False
+    if (i == j == len(t) - 1 and s == 0.0) or (i == 0 and j <= _CORNER_FIT):
+        return True
+    raise NumericError(f"kernel evaluation non-finite at node {j} (sample index {i})")
 
 
 def _lag_windows(table):
@@ -991,10 +1010,10 @@ def test_far_blocks_cost_three_kernel_calls_each():
     last rows.  On each side of the counterexample at n = 8192 that is
     the levels of half-sizes 4096 down to ``_LEAF``, plus one call for the
     dense block of the last node alone and one per diagonal tile (the
-    full tiles and the last node's); the right side asks for one more
-    full row, at the corner it flags.  So the calls grow with the levels
-    and tiles, not with the far blocks: 169 at ``_LEAF`` = 128, where
-    three calls per block would make 511."""
+    full tiles and the last node's); the tile that flags the right
+    side's corner mends its own sample, with no call more.  So the calls
+    grow with the levels and tiles, not with the far blocks: 168 at
+    ``_LEAF`` = 128, where three calls per block would make 511."""
     levels = (8192 // _LEAF).bit_length() - 1
     tiles = -(-8193 // _LEAF)
     kernel = _CountingKernel(counterexample_kernel())
@@ -1002,7 +1021,7 @@ def test_far_blocks_cost_three_kernel_calls_each():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CornerExtrapolationWarning)
         k_apply(ParameterSet(0.0, 1.0, 1.0, -1.0), kernel, SampledFunction(g, np.ones(8193)))
-    assert kernel.calls <= 2 * (3 * levels + 1 + tiles) + 1
+    assert kernel.calls == 2 * (3 * levels + 1 + tiles)
 
 
 def test_engine_walks_far_blocks_level_by_level_from_the_top(monkeypatch):

@@ -27,6 +27,7 @@ from fracvar import (
     RitzBasis,
     SampledFunction,
     SLProblem,
+    Spectrum,
     VariationalProblem,
     assemble,
     classical,
@@ -252,6 +253,11 @@ def test_spectrum_structure():
     assert np.isfinite(spectrum.right_trace).all()
     for fn in spectrum.eigenfunctions:
         assert fn.values[0] == 0.0 and fn.values[-1] == 0.0
+
+
+def test_spectrum_rejects_a_non_finite_eigenvalue():
+    with pytest.raises(InputError, match="eigenvalue 0 is not finite"):
+        Spectrum(np.array([np.nan, 1.0]), np.eye(2), (), 2, np.zeros(2))
 
 
 def test_fractional_ground_state_below_classical_bound():

@@ -45,7 +45,6 @@ from .operators import (
     ParameterSet,
     PowerLawKernel,
     _classical_rows,
-    _run_memo,
     boundedness_constant,
     classical,
     k_apply,
@@ -1021,17 +1020,13 @@ def run(config: ExperimentConfig) -> ResultRecord:
     ``timing.txt`` and its ``.csv`` tables and ``.dat`` series into a
     subdirectory named after itself, which the returned record names in
     ``output_dir``, and removes every other ``.csv`` and ``.dat`` file
-    there, such as a series an earlier run wrote.  Each lag table and each
-    operator rule (one per operator, K or B, kernel and grid, whatever the
-    side weights) the run needs is built once for the whole run and
-    dropped when it ends (``operators._run_memo``).  ``results.json`` is
+    there, such as a series an earlier run wrote.  ``results.json`` is
     encoded by ``json`` itself, numpy scalars as their Python values, and
     the record's ``inputs`` and ``results`` are decoded from that same text.
     """
     started = time.perf_counter()
     grid = Grid(config.a, config.b, config.n)
-    with _run_memo():
-        results, tables, series, assertions = _EXPERIMENTS[config.experiment].runner(config, grid)
+    results, tables, series, assertions = _EXPERIMENTS[config.experiment].runner(config, grid)
     wall = time.perf_counter() - started
     inputs = asdict(config)
     inputs["interval"] = [inputs.pop("a"), inputs.pop("b")]

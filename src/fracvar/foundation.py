@@ -63,6 +63,16 @@ def _is_count(v, lo, hi) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool) and lo <= v <= hi
 
 
+def _floats(values, error: type, what: str) -> np.ndarray:
+    """``values`` as a float array, or ``error`` unless numpy reads them as
+    integers or reals (bools, strings, complex numbers and objects such as
+    ``None`` fail).  The package's one test of a numeric array."""
+    raw = np.asarray(values)
+    if raw.dtype.kind not in "iuf":
+        raise error(f"{what} must be numeric, got dtype {raw.dtype}")
+    return raw.astype(float, copy=False)
+
+
 def _check_endpoints(a: float, b: float) -> None:
     """Raise ``InputError`` unless ``a`` and ``b`` are numbers with
     ``0 < b - a < inf``; the one test every interval passes."""
@@ -128,7 +138,7 @@ class SampledFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
+        v = _floats(self.values, InputError, "samples")
         if v.shape != (self.grid.n + 1,):
             raise InputError(
                 f"expected {self.grid.n + 1} samples, got shape {v.shape}"
@@ -154,7 +164,7 @@ class SymmetricMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.entries, dtype=float)
+        m = _floats(self.entries, InputError, "matrix entries")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InputError(f"expected a square matrix, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
@@ -203,14 +213,14 @@ def mittag_leffler(alpha: float, z: float | np.ndarray) -> float | np.ndarray:
     values differ from a scalar loop with ``math.exp`` by at most
     4.4e-16 * max(1, |E|).
 
-    ``DomainError`` is raised unless ``alpha`` lies in ``(0, 1]`` and every
-    ``|z| <= 50`` (NaN fails), and ``AccuracyError`` if a ``z > 0`` value
-    leaves the double range or a series does not settle within
-    ``_SERIES_CAP`` terms.
+    ``DomainError`` is raised unless ``alpha`` lies in ``(0, 1]`` and ``z``
+    is numeric with every ``|z| <= 50`` (NaN fails), and ``AccuracyError``
+    if a ``z > 0`` value leaves the double range or a series does not
+    settle within ``_SERIES_CAP`` terms.
     """
     if not (_is_real(alpha) and 0.0 < alpha <= 1.0):
         raise DomainError(f"alpha must lie in (0, 1], got {alpha!r}")
-    zs = np.asarray(z, dtype=float)
+    zs = _floats(z, DomainError, "z")
     flat = zs.ravel()
     bad = np.flatnonzero(~(np.abs(flat) <= 50.0))
     if bad.size:

@@ -43,20 +43,19 @@ The far blocks of one tree level are sampled, checked and applied
 together, so the kernel calls grow with the levels and tiles, not with
 the blocks.  That costs O(n * _LEAF) cofactor evaluations and
 O(n log**2 n) arithmetic instead of the (n + 1)(n + 2) / 2 evaluations of
-a full triangle.  Each call builds its operator's rule, for both sides,
-or inside one catalogue run takes the run's (see ``_two_sided``), and the
-rule's barycentric tables serve both.  In the engine the right-sided
-integral is the left-sided one of the reversed samples at the reflected
-nodes ``a + b - t``, where the engine samples the cofactor with its
-arguments swapped, and B's rule negates it: the reversed samples'
-derivative is the reversed derivative negated.  A difference kernel
-reflects onto itself, so its tables, profile and weight spectrum serve
-both sides, and its cofactor is sampled once per rule, at ``(t_j, a)``.
+a full triangle.  A rule and its barycentric tables serve both sides,
+and a thread keeps the K and B rules of the last kernel and grid it
+applied (see ``_two_sided``).  In the engine the right-sided integral
+is the left-sided one of the reversed samples at the reflected nodes
+``a + b - t``, where the engine samples the cofactor with its arguments
+swapped, and B's rule negates it: the reversed samples' derivative is
+the reversed derivative negated.  A difference kernel reflects onto
+itself, so its tables, profile and weight spectrum serve both sides,
+and its cofactor is sampled once per rule, at ``(t_j, a)``.
 """
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import math
 import warnings
@@ -319,34 +318,6 @@ def _delay(size: int) -> np.ndarray:
     return np.multiply.outer(coarse, fine).ravel()[:count]
 
 
-#: what one run has built so far, while a ``_run_memo`` is open: lag tables
-#: by ``(mu, count)`` and rules by ``(inside, kernel, grid)`` (see
-#: ``_two_sided``); ``None`` (nothing kept) otherwise
-_RUN_MEMO: contextvars.ContextVar = contextvars.ContextVar("run_memo", default=None)
-
-
-@contextlib.contextmanager
-def _run_memo():
-    """Keep every lag table and rule built inside the block for reuse
-    inside it; all are dropped when the block exits, however it exits."""
-    token = _RUN_MEMO.set({})
-    try:
-        yield
-    finally:
-        _RUN_MEMO.reset(token)
-
-
-def _kept(key, build, *args):
-    """``build(*args)``, or inside a ``_run_memo`` what it returned the
-    first time the run asked for ``key``."""
-    memo = _RUN_MEMO.get()
-    if memo is None:
-        return build(*args)
-    if key not in memo:
-        memo[key] = build(*args)
-    return memo[key]
-
-
 def _profile(kernel: Kernel, grid: Grid) -> np.ndarray:
     """Cofactor ``c(t_j, a)`` of a difference kernel at every lag ``t_j - a``."""
     prof = np.asarray(kernel.cofactor(grid.nodes, grid.a), dtype=float)
@@ -358,14 +329,15 @@ def _profile(kernel: Kernel, grid: Grid) -> np.ndarray:
 
 def _left_rule(kernel: Kernel, grid: Grid, inside: bool):
     """Rule of K (``inside`` false) or of B (``inside`` set) for ``kernel``
-    on ``grid``, for any side weights (see ``_two_sided`` for when it is
-    built): a function ``rule(rows, out, lam, mu)`` that adds ``lam`` times
-    each row's left-sided values, the module's one sum with the operator's
-    ``(x1, x2, e)``, and ``mu`` times its right-sided values into ``out``
-    and returns the set of flagged nodes.  B's cell derivatives are the
-    exact derivative of the piecewise-linear interpolant, so the
-    interpolation error of ``f`` telescopes within each cell instead of
-    polluting the quadrature near a startup cusp.
+    on ``grid``, for any side weights, on lag tables of its own
+    (``_two_sided`` says which rules are kept): a function ``rule(rows,
+    out, lam, mu)`` that adds ``lam`` times each row's left-sided values, the
+    module's one sum with the operator's ``(x1, x2, e)``, and ``mu`` times
+    its right-sided values into ``out`` and returns the set of flagged
+    nodes.  B's cell derivatives are the exact derivative of the
+    piecewise-linear interpolant, so the interpolation error of ``f``
+    telescopes within each cell instead of polluting the quadrature near
+    a startup cusp.
 
     A difference kernel takes both sides in one transform pair per
     ``_ROW_GROUP`` rows: the left-sided sum is the convolution of the rows,
@@ -387,7 +359,7 @@ def _left_rule(kernel: Kernel, grid: Grid, inside: bool):
     """
     n = grid.n
     mu = 1.0 - kernel.singularity_exponent
-    t1, t2 = lags = _kept((mu, n + 1), _lag_tables, mu, n + 1)
+    t1, t2 = lags = _lag_tables(mu, n + 1)
     scale = grid.h ** (mu - 1.0 if inside else mu)
 
     if kernel.is_difference:
@@ -736,14 +708,18 @@ def _far_factors(sample, between, los: np.ndarray, half: int, rows: int, chebysh
 
     The live cores are recompressed by one batched SVD to ``_FAR_TOL`` of
     each largest singular value ``s1`` and carried to the nodes.  A block
-    goes dense if it has no live core, or if its first column or last row
+    goes dense if it has no live core, if ``s1`` is not finite (the core's
+    norm is past the float range), or if its first column or last row
     misses its factors by more than ``10 * _FAR_TOL * s1``.
     """
     kept = np.zeros(len(los), dtype=bool)
     live, core, to_rows, to_cols = _far_cores(between, los, half, rows, chebyshev)
+    if len(live):
+        left, sv, right = np.linalg.svd(core)
+        # a core past the float range has no finite s1 and no factors
+        live, left, sv, right = (a[np.isfinite(sv[:, 0])] for a in (live, left, sv, right))
     if not len(live):
         return kept, None, None, None
-    left, sv, right = np.linalg.svd(core)
     ranks = np.count_nonzero(sv > _FAR_TOL * sv[:, :1], axis=1)
     leading = np.arange(_CHEB) < ranks[:, None]
     # einsum, not BLAS: with more than one BLAS thread a small gemm can stall
@@ -811,6 +787,11 @@ def _patch_corners(values: np.ndarray, bad: set, n: int) -> None:
     )
 
 
+#: the rules of the last kernel and grid ``_two_sided`` applied in this
+#: thread, ``((kernel, grid), {inside: rule})``; ``None`` before the first call
+_LAST_RULES: contextvars.ContextVar = contextvars.ContextVar("last_rules", default=None)
+
+
 def _two_sided(p: ParameterSet, kernel: Kernel, grid: Grid, rows: np.ndarray, inside: bool):
     """``lam * left + mu * right`` of K (``inside`` false) or B (``inside``
     set) on each row of ``rows``, shape ``(rows, n + 1)``, with corner
@@ -821,18 +802,25 @@ def _two_sided(p: ParameterSet, kernel: Kernel, grid: Grid, rows: np.ndarray, in
     into the output and returns the flagged nodes of both: a difference
     kernel convolves and correlates in one spectrum, the engine runs once
     per active side on the stack and output, reversed for the right side.
-    Outside a ``_run_memo`` each call builds its rule; inside one, the
-    rule is kept under ``(inside, kernel, grid)`` (kernels and grids
-    compare by value) and built once for the run, as ``_left_rule`` keeps
-    its lag tables under ``(mu, n + 1)``.  With both side weights zero
-    nothing is built and the result is zeros.
+    The rules of the last kernel and grid applied in this thread are kept
+    (``_LAST_RULES``; kernels and grids compare by value), so repeated
+    calls on one kernel and grid build K's and B's rule once each, for
+    any side weights.  A call on an unequal kernel or grid empties the
+    slot before it builds, as ``RitzBasis.build`` does.  A rule is a pure
+    function of kernel and grid, so a kept one gives a fresh one's bits.
+    With both side weights zero nothing is built and the result is zeros.
     """
     _check_interval(grid, p.a, p.b)
     out = np.zeros(rows.shape)
     if p.lam == 0.0 and p.mu == 0.0:
         return out
-    rule = _kept((inside, kernel, grid), _left_rule, kernel, grid, inside)
-    bad = rule(rows, out, p.lam, p.mu)
+    key, rules = _LAST_RULES.get() or (None, {})
+    if key != (kernel, grid):
+        rules = {}
+        _LAST_RULES.set(((kernel, grid), rules))  # frees the old rules before a new one is built
+    if inside not in rules:
+        rules[inside] = _left_rule(kernel, grid, inside)
+    bad = rules[inside](rows, out, p.lam, p.mu)
     if bad:
         _patch_corners(out, bad, grid.n)
     if not np.all(np.isfinite(out)):

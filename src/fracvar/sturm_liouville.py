@@ -37,6 +37,7 @@ from .foundation import (
     _check_endpoints,
     _check_interval,
     _evaluate,
+    _floats,
     _is_count,
     _is_real,
     _trapezoid_weights,
@@ -180,6 +181,7 @@ class RitzBasis:
         kept = _LAST_BASIS.get()
         if kept is not None and kept.m >= m and kept.problem == problem and kept.grid == grid:
             return cls(problem, grid, m, kept.phi[:m], kept.dphi[:m], kept._coefficients)
+        del kept
         _LAST_BASIS.set(None)  # free the old rows before the new ones are made
         coefficients = _sample_coefficients(problem, grid)
         s = math.pi * (grid.nodes - grid.a) / (grid.b - grid.a)
@@ -263,7 +265,7 @@ class Spectrum:
     right_trace: np.ndarray
 
     def __post_init__(self) -> None:
-        lam = np.asarray(self.lambdas, dtype=float)
+        lam = _floats(self.lambdas, InputError, "eigenvalues")
         if not np.all(np.isfinite(lam)):
             raise InputError(f"eigenvalue {np.flatnonzero(~np.isfinite(lam))[0]} is not finite")
         if np.any(np.diff(lam) < -1e-10 * (1.0 + np.abs(lam[:-1]))):
@@ -312,11 +314,14 @@ def converge(
 ) -> ConvergenceReport:
     """Ritz eigenvalues along nested trial spaces of growing size.
 
-    The basis and matrix are built once at the largest size and sliced,
-    so the nesting is exact and the eigenvalue columns can only move
-    down (up to eigensolver round-off, reported separately as
-    ``max_upward_step``).
+    ``m_schedule`` is a list, tuple or 1-d array of at least two strictly
+    increasing basis sizes.  The basis and matrix are built once at the
+    largest size and sliced, so the nesting is exact and the eigenvalue
+    columns can only move down (up to eigensolver round-off, reported
+    separately as ``max_upward_step``).
     """
+    if not (isinstance(m_schedule, (list, tuple)) or getattr(m_schedule, "ndim", 0) == 1):
+        raise InputError(f"m_schedule must be a list, tuple or 1-d array, got {m_schedule!r}")
     schedule = [_basis_size(m) for m in m_schedule]
     if len(schedule) < 2 or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise InputError("m_schedule must be strictly increasing with at least two entries")
@@ -479,7 +484,7 @@ def direct_minimize(
     if opts.beta0 is None:
         beta = np.zeros(basis.m)
     else:
-        beta = np.asarray(opts.beta0, dtype=float).copy()
+        beta = _floats(opts.beta0, InputError, "beta0").copy()
         if beta.shape != (basis.m,):
             raise InputError(f"beta0 must have shape ({basis.m},)")
     slots = space.slots(beta)

@@ -1,15 +1,17 @@
 import pytest
 
-from fracvar import sturm_liouville
+from fracvar import operators, sturm_liouville
 
 _ACCEPTANCE_LINES = []
 
 
 @pytest.fixture(autouse=True)
-def empty_basis_slot():
-    """Start every test with no kept Ritz basis, so no test's builds turn
-    into reuses of a basis an earlier test left (work counts stay exact)."""
+def empty_kept_slots():
+    """Start every test with no kept Ritz basis and no kept rules, so no
+    test's builds turn into reuses of what an earlier test left (work
+    counts stay exact)."""
     sturm_liouville._LAST_BASIS.set(None)
+    operators._LAST_RULES.set(None)
 
 
 @pytest.fixture

@@ -1,9 +1,13 @@
 import contextlib
+import gc
 import io
+import itertools
 import json
 import math
 import os
 import runpy
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -373,37 +377,18 @@ def spy_rule_builds(monkeypatch):
     return builds, calls
 
 
-def test_a_run_builds_each_lag_table_once_and_read_only(tmp_path, monkeypatch):
-    """Inside ``run`` the operators build each ``(mu, count)`` once, as
-    read-only arrays, and share it between rules: ``el-check`` builds two
-    rules on one table.  The memo is gone once ``run`` returns, and
-    ``foundation._lag_tables`` itself keeps nothing, even inside one."""
+def test_each_rule_builds_its_own_read_only_lag_tables(tmp_path, monkeypatch):
+    """``el-check`` builds K's and B's rule of one kernel and grid, each on
+    its own read-only ``(mu, count)`` tables; ``foundation._lag_tables``
+    keeps nothing."""
     seen = spy_lag_tables(monkeypatch)
     builds, _ = spy_rule_builds(monkeypatch)
     run(parse_config(json.dumps({"experiment": "el-check", "n": 256, "output_dir": str(tmp_path)})))
-    assert [(mu, count) for mu, count, *_ in seen] == [(0.6, 257)] and len(builds) == 2
+    assert [(mu, count) for mu, count, *_ in seen] == [(0.6, 257)] * 2
+    assert [inside for inside, *_ in builds] == [True, False]
     for mu, count, t1, t2 in seen:
         assert not (t1.flags.writeable or t2.flags.writeable)
-    assert operators._RUN_MEMO.get() is None
-    with operators._run_memo():  # as ``run`` opens it
-        first, again = foundation._lag_tables(0.6, 257), foundation._lag_tables(0.6, 257)
-    assert all(a is not b and np.array_equal(a, b) for a, b in zip(first, again))
-
-
-def test_the_lag_table_memo_is_dropped_when_a_runner_raises(tmp_path, monkeypatch):
-    """A run that raises after building a lag table and a rule keeps neither."""
-    kept = []
-
-    def failing(cfg, grid):
-        operators.k_apply(LEFT, EXP_KERNEL, SampledFunction(grid, np.ones(grid.n + 1)))
-        kept.extend(operators._RUN_MEMO.get())
-        raise NumericError("runner failed")
-
-    monkeypatch.setitem(_EXPERIMENTS, "noether", _EXPERIMENTS["noether"]._replace(runner=failing))
-    with pytest.raises(NumericError):
-        run(parse_config(json.dumps({"experiment": "noether", "n": 64, "output_dir": str(tmp_path)})))
-    assert (1.0, 65) in kept and (False, EXP_KERNEL, Grid(0.0, 1.0, 64)) in kept
-    assert operators._RUN_MEMO.get() is None
+    assert all(a is not b for a, b in zip(seen[0][2:], seen[1][2:]))
 
 
 def test_lag_tables_outside_a_run_are_built_afresh():
@@ -412,26 +397,85 @@ def test_lag_tables_outside_a_run_are_built_afresh():
         assert a is not b and not a.flags.writeable and np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("experiment, rules, uses, sides",
-                         [("ops-identities", 18, 39, 2), ("ibp-suite", 1, 40, 7)])
-def test_a_run_builds_each_rule_once(tmp_path, monkeypatch, experiment, rules, uses, sides):
-    """Inside ``run`` each distinct ``(inside, kernel, grid)`` builds its
-    rule once, whatever the side weights: ``ops-identities`` builds six
-    rules for each of its three orders and uses them in 13 calls, and
-    ``ibp-suite``'s 40 calls, under seven side weights, share one rule."""
+@pytest.mark.parametrize("kernel, n", [
+    (EXP_KERNEL, 64),
+    (operators.GeneralKernel(lambda x, y: np.exp(x * y - x), 0.3), 300),
+], ids=["difference", "engine"])
+def test_repeated_calls_on_one_kernel_and_grid_build_each_rule_once(monkeypatch, kernel, n):
+    """K's rule and B's rule of one kernel and grid are built once each,
+    whatever the side weights of the calls that use them, and the kept
+    rules give the bits fresh ones give."""
+    builds, calls = spy_rule_builds(monkeypatch)
+    g = Grid(0.0, 1.0, n)
+    f = SampledFunction(g, np.cos(3.0 * g.nodes))
+    sides = [LEFT, operators.ParameterSet(0.0, 1.0, 0.0, -1.3),
+             operators.ParameterSet(0.0, 1.0, 0.8, 1.9)]
+    applies = (operators.k_apply, operators.b_apply, operators.a_apply)
+    kept = [apply(p, kernel, f).values for p in sides for apply in applies]
+    assert builds == [(False, kernel, g), (True, kernel, g)] and len(calls) == 9
+    fresh = []
+    for p in sides:
+        for apply in applies:
+            operators._LAST_RULES.set(None)
+            fresh.append(apply(p, kernel, f).values)
+    assert len(builds) == 11
+    assert all(np.array_equal(a, b) for a, b in zip(kept, fresh, strict=True))
+
+
+def test_another_kernel_or_grid_frees_the_kept_rules_before_building(monkeypatch):
+    """A call on an unequal kernel or grid empties the slot, dropping the
+    last reference to the kept rules, before ``_left_rule`` runs; the
+    slot then holds the new rule only."""
+    g = Grid(0.0, 1.0, 64)
+    ones = SampledFunction(g, np.ones(65))
+    real_rule = operators._left_rule
+    for kernel, grid in ((operators.PowerLawKernel(0.5, "integral"), g),
+                         (EXP_KERNEL, Grid(0.0, 1.0, 65))):
+        operators.k_apply(LEFT, EXP_KERNEL, ones)
+        operators.b_apply(LEFT, EXP_KERNEL, ones)
+        old = [weakref.ref(rule) for rule in operators._LAST_RULES.get()[1].values()]
+        seen = []
+
+        def spy(*args):
+            gc.collect()
+            key, rules = operators._LAST_RULES.get()
+            seen.append((key, dict(rules), [ref() for ref in old]))
+            return real_rule(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(operators, "_left_rule", spy)
+            operators.k_apply(LEFT, kernel, SampledFunction(grid, np.ones(grid.n + 1)))
+        assert len(old) == 2 and seen == [((kernel, grid), {}, [None, None])]
+        assert list(operators._LAST_RULES.get()[1]) == [False]
+
+
+def test_each_thread_keeps_its_own_rules():
+    f = SampledFunction(Grid(0.0, 1.0, 64), np.ones(65))
+    operators.k_apply(LEFT, EXP_KERNEL, f)
+    kept = operators._LAST_RULES.get()
+    seen = []
+    thread = threading.Thread(target=lambda: seen.append(operators._LAST_RULES.get()))
+    thread.start()
+    thread.join()
+    assert seen == [None] and operators._LAST_RULES.get() is kept
+
+
+@pytest.mark.parametrize("experiment, rules, distinct, uses, sides",
+                         [("ops-identities", 24, 18, 39, 2), ("ibp-suite", 1, 1, 40, 7)])
+def test_a_run_builds_a_rule_again_only_after_another_kernel_or_grid(
+        tmp_path, monkeypatch, experiment, rules, distinct, uses, sides):
+    """A run builds a rule again only after a call on another kernel or
+    grid: ``ops-identities`` uses 18 rules, six for each of its three
+    orders, in 39 calls, and builds the K rules of both kernels at n = 256
+    twice, once for the identities and once for the laws, 24 builds; all 40
+    calls of ``ibp-suite``, under seven side weights, share one rule."""
     builds, calls = spy_rule_builds(monkeypatch)
     run(parse_config(json.dumps({"experiment": experiment, "n": 256, "output_dir": str(tmp_path)})))
-    assert len(set(builds)) == len(builds) == rules
+    assert len(builds) == rules and len({(i, repr(k), g) for i, k, g in builds}) == distinct
+    for _, group in itertools.groupby(builds, key=lambda build: build[1:]):
+        insides = [inside for inside, *_ in group]
+        assert len(set(insides)) == len(insides)
     assert len(calls) == uses and len(set(calls)) == sides
-    assert operators._RUN_MEMO.get() is None
-
-
-def test_rules_outside_a_run_are_built_afresh(monkeypatch):
-    builds, _ = spy_rule_builds(monkeypatch)
-    f = SampledFunction(Grid(0.0, 1.0, 64), np.ones(65))
-    first = operators.k_apply(LEFT, EXP_KERNEL, f)
-    assert np.array_equal(first.values, operators.k_apply(LEFT, EXP_KERNEL, f).values)
-    assert builds == [(False, EXP_KERNEL, f.grid)] * 2
 
 
 def test_cli_rejects_an_oversized_schedule_before_any_work(tmp_path, capsys, monkeypatch):

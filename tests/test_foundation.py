@@ -29,6 +29,7 @@ from fracvar import (
     PowerLawKernel,
     SampledFunction,
     SLProblem,
+    Spectrum,
     SymmetricMatrix,
     VariationalProblem,
     boundedness_constant,
@@ -746,6 +747,38 @@ def test_a_bad_scalar_raises_the_sites_typed_error(site, bad):
     if bad == "str" and not site.startswith("config."):
         # the rejected value as it was given, quoted; a config error names its key
         assert "'0.5'" in str(raised.value)
+
+
+#: every site that judges an array by ``_floats``: a call that passes it
+#: the array, the typed error it raises for a non-numeric one (both
+#: subclass ``ValueError``), and a numeric array it takes
+ARRAY_SITES = {
+    "SampledFunction": (lambda v: SampledFunction(Grid(0.0, 1.0, 2), v), InputError, [0, 1, 2.5]),
+    "SymmetricMatrix": (SymmetricMatrix, InputError, [[1, 2], [2, np.float32(1)]]),
+    "mittag_leffler.z": (lambda v: mittag_leffler(0.5, v), DomainError, [-1, 0, np.int8(2)]),
+    "Spectrum.lambdas": (lambda v: Spectrum(v, np.eye(3), (), 3, np.zeros(3)), InputError,
+                         np.arange(3, dtype=np.uint8)),
+}
+
+#: strings, None, bools, complex numbers and objects: not numeric
+BAD_ARRAYS = {"str": "abc", "strs": ["a", "b", "c"], "None": None, "Nones": [None] * 3,
+              "bools": [True, False, True], "complex": [1j, 0, 1], "objects": [object()] * 3}
+
+
+@pytest.mark.parametrize("bad", BAD_ARRAYS)
+@pytest.mark.parametrize("site", ARRAY_SITES)
+def test_a_non_numeric_array_raises_the_sites_typed_error(site, bad):
+    """Each non-numeric array raises the site's own ``FracvarError``
+    subclass, saying that it must be numeric.  Before the sites shared
+    ``_floats``, a string raised numpy's bare ``ValueError``, None and
+    objects became NaN (``mittag_leffler(0.5, None)`` said "|z| must not
+    exceed 50, got nan"), bools became 0 and 1 and complex numbers lost
+    their imaginary parts."""
+    call, error, good = ARRAY_SITES[site]
+    call(good)
+    with pytest.raises(error, match="must be numeric, got dtype") as raised:
+        call(BAD_ARRAYS[bad])
+    assert isinstance(raised.value, ValueError)
 
 
 def _noether_drift_with(xi):

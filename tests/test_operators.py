@@ -444,18 +444,18 @@ def test_difference_rules_transform_each_row_group_once_each_way(monkeypatch, la
     """Work count: at n = 4096 a K or B of one row, with both side
     weights nonzero or one of them zero, makes one forward and one
     inverse transform of the row, with one forward transform of the
-    rule's weights; a stack of 5 rows, two row groups, makes one of each
-    per group."""
+    rule's weights; a stack of 5 rows after it, two row groups, makes one
+    of each per group and none of the weights, whose rule is kept."""
     inverse = []
     lengths = _record_rfft_lengths(monkeypatch, inverse)
     p, g = ParameterSet(0.0, 1.0, lam, mu), Grid(0.0, 1.0, 4096)
     rows = np.cos(np.arange(1.0, 6.0)[:, None] * g.nodes)
     for inside in (False, True):
-        for stack, groups in ((rows[:1], 1), (rows, 2)):
+        for stack, groups, built in ((rows[:1], 1, 1), (rows, 2, 0)):
             lengths.clear()
             inverse.clear()
             _two_sided(p, EXP_KERNEL, g, stack, inside)
-            assert lengths == [8192] * (1 + groups) and inverse == [8192] * groups
+            assert lengths == [8192] * (built + groups) and inverse == [8192] * groups
 
 
 def _is_five_smooth(m):
@@ -977,6 +977,34 @@ def test_a_block_crossed_by_a_jump_goes_dense_while_its_level_stays_compressed()
         _assert_factors_reproduce(kernel, n, [0, 512, 1536], half, [blocks[0], blocks[1], blocks[3]])
     f = SampledFunction(Grid(0.0, 1.0, n), np.random.default_rng(9).uniform(-1, 1, n + 1))
     _assert_engine_matches_oracle(ParameterSet(0.0, 1.0, 1.0, -0.5), kernel, f)
+
+
+def test_a_far_core_past_the_float_range_goes_dense():
+    """A core whose largest singular value overflows has no factors: its
+    block goes to the dense code, like a block with no live core, and the
+    other blocks of its level keep factors that reproduce them.  Only the
+    last block of half-size 512 at n = 4096 reaches ``8e307`` near x = 1."""
+    n, half = 4096, 512
+    kernel = GeneralKernel(lambda x, y: 8e307 * np.exp(40.0 * (x - 1.0)) * (x - y) ** -0.01, 0.01)
+    los = range(0, n, 2 * half)
+    blocks = _far_level(_far_factors, kernel, n, los, half, half)
+    assert [block is None for block in blocks] == [False, False, False, True]
+    _assert_factors_reproduce(kernel, n, los[:3], half, blocks[:3])
+
+
+@pytest.mark.parametrize("apply", [k_apply, b_apply], ids=["K", "B"])
+@pytest.mark.parametrize("lam, mu, node", [(1.0, 0.0, 64), (0.0, 1.0, 1)], ids=["left", "right"])
+def test_a_kernel_near_the_float_limit_raises_a_numeric_error(apply, lam, mu, node):
+    """``8e307 (1 + x / 2) (x - y)**-0.01`` at n = 257: the one far core
+    overflows its SVD, so its block goes dense, and then a tile's diagonal
+    continuation ``2 c[j-1] - c[j-2]`` overflows too, which raises the
+    tile's ``NumericError`` for K and B alike: on the left at node 64, the
+    first where ``2 c`` passes the float limit, and on the right at node
+    1, whose continuation through its cell midpoint does."""
+    kernel = GeneralKernel(lambda x, y: 8e307 * (1.0 + 0.5 * x) * (x - y) ** -0.01, 0.01)
+    g = Grid(0.0, 1.0, 257)
+    with pytest.raises(NumericError, match=f"^kernel cofactor non-finite near node {node}$"):
+        apply(ParameterSet(0.0, 1.0, lam, mu), kernel, SampledFunction(g, np.ones(258)))
 
 
 class _CountingKernel(Kernel):

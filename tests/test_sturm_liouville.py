@@ -1,9 +1,11 @@
 import dataclasses
+import gc
 import math
 import os
 import subprocess
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -470,6 +472,15 @@ def test_default_grid_has_max_1024_32m_cells(m):
 
 
 def test_converge_schedule_validation():
+    """A schedule is a list, tuple or 1-d integer array of at least two
+    strictly increasing sizes; a count, None, a dict, a string, a 0-d or
+    2-d array is an ``InputError``."""
+    for schedule in (5, None, {4: 1, 8: 2}, "48", np.array(8), np.array([[4, 8]])):
+        with pytest.raises(InputError, match="m_schedule must be a list, tuple or 1-d array"):
+            converge(constant_problem(1.0), schedule, 1, Grid(0.0, math.pi, 512))
+    for schedule in ([4, 8], (4, 8), np.array([4, 8])):
+        report = converge(constant_problem(1.0), schedule, 1, Grid(0.0, math.pi, 512))
+        assert report.m_schedule == (4, 8)
     with pytest.raises(InputError):
         converge(constant_problem(1.0), (8, 4), 1)
     with pytest.raises(InputError):
@@ -516,6 +527,8 @@ def test_minimize_rejects_malformed_start():
     prob = VariationalProblem(lag, binding, ya=0.0, yb=0.0)
     with pytest.raises(InputError, match="shape"):
         direct_minimize(prob, basis, MinimizeOptions(beta0=np.zeros(7)))
+    with pytest.raises(InputError, match="beta0 must be numeric"):
+        direct_minimize(prob, basis, MinimizeOptions(beta0=["a"] * 4))
 
 
 def test_minimize_flags_unbounded_descent():
@@ -784,7 +797,9 @@ def test_solve_spectrum_after_converge_reuses_the_rows_bit_for_bit(monkeypatch, 
     """``converge`` builds 32 rows; ``solve_spectrum`` on the same problem and
     grid then makes no lag table and no derivative image, and its spectrum
     equals a cold solve's bitwise, also at m = 13, where a cold build groups
-    the rows differently (13 is not a multiple of ``_ROW_GROUP``)."""
+    the rows differently (13 is not a multiple of ``_ROW_GROUP``).  The cold
+    build makes its images with the Caputo rule ``converge`` left kept, so
+    it makes no lag table either."""
     problem, grid = varied_problem(), Grid(0.0, math.pi, 1024)
     converge(problem, (8, 16, 32), 3, grid)
     tables, images = count_table_builds(monkeypatch), count_derivative_images(monkeypatch)
@@ -792,7 +807,7 @@ def test_solve_spectrum_after_converge_reuses_the_rows_bit_for_bit(monkeypatch, 
     assert tables == [] and images == []
     sturm_liouville._LAST_BASIS.set(None)
     cold = solve_spectrum(problem, m, 3, grid)
-    assert len(tables) == 1 and images == [m]
+    assert tables == [] and images == [m]
     assert warm.m == cold.m == m
     for name in ("lambdas", "coefficients", "right_trace"):
         assert np.array_equal(getattr(warm, name), getattr(cold, name))
@@ -814,7 +829,9 @@ def test_a_reuse_shares_the_kept_rows_and_samples():
 
 def test_a_larger_basis_another_grid_or_problem_rebuilds(monkeypatch):
     """More rows, another grid or an unequal problem is a full build; the
-    slot is emptied before it and then holds the new basis only."""
+    slot is emptied before it and then holds the new basis only.  A lag
+    table is made only where the Caputo rule changes: not for more rows or
+    another problem of the same order on the same grid, whose rule is kept."""
     problem, grid = varied_problem(), Grid(0.0, math.pi, 1024)
     first = RitzBasis.build(problem, 8, grid)
     tables, images = count_table_builds(monkeypatch), count_derivative_images(monkeypatch)
@@ -827,18 +844,40 @@ def test_a_larger_basis_another_grid_or_problem_rebuilds(monkeypatch):
 
     monkeypatch.setattr(sturm_liouville, "_sample_coefficients", sampling)
     previous = first
-    for attempt_problem, m, attempt_grid in ((problem, 16, grid),
-                                             (problem, 8, Grid(0.0, math.pi, 512)),
-                                             (varied_problem(), 8, grid),
-                                             (varied_problem(0.8), 8, grid)):
+    for attempt_problem, m, attempt_grid, made in ((problem, 16, grid, 0),
+                                                   (problem, 8, Grid(0.0, math.pi, 512), 1),
+                                                   (varied_problem(), 8, grid, 1),
+                                                   (varied_problem(), 8, grid, 0),
+                                                   (varied_problem(0.8), 8, grid, 1)):
         before = len(tables)
         basis = RitzBasis.build(attempt_problem, m, attempt_grid)
-        assert len(tables) == before + 1 and images[-1] == m
+        assert len(tables) == before + made and images[-1] == m
         assert slot_during_build[-1] is None
         assert sturm_liouville._LAST_BASIS.get() is basis
         assert not np.shares_memory(basis.phi, previous.phi)
         previous = basis
-    assert len(images) == 4
+    assert len(images) == 5
+
+
+def test_a_rebuild_frees_the_kept_rows_before_it_samples(monkeypatch):
+    """A build that does not reuse the kept basis drops the last reference
+    to the old rows before it samples the coefficients, so old and new
+    rows never live together."""
+    problem, grid = varied_problem(), Grid(0.0, math.pi, 1024)
+    basis = RitzBasis.build(problem, 8, grid)
+    old = [weakref.ref(basis.phi), weakref.ref(basis.dphi)]
+    del basis
+    real_sample = sturm_liouville._sample_coefficients
+    alive = []
+
+    def sampling(*args):
+        gc.collect()
+        alive.append([ref() is not None for ref in old])
+        return real_sample(*args)
+
+    monkeypatch.setattr(sturm_liouville, "_sample_coefficients", sampling)
+    RitzBasis.build(problem, 16, grid)
+    assert alive == [[False, False]]
 
 
 def test_kept_rows_are_read_only():

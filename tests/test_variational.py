@@ -39,6 +39,7 @@ from fracvar import (
     noether_drift,
     trapezoid,
 )
+from fracvar import operators
 from fracvar.experiments import damped_oscillator_problem
 from fracvar.foundation import _evaluate
 
@@ -465,7 +466,7 @@ def test_noether_rejects_weighted_problems():
 
 def counting_binding():
     """Left binding of ``exp(-s)`` whose kernel counts its profile samples:
-    one per operator call, however many rows the call carries."""
+    one per rule built, however many rows and calls the rule serves."""
     calls = [0]
 
     def h(s):
@@ -475,18 +476,36 @@ def counting_binding():
     return OperatorBinding(ParameterSet(0.0, 1.0, 1.0, 0.0), DifferenceKernel(h)), calls
 
 
-def profile_samples(check):
-    binding, calls = counting_binding()
-    check(binding)
-    return calls[0]
+def operator_work(monkeypatch, check):
+    """``(profile samples, operator calls)`` of ``check`` on a counting
+    binding: the rules it builds and the calls it makes of them, each
+    call one stack of rows."""
+    binding, samples = counting_binding()
+    calls = [0]
+    real_rule = operators._left_rule
+
+    def counted_rule(kernel, grid, inside):
+        rule = real_rule(kernel, grid, inside)
+
+        def counted(*args):
+            calls[0] += 1
+            return rule(*args)
+
+        return counted
+
+    with monkeypatch.context() as patch:
+        patch.setattr(operators, "_left_rule", counted_rule)
+        check(binding)
+    return samples[0], calls[0]
 
 
-def test_constrained_and_conserved_checks_form_the_trajectory_once():
+def test_constrained_and_conserved_checks_form_the_trajectory_once(monkeypatch):
     """Each check forms the slots of ``y`` once and shares them.  The slots
     take 2 operator calls, each stationarity residual 1 (one stacked dual
     call on the rows ``(d4 F, d2 F)``), and the conserved quantity's
     general pairings take ``K[xi]`` and ``B[xi]`` from the slot function,
-    2 more: 5 for ``noether_drift`` and 4 for ``isoperimetric_residual``."""
+    2 more: 5 for ``noether_drift`` and 4 for ``isoperimetric_residual``.
+    Each builds K's rule and B's rule once, so it samples the profile twice."""
     g = Grid(0.0, 1.0, 256)
     lag, y = quadratic_tracking(), SampledFunction(g, -1.0 - g.nodes)
 
@@ -494,17 +513,19 @@ def test_constrained_and_conserved_checks_form_the_trajectory_once():
         return VariationalProblem(lag, binding, ya=-1.0, yb=-2.0)
 
     level = evaluate_functional(problem(exp_binding()), y)
-    counts = [
-        profile_samples(lambda b: noether_drift(problem(b), y, NoetherGenerator(lambda t, x: 1.0))),
-        profile_samples(lambda b: isoperimetric_residual(problem(b), lag, level, y)),
+    work = [
+        operator_work(monkeypatch, lambda b: noether_drift(problem(b), y,
+                                                           NoetherGenerator(lambda t, x: 1.0))),
+        operator_work(monkeypatch, lambda b: isoperimetric_residual(problem(b), lag, level, y)),
     ]
-    assert counts == [5, 4]
+    assert work == [(2, 5), (2, 4)]
 
 
-def test_stationarity_and_reduced_conserved_quantity_share_one_dual_call():
+def test_stationarity_and_reduced_conserved_quantity_share_one_dual_call(monkeypatch):
     """``el_residual`` makes 2 operator calls for the slots and 1 for the
     dual images; the reduced conserved quantity ``K_dual[d4 F]`` is that
-    call's first row, so ``noether_drift`` makes 3 as well."""
+    call's first row, so ``noether_drift`` makes 3 as well.  Each builds
+    K's rule and B's rule once, so it samples the profile twice."""
     g = Grid(0.0, 1.0, 256)
     y = SampledFunction(g, np.sin(3.0 * g.nodes))
     full = Lagrangian(lambda x1, x2, x3, x4, t: x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4)
@@ -512,11 +533,12 @@ def test_stationarity_and_reduced_conserved_quantity_share_one_dual_call():
     shift = NoetherGenerator(lambda t, x: 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        counts = [
-            profile_samples(lambda b: el_residual(VariationalProblem(full, b), y)),
-            profile_samples(lambda b: noether_drift(VariationalProblem(fourth, b), y, shift)),
+        work = [
+            operator_work(monkeypatch, lambda b: el_residual(VariationalProblem(full, b), y)),
+            operator_work(monkeypatch,
+                          lambda b: noether_drift(VariationalProblem(fourth, b), y, shift)),
         ]
-    assert counts == [3, 3]
+    assert work == [(2, 3), (2, 3)]
 
 
 # --- one stacked dual call against one public call per image --------------------
